@@ -17,7 +17,7 @@ from .parser import parse, parse_source
 from .printer import pretty_print
 from .scopes import (
     OccurrenceRef, Resolution, ScopedVariable, ScopeTree,
-    build_scope_tree, resolve, resolve_occurrences,
+    build_scope_tree, resolve,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """End-to-end pipeline: source text to a metrics report.
 
-Parsing, resolution, ledger construction and decomposition run once per
-program; per-mode metric evaluation is cached so the property validator can
-score the same program under all three scope-information modes cheaply.
+Lexing, parsing, resolution, ledger construction and decomposition run once
+per program. LOC, the number of lines holding a token, is counted from the
+same token list during that one pass and stored on the analysis. Per-mode
+metric evaluation is cached so the property validator can score the same
+program under all three scope-information modes cheaply.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass, field
 from .ast import SyntaxTree
 from .granules import GranuleTree, decompose
 from .ledger import OccurrenceLedger, SiMode, build_ledger
+from .lexer import tokenize
 from .metrics import MetricsReport, WeightTable, coding_efficiency, escim, loc
-from .parser import parse_source
+from .parser import parse
 from .scopes import Resolution, resolve
 
 
@@ -25,6 +28,7 @@ class Analysis:
     resolution: Resolution
     ledger: OccurrenceLedger
     granules: list[GranuleTree]
+    loc: int
     _reports: dict = field(default_factory=dict, repr=False)
 
     def report(self, mode: SiMode = SiMode.DELTA, weights: WeightTable | None = None) -> MetricsReport:
@@ -32,7 +36,7 @@ class Analysis:
         key = (mode, weights.key())
         if key not in self._reports:
             rep = escim(self.granules, self.ledger, weights, mode)
-            rep.loc = loc(self.source)
+            rep.loc = self.loc
             rep.efficiency = coding_efficiency(rep.escim, rep.loc)
             self._reports[key] = rep
         return self._reports[key]
@@ -48,8 +52,11 @@ class Analysis:
 
 
 def analyze_source(source: str, file: str = "<input>") -> Analysis:
-    tree = parse_source(source, file)
+    tokens = tokenize(source, file)
+    lines = loc(tokens)
+    tree = parse(tokens, file)
+    del tokens  # free the tokens before the later stages; they would raise peak memory
     resolution = resolve(tree)
     ledger = build_ledger(resolution)
     granules = decompose(tree, resolution)
-    return Analysis(file, source, tree, resolution, ledger, granules)
+    return Analysis(file, source, tree, resolution, ledger, granules, lines)

@@ -43,7 +43,6 @@ class OccurrenceLedger:
     tree: SyntaxTree
     resolution: Resolution
     by_variable: dict[int, list[int]] = field(default_factory=dict)
-    by_name: dict[str, list[int]] = field(default_factory=dict)
     by_anchor: dict[int, list[int]] = field(default_factory=dict)
     member_totals: dict[tuple[int, str | None], int] = field(default_factory=dict)
 
@@ -75,11 +74,6 @@ class OccurrenceLedger:
             if o in inside:
                 best = max(best, self.entries[o].sicn_after)
         return best
-
-    def sicn_min(self, vid: int, anchors: set[int]) -> int | None:
-        inside = set(self.region_ordinals(anchors))
-        values = [self.entries[o].sicn_after for o in self.by_variable.get(vid, ()) if o in inside]
-        return min(values) if values else None
 
     def si(self, anchors: set[int], mode: SiMode = SiMode.DELTA) -> int:
         ordinals = self.region_ordinals(anchors)
@@ -163,20 +157,6 @@ def build_ledger(resolution: Resolution) -> OccurrenceLedger:
             )
         )
         ledger.by_variable.setdefault(occ.variable, []).append(occ.ordinal)
-        ledger.by_name.setdefault(var.name, []).append(occ.ordinal)
         ledger.by_anchor.setdefault(occ.anchor, []).append(occ.ordinal)
     return ledger
 
-
-# Spec-shaped free functions over the ledger.
-
-def sicn_max(vid: int, region: set[int], ledger: OccurrenceLedger) -> int:
-    return ledger.sicn_max(vid, region)
-
-
-def si(region: set[int], ledger: OccurrenceLedger, mode: SiMode = SiMode.DELTA) -> int:
-    return ledger.si(region, mode)
-
-
-def info_icn(region: set[int], ledger: OccurrenceLedger) -> int:
-    return ledger.info_icn(region)

@@ -7,6 +7,11 @@ function call it contains (and a goto-weight factor per goto); a recursive
 function's total is multiplied by the recursion weight. The numeric defaults
 below are conventional values for this family of weighted measures and are
 configurable through a JSON table.
+
+LOC is the number of lines that hold at least one token, so blank and
+comment-only lines do not count. It is read off the token list the lexer
+already produced (each token's starting line; only ``\n`` ends a line, as in
+diagnostic spans) and is counted once per analysis.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .erm import serialize_erm
 from .errors import EmptyProgram, InconsistentInput
 from .granules import BcsKind, Granule, GranuleTree
 from .ledger import OccurrenceLedger, SiMode
+from .lexer import Token
 
 DEFAULT_WEIGHTS: dict[str, int] = {
     "linear": 1,
@@ -179,51 +185,9 @@ def escim(
     )
 
 
-def loc(source: str) -> int:
-    """Lines that are neither blank nor comment-only; raises EmptyProgram on zero."""
-    out: list[str] = []
-    i, n = 0, len(source)
-    in_line = in_block = in_string = False
-    while i < n:
-        ch = source[i]
-        if in_line:
-            if ch == "\n":
-                in_line = False
-                out.append(ch)
-            i += 1
-            continue
-        if in_block:
-            if ch == "\n":
-                out.append(ch)
-            elif source.startswith("*/", i):
-                in_block = False
-                i += 2
-                continue
-            i += 1
-            continue
-        if in_string:
-            out.append(ch)
-            if ch == "\\" and i + 1 < n:
-                out.append(source[i + 1])
-                i += 2
-                continue
-            if ch == '"' or ch == "\n":
-                in_string = False
-            i += 1
-            continue
-        if source.startswith("//", i):
-            in_line = True
-            i += 2
-            continue
-        if source.startswith("/*", i):
-            in_block = True
-            i += 2
-            continue
-        if ch == '"':
-            in_string = True
-        out.append(ch)
-        i += 1
-    count = sum(1 for line in "".join(out).splitlines() if line.strip())
+def loc(tokens: list[Token]) -> int:
+    """Lines that hold at least one token; raises EmptyProgram on zero."""
+    count = len({tok.span.line_start for tok in tokens})
     if count == 0:
         raise EmptyProgram("no countable lines of code")
     return count

@@ -331,7 +331,3 @@ def resolve(tree: SyntaxTree) -> Resolution:
 
 def build_scope_tree(tree: SyntaxTree) -> ScopeTree:
     return resolve(tree).scopes
-
-
-def resolve_occurrences(tree: SyntaxTree, scopes: ScopeTree | None = None) -> list[OccurrenceRef]:
-    return resolve(tree).occurrences

@@ -6,6 +6,10 @@ unified), injective renaming (token-level, so line structure and LOC are
 preserved), and statement permutation (simple statements may trade places
 across nesting levels; structured statements stay anchored).
 
+``compose`` and ``permute`` analyze the program text they build to validate
+it, and return that ``Analysis``; its ``source`` holds the new text, so
+callers never analyze it a second time. ``rename`` returns the new text.
+
 Each of the classical nine properties is checked per scope-information mode
 over a pool of corpus programs plus seeded generated programs. Existential
 properties report witnessed / no-witness-found; universal ones report
@@ -105,8 +109,8 @@ def _unify_decls(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
     return out
 
 
-def compose(p: str, q: str, entry: str = "main") -> str:
-    """Sequential composition P;Q as a new program text."""
+def compose(p: str, q: str, entry: str = "main") -> Analysis:
+    """Sequential composition P;Q, returned as the analysis of its program text."""
     ptree = parse_source(p, "<P>")
     qtree = parse_source(q, "<Q>")
     pmain = _entry_func(ptree, entry)
@@ -149,10 +153,9 @@ def compose(p: str, q: str, entry: str = "main") -> str:
     items.append(entry_fn)
     text = pretty_print(ast.SyntaxTree(items, file="<composed>"))
     try:
-        analyze_source(text, "<composed>")
+        return analyze_source(text, "<composed>")
     except AnalysisError as exc:
         raise ComposeError(f"composition does not resolve: {exc}") from exc
-    return text
 
 
 # =================================================================== rename
@@ -257,8 +260,11 @@ def permutable_slots(p: str, entry: str = "main") -> list[SlotInfo]:
     return infos
 
 
-def permute(p: str, order: list[int], entry: str = "main") -> str:
-    """Rearrange the simple statements of the entry function by slot index."""
+def permute(p: str, order: list[int], entry: str = "main") -> Analysis:
+    """Rearrange the simple statements of the entry function by slot index.
+
+    Returns the analysis of the rearranged program text.
+    """
     tree = parse_source(p, "<permute>")
     slots, _ = _collect_slots(_entry_func(tree, entry))
     if sorted(order) != list(range(len(slots))):
@@ -282,10 +288,9 @@ def permute(p: str, order: list[int], entry: str = "main") -> str:
         put(ref, originals[order[k]])
     text = pretty_print(tree)
     try:
-        analyze_source(text, "<permuted>")
+        return analyze_source(text, "<permuted>")
     except AnalysisError as exc:
         raise InvalidPermutation(f"permutation breaks declaration-before-use: {exc}") from exc
-    return text
 
 
 # =================================================================== pool
@@ -335,8 +340,7 @@ class ValidatorPool:
         key = (i, j)
         if key not in self._composed:
             try:
-                text = compose(self.entries[i].source, self.entries[j].source)
-                self._composed[key] = analyze_source(text, f"<{self.entries[i].name};{self.entries[j].name}>")
+                self._composed[key] = compose(self.entries[i].source, self.entries[j].source)
             except ComposeError as exc:
                 self._composed[key] = exc
         return self._composed[key]
@@ -499,10 +503,10 @@ def _check_p7(prop, mode, pool):
                     permuted = permute(source, order)
                 except InvalidPermutation:
                     continue
-                value = analyze_source(permuted, "<permuted>").escim_value(mode, pool.weights)
+                value = permuted.escim_value(mode, pool.weights)
                 if value != pool.esc(i, mode):
                     witness = _witness(pool, p=i)
-                    witness["permuted"] = permuted
+                    witness["permuted"] = permuted.source
                     witness["values"] = [pool.esc(i, mode), value]
                     return PropertyVerdict(prop, mode, "witnessed", witness)
     return PropertyVerdict(prop, mode, "no-witness-found")

@@ -5,7 +5,7 @@ import pytest
 
 from minicog import (
     EmptyProgram, InconsistentInput, analyze_source, coding_efficiency,
-    cyclomatic, escim, loc,
+    cyclomatic, escim, loc, tokenize,
 )
 from minicog.ledger import SiMode
 from minicog.metrics import DEFAULT_WEIGHTS, WeightTable
@@ -51,15 +51,31 @@ def test_call_weight_applies_per_call_expression():
 # ----------------------------------------------------------------- loc
 
 def test_loc_examples():
-    assert loc(fixture_source("example1.mc")) == 7
-    assert loc(fixture_source("unit.mc")) == 3
+    assert loc(tokenize(fixture_source("example1.mc"))) == 7
+    assert loc(tokenize(fixture_source("unit.mc"))) == 3
     with pytest.raises(EmptyProgram):
-        loc("// nothing\n/* still\nnothing */\n\n")
+        analyze_source("// nothing\n/* still\nnothing */\n\n")
 
 
 def test_loc_counts_code_sharing_a_line_with_comments():
-    assert loc("int main() { } // trailing\n") == 1
-    assert loc('/* a */ int main() { print("x // y"); }\n') == 1
+    assert loc(tokenize("int main() { } // trailing\n")) == 1
+    assert loc(tokenize('/* a */ int main() { print("x // y"); }\n')) == 1
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "int main() {\r int a; a = 1; }\n",         # a lone carriage return between tokens
+        'int main() { print("a\u2028b"); }\n',      # line separators inside a string
+        'int main() { print("a\x85b"); }\n',
+        'int main() { print("a\vb"); }\n',
+    ],
+)
+def test_loc_breaks_lines_only_at_newline(src):
+    tokens = tokenize(src)
+    assert {tok.span.line_start for tok in tokens} == {1}
+    assert loc(tokens) == 1
+    assert analyze_source(src).report().loc == 1
 
 
 # ----------------------------------------------------------------- efficiency
@@ -148,5 +164,5 @@ def test_delta_additivity_for_disjoint_programs():
     q = analyze_source(fixture_source("p6_q.mc"))
     from minicog.weyuker import compose
 
-    combined = analyze_source(compose(fixture_source("p6_p.mc"), fixture_source("p6_q.mc")))
+    combined = compose(fixture_source("p6_p.mc"), fixture_source("p6_q.mc"))
     assert combined.escim_value() == p.escim_value() + q.escim_value() == 2
