@@ -218,7 +218,7 @@ def run_analyze(args) -> int:
     for path in paths:
         try:
             source = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"minicog: cannot read {path}: {exc}", file=sys.stderr)
             return 2
         try:
@@ -323,7 +323,7 @@ def run_weyuker(args) -> int:
         for path in sorted(root.glob("*.mc")):
             try:
                 corpus.append((path.name, path.read_text(encoding="utf-8")))
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"minicog: cannot read {path}: {exc}", file=sys.stderr)
                 return 2
     modes = [SiMode(args.si_mode)] if args.si_mode else None

@@ -1,11 +1,13 @@
 """Tokenizer for MiniC source text.
 
 Comments (``//`` and ``/* */``) and whitespace produce no tokens; everything
-else becomes exactly one token with a 1-based source span.
+else becomes exactly one token with a 1-based source span. One master regular
+expression, tried at each position in turn, picks the token.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import LexError
@@ -31,6 +33,23 @@ OPERATORS = (
 # `::` must precede `:`.
 PUNCTUATION = ("::", ";", ",", "(", ")", "{", "}", "[", "]", ":", ".")
 
+# Alternatives are tried in order. `unclosed` precedes `operator` so that an
+# unclosed comment is not lexed as `/`. `\w` is `str.isalnum()` or `_`, and
+# `\d` is `str.isdecimal()`, so `²` matches `word`, not `number`.
+_TOKEN = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n]+ | //[^\n]* | /\*[\s\S]*?\*/)
+    | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<unclosed>/\*[\s\S]* | "(?:[^"\\\n]|\\[\s\S])*\\?)
+    | (?P<number>\d+(?:\.\d+)?)
+    | (?P<word>\w+)
+    | (?P<operator>""" + "|".join(map(re.escape, OPERATORS)) + r""")
+    | (?P<punctuation>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
+    | (?P<illegal>[\s\S])
+    """,
+    re.VERBOSE,
+)
+
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -51,132 +70,37 @@ class Token:
     span: SourceSpan
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class _Scanner:
-    def __init__(self, source: str, file: str):
-        self.src = source
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.src)
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.src[i] if i < len(self.src) else ""
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.eof():
-                return
-            if self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def here(self) -> tuple[int, int]:
-        return self.line, self.col
-
-    def span_from(self, start: tuple[int, int]) -> SourceSpan:
-        return SourceSpan(self.file, start[0], start[1], self.line, max(1, self.col - 1))
-
-
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Convert source text to a token list; raises LexError with a span."""
-    sc = _Scanner(source, file)
     tokens: list[Token] = []
-    while not sc.eof():
-        ch = sc.peek()
-        if ch in " \t\r\n":
-            sc.advance()
+    line, line_offset = 1, 0  # the current line and the offset where it begins
+    pos = 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        kind, text, end = match.lastgroup, match.group(), match.end()
+        start_line, start_col = line, pos - line_offset + 1
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_offset = pos + text.rindex("\n") + 1
+        pos = end
+        if kind == "skip":
             continue
-        if ch == "/" and sc.peek(1) == "/":
-            while not sc.eof() and sc.peek() != "\n":
-                sc.advance()
-            continue
-        if ch == "/" and sc.peek(1) == "*":
-            start = sc.here()
-            sc.advance(2)
-            while not (sc.peek() == "*" and sc.peek(1) == "/"):
-                if sc.eof():
-                    raise LexError("unterminated block comment", sc.span_from(start))
-                sc.advance()
-            sc.advance(2)
-            continue
-        start = sc.here()
-        if ch == '"':
-            sc.advance()
-            text = ['"']
-            while True:
-                if sc.eof() or sc.peek() == "\n":
-                    raise LexError("unterminated string literal", sc.span_from(start))
-                c = sc.peek()
-                if c == "\\":
-                    text.append(c)
-                    sc.advance()
-                    if sc.eof():
-                        raise LexError("unterminated string literal", sc.span_from(start))
-                    text.append(sc.peek())
-                    sc.advance()
-                    continue
-                text.append(c)
-                sc.advance()
-                if c == '"':
-                    break
-            tokens.append(Token("string-literal", "".join(text), sc.span_from(start)))
-            continue
-        if ch.isdigit():
-            text = []
-            while sc.peek().isdigit():
-                text.append(sc.peek())
-                sc.advance()
-            if sc.peek() == "." and sc.peek(1).isdigit():
-                text.append(".")
-                sc.advance()
-                while sc.peek().isdigit():
-                    text.append(sc.peek())
-                    sc.advance()
-                tokens.append(Token("float-literal", "".join(text), sc.span_from(start)))
-            else:
-                tokens.append(Token("int-literal", "".join(text), sc.span_from(start)))
-            continue
-        if _is_ident_start(ch):
-            text = []
-            while _is_ident_char(sc.peek()):
-                text.append(sc.peek())
-                sc.advance()
-            word = "".join(text)
-            kind = "keyword" if word in KEYWORDS else "identifier"
-            tokens.append(Token(kind, word, sc.span_from(start)))
-            continue
-        matched = False
-        for op in OPERATORS:
-            if sc.src.startswith(op, sc.pos):
-                sc.advance(len(op))
-                tokens.append(Token("operator", op, sc.span_from(start)))
-                matched = True
-                break
-        if matched:
-            continue
-        for punct in PUNCTUATION:
-            if sc.src.startswith(punct, sc.pos):
-                sc.advance(len(punct))
-                tokens.append(Token("punctuation", punct, sc.span_from(start)))
-                matched = True
-                break
-        if matched:
-            continue
-        bad = SourceSpan(file, start[0], start[1], start[0], start[1])
-        raise LexError(f"illegal character {ch!r}", bad)
+        # The span ends on the token's last character; an unclosed comment or
+        # string that ends with a newline ends in column 1 of the next line.
+        span = SourceSpan(file, start_line, start_col, line, max(1, end - line_offset))
+        if kind == "unclosed":
+            what = "block comment" if text.startswith("/*") else "string literal"
+            raise LexError(f"unterminated {what}", span)
+        # `\w+` also matches from a non-decimal digit such as `²` or `½`.
+        if kind == "illegal" or (kind == "word" and not (text[0].isalpha() or text[0] == "_")):
+            bad = SourceSpan(file, start_line, start_col, start_line, start_col)
+            raise LexError(f"illegal character {text[0]!r}", bad)
+        if kind == "word":
+            kind = "keyword" if text in KEYWORDS else "identifier"
+        elif kind == "number":
+            kind = "float-literal" if "." in text else "int-literal"
+        elif kind == "string":
+            kind = "string-literal"
+        tokens.append(Token(kind, text, span))
     return tokens

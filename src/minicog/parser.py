@@ -134,12 +134,18 @@ class _Parser:
         self.advance()
         ty = TypeRef(tok.text)
         if self.at("["):
-            self.advance()
-            if self.at_kind("int-literal"):
-                ty.array_size = int(self.advance().text)
-            self.expect("]")
-            ty.is_array = True
+            self.parse_array_marker(ty)
         return self._spanned(ty, start)
+
+    def parse_array_marker(self, ty: TypeRef) -> None:
+        """``[`` INT? ``]`` after a type or a declared name; marks ``ty`` an array."""
+        if ty.is_array:
+            raise ParseError("duplicate array marker", self.peek().span)
+        self.advance()
+        if self.at_kind("int-literal"):
+            ty.array_size = int(self.advance().text)
+        self.expect("]")
+        ty.is_array = True
 
     def parse_func_def(self, ret_type: TypeRef, name: str, start: int) -> FuncDef:
         self.expect("(")
@@ -161,13 +167,7 @@ class _Parser:
     def parse_decl_tail(self, ty: TypeRef, name: str, start: int) -> DeclStmt:
         # C-style array marker after the name.
         if self.at("["):
-            if ty.is_array:
-                raise ParseError("duplicate array marker", self.peek().span)
-            self.advance()
-            if self.at_kind("int-literal"):
-                ty.array_size = int(self.advance().text)
-            self.expect("]")
-            ty.is_array = True
+            self.parse_array_marker(ty)
         init = None
         init_list = None
         if self.at("="):

@@ -24,6 +24,16 @@ def test_missing_file_exits_2():
     assert b"cannot read" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "weyuker"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, command):
+    (tmp_path / "bad.mc").write_bytes(b"int main() { int a = 1; }\n\xff\n")
+    args = [str(tmp_path / "bad.mc")] if command == "analyze" else ["--corpus", str(tmp_path)]
+    proc = run_cli(command, *args)
+    assert proc.returncode == 2
+    assert b"cannot read" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("analyze", "corpus/unit.mc", "--bogus")
     assert proc.returncode == 2
@@ -43,6 +53,17 @@ def test_analysis_diagnostics_exit_1(tmp_path):
     diag = obj["diagnostics"][0]
     assert "z" in diag["message"]
     assert diag["span"]["line_start"] == 1
+
+
+def test_non_decimal_digit_is_a_lex_diagnostic(tmp_path):
+    bad = tmp_path / "digit.mc"
+    bad.write_text("int main() { int a[²]; }", encoding="utf-8")
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == "illegal character '²'"
+    assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, 20)
 
 
 def test_comment_only_file_exits_1(tmp_path):

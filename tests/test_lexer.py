@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minicog import LexError, tokenize
+from minicog.generator import generate
 
 from conftest import corpus_names, fixture_source
 
@@ -59,11 +60,52 @@ def test_spans_are_one_based():
     assert (tok.span.line_start, tok.span.col_start) == (2, 2)
 
 
-@pytest.mark.parametrize("bad", ["@", "int $x;", '"unterminated', "/* open", '"line\nbreak"'])
+def span_tuple(span):
+    return (span.line_start, span.col_start, span.line_end, span.col_end)
+
+
+# Source -> (message, (line_start, col_start, line_end, col_end)). An unclosed
+# comment runs to end of input; an unclosed string ends at the newline, or at
+# end of input after a trailing backslash.
+LEX_ERRORS = {
+    "@": ("illegal character '@'", (1, 1, 1, 1)),
+    "int $x;": ("illegal character '$'", (1, 5, 1, 5)),
+    '"unterminated': ("unterminated string literal", (1, 1, 1, 13)),
+    "/* open": ("unterminated block comment", (1, 1, 1, 7)),
+    '"line\nbreak"': ("unterminated string literal", (1, 1, 1, 5)),
+    "a /* x\n y \n": ("unterminated block comment", (1, 3, 3, 1)),
+    'x = "a\\': ("unterminated string literal", (1, 5, 1, 7)),
+    'a\n  "b\\\n': ("unterminated string literal", (2, 3, 3, 1)),
+    # Only space, tab, CR and LF are whitespace.
+    "\f": ("illegal character '\\x0c'", (1, 1, 1, 1)),
+    "a\xa0b": ("illegal character '\\xa0'", (1, 2, 1, 2)),
+    "a\u2028b": ("illegal character '\\u2028'", (1, 2, 1, 2)),
+    # Numeric characters that are not decimal digits start no token.
+    "½": ("illegal character '½'", (1, 1, 1, 1)),
+    "int a[²];": ("illegal character '²'", (1, 7, 1, 7)),
+}
+
+
+@pytest.mark.parametrize("bad", LEX_ERRORS)
 def test_lex_errors_carry_spans(bad):
     with pytest.raises(LexError) as err:
         tokenize(bad)
-    assert err.value.span is not None
+    assert (err.value.message, span_tuple(err.value.span)) == LEX_ERRORS[bad]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ('x="a\\\nb";', [
+        ("identifier", "x", (1, 1, 1, 1)),
+        ("operator", "=", (1, 2, 1, 2)),
+        ("string-literal", '"a\\\nb"', (1, 3, 2, 2)),
+        ("punctuation", ";", (2, 3, 2, 3)),
+    ]),
+    ("é", [("identifier", "é", (1, 1, 1, 1))]),
+    ("x²", [("identifier", "x²", (1, 1, 1, 2))]),
+    ("٣", [("int-literal", "٣", (1, 1, 1, 1))]),
+])
+def test_token_kinds_texts_and_spans(source, expected):
+    assert [(t.kind, t.text, span_tuple(t.span)) for t in tokenize(source)] == expected
 
 
 def _significant(source: str) -> str:
@@ -92,9 +134,11 @@ def _significant(source: str) -> str:
     return "".join(out)
 
 
-@pytest.mark.parametrize("name", corpus_names())
-def test_concatenation_reproduces_significant_content(name):
-    source = fixture_source(name)
+@pytest.mark.parametrize("source", [
+    *(pytest.param(fixture_source(name), id=name) for name in corpus_names()),
+    *(pytest.param(generate(seed), id=f"generate-{seed}") for seed in range(50)),
+])
+def test_concatenation_reproduces_significant_content(source):
     assert "".join(t.text for t in tokenize(source)) == _significant(source)
 
 
@@ -102,3 +146,27 @@ def test_concatenation_reproduces_significant_content(name):
 def test_identifier_soup_roundtrip(words):
     toks = tokenize(" ".join(words))
     assert [t.text for t in toks] == words
+
+
+# MiniC's characters, a few multi-character pieces that open or close comments
+# and strings, and some non-ASCII letters, digits and spaces.
+_PIECES = [
+    *"azAZ_09+-*/%<>=!&|;,(){}[]:.\"\\ \t\r\n@$",
+    "/*", "*/", "//", "\\\n", "int", "12.5", "<=", "::",
+    "é", "²", "٣", "½", "\xa0", "\u2028", "\f",
+]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_tokens_are_source_slices_or_lex_error(source):
+    try:
+        toks = tokenize(source)
+    except LexError as err:
+        assert err.span is not None
+        return
+    line_offsets = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    for tok in toks:
+        span = tok.span
+        begin = line_offsets[span.line_start - 1] + span.col_start - 1
+        end = line_offsets[span.line_end - 1] + span.col_end
+        assert source[begin:end] == tok.text

@@ -109,6 +109,7 @@ def test_global_ref_and_member_chain():
         ("int main() { switch (1) { what: ; } }", "expected 'case' or 'default'"),
         ("int main() { int a = \"text\"; }", "string literal"),
         ("int main() { x.y().z; }", "call target"),
+        ("int main() { int[2] a[3]; }", "duplicate array marker"),
     ],
 )
 def test_parse_errors(source, fragment):
