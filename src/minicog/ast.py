@@ -83,6 +83,18 @@ class Binary(Expr):
     rhs: Expr
 
 
+# Binding strength of each binary operator (higher binds tighter); every
+# level is left-associative. The parser climbs it and the printer
+# parenthesizes from it, so printed programs read back as the same tree.
+BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, ">": 4, "<=": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
+
 @dataclass(eq=False)
 class Assign(Expr):
     target: Expr

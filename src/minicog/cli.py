@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -347,11 +348,20 @@ def run_generate(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return run_analyze(args)
-    if args.command == "weyuker":
-        return run_weyuker(args)
-    return run_generate(args)
+    try:
+        if args.command == "analyze":
+            code = run_analyze(args)
+        elif args.command == "weyuker":
+            code = run_weyuker(args)
+        else:
+            code = run_generate(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Python flushes it again at exit, so point
+        # it at devnull ("Note on SIGPIPE" in the signal module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -1,21 +1,25 @@
 """Seeded random MiniC program generator.
 
-Grammar-directed and bounded: nesting depth <= 4 and at most 30 statements
-(blocks excluded) by default. Every emitted program parses and resolves
-cleanly by construction: targets are always visible variables,
+Grammar-directed and bounded: nesting depth <= MAX_DEPTH and at most
+MAX_STATEMENTS statements (blocks excluded). Every emitted program parses
+and resolves cleanly by construction: targets are always visible variables,
 break/continue only appear inside loops, and every declaration carries an
 operator-free initializer (a literal, ``read()`` or a visible variable). The
-statement frequency weights are fixed configuration constants, not tuned
+bounds and the statement frequency weights are fixed constants, not tuned
 values.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import ast
 from .printer import pretty_print
+
+MAX_DEPTH = 4
+MAX_STATEMENTS = 30
+MAX_GLOBALS = 2
+HELPER_CHANCE = 0.3
 
 NAME_POOL = ("a", "b", "c", "n", "s", "t", "u", "v", "w", "x", "y", "z")
 
@@ -29,19 +33,10 @@ _CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
 _COMPOUND_OPS = ("+=", "-=", "*=", "/=", "%=")
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    max_depth: int = 4
-    max_statements: int = 30
-    max_globals: int = 2
-    helper_chance: float = 0.3
-
-
 class _Gen:
-    def __init__(self, rng: random.Random, config: GeneratorConfig):
+    def __init__(self, rng: random.Random):
         self.rng = rng
-        self.config = config
-        self.remaining = rng.randint(3, config.max_statements)
+        self.remaining = rng.randint(3, MAX_STATEMENTS)
         self.scopes: list[set[str]] = []
         self.helpers: dict[str, int] = {}  # name -> arity
 
@@ -135,7 +130,7 @@ class _Gen:
         if not self.take():
             return None
         kinds, weights = (_SIMPLE_KINDS, _SIMPLE_WEIGHTS)
-        if depth < self.config.max_depth and self.remaining > 2:
+        if depth < MAX_DEPTH and self.remaining > 2:
             kinds, weights = (_ALL_KINDS, _ALL_WEIGHTS)
         kind = self.rng.choices(kinds, weights)[0]
         names = self.visible()
@@ -245,13 +240,13 @@ class _Gen:
     def program(self) -> ast.SyntaxTree:
         self.push()  # global scope
         items: list = []
-        for i in range(self.rng.randint(0, self.config.max_globals)):
+        for i in range(self.rng.randint(0, MAX_GLOBALS)):
             if not self.take():
                 break
             name = f"g{i}"
             self.scopes[-1].add(name)
             items.append(ast.DeclStmt(ast.TypeRef("int"), name, init=self.literal()))
-        if self.rng.random() < self.config.helper_chance:
+        if self.rng.random() < HELPER_CHANCE:
             fn = self.helper(0)
             if fn is not None:
                 items.append(fn)
@@ -271,8 +266,6 @@ class _Gen:
         return ast.SyntaxTree(items)
 
 
-def generate(seed: int, config: GeneratorConfig | None = None) -> str:
+def generate(seed: int) -> str:
     """Deterministic program text for a seed."""
-    rng = random.Random(seed)
-    tree = _Gen(rng, config or GeneratorConfig()).program()
-    return pretty_print(tree)
+    return pretty_print(_Gen(random.Random(seed)).program())

@@ -18,7 +18,7 @@ from enum import Enum
 
 from . import ast
 from .ast import SyntaxTree
-from .scopes import Resolution, resolve
+from .scopes import Resolution
 
 
 class BcsKind(str, Enum):
@@ -33,7 +33,7 @@ class BcsKind(str, Enum):
     RECURSION = "recursion"
 
 
-_SIMPLE = (
+SIMPLE_STMTS = (
     ast.DeclStmt, ast.ExprStmt, ast.ReturnStmt, ast.BreakStmt,
     ast.ContinueStmt, ast.GotoStmt, ast.EmptyStmt,
 )
@@ -136,7 +136,7 @@ def _decompose_run(stmts: list[ast.Stmt]) -> list[Granule]:
             run.clear()
 
     for unit in _flatten(stmts):
-        if isinstance(unit, _SIMPLE):
+        if isinstance(unit, SIMPLE_STMTS):
             run.append(unit.nid)
             continue
         flush()
@@ -192,10 +192,9 @@ def _assign_labels(roots: list[Granule]) -> None:
         visit(root, (i,))
 
 
-def detect_recursion(tree: SyntaxTree, resolution: Resolution | None = None) -> set[str]:
+def detect_recursion(resolution: Resolution) -> set[str]:
     """Functions on a cycle of the static call graph (self or mutual)."""
-    res = resolution if resolution is not None else resolve(tree)
-    graph = res.call_graph
+    graph = resolution.call_graph
     recursive: set[str] = set()
     for start in graph:
         seen: set[str] = set()
@@ -212,10 +211,9 @@ def detect_recursion(tree: SyntaxTree, resolution: Resolution | None = None) -> 
     return recursive
 
 
-def decompose(tree: SyntaxTree, resolution: Resolution | None = None) -> list[GranuleTree]:
+def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
     """Granule hierarchy per function, in source order."""
-    res = resolution if resolution is not None else resolve(tree)
-    recursive = detect_recursion(tree, res)
+    recursive = detect_recursion(resolution)
     out: list[GranuleTree] = []
     for item in tree.items:
         if not isinstance(item, ast.FuncDef):

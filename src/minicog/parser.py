@@ -1,4 +1,4 @@
-"""Recursive-descent parser for MiniC.
+"""Recursive-descent parser for MiniC; binary operators by precedence climbing.
 
 Grammar (informal):
 
@@ -10,6 +10,15 @@ Grammar (informal):
     stmt       := decl_stmt | expr ";" | if | switch | while | do-while | for
                 | "return" expr? ";" | "break" ";" | "continue" ";"
                 | "goto" IDENT ";" | IDENT ":" stmt | block | ";"
+    expr       := binary (("=" | "+=" | "-=" | "*=" | "/=" | "%=") expr)?
+    binary     := unary (BINOP unary)*
+    unary      := ("!" | "-") unary | postfix
+    postfix    := primary ("[" expr "]" | "." IDENT | "++" | "--" | "(" args ")")*
+    primary    := LITERAL | IDENT | "::" IDENT | "(" expr ")"
+
+Assignment is right-associative. Each BINOP is left-associative at its level
+of ``ast.BINARY_PRECEDENCE``, loosest first: ``||``; ``&&``; ``==`` ``!=``;
+``<`` ``>`` ``<=`` ``>=``; ``+`` ``-``; ``*`` ``/`` ``%``.
 
 The array marker is accepted both on the type (``int[] a``) and after the
 name (``int a[10]``); both normalize to the same TypeRef. String literals
@@ -23,14 +32,13 @@ from .ast import (
     Decrement, DeclStmt, DoWhileStmt, EmptyStmt, Expr, ExprStmt, ForStmt, FuncDef,
     GlobalRef, GotoStmt, IfStmt, Increment, Index, LabeledStmt, Literal, Member, Node, Param,
     RecordDef, RecordField, ReturnStmt, Stmt, SwitchStmt, SyntaxTree, TypeRef,
-    Unary, VarRef, WhileStmt,
+    Unary, VarRef, WhileStmt, BINARY_PRECEDENCE,
 )
 from .errors import ParseError
 from .lexer import SourceSpan, Token, tokenize
 
 TYPE_KEYWORDS = ("int", "float", "bool")
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
-COMPARE_OPS = ("<", ">", "<=", ">=")
 ASSIGNABLE = (VarRef, GlobalRef, Index, Member)
 
 
@@ -279,10 +287,13 @@ class _Parser:
             self.advance()
             inner = self.parse_stmt()
             return self._spanned(LabeledStmt(tok.text, inner), start)
+        return self.parse_decl_or_expr_stmt()
+
+    def parse_decl_or_expr_stmt(self) -> Stmt:
+        start = self.pos
         if self._starts_decl():
             ty = self.parse_type()
-            name = self.expect_ident()
-            return self.parse_decl_tail(ty, name.text, start)
+            return self.parse_decl_tail(ty, self.expect_ident().text, start)
         expr = self.parse_expr()
         self.expect(";")
         return self._spanned(ExprStmt(expr), start)
@@ -323,20 +334,9 @@ class _Parser:
     def parse_for(self, start: int) -> ForStmt:
         self.expect("for")
         self.expect("(")
-        init: Stmt | None
-        if self.at(";"):
-            self.advance()
-            init = None
-        elif self._starts_decl():
-            istart = self.pos
-            ty = self.parse_type()
-            name = self.expect_ident()
-            init = self.parse_decl_tail(ty, name.text, istart)
-        else:
-            istart = self.pos
-            expr = self.parse_expr()
+        init = None if self.at(";") else self.parse_decl_or_expr_stmt()
+        if init is None:
             self.expect(";")
-            init = self._spanned(ExprStmt(expr), istart)
         cond = None if self.at(";") else self.parse_expr()
         self.expect(";")
         update = None if self.at(")") else self.parse_expr()
@@ -347,50 +347,31 @@ class _Parser:
     # ------------------------------------------------------------ expressions
 
     def parse_expr(self) -> Expr:
-        return self.parse_assignment()
-
-    def parse_assignment(self) -> Expr:
         start = self.pos
-        lhs = self.parse_or()
+        lhs = self.parse_binary(1)
         tok = self.peek()
         if tok is not None and tok.text in ASSIGN_OPS:
             if not isinstance(lhs, ASSIGNABLE):
                 raise ParseError("invalid assignment target", tok.span)
             self.advance()
-            rhs = self.parse_assignment()
+            rhs = self.parse_expr()
             if tok.text == "=":
                 return self._spanned(Assign(lhs, rhs), start)
             return self._spanned(CompoundAssign(tok.text, lhs, rhs), start)
         return lhs
 
-    def _binary_level(self, ops: tuple[str, ...], next_level) -> Expr:
+    def parse_binary(self, min_prec: int) -> Expr:
+        """Operators binding at least as tightly as ``min_prec``, left-associated."""
         start = self.pos
-        lhs = next_level()
+        lhs = self.parse_unary()
         while True:
             tok = self.peek()
-            if tok is None or tok.text not in ops:
+            prec = BINARY_PRECEDENCE.get(tok.text, 0) if tok is not None else 0
+            if prec < min_prec:
                 return lhs
             self.advance()
-            rhs = next_level()
+            rhs = self.parse_binary(prec + 1)
             lhs = self._spanned(Binary(tok.text, lhs, rhs), start)
-
-    def parse_or(self) -> Expr:
-        return self._binary_level(("||",), self.parse_and)
-
-    def parse_and(self) -> Expr:
-        return self._binary_level(("&&",), self.parse_equality)
-
-    def parse_equality(self) -> Expr:
-        return self._binary_level(("==", "!="), self.parse_comparison)
-
-    def parse_comparison(self) -> Expr:
-        return self._binary_level(COMPARE_OPS, self.parse_additive)
-
-    def parse_additive(self) -> Expr:
-        return self._binary_level(("+", "-"), self.parse_multiplicative)
-
-    def parse_multiplicative(self) -> Expr:
-        return self._binary_level(("*", "/", "%"), self.parse_unary)
 
     def parse_unary(self) -> Expr:
         start = self.pos

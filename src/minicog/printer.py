@@ -2,7 +2,8 @@
 
 ``parse_source(pretty_print(tree))`` is structurally identical to ``tree``
 (spans aside). Output is deterministic: 4-space indents, one statement per
-line, minimal parentheses driven by the precedence table below.
+line, minimal parentheses driven by ``ast.BINARY_PRECEDENCE``, the table the
+parser climbs.
 """
 
 from __future__ import annotations
@@ -12,16 +13,9 @@ from .ast import (
     Decrement, DeclStmt, DoWhileStmt, EmptyStmt, Expr, ExprStmt, ForStmt,
     FuncDef, GlobalRef, GotoStmt, IfStmt, Increment, Index, LabeledStmt,
     Literal, Member, RecordDef, ReturnStmt, Stmt, SwitchStmt, SyntaxTree,
-    TypeRef, Unary, VarRef, WhileStmt,
+    TypeRef, Unary, VarRef, WhileStmt, BINARY_PRECEDENCE,
 )
 
-_BINARY_PREC = {
-    "||": 1, "&&": 2,
-    "==": 3, "!=": 3,
-    "<": 4, ">": 4, "<=": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "%": 6,
-}
 _PREC_ASSIGN = 0
 _PREC_UNARY = 7
 _PREC_POSTFIX = 8
@@ -31,7 +25,7 @@ def _prec(expr: Expr) -> int:
     if isinstance(expr, (Assign, CompoundAssign)):
         return _PREC_ASSIGN
     if isinstance(expr, Binary):
-        return _BINARY_PREC[expr.op]
+        return BINARY_PRECEDENCE[expr.op]
     if isinstance(expr, Unary):
         return _PREC_UNARY
     return _PREC_POSTFIX
@@ -57,7 +51,7 @@ def _expr(e: Expr) -> str:
         return f"{e.op}{inner}"
     if isinstance(e, Binary):
         # left-associative: right child needs parens at equal precedence
-        p = _BINARY_PREC[e.op]
+        p = BINARY_PRECEDENCE[e.op]
         return f"{_child(e.lhs, p)} {e.op} {_child(e.rhs, p + 1)}"
     if isinstance(e, Assign):
         return f"{_child(e.target, _PREC_POSTFIX)} = {_child(e.value, _PREC_ASSIGN)}"

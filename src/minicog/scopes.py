@@ -175,11 +175,7 @@ class _Resolver:
             for sub in reversed(reads):  # reads were collected outer-first
                 self.walk_expr(sub, anchor, ops)
             return
-        if isinstance(expr, ast.Assign):
-            self.walk_expr(expr.target, anchor, ops, ROLE_TARGET)
-            self.walk_expr(expr.value, anchor, ops)
-            return
-        if isinstance(expr, ast.CompoundAssign):
+        if isinstance(expr, (ast.Assign, ast.CompoundAssign)):
             self.walk_expr(expr.target, anchor, ops, ROLE_TARGET)
             self.walk_expr(expr.value, anchor, ops)
             return

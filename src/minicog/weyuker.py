@@ -24,7 +24,8 @@ from . import ast
 from .analysis import Analysis, analyze_source
 from .ast import fingerprint
 from .errors import AnalysisError, ComposeError, InvalidPermutation, RenameCollision
-from .generator import GeneratorConfig, generate
+from .generator import generate
+from .granules import SIMPLE_STMTS
 from .ledger import SiMode
 from .lexer import KEYWORDS, tokenize
 from .metrics import WeightTable
@@ -76,11 +77,11 @@ class MatrixResult:
 
 # =================================================================== compose
 
-def _entry_func(tree: ast.SyntaxTree, entry: str) -> ast.FuncDef:
+def _entry_func(tree: ast.SyntaxTree) -> ast.FuncDef:
     for item in tree.items:
-        if isinstance(item, ast.FuncDef) and item.name == entry:
+        if isinstance(item, ast.FuncDef) and item.name == "main":
             return item
-    raise ComposeError(f"no entry function '{entry}'")
+    raise ComposeError("no entry function 'main'")
 
 
 def _type_eq(a: ast.TypeRef, b: ast.TypeRef) -> bool:
@@ -109,12 +110,12 @@ def _unify_decls(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
     return out
 
 
-def compose(p: str, q: str, entry: str = "main") -> Analysis:
+def compose(p: str, q: str) -> Analysis:
     """Sequential composition P;Q, returned as the analysis of its program text."""
     ptree = parse_source(p, "<P>")
     qtree = parse_source(q, "<Q>")
-    pmain = _entry_func(ptree, entry)
-    qmain = _entry_func(qtree, entry)
+    pmain = _entry_func(ptree)
+    qmain = _entry_func(qtree)
     if pmain.params or qmain.params:
         raise ComposeError("entry functions must not take parameters")
     if not _type_eq(pmain.ret_type, qmain.ret_type):
@@ -149,8 +150,7 @@ def compose(p: str, q: str, entry: str = "main") -> Analysis:
             # initializer is static data, not a body statement, and is dropped
 
     merged = _unify_decls(list(pmain.body.stmts) + list(qmain.body.stmts))
-    entry_fn = ast.FuncDef(pmain.ret_type, entry, [], ast.Block(merged))
-    items.append(entry_fn)
+    items.append(ast.FuncDef(pmain.ret_type, "main", [], ast.Block(merged)))
     text = pretty_print(ast.SyntaxTree(items, file="<composed>"))
     try:
         return analyze_source(text, "<composed>")
@@ -188,12 +188,6 @@ def rename(p: str, mapping: dict[str, str]) -> str:
 
 # =================================================================== permute
 
-_SIMPLE_STMTS = (
-    ast.DeclStmt, ast.ExprStmt, ast.ReturnStmt, ast.BreakStmt,
-    ast.ContinueStmt, ast.GotoStmt, ast.EmptyStmt,
-)
-
-
 @dataclass(frozen=True)
 class SlotInfo:
     index: int
@@ -224,7 +218,7 @@ def _collect_slots(entry: ast.FuncDef):
         slots.append(ref)
 
     def handle(stmt: ast.Stmt, ref: tuple, in_loop: bool, top: bool) -> None:
-        if isinstance(stmt, _SIMPLE_STMTS):
+        if isinstance(stmt, SIMPLE_STMTS):
             add(ref, stmt, in_loop, top)
         elif isinstance(stmt, ast.Block):
             walk_list(stmt.stmts, in_loop, False)
@@ -254,19 +248,19 @@ def _collect_slots(entry: ast.FuncDef):
     return slots, infos
 
 
-def permutable_slots(p: str, entry: str = "main") -> list[SlotInfo]:
+def permutable_slots(p: str) -> list[SlotInfo]:
     tree = parse_source(p, "<permute>")
-    _, infos = _collect_slots(_entry_func(tree, entry))
+    _, infos = _collect_slots(_entry_func(tree))
     return infos
 
 
-def permute(p: str, order: list[int], entry: str = "main") -> Analysis:
+def permute(p: str, order: list[int]) -> Analysis:
     """Rearrange the simple statements of the entry function by slot index.
 
     Returns the analysis of the rearranged program text.
     """
     tree = parse_source(p, "<permute>")
-    slots, _ = _collect_slots(_entry_func(tree, entry))
+    slots, _ = _collect_slots(_entry_func(tree))
     if sorted(order) != list(range(len(slots))):
         raise InvalidPermutation(
             f"order must be a permutation of 0..{len(slots) - 1}"
@@ -312,9 +306,8 @@ class ValidatorPool:
         self.entries: list[PoolEntry] = [
             PoolEntry(name, source, True) for name, source in corpus
         ]
-        config = GeneratorConfig()
         for k in range(n_generated):
-            self.entries.append(PoolEntry(f"gen-{seed + k}", generate(seed + k, config), False))
+            self.entries.append(PoolEntry(f"gen-{seed + k}", generate(seed + k), False))
         self._analyses: dict[int, Analysis] = {}
         self._composed: dict[tuple[int, int], Analysis | ComposeError] = {}
         self._fingerprints: dict[int, tuple] = {}
@@ -345,13 +338,14 @@ class ValidatorPool:
                 self._composed[key] = exc
         return self._composed[key]
 
-    def pairs(self, limit_generated: int = 150) -> list[tuple[int, int]]:
-        """Deterministic composition pairs: corpus x corpus plus a generated chain."""
+    def pairs(self) -> list[tuple[int, int]]:
+        """Deterministic composition pairs: corpus x corpus plus the first 150
+        links of the chain through the generated programs."""
         corpus_idx = [i for i, e in enumerate(self.entries) if e.from_corpus]
         gen_idx = [i for i, e in enumerate(self.entries) if not e.from_corpus]
         out = [(i, j) for i in corpus_idx for j in corpus_idx]
         chain = [(gen_idx[k], gen_idx[k + 1]) for k in range(len(gen_idx) - 1)]
-        out.extend(chain[:limit_generated])
+        out.extend(chain[:150])
         return out
 
     def find_by_name(self, name: str) -> int | None:

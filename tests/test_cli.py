@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import CORPUS, corpus_names, run_cli
+from conftest import CORPUS, REPO, corpus_names, run_cli
 
 
 def test_analyze_example1_json_reports_il_3():
@@ -64,6 +67,30 @@ def test_non_decimal_digit_is_a_lex_diagnostic(tmp_path):
     diag = json.loads(proc.stdout)["diagnostics"][0]
     assert diag["message"] == "illegal character '²'"
     assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, 20)
+
+
+def test_deeply_parenthesized_expression_analyzes(tmp_path):
+    deep = tmp_path / "deep.mc"
+    deep.write_text("int main() { int x = 1; x = " + "(" * 100 + "x" + ")" * 100 + "; }\n")
+    proc = run_cli("analyze", str(deep))
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody reads: the child's first flush fails with EPIPE
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minicog", "analyze", "corpus/example1.mc", "--format", "json"],
+            cwd=REPO, stdout=write_end, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in stderr
+    assert b"BrokenPipeError" not in stderr
 
 
 def test_comment_only_file_exits_1(tmp_path):

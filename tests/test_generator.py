@@ -2,7 +2,7 @@ import pytest
 
 from minicog import analyze_source
 from minicog import ast
-from minicog.generator import GeneratorConfig, generate
+from minicog.generator import MAX_DEPTH, MAX_STATEMENTS, generate
 
 
 def count_statements(tree) -> int:
@@ -37,10 +37,9 @@ def test_soundness_sample(seed):
 
 @pytest.mark.parametrize("seed", range(0, 60))
 def test_bounds(seed):
-    config = GeneratorConfig()
-    tree = analyze_source(generate(seed, config)).tree
-    assert count_statements(tree) <= config.max_statements
-    assert max((structure_depth(item) for item in tree.items), default=0) <= config.max_depth
+    tree = analyze_source(generate(seed)).tree
+    assert count_statements(tree) <= MAX_STATEMENTS
+    assert max((structure_depth(item) for item in tree.items), default=0) <= MAX_DEPTH
 
 
 def test_declarations_carry_operator_free_initializers():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import analyze_source, detect_recursion, parse_source
+from minicog import analyze_source, detect_recursion, parse_source, resolve
 from minicog import ast
 from minicog.granules import BcsKind, classify_bcs
 
@@ -99,12 +99,12 @@ def _cycle_nodes_bruteforce(edges: dict[str, set[str]]) -> set[str]:
 
 def test_self_recursion_detected():
     tree = parse_source("int f(int n) { return f(n - 1); }\nint main() { print(f(3)); }")
-    assert detect_recursion(tree) == {"f"}
+    assert detect_recursion(resolve(tree)) == {"f"}
 
 
 def test_example1_has_no_recursion():
     analysis = analyzed("example1.mc")
-    assert detect_recursion(analysis.tree, analysis.resolution) == set()
+    assert detect_recursion(analysis.resolution) == set()
 
 
 def test_mutual_recursion_matches_bruteforce_oracle():
@@ -116,7 +116,7 @@ def test_mutual_recursion_matches_bruteforce_oracle():
     analysis = analyze_source(src)
     expected = _cycle_nodes_bruteforce(analysis.resolution.call_graph)
     assert expected == {"f", "g"}
-    assert detect_recursion(analysis.tree, analysis.resolution) == expected
+    assert detect_recursion(analysis.resolution) == expected
 
 
 def test_recursion_fixture_flagged():

@@ -119,6 +119,57 @@ def test_parse_errors(source, fragment):
     assert err.value.span is not None
 
 
+# C's levels, written out here rather than read from minicog.ast: a wrong
+# table that the parser and printer shared would still round-trip.
+BINARY_LEVELS = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+EXPR_PREFIX = "int main() { "
+
+
+def parse_expr_stmt(text):
+    return main_stmts(parse_source(f"{EXPR_PREFIX}{text}; }}"))[0].expr
+
+
+def span_of(node):
+    return (node.span.line_start, node.span.col_start, node.span.line_end, node.span.col_end)
+
+
+@pytest.mark.parametrize("op2", BINARY_LEVELS)
+@pytest.mark.parametrize("op1", BINARY_LEVELS)
+def test_binary_operators_nest_by_c_precedence(op1, op2):
+    text = f"a {op1} b {op2} c"
+    expr = parse_expr_stmt(text)
+
+    def col(name):
+        return len(EXPR_PREFIX) + text.index(name) + 1
+
+    if BINARY_LEVELS[op1] >= BINARY_LEVELS[op2]:  # left-associative at equal levels
+        inner = expr.lhs
+        assert (expr.op, inner.op) == (op2, op1)
+        assert [inner.lhs.name, inner.rhs.name, expr.rhs.name] == ["a", "b", "c"]
+        assert span_of(inner) == (1, col("a"), 1, col("b"))
+    else:
+        inner = expr.rhs
+        assert (expr.op, inner.op) == (op1, op2)
+        assert [expr.lhs.name, inner.lhs.name, inner.rhs.name] == ["a", "b", "c"]
+        assert span_of(inner) == (1, col("b"), 1, col("c"))
+    assert span_of(expr) == (1, col("a"), 1, col("c"))
+
+
+def test_assignment_is_right_associative_and_parentheses_add_no_node():
+    expr = parse_expr_stmt("a = b += c")
+    assert isinstance(expr, ast.Assign) and isinstance(expr.value, ast.CompoundAssign)
+    assert (expr.target.name, expr.value.op, expr.value.target.name, expr.value.value.name) == \
+        ("a", "+=", "b", "c")
+    plain = parse_source("int main() { x = a + b; }")
+    wrapped = parse_source("int main() { x = (a + b); }")
+    assert ast.fingerprint(plain) == ast.fingerprint(wrapped)
+    assert len(plain.nodes) == len(wrapped.nodes)
+    assert span_of(main_stmts(wrapped)[0].expr.value) == (1, 19, 1, 23)
+
+
 def test_parse_error_reports_expected_set():
     with pytest.raises(ParseError) as err:
         parse_source("int main() { a = 1 }")
