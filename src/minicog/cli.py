@@ -26,6 +26,19 @@ from .weyuker import MatrixResult, run_matrix
 EMIT_CHOICES = ("metrics", "erm", "ledger", "granules")
 
 
+def _weight_table(path: str) -> WeightTable:
+    try:
+        return WeightTable.from_file(path)
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise argparse.ArgumentTypeError(f"bad weight table: {exc}") from exc
+
+
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="minicog", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -35,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("inputs", nargs="+", help="source file (or directories with --corpus)")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.add_argument("--si-mode", choices=[m.value for m in SiMode], default="delta")
-    analyze.add_argument("--weights", help="JSON weight table file")
+    analyze.add_argument("--weights", type=_weight_table, help="JSON weight table file")
     analyze.add_argument("--emit", default="metrics",
                          help="comma-separated sections: metrics,erm,ledger,granules")
     analyze.add_argument("--corpus", action="store_true",
@@ -45,10 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
     weyuker.add_argument("--corpus", default=None,
                          help="directory of fixture programs (default: ./corpus if present)")
     weyuker.add_argument("--seed", type=int, default=0)
-    weyuker.add_argument("--count", type=int, default=500, help="number of generated programs")
+    weyuker.add_argument("--count", type=_count, default=500, help="number of generated programs")
     weyuker.add_argument("--si-mode", choices=[m.value for m in SiMode], default=None,
                          help="restrict to one mode (default: all three)")
-    weyuker.add_argument("--weights", help="JSON weight table file")
+    weyuker.add_argument("--weights", type=_weight_table, help="JSON weight table file")
     weyuker.add_argument("--format", choices=("text", "json"), default="text")
 
     gen = sub.add_parser("generate", help="emit a seeded random program")
@@ -80,7 +93,8 @@ def _granule_obj(granule) -> dict:
     }
 
 
-def report_obj(analysis: Analysis, mode: SiMode, weights: WeightTable, emit: set[str]) -> dict:
+def report_obj(analysis: Analysis, mode: SiMode, weights: WeightTable | None,
+               emit: set[str]) -> dict:
     rep = analysis.report(mode, weights)
     out = {
         "file": analysis.file,
@@ -193,11 +207,6 @@ def _expand_corpus(inputs: list[str]) -> list[Path]:
 
 
 def run_analyze(args) -> int:
-    try:
-        weights = WeightTable.from_file(args.weights) if args.weights else WeightTable.default()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"minicog: bad weight table: {exc}", file=sys.stderr)
-        return 2
     emit = set(filter(None, args.emit.split(",")))
     unknown = emit - set(EMIT_CHOICES)
     if unknown:
@@ -224,7 +233,7 @@ def run_analyze(args) -> int:
             return 2
         try:
             analysis = analyze_source(source, str(path))
-            reports.append(report_obj(analysis, mode, weights, emit))
+            reports.append(report_obj(analysis, mode, args.weights, emit))
         except (AnalysisError, EmptyProgram) as exc:
             had_diagnostics = True
             reports.append(diagnostic_obj(str(path), mode, exc))
@@ -263,10 +272,9 @@ def run_analyze(args) -> int:
 
 def _matrix_obj(result: MatrixResult) -> dict:
     rows = []
-    for prop in dict.fromkeys(v.prop for v in result.verdicts):
+    for prop, by_mode in result.verdicts.items():
         row: dict = {"property": prop}
-        for mode in result.modes:
-            verdict = result.verdict(prop, mode)
+        for mode, verdict in by_mode.items():
             cell: dict = {"status": verdict.status}
             if verdict.note:
                 cell["note"] = verdict.note
@@ -288,10 +296,9 @@ def _matrix_text(result: MatrixResult) -> list[str]:
     header = "property  " + "".join(m.value.ljust(width) for m in result.modes)
     lines = [header, "-" * len(header)]
     notes: list[str] = []
-    for prop in dict.fromkeys(v.prop for v in result.verdicts):
+    for prop, by_mode in result.verdicts.items():
         cells = []
-        for mode in result.modes:
-            verdict = result.verdict(prop, mode)
+        for mode, verdict in by_mode.items():
             status = verdict.status
             if verdict.note:
                 notes.append(f"[{prop}/{mode.value}] {verdict.note}")
@@ -307,11 +314,6 @@ def _matrix_text(result: MatrixResult) -> list[str]:
 
 
 def run_weyuker(args) -> int:
-    try:
-        weights = WeightTable.from_file(args.weights) if args.weights else WeightTable.default()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"minicog: bad weight table: {exc}", file=sys.stderr)
-        return 2
     corpus_dir = args.corpus
     if corpus_dir is None and Path("corpus").is_dir():
         corpus_dir = "corpus"
@@ -328,8 +330,14 @@ def run_weyuker(args) -> int:
                 print(f"minicog: cannot read {path}: {exc}", file=sys.stderr)
                 return 2
     modes = [SiMode(args.si_mode)] if args.si_mode else None
-    result = run_matrix(corpus, seed=args.seed, n_generated=args.count,
-                        modes=modes, weights=weights)
+    try:
+        result = run_matrix(corpus, seed=args.seed, n_generated=args.count,
+                            modes=modes, weights=args.weights)
+    except (AnalysisError, EmptyProgram) as exc:
+        span = getattr(exc, "span", None)
+        where = f"{span.file}:{span.line_start}:{span.col_start}: " if span else ""
+        print(f"minicog: corpus fixture does not analyze: {where}{exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         print(json.dumps(_matrix_obj(result), indent=2))
     else:

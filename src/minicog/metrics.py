@@ -52,7 +52,7 @@ class WeightTable:
                 raise ValueError(f"unknown BCS kinds in weight table: {sorted(unknown)}")
             table.update(weights)
         for kind, weight in table.items():
-            if not isinstance(weight, int) or weight < 1:
+            if type(weight) is not int or weight < 1:  # bool is an int subclass
                 raise ValueError(f"weight for {kind!r} must be an integer >= 1, got {weight!r}")
         self._table = table
 

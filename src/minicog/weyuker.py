@@ -6,24 +6,29 @@ unified), injective renaming (token-level, so line structure and LOC are
 preserved), and statement permutation (simple statements may trade places
 across nesting levels; structured statements stay anchored).
 
-``compose`` and ``permute`` analyze the program text they build to validate
-it, and return that ``Analysis``; its ``source`` holds the new text, so
-callers never analyze it a second time. ``rename`` returns the new text.
+``compose`` takes two parsed trees, ``permute`` program text. Both analyze
+the program text they build to validate it, and return that ``Analysis``;
+its ``source`` holds the new text, so callers never analyze it a second
+time. ``rename`` returns the new text.
 
-Each of the classical nine properties is checked per scope-information mode
-over a pool of corpus programs plus seeded generated programs. Existential
-properties report witnessed / no-witness-found; universal ones report
-holds-on-sample / refuted. Verdicts are data, never test failures.
+The classical nine properties are checked over a pool of corpus programs
+plus seeded generated programs, each analyzed once. A checker scores every
+scope-information mode in one walk over its candidates (P6, whose candidates
+differ per mode, walks each mode's list once), so each transformed program is
+built and analyzed once. Existential properties report witnessed /
+no-witness-found; universal ones report holds-on-sample / refuted. Verdicts
+are data, never test failures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from . import ast
 from .analysis import Analysis, analyze_source
 from .ast import fingerprint
-from .errors import AnalysisError, ComposeError, InvalidPermutation, RenameCollision
+from .errors import AnalysisError, ComposeError, EmptyProgram, InvalidPermutation, RenameCollision
 from .generator import generate
 from .granules import SIMPLE_STMTS
 from .ledger import SiMode
@@ -32,8 +37,6 @@ from .metrics import WeightTable
 from .parser import parse_source
 from .printer import pretty_print
 from .scopes import BUILTINS
-
-PROPERTY_IDS = ("1", "2", "3", "4", "5", "6a", "6b", "7", "8", "9")
 
 _NOTE_P2 = (
     "property 2 is checked in its listed form (every program measures >= 0); the "
@@ -51,10 +54,8 @@ _NOTE_P6_BASELINE = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropertyVerdict:
-    prop: str
-    mode: SiMode
     status: str  # witnessed | no-witness-found | holds-on-sample | refuted
     witness: dict | None = None
     note: str | None = None
@@ -66,13 +67,10 @@ class MatrixResult:
     generated: int
     corpus: list[str]
     modes: list[SiMode]
-    verdicts: list[PropertyVerdict]
+    verdicts: dict[str, dict[SiMode, PropertyVerdict]]
 
     def verdict(self, prop: str, mode: SiMode) -> PropertyVerdict:
-        for v in self.verdicts:
-            if v.prop == prop and v.mode == mode:
-                return v
-        raise KeyError((prop, mode))
+        return self.verdicts[prop][mode]
 
 
 # =================================================================== compose
@@ -110,10 +108,9 @@ def _unify_decls(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
     return out
 
 
-def compose(p: str, q: str) -> Analysis:
-    """Sequential composition P;Q, returned as the analysis of its program text."""
-    ptree = parse_source(p, "<P>")
-    qtree = parse_source(q, "<Q>")
+def compose(ptree: ast.SyntaxTree, qtree: ast.SyntaxTree) -> Analysis:
+    """Sequential composition P;Q, returned as the analysis of its program text.
+    The composed tree shares nodes with ``ptree`` and ``qtree`` and changes neither."""
     pmain = _entry_func(ptree)
     qmain = _entry_func(qtree)
     if pmain.params or qmain.params:
@@ -293,154 +290,161 @@ def permute(p: str, order: list[int]) -> Analysis:
 class PoolEntry:
     name: str
     source: str
-    from_corpus: bool
+    analysis: Analysis
 
 
 class ValidatorPool:
-    """Programs under test plus caches shared across modes."""
+    """Programs under test, each analyzed once, plus caches shared by the checks."""
 
     def __init__(self, corpus: list[tuple[str, str]], seed: int = 0, n_generated: int = 100,
                  weights: WeightTable | None = None):
-        self.seed = seed
         self.weights = weights or WeightTable.default()
-        self.entries: list[PoolEntry] = [
-            PoolEntry(name, source, True) for name, source in corpus
-        ]
-        for k in range(n_generated):
-            self.entries.append(PoolEntry(f"gen-{seed + k}", generate(seed + k), False))
-        self._analyses: dict[int, Analysis] = {}
+        self.n_corpus = len(corpus)
+        self.entries: list[PoolEntry] = []
+        generated = [(f"gen-{k}", generate(k)) for k in range(seed, seed + n_generated)]
+        for name, source in list(corpus) + generated:
+            try:
+                analysis = analyze_source(source, name)
+            except EmptyProgram as exc:  # the one diagnostic without a span naming its file
+                raise EmptyProgram(f"{name}: {exc}") from None
+            self.entries.append(PoolEntry(name, source, analysis))
         self._composed: dict[tuple[int, int], Analysis | ComposeError] = {}
         self._fingerprints: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def analysis(self, i: int) -> Analysis:
-        if i not in self._analyses:
-            entry = self.entries[i]
-            self._analyses[i] = analyze_source(entry.source, entry.name)
-        return self._analyses[i]
-
     def esc(self, i: int, mode: SiMode) -> int:
-        return self.analysis(i).escim_value(mode, self.weights)
+        return self.entries[i].analysis.escim_value(mode, self.weights)
 
     def fp(self, i: int) -> tuple:
         if i not in self._fingerprints:
-            self._fingerprints[i] = fingerprint(self.analysis(i).tree)
+            self._fingerprints[i] = fingerprint(self.entries[i].analysis.tree)
         return self._fingerprints[i]
 
     def composed(self, i: int, j: int) -> Analysis | ComposeError:
-        key = (i, j)
-        if key not in self._composed:
+        if (i, j) not in self._composed:
             try:
-                self._composed[key] = compose(self.entries[i].source, self.entries[j].source)
+                self._composed[i, j] = compose(self.entries[i].analysis.tree,
+                                               self.entries[j].analysis.tree)
             except ComposeError as exc:
-                self._composed[key] = exc
-        return self._composed[key]
+                self._composed[i, j] = exc
+        return self._composed[i, j]
 
     def pairs(self) -> list[tuple[int, int]]:
         """Deterministic composition pairs: corpus x corpus plus the first 150
         links of the chain through the generated programs."""
-        corpus_idx = [i for i, e in enumerate(self.entries) if e.from_corpus]
-        gen_idx = [i for i, e in enumerate(self.entries) if not e.from_corpus]
-        out = [(i, j) for i in corpus_idx for j in corpus_idx]
-        chain = [(gen_idx[k], gen_idx[k + 1]) for k in range(len(gen_idx) - 1)]
-        out.extend(chain[:150])
-        return out
-
-    def find_by_name(self, name: str) -> int | None:
-        for i, entry in enumerate(self.entries):
-            if entry.name == name:
-                return i
-        return None
+        corpus = range(self.n_corpus)
+        chain = [(k, k + 1) for k in range(self.n_corpus, len(self) - 1)]
+        return [(i, j) for i in corpus for j in corpus] + chain[:150]
 
 
 # =================================================================== checks
 
-def _witness(pool: ValidatorPool, **indexed) -> dict:
-    out: dict = {}
-    for role, value in indexed.items():
-        if isinstance(value, int):
-            entry = pool.entries[value]
-            out[role] = {"name": entry.name, "text": entry.source}
-        else:
-            out[role] = value
-    return out
+Verdicts = dict[SiMode, PropertyVerdict]
 
 
-def check_property(prop: str, mode: SiMode, pool: ValidatorPool) -> PropertyVerdict:
-    checker = _CHECKERS[prop]
-    return checker(prop, mode, pool)
+def _witness(pool: ValidatorPool, **parts) -> dict:
+    """Witness data; the programs in roles p, q and r are given by pool index."""
+    return {role: {"name": pool.entries[v].name, "text": pool.entries[v].source}
+            if role in ("p", "q", "r") else v for role, v in parts.items()}
 
 
-def _check_p1(prop, mode, pool):
-    base = pool.esc(0, mode) if len(pool) else None
-    for j in range(1, len(pool)):
-        if pool.esc(j, mode) != base:
-            witness = _witness(pool, p=0, q=j)
-            witness["values"] = [base, pool.esc(j, mode)]
-            return PropertyVerdict(prop, mode, "witnessed", witness)
-    return PropertyVerdict(prop, mode, "no-witness-found")
+def _no_witness(mode: SiMode) -> PropertyVerdict:
+    return PropertyVerdict("no-witness-found")
 
 
-def _check_p2(prop, mode, pool):
-    for i in range(len(pool)):
+def _first_hits(modes: list[SiMode], candidates: Iterable, hit: Callable,
+                default: Callable[[SiMode], PropertyVerdict] = _no_witness) -> Verdicts:
+    """Walk the candidates once, in order. Each mode gets the verdict of the
+    first candidate that ``hit(candidate, mode)`` returns one for, and
+    ``default(mode)`` if none does. The walk stops once every mode has one."""
+    found = {}
+    for candidate in candidates:
+        for mode in modes:
+            if mode not in found:
+                verdict = hit(candidate, mode)
+                if verdict is not None:
+                    found[mode] = verdict
+        if len(found) == len(modes):
+            break
+    return {mode: found[mode] if mode in found else default(mode) for mode in modes}
+
+
+def check_property(prop: str, pool: ValidatorPool, modes: list[SiMode] | None = None) -> Verdicts:
+    """Verdicts of one property for each mode (default: all three)."""
+    return _CHECKERS[prop](prop, pool, modes or list(SiMode))
+
+
+def _check_p1(prop, pool, modes):
+    def hit(j, mode):
+        base, value = pool.esc(0, mode), pool.esc(j, mode)
+        if value != base:
+            return PropertyVerdict("witnessed", _witness(pool, p=0, q=j, values=[base, value]))
+    return _first_hits(modes, range(1, len(pool)), hit)
+
+
+def _check_p2(prop, pool, modes):
+    def hit(i, mode):
         if pool.esc(i, mode) < 0:
-            witness = _witness(pool, p=i)
-            witness["value"] = pool.esc(i, mode)
-            return PropertyVerdict(prop, mode, "refuted", witness, note=_NOTE_P2)
-    return PropertyVerdict(prop, mode, "holds-on-sample", note=_NOTE_P2)
+            witness = _witness(pool, p=i, value=pool.esc(i, mode))
+            return PropertyVerdict("refuted", witness, note=_NOTE_P2)
+    return _first_hits(modes, range(len(pool)), hit,
+                       lambda mode: PropertyVerdict("holds-on-sample", note=_NOTE_P2))
 
 
-def _check_p3(prop, mode, pool):
-    first_with_value: dict[int, int] = {}
-    for j in range(len(pool)):
+def _check_p3(prop, pool, modes):
+    first_with_value: dict[SiMode, dict[int, int]] = {mode: {} for mode in modes}
+
+    def hit(j, mode):
         value = pool.esc(j, mode)
-        i = first_with_value.get(value)
-        if i is None:
-            first_with_value[value] = j
-        elif pool.fp(i) != pool.fp(j):
-            witness = _witness(pool, p=i, q=j)
-            witness["value"] = value
-            return PropertyVerdict(prop, mode, "witnessed", witness)
-    return PropertyVerdict(prop, mode, "no-witness-found")
+        i = first_with_value[mode].setdefault(value, j)
+        if i != j and pool.fp(i) != pool.fp(j):
+            return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, value=value))
+    return _first_hits(modes, range(len(pool)), hit)
 
 
-def _check_p4(prop, mode, pool):
-    i = pool.find_by_name("sum_loop.mc")
-    j = pool.find_by_name("sum_formula.mc")
+def _check_p4(prop, pool, modes):
+    names = [entry.name for entry in pool.entries]
+    if "sum_loop.mc" not in names or "sum_formula.mc" not in names:
+        note = "equivalent-pair fixtures not present in the corpus"
+        return {mode: PropertyVerdict("no-witness-found", note=note) for mode in modes}
+    i, j = names.index("sum_loop.mc"), names.index("sum_formula.mc")
     note = (
         "the loop and closed-form summation fixtures compute the same function by "
         "construction; equivalence is asserted by the fixture pair, not proven."
     )
-    if i is None or j is None:
-        return PropertyVerdict(prop, mode, "no-witness-found",
-                               note="equivalent-pair fixtures not present in the corpus")
-    vi, vj = pool.esc(i, mode), pool.esc(j, mode)
-    if vi != vj:
-        witness = _witness(pool, p=i, q=j)
-        witness["values"] = [vi, vj]
-        return PropertyVerdict(prop, mode, "witnessed", witness, note=note)
-    return PropertyVerdict(prop, mode, "no-witness-found", note=note)
+
+    def verdict(mode):
+        vi, vj = pool.esc(i, mode), pool.esc(j, mode)
+        if vi == vj:
+            return PropertyVerdict("no-witness-found", note=note)
+        return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, values=[vi, vj]), note=note)
+    return {mode: verdict(mode) for mode in modes}
 
 
-def _check_p5(prop, mode, pool):
-    checked = skipped = 0
+def _compositions(pool: ValidatorPool):
+    """(i, j, analysis of P;Q) for each pool pair that composes, in order."""
     for i, j in pool.pairs():
         combined = pool.composed(i, j)
-        if isinstance(combined, ComposeError):
-            skipped += 1
-            continue
-        checked += 1
-        value = combined.escim_value(mode, pool.weights)
-        vi, vj = pool.esc(i, mode), pool.esc(j, mode)
-        if value < vi or value < vj:
-            witness = _witness(pool, p=i, q=j)
-            witness["values"] = {"p": vi, "q": vj, "pq": value}
-            witness["composed"] = combined.source
-            return PropertyVerdict(prop, mode, "refuted", witness)
-    note = f"{checked} composition pairs checked, {skipped} skipped (composition conflicts)"
-    return PropertyVerdict(prop, mode, "holds-on-sample", note=note)
+        if not isinstance(combined, ComposeError):
+            yield i, j, combined
+
+
+def _check_p5(prop, pool, modes):
+    def hit(candidate, mode):
+        i, j, combined = candidate
+        vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), combined.escim_value(mode, pool.weights)
+        if vpq < vi or vpq < vj:
+            values = {"p": vi, "q": vj, "pq": vpq}
+            witness = _witness(pool, p=i, q=j, values=values, composed=combined.source)
+            return PropertyVerdict("refuted", witness)
+
+    def holds(mode):  # an open mode saw every pair, so each composition is cached
+        checked = sum(1 for _ in _compositions(pool))
+        return PropertyVerdict("holds-on-sample", note=f"{checked} composition pairs checked, "
+                               f"{len(pool.pairs()) - checked} skipped (composition conflicts)")
+    return _first_hits(modes, _compositions(pool), hit, holds)
 
 
 def _equal_value_pairs(pool: ValidatorPool, mode: SiMode, cap: int) -> list[tuple[int, int]]:
@@ -457,33 +461,39 @@ def _equal_value_pairs(pool: ValidatorPool, mode: SiMode, cap: int) -> list[tupl
     return pairs
 
 
-def _check_p6(prop, mode, pool):
+def _check_p6(prop, pool, modes):
+    # The pairs P, Q differ per mode, so each mode walks its own; compositions are cached.
     after = prop == "6a"  # |P;R| vs |Q;R| if True, else |R;P| vs |R;Q|
-    note = None if mode is SiMode.ABSOLUTE else _NOTE_P6_BASELINE
-    pairs = _equal_value_pairs(pool, mode, cap=30)
-    r_candidates = list(range(min(len(pool), 12)))
-    for i, j in pairs:
-        for r in r_candidates:
-            left = pool.composed(i, r) if after else pool.composed(r, i)
-            right = pool.composed(j, r) if after else pool.composed(r, j)
-            if isinstance(left, ComposeError) or isinstance(right, ComposeError):
-                continue
-            lv = left.escim_value(mode, pool.weights)
-            rv = right.escim_value(mode, pool.weights)
-            if lv != rv:
-                witness = _witness(pool, p=i, q=j, r=r)
-                witness["values"] = {"equal": pool.esc(i, mode), "left": lv, "right": rv}
-                return PropertyVerdict(prop, mode, "witnessed", witness, note=note)
-    return PropertyVerdict(prop, mode, "no-witness-found", note=note)
+
+    def verdict(mode):
+        note = None if mode is SiMode.ABSOLUTE else _NOTE_P6_BASELINE
+        for i, j in _equal_value_pairs(pool, mode, cap=30):
+            for r in range(min(len(pool), 12)):
+                left = pool.composed(i, r) if after else pool.composed(r, i)
+                right = pool.composed(j, r) if after else pool.composed(r, j)
+                if isinstance(left, ComposeError) or isinstance(right, ComposeError):
+                    continue
+                lv = left.escim_value(mode, pool.weights)
+                rv = right.escim_value(mode, pool.weights)
+                if lv != rv:
+                    values = {"equal": pool.esc(i, mode), "left": lv, "right": rv}
+                    witness = _witness(pool, p=i, q=j, r=r, values=values)
+                    return PropertyVerdict("witnessed", witness, note=note)
+        return PropertyVerdict("no-witness-found", note=note)
+    return {mode: verdict(mode) for mode in modes}
 
 
-def _check_p7(prop, mode, pool):
+def _permutations(pool: ValidatorPool):
+    """(i, analysis of program i permuted) for each valid swap of a loop-body
+    assignment with a top-level statement, in the first 80 programs with both."""
     examined = 0
-    for i in range(len(pool)):
+    for i, entry in enumerate(pool.entries):
         if examined >= 80:
             break
-        source = pool.entries[i].source
-        infos = permutable_slots(source)
+        try:
+            infos = permutable_slots(entry.source)
+        except ComposeError:  # no entry function to permute
+            continue
         loop_slots = [s.index for s in infos if s.in_loop and s.has_delta and not s.is_decl][:3]
         top_slots = [s.index for s in infos if s.top_level and not s.is_decl][:3]
         if not loop_slots or not top_slots:
@@ -494,16 +504,20 @@ def _check_p7(prop, mode, pool):
                 order = list(range(len(infos)))
                 order[a], order[b] = order[b], order[a]
                 try:
-                    permuted = permute(source, order)
+                    permuted = permute(entry.source, order)
                 except InvalidPermutation:
                     continue
-                value = permuted.escim_value(mode, pool.weights)
-                if value != pool.esc(i, mode):
-                    witness = _witness(pool, p=i)
-                    witness["permuted"] = permuted.source
-                    witness["values"] = [pool.esc(i, mode), value]
-                    return PropertyVerdict(prop, mode, "witnessed", witness)
-    return PropertyVerdict(prop, mode, "no-witness-found")
+                yield i, permuted
+
+
+def _check_p7(prop, pool, modes):
+    def hit(candidate, mode):
+        i, permuted = candidate
+        before, after = pool.esc(i, mode), permuted.escim_value(mode, pool.weights)
+        if after != before:
+            witness = _witness(pool, p=i, permuted=permuted.source, values=[before, after])
+            return PropertyVerdict("witnessed", witness)
+    return _first_hits(modes, _permutations(pool), hit)
 
 
 def _rename_map(analysis: Analysis) -> dict[str, str]:
@@ -512,56 +526,36 @@ def _rename_map(analysis: Analysis) -> dict[str, str]:
     return {name: f"ren{k}" for k, name in enumerate(names)}
 
 
-def _check_p8(prop, mode, pool):
-    for i in range(min(len(pool), 200)):
-        analysis = pool.analysis(i)
-        renamed_text = rename(pool.entries[i].source, _rename_map(analysis))
-        renamed = analyze_source(renamed_text, "<renamed>")
-        before = analysis.report(mode, pool.weights)
-        after = renamed.report(mode, pool.weights)
-        same = (
-            before.escim == after.escim
-            and before.i_l == after.i_l
-            and before.loc == after.loc
-            and analysis.si_program(mode) == renamed.si_program(mode)
-        )
-        if not same:
-            witness = _witness(pool, p=i)
-            witness["renamed"] = renamed_text
-            witness["values"] = {
-                "escim": [before.escim, after.escim],
-                "i_l": [before.i_l, after.i_l],
-                "loc": [before.loc, after.loc],
-            }
-            return PropertyVerdict(prop, mode, "refuted", witness)
-    return PropertyVerdict(prop, mode, "holds-on-sample")
+def _check_p8(prop, pool, modes):
+    renamings = ((i, analyze_source(rename(entry.source, _rename_map(entry.analysis)), "<renamed>"))
+                 for i, entry in enumerate(pool.entries[:200]))
+
+    def hit(candidate, mode):
+        i, renamed = candidate
+        analysis = pool.entries[i].analysis
+        before, after = analysis.report(mode, pool.weights), renamed.report(mode, pool.weights)
+        if (before.escim, before.i_l, before.loc, analysis.si_program(mode)) != \
+                (after.escim, after.i_l, after.loc, renamed.si_program(mode)):
+            values = {key: [getattr(before, key), getattr(after, key)]
+                      for key in ("escim", "i_l", "loc")}
+            witness = _witness(pool, p=i, renamed=renamed.source, values=values)
+            return PropertyVerdict("refuted", witness)
+    return _first_hits(modes, renamings, hit, lambda mode: PropertyVerdict("holds-on-sample"))
 
 
-def _check_p9(prop, mode, pool):
-    for i, j in pool.pairs():
-        combined = pool.composed(i, j)
-        if isinstance(combined, ComposeError):
-            continue
-        value = combined.escim_value(mode, pool.weights)
-        vi, vj = pool.esc(i, mode), pool.esc(j, mode)
-        if vi + vj <= value:
-            witness = _witness(pool, p=i, q=j)
-            witness["values"] = {"p": vi, "q": vj, "pq": value}
-            return PropertyVerdict(prop, mode, "witnessed", witness)
-    return PropertyVerdict(prop, mode, "no-witness-found")
+def _check_p9(prop, pool, modes):
+    def hit(candidate, mode):
+        i, j, combined = candidate
+        vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), combined.escim_value(mode, pool.weights)
+        if vi + vj <= vpq:
+            values = {"p": vi, "q": vj, "pq": vpq}
+            return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, values=values))
+    return _first_hits(modes, _compositions(pool), hit)
 
 
-_CHECKERS = {
-    "1": _check_p1,
-    "2": _check_p2,
-    "3": _check_p3,
-    "4": _check_p4,
-    "5": _check_p5,
-    "6a": _check_p6,
-    "6b": _check_p6,
-    "7": _check_p7,
-    "8": _check_p8,
-    "9": _check_p9,
+_CHECKERS = {  # in matrix row order
+    "1": _check_p1, "2": _check_p2, "3": _check_p3, "4": _check_p4, "5": _check_p5,
+    "6a": _check_p6, "6b": _check_p6, "7": _check_p7, "8": _check_p8, "9": _check_p9,
 }
 
 
@@ -573,17 +567,12 @@ def run_matrix(
     weights: WeightTable | None = None,
 ) -> MatrixResult:
     """Check every property under every mode over one shared pool."""
-    modes = modes or [SiMode.DELTA, SiMode.MINMAX, SiMode.ABSOLUTE]
+    modes = modes or list(SiMode)
     pool = ValidatorPool(corpus, seed, n_generated, weights)
-    verdicts = [
-        check_property(prop, mode, pool)
-        for prop in PROPERTY_IDS
-        for mode in modes
-    ]
     return MatrixResult(
         seed=seed,
         generated=n_generated,
         corpus=[name for name, _ in corpus],
         modes=modes,
-        verdicts=verdicts,
+        verdicts={prop: check_property(prop, pool, modes) for prop in _CHECKERS},
     )

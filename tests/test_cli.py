@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -167,6 +168,38 @@ def test_weyuker_text_and_json_shapes():
     text = run_cli("weyuker", "--corpus", "corpus", "--seed", "5", "--count", "12")
     assert text.returncode == 0
     assert b"property" in text.stdout.splitlines()[0]
+    # the exact bytes, as the matrix printed them before its checkers scored all modes at once
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "2d4774d29d5c0fdfd5b796921086d4865ba88a16563c7e609043967de582d060"
+    assert hashlib.sha256(text.stdout).hexdigest() == \
+        "a48c8ba12bb434cc2f66b34ed7e6f96c46cb73c6720dc12e7b2316f6571dfc20"
+
+
+@pytest.mark.parametrize("source, where", [
+    ("int main() { x = 1; }\n", b"bad.mc:1:14: "),  # UnresolvedName, with a span
+    ("// only a comment\n", b"bad.mc: "),  # EmptyProgram, without one
+])
+def test_weyuker_fixture_that_does_not_analyze_exits_1(tmp_path, source, where):
+    (tmp_path / "bad.mc").write_text(source)
+    proc = run_cli("weyuker", "--corpus", str(tmp_path), "--count", "2")
+    assert proc.returncode == 1
+    assert where in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_weyuker_fixture_without_entry_function_is_skipped(tmp_path):
+    (tmp_path / "lib.mc").write_text("int f() { return 1; }\n")
+    proc = run_cli("weyuker", "--corpus", str(tmp_path), "--count", "2", "--format", "json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["corpus"] == ["lib.mc"]
+
+
+def test_weyuker_negative_count_is_a_usage_error():
+    proc = run_cli("weyuker", "--count", "-3")
+    assert proc.returncode == 2
+    assert b"--count" in proc.stderr
+    assert proc.stdout == b""
 
 
 def test_weyuker_single_mode_flag():

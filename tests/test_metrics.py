@@ -110,6 +110,8 @@ def test_weight_table_defaults_and_validation():
         WeightTable({"spaghetti": 2})
     with pytest.raises(ValueError):
         WeightTable({"if": 2.5})  # type: ignore[dict-item]
+    with pytest.raises(ValueError):
+        WeightTable({"if": True})  # JSON true is not a weight
 
 
 def test_weight_table_from_file(tmp_path):
@@ -162,7 +164,8 @@ def test_nonnegative_everywhere(name):
 def test_delta_additivity_for_disjoint_programs():
     p = analyze_source(fixture_source("p6_p.mc"))
     q = analyze_source(fixture_source("p6_q.mc"))
+    from minicog import parse_source
     from minicog.weyuker import compose
 
-    combined = compose(fixture_source("p6_p.mc"), fixture_source("p6_q.mc"))
+    combined = compose(parse_source(fixture_source("p6_p.mc")), parse_source(fixture_source("p6_q.mc")))
     assert combined.escim_value() == p.escim_value() + q.escim_value() == 2

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
 from minicog import ComposeError, InvalidPermutation, RenameCollision, analyze_source, parse_source
 from minicog.ast import fingerprint
+from minicog import weyuker
 from minicog.ledger import SiMode
 from minicog.weyuker import (
     ValidatorPool, check_property, compose, permutable_slots, permute,
@@ -16,7 +19,7 @@ from conftest import corpus_pairs, fixture_source
 def test_compose_disjoint_variables_adds():
     p = "int main() { int a; a = 1; }"
     q = "int main() { int b; b = 2; }"
-    combined = compose(p, q)
+    combined = compose(parse_source(p), parse_source(q))
     assert combined.escim_value() == 2
     assert "int a;" in combined.source and "int b;" in combined.source
     for mode in SiMode:
@@ -26,7 +29,7 @@ def test_compose_disjoint_variables_adds():
 def test_compose_unifies_duplicate_declaration():
     p = "int main() { int v; v = 1; v = 2; }"
     q = "int main() { int v = 5; }"
-    combined = compose(p, q)
+    combined = compose(parse_source(p), parse_source(q))
     assert combined.source.count("int v;") == 1
     assert "int v = 5;" not in combined.source
     assert "v = 5;" in combined.source
@@ -34,24 +37,27 @@ def test_compose_unifies_duplicate_declaration():
 
 def test_compose_with_empty_program_is_identity():
     p = fixture_source("sum_loop.mc")
-    combined = compose(p, "int main() { }")
+    empty = parse_source("int main() { }")
+    combined = compose(parse_source(p), empty)
     assert fingerprint(combined.tree) == fingerprint(parse_source(p))
-    combined = compose("int main() { }", p)
+    combined = compose(empty, parse_source(p))
     assert fingerprint(combined.tree) == fingerprint(parse_source(p))
 
 
 def test_compose_conflicts():
     with pytest.raises(ComposeError):
-        compose("int main() { int v; v = 1; }", "int main() { float v = 2; }")
+        compose(parse_source("int main() { int v; v = 1; }"),
+                parse_source("int main() { float v = 2; }"))
     with pytest.raises(ComposeError):
-        compose("int f() { return 1; }\nint main() { }",
-                "int f() { return 2; }\nint main() { }")
+        compose(parse_source("int f() { return 1; }\nint main() { }"),
+                parse_source("int f() { return 2; }\nint main() { }"))
     with pytest.raises(ComposeError):
-        compose("int main() { }", "int helper() { return 1; }")  # q lacks an entry function
+        compose(parse_source("int main() { }"),
+                parse_source("int helper() { return 1; }"))  # q lacks an entry function
 
 
 def test_compose_is_associative_on_corpus():
-    sources = [fixture_source(n) for n in
+    sources = [parse_source(fixture_source(n)) for n in
                ("unit.mc", "p6_p.mc", "p6_r.mc", "sum_loop.mc", "example6.mc")]
     def attempt(build):
         try:
@@ -62,8 +68,8 @@ def test_compose_is_associative_on_corpus():
     for a in sources:
         for b in sources:
             for c in sources:
-                left, lerr = attempt(lambda: compose(compose(a, b).source, c))
-                right, rerr = attempt(lambda: compose(a, compose(b, c).source))
+                left, lerr = attempt(lambda: compose(compose(a, b).tree, c))
+                right, rerr = attempt(lambda: compose(a, compose(b, c).tree))
                 assert (lerr is None) == (rerr is None)
                 if lerr is None:
                     assert fingerprint(left.tree) == fingerprint(right.tree)
@@ -72,10 +78,19 @@ def test_compose_is_associative_on_corpus():
 def test_compose_duplicate_global_keeps_first_definition():
     p = "int g = 1;\nint main() { g = g + 1; }"
     q = "int g = 9;\nint main() { print(g); }"
-    combined = compose(p, q)
+    combined = compose(parse_source(p), parse_source(q))
     assert combined.source.count("int g") == 1
     assert combined.escim_value() == \
         analyze_source(p).escim_value() + analyze_source(q).escim_value()
+
+
+def test_compose_leaves_its_input_trees_unchanged():
+    ptree = parse_source("int g = 1;\nint main() { int v = 2; g = v; }")
+    qtree = parse_source("int g = 9;\nint main() { int v = 5; print(v); }")
+    before = [(fingerprint(t), dict(t.parents)) for t in (ptree, qtree)]
+    compose(ptree, qtree)
+    assert [(fingerprint(t), dict(t.parents)) for t in (ptree, qtree)] == before
+    assert all(node.nid == nid for t in (ptree, qtree) for nid, node in t.nodes.items())
 
 
 # ------------------------------------------------------------------ rename
@@ -172,41 +187,45 @@ def small_pool():
 
 
 def test_p1_witnessed_by_unit_vs_nested_fixture(small_pool):
-    verdict = check_property("1", SiMode.DELTA, small_pool)
+    verdict = check_property("1", small_pool)[SiMode.DELTA]
     assert verdict.status == "witnessed"
     assert verdict.witness["values"][0] != verdict.witness["values"][1]
 
 
 def test_p4_witnessed_by_equivalent_pair(small_pool):
+    verdicts = check_property("4", small_pool)
     for mode in SiMode:
-        verdict = check_property("4", mode, small_pool)
+        verdict = verdicts[mode]
         assert verdict.status == "witnessed"
         names = {verdict.witness["p"]["name"], verdict.witness["q"]["name"]}
         assert names == {"sum_loop.mc", "sum_formula.mc"}
 
 
 def test_p6a_witnessed_in_absolute_mode(small_pool):
-    verdict = check_property("6a", SiMode.ABSOLUTE, small_pool)
+    verdict = check_property("6a", small_pool)[SiMode.ABSOLUTE]
     assert verdict.status == "witnessed"
 
 
 def test_p6_baseline_modes_carry_note(small_pool):
     for prop in ("6a", "6b"):
+        verdicts = check_property(prop, small_pool)
         for mode in (SiMode.DELTA, SiMode.MINMAX):
-            verdict = check_property(prop, mode, small_pool)
+            verdict = verdicts[mode]
             assert verdict.note  # documented deviation, never a silent verdict
 
 
 def test_p5_p8_hold_on_small_sample(small_pool):
+    verdicts = {prop: check_property(prop, small_pool) for prop in ("5", "8", "2")}
     for mode in SiMode:
-        assert check_property("5", mode, small_pool).status == "holds-on-sample"
-        assert check_property("8", mode, small_pool).status == "holds-on-sample"
-        assert check_property("2", mode, small_pool).status == "holds-on-sample"
+        assert verdicts["5"][mode].status == "holds-on-sample"
+        assert verdicts["8"][mode].status == "holds-on-sample"
+        assert verdicts["2"][mode].status == "holds-on-sample"
 
 
 def test_p9_witnessed(small_pool):
+    verdicts = check_property("9", small_pool)
     for mode in SiMode:
-        assert check_property("9", mode, small_pool).status == "witnessed"
+        assert verdicts[mode].status == "witnessed"
 
 
 def test_p9_absolute_inequality_and_disjoint_equality():
@@ -214,20 +233,45 @@ def test_p9_absolute_inequality_and_disjoint_equality():
     r = fixture_source("p6_r.mc")   # reads and reassigns v
     q = fixture_source("p6_q.mc")   # disjoint from p
     val = lambda src: analyze_source(src).escim_value(SiMode.ABSOLUTE)
-    assert compose(p, r).escim_value(SiMode.ABSOLUTE) >= val(p) + val(r)
-    assert compose(p, q).escim_value(SiMode.ABSOLUTE) == val(p) + val(q)
+    assert compose(parse_source(p), parse_source(r)).escim_value(SiMode.ABSOLUTE) >= val(p) + val(r)
+    assert compose(parse_source(p), parse_source(q)).escim_value(SiMode.ABSOLUTE) == val(p) + val(q)
 
 
 def test_empty_pool_yields_no_witnesses():
     pool = ValidatorPool([], seed=0, n_generated=0)
     for prop in ("1", "3", "4", "6a", "6b", "7", "9"):
-        assert check_property(prop, SiMode.DELTA, pool).status == "no-witness-found"
-    assert check_property("2", SiMode.DELTA, pool).status == "holds-on-sample"
+        assert check_property(prop, pool)[SiMode.DELTA].status == "no-witness-found"
+    assert check_property("2", pool)[SiMode.DELTA].status == "holds-on-sample"
 
 
 def test_matrix_is_deterministic():
     corpus = corpus_pairs()[:4]
     first = run_matrix(corpus, seed=3, n_generated=15)
     second = run_matrix(corpus, seed=3, n_generated=15)
-    assert [(v.prop, v.mode, v.status, v.witness, v.note) for v in first.verdicts] == \
-        [(v.prop, v.mode, v.status, v.witness, v.note) for v in second.verdicts]
+    assert first.verdicts == second.verdicts  # status, witness and note of every cell
+
+
+def test_matrix_builds_and_analyzes_each_program_once(monkeypatch):
+    labels = Counter()
+    compositions = Counter()
+    real_analyze, real_compose = weyuker.analyze_source, weyuker.compose
+
+    def counting_analyze(source, file="<input>"):
+        labels[file] += 1
+        return real_analyze(source, file)
+
+    def counting_compose(ptree, qtree):
+        compositions[id(ptree), id(qtree)] += 1
+        return real_compose(ptree, qtree)
+
+    monkeypatch.setattr(weyuker, "analyze_source", counting_analyze)
+    monkeypatch.setattr(weyuker, "compose", counting_compose)
+    corpus = corpus_pairs()
+    result = run_matrix(corpus, seed=0, n_generated=20)
+    assert result.modes == list(SiMode)
+    programs = len(corpus) + 20
+    assert labels["<renamed>"] == programs == 32  # one per pool program, not one per mode
+    assert all(labels[name] == 1 for name, _ in corpus)
+    assert all(labels[f"gen-{k}"] == 1 for k in range(20))
+    assert set(compositions.values()) == {1}  # each pair is composed once ...
+    assert labels["<composed>"] <= len(compositions)  # ... and analyzed at most once
