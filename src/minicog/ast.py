@@ -1,9 +1,16 @@
 """Syntax tree for MiniC.
 
-Nodes are plain dataclasses. Spans and node ids are attached after
-construction: the parser sets spans, and ``SyntaxTree.finalize`` numbers every
-node in depth-first source order and records parent links. Structural
-equality (ignoring spans and ids) goes through ``fingerprint``.
+Nodes are dataclasses with ``__slots__``. Spans and node ids are attached
+after construction: the parser sets spans, and ``SyntaxTree.finalize``
+numbers every node in depth-first source order and records parent links.
+Structural equality (ignoring spans and ids) goes through ``fingerprint``.
+
+Tree walks are table-driven: ``NODE_FIELDS`` holds each node class's field
+names (without ``span`` and ``nid``), read from the dataclass fields once at
+import, and ``child_nodes`` and ``fingerprint`` look them up there.
+``finalize`` and ``operator_count`` walk with an explicit stack, so they take
+trees of any depth, such as a long ``x + ... + x`` chain, which the parser
+builds as deep as it is long.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Optional
 from .lexer import SourceSpan
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Node:
     span: Optional[SourceSpan] = field(default=None, init=False, repr=False)
     nid: int = field(default=-1, init=False, repr=False)
@@ -22,7 +29,7 @@ class Node:
 
 # ---------------------------------------------------------------- types
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TypeRef(Node):
     name: str  # int | float | bool | record name
     is_array: bool = False
@@ -31,52 +38,52 @@ class TypeRef(Node):
 
 # ---------------------------------------------------------------- expressions
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Literal(Expr):
     kind: str  # int | float | string | bool
     text: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class VarRef(Expr):
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GlobalRef(Expr):
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Member(Expr):
     obj: Expr
     member: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Index(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Call(Expr):
     callee: str
     args: list[Expr]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Unary(Expr):
     op: str  # ! -
     operand: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Binary(Expr):
     op: str
     lhs: Expr
@@ -95,37 +102,37 @@ BINARY_PRECEDENCE = {
 }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Assign(Expr):
     target: Expr
     value: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CompoundAssign(Expr):
     op: str  # += -= *= /= %=
     target: Expr
     value: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Increment(Expr):
     target: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Decrement(Expr):
     target: Expr
 
 
 # ---------------------------------------------------------------- statements
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Stmt(Node):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DeclStmt(Stmt):
     type: TypeRef
     name: str
@@ -133,43 +140,43 @@ class DeclStmt(Stmt):
     init_list: Optional[list[Expr]] = None  # aggregate initializer {e, e, ...}
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ExprStmt(Stmt):
     expr: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IfStmt(Stmt):
     cond: Expr
     then: Stmt
     orelse: Optional[Stmt] = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CaseArm(Node):
     label: Optional[str]  # literal text, None for `default`
     body: list[Stmt] = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SwitchStmt(Stmt):
     scrutinee: Expr
     arms: list[CaseArm] = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class WhileStmt(Stmt):
     cond: Expr
     body: Stmt = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DoWhileStmt(Stmt):
     body: Stmt
     cond: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ForStmt(Stmt):
     init: Optional[Stmt]  # DeclStmt or ExprStmt
     cond: Optional[Expr]
@@ -177,51 +184,51 @@ class ForStmt(Stmt):
     body: Stmt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ReturnStmt(Stmt):
     value: Optional[Expr] = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class BreakStmt(Stmt):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ContinueStmt(Stmt):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GotoStmt(Stmt):
     label: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LabeledStmt(Stmt):
     label: str
     stmt: Stmt
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Block(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class EmptyStmt(Stmt):
     pass
 
 
 # ---------------------------------------------------------------- items
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Param(Node):
     type: TypeRef
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FuncDef(Node):
     ret_type: TypeRef
     name: str
@@ -229,19 +236,28 @@ class FuncDef(Node):
     body: Block
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RecordField(Node):
     type: TypeRef
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RecordDef(Node):
     name: str
     fields: list[RecordField]
 
 
 Item = object  # RecordDef | FuncDef | DeclStmt
+
+
+# Field names of every node class, without `span` and `nid`, in declaration
+# (source) order. The only reflection over dataclass fields in the package.
+NODE_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if f.name not in ("span", "nid"))
+    for cls in globals().values()
+    if isinstance(cls, type) and issubclass(cls, Node)
+}
 
 
 @dataclass(eq=False)
@@ -252,32 +268,32 @@ class SyntaxTree:
     parents: dict[int, int] = field(default_factory=dict, repr=False)
 
     def finalize(self) -> "SyntaxTree":
-        """Assign depth-first node ids and parent links."""
-        self.nodes = {}
-        self.parents = {}
-        counter = [0]
-
-        def visit(node: Node, parent: Optional[Node]) -> None:
-            node.nid = counter[0]
-            counter[0] += 1
-            self.nodes[node.nid] = node
-            if parent is not None:
-                self.parents[node.nid] = parent.nid
-            for child in child_nodes(node):
-                visit(child, node)
-
-        for item in self.items:
-            visit(item, None)
+        """Assign depth-first node ids and parent links, by an explicit stack."""
+        nodes: dict[int, Node] = {}
+        parents: dict[int, int] = {}
+        stack = self.items[::-1]
+        owners = [-1] * len(stack)  # the parent nid of each stacked node; -1 for an item
+        while stack:
+            node = stack.pop()
+            parent = owners.pop()
+            nid = node.nid = len(nodes)
+            nodes[nid] = node
+            if parent >= 0:
+                parents[nid] = parent
+            children = child_nodes(node)
+            children.reverse()
+            stack += children
+            owners += [nid] * len(children)
+        self.nodes = nodes
+        self.parents = parents
         return self
 
 
 def child_nodes(node: Node) -> list[Node]:
     """Children in source order (used for numbering and fingerprints)."""
     out: list[Node] = []
-    for f in fields(node):
-        if f.name in ("span", "nid"):
-            continue
-        value = getattr(node, f.name)
+    for name in NODE_FIELDS[type(node)]:
+        value = getattr(node, name)
         if isinstance(value, Node):
             out.append(value)
         elif isinstance(value, list):
@@ -290,10 +306,8 @@ def fingerprint(node) -> tuple:
     if isinstance(node, SyntaxTree):
         return ("program", tuple(fingerprint(i) for i in node.items))
     parts: list = [type(node).__name__]
-    for f in fields(node):
-        if f.name in ("span", "nid"):
-            continue
-        value = getattr(node, f.name)
+    for name in NODE_FIELDS[type(node)]:
+        value = getattr(node, name)
         if isinstance(value, Node):
             parts.append(fingerprint(value))
         elif isinstance(value, list):
@@ -303,6 +317,9 @@ def fingerprint(node) -> tuple:
     return tuple(parts)
 
 
+_OPERATOR_NODES = (Unary, Binary, CompoundAssign, Increment, Decrement)
+
+
 def operator_count(node) -> int:
     """Number of operator nodes in a subtree.
 
@@ -310,9 +327,11 @@ def operator_count(node) -> int:
     assignment ``=`` is not an operator. Call parentheses, indexing and
     member access do not count.
     """
-    if node is None:
-        return 0
-    n = 0
-    if isinstance(node, (Unary, Binary, CompoundAssign, Increment, Decrement)):
-        n = 1
-    return n + sum(operator_count(c) for c in child_nodes(node))
+    count = 0
+    stack = [node] if node is not None else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _OPERATOR_NODES):
+            count += 1
+        stack.extend(child_nodes(node))
+    return count

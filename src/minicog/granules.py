@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator
 
 from . import ast
 from .ast import SyntaxTree
@@ -193,21 +194,50 @@ def _assign_labels(roots: list[Granule]) -> None:
 
 
 def detect_recursion(resolution: Resolution) -> set[str]:
-    """Functions on a cycle of the static call graph (self or mutual)."""
+    """Functions on a cycle of the static call graph (self or mutual).
+
+    One pass of Tarjan's strongly-connected-components algorithm ("Depth-first
+    search and linear graph algorithms", SIAM J. Comput. 1(2), 1972), with an
+    explicit stack: a function is recursive when its component has more than
+    one member or it calls itself.
+    """
     graph = resolution.call_graph
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []  # entered functions whose component is not finished yet
+    on_stack: set[str] = set()
     recursive: set[str] = set()
-    for start in graph:
-        seen: set[str] = set()
-        stack = list(graph[start])
-        while stack:
-            fn = stack.pop()
-            if fn == start:
-                recursive.add(start)
-                break
-            if fn in seen:
-                continue
-            seen.add(fn)
-            stack.extend(graph.get(fn, ()))
+
+    def enter(fn: str) -> tuple[str, Iterator[str]]:
+        index[fn] = low[fn] = len(index)
+        stack.append(fn)
+        on_stack.add(fn)
+        return fn, iter(graph.get(fn, ()))
+
+    for root in graph:
+        if root in index:
+            continue
+        work = [enter(root)]
+        while work:
+            fn, callees = work[-1]
+            for callee in callees:
+                if callee not in index:
+                    work.append(enter(callee))
+                    break
+                if callee in on_stack:
+                    low[fn] = min(low[fn], index[callee])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[fn])
+                if low[fn] == index[fn]:
+                    members = [stack.pop()]
+                    while members[-1] != fn:
+                        members.append(stack.pop())
+                    on_stack.difference_update(members)
+                    if len(members) > 1 or fn in graph.get(fn, ()):
+                        recursive.update(members)
     return recursive
 
 

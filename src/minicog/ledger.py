@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .ast import SyntaxTree
 from .scopes import ROLE_TARGET, OccurrenceRef, Resolution, ScopedVariable
@@ -28,8 +29,8 @@ class SiMode(str, Enum):
     ABSOLUTE = "absolute"
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+# A NamedTuple: cheaper to build than a frozen dataclass, and one is built per occurrence.
+class LedgerEntry(NamedTuple):
     occurrence: OccurrenceRef
     delta: int
     icn_after: int

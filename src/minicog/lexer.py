@@ -3,12 +3,16 @@
 Comments (``//`` and ``/* */``) and whitespace produce no tokens; everything
 else becomes exactly one token with a 1-based source span. One master regular
 expression, tried at each position in turn, picks the token.
+
+``Token`` and ``SourceSpan`` are immutable ``typing.NamedTuple`` records,
+which are cheaper to build than frozen dataclasses; the lexer makes one of
+each per token.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -51,8 +55,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line_start: int
     col_start: int
@@ -63,8 +66,7 @@ class SourceSpan:
         return f"{self.file}:{self.line_start}:{self.col_start}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # identifier | int-literal | float-literal | string-literal | keyword | operator | punctuation
     text: str
     span: SourceSpan

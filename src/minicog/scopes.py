@@ -15,6 +15,7 @@ operator count of its counting unit, which the ledger turns into deltas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ast
 from .ast import SyntaxTree, operator_count
@@ -52,8 +53,8 @@ class ScopedVariable:
     members: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class OccurrenceRef:
+# A NamedTuple: cheaper to build than a frozen dataclass, and one is built per occurrence.
+class OccurrenceRef(NamedTuple):
     variable: int
     member: str | None
     node: int

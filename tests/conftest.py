@@ -38,11 +38,12 @@ def corpus_pairs() -> list[tuple[str, str]]:
     return [(name, fixture_source(name)) for name in corpus_names()]
 
 
-def run_cli(*args: str, hash_seed: str | None = None) -> subprocess.CompletedProcess:
+def run_cli(*args: str, hash_seed: str | None = None, cwd: Path = REPO) -> subprocess.CompletedProcess:
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "minicog", *args],
-        cwd=REPO, env=env, capture_output=True, text=False,
+        cwd=cwd, env=env, capture_output=True, text=False,
     )

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import CORPUS, REPO, corpus_names, run_cli
+from minicog.generator import generate
 
 
 def test_analyze_example1_json_reports_il_3():
@@ -78,6 +79,14 @@ def test_deeply_parenthesized_expression_analyzes(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+def test_long_operator_chain_analyzes(tmp_path):
+    chain = tmp_path / "chain.mc"
+    chain.write_text("int main() { int x = 1; x = " + " + ".join(["x"] * 800) + "; return x; }\n")
+    proc = run_cli("analyze", str(chain))
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
+
+
 def test_closed_stdout_exits_2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # nobody reads: the child's first flush fails with EPIPE
@@ -143,6 +152,33 @@ def test_corpus_mode_aggregates():
     assert obj["totals"]["files"] == len(corpus_names())
     assert [r["file"] for r in obj["files"]] == sorted(r["file"] for r in obj["files"])
     assert obj["totals"]["escim"] == sum(r["escim"] for r in obj["files"])
+
+
+def _write_pinned_corpus(root):
+    """The fixtures, generate(0..39), and generate(40..44) each with one ';' deleted."""
+    root.mkdir()
+    for name in corpus_names():
+        (root / name).write_bytes((CORPUS / name).read_bytes())
+    for seed in range(40):
+        (root / f"gen_{seed:02d}.mc").write_bytes(generate(seed).encode())
+    for seed in range(40, 45):
+        text = generate(seed)
+        cut = text.index(";", len(text) // 2)
+        (root / f"broken_{seed:02d}.mc").write_bytes((text[:cut] + text[cut + 1:]).encode())
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "917ab3562a3ab288d163812afb139e2c7f0bfbc87658a1a98bb5cc3c3f4fa8f0"),
+    ("text", "3975cc644d70607e47dd0e02260dede1e3b8c3e85550e6709505a642c88f83c2"),
+])
+def test_corpus_report_bytes_with_every_section_are_pinned(tmp_path, fmt, digest):
+    # Pins every place a span or a token reaches the output: diagnostics, ledger, granules.
+    _write_pinned_corpus(tmp_path / "pinned")
+    proc = run_cli("analyze", "pinned", "--corpus", "--emit", "metrics,erm,ledger,granules",
+                   "--format", fmt, cwd=tmp_path)
+    assert proc.returncode == 1  # the five broken files end in diagnostics
+    assert b"Traceback" not in proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_generate_output_reanalyzes_cleanly(tmp_path):

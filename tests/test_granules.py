@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,29 @@ def test_mutual_recursion_matches_bruteforce_oracle():
     expected = _cycle_nodes_bruteforce(analysis.resolution.call_graph)
     assert expected == {"f", "g"}
     assert detect_recursion(analysis.resolution) == expected
+
+
+def test_recursion_by_self_call_and_three_cycle_but_not_their_callers():
+    src = (
+        "int f(int n) { return f(n - 1); }\n"
+        "int a(int n) { return b(n); }\n"
+        "int b(int n) { return c(n); }\n"
+        "int c(int n) { return a(n); }\n"
+        "int caller(int n) { print(n); return a(f(n)); }\n"
+        "int main() { print(caller(read())); }\n"
+    )
+    resolution = analyze_source(src).resolution
+    assert detect_recursion(resolution) == {"f", "a", "b", "c"}
+    assert _cycle_nodes_bruteforce(resolution.call_graph) == {"f", "a", "b", "c"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from("abcdefg"), st.sets(st.sampled_from("abcdefg"), max_size=3), max_size=7,
+))
+def test_recursion_matches_bruteforce_oracle_on_random_call_graphs(edges):
+    graph = {fn: edges.get(fn, set()) for fn in set(edges).union(*edges.values())}
+    assert detect_recursion(SimpleNamespace(call_graph=graph)) == _cycle_nodes_bruteforce(graph)
 
 
 def test_recursion_fixture_flagged():
