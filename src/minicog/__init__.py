@@ -9,7 +9,7 @@ from .errors import (
 )
 from .granules import BcsKind, Granule, GranuleTree, classify_bcs, decompose, detect_recursion
 from .ledger import LedgerEntry, OccurrenceLedger, SiMode, build_ledger
-from .lexer import SourceSpan, Token, tokenize
+from .lexer import SourceSpan, Tokens, tokenize
 from .metrics import (
     DEFAULT_WEIGHTS, MetricsReport, WeightTable, coding_efficiency, cyclomatic, escim, loc,
 )

@@ -54,7 +54,7 @@ class Analysis:
 def analyze_source(source: str, file: str = "<input>") -> Analysis:
     tokens = tokenize(source, file)
     lines = loc(tokens)
-    tree = parse(tokens, file)
+    tree = parse(tokens)
     del tokens  # free the tokens before the later stages; they would raise peak memory
     resolution = resolve(tree)
     ledger = build_ledger(resolution)

@@ -1,13 +1,17 @@
 """Syntax tree for MiniC.
 
-Nodes are dataclasses with ``__slots__``. Spans and node ids are attached
-after construction: the parser sets spans, and ``SyntaxTree.finalize``
+Nodes are dataclasses with ``__slots__``. Positions and node ids are attached
+after construction: the parser stores each node's ``start`` and ``end``
+source offsets and its file's shared ``SourceMap``, and ``SyntaxTree.finalize``
 numbers every node in depth-first source order and records parent links.
-Structural equality (ignoring spans and ids) goes through ``fingerprint``.
+``Node.span`` builds a ``SourceSpan`` from the offsets only when it is read,
+which on the success path nothing does. Structural equality (ignoring
+positions and ids) goes through ``fingerprint``.
 
 Tree walks are table-driven: ``NODE_FIELDS`` holds each node class's field
-names (without ``span`` and ``nid``), read from the dataclass fields once at
-import, and ``child_nodes`` and ``fingerprint`` look them up there.
+names (without the bookkeeping fields of ``Node``), read from the dataclass
+fields once at import, and ``child_nodes`` and ``fingerprint`` look them up
+there.
 ``finalize`` and ``operator_count`` walk with an explicit stack, so they take
 trees of any depth, such as a long ``x + ... + x`` chain, which the parser
 builds as deep as it is long.
@@ -18,13 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .lexer import SourceSpan
+from .lexer import SourceMap, SourceSpan
 
 
 @dataclass(eq=False, slots=True)
 class Node:
-    span: Optional[SourceSpan] = field(default=None, init=False, repr=False)
+    # source offsets of the node's first character and one past its last
+    start: int = field(default=0, init=False, repr=False)
+    end: int = field(default=0, init=False, repr=False)
+    source_map: Optional[SourceMap] = field(default=None, init=False, repr=False)
     nid: int = field(default=-1, init=False, repr=False)
+
+    @property
+    def span(self) -> Optional[SourceSpan]:
+        """The node's source span, built on each read; None for a node the
+        parser did not make."""
+        if self.source_map is None:
+            return None
+        return self.source_map.span(self.start, self.end)
 
 
 # ---------------------------------------------------------------- types
@@ -250,11 +265,14 @@ class RecordDef(Node):
 
 Item = object  # RecordDef | FuncDef | DeclStmt
 
+_BOOKKEEPING = frozenset(f.name for f in fields(Node))
 
-# Field names of every node class, without `span` and `nid`, in declaration
-# (source) order. The only reflection over dataclass fields in the package.
+
+# Field names of every node class, without the bookkeeping fields of `Node`,
+# in declaration (source) order. The only reflection over dataclass fields in
+# the package.
 NODE_FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls) if f.name not in ("span", "nid"))
+    cls: tuple(f.name for f in fields(cls) if f.name not in _BOOKKEEPING)
     for cls in globals().values()
     if isinstance(cls, type) and issubclass(cls, Node)
 }
@@ -302,7 +320,7 @@ def child_nodes(node: Node) -> list[Node]:
 
 
 def fingerprint(node) -> tuple:
-    """Structural identity of a node/tree, ignoring spans and node ids."""
+    """Structural identity of a node/tree, ignoring positions and node ids."""
     if isinstance(node, SyntaxTree):
         return ("program", tuple(fingerprint(i) for i in node.items))
     parts: list = [type(node).__name__]

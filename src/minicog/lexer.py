@@ -1,17 +1,20 @@
 """Tokenizer for MiniC source text.
 
 Comments (``//`` and ``/* */``) and whitespace produce no tokens; everything
-else becomes exactly one token with a 1-based source span. One master regular
-expression, tried at each position in turn, picks the token.
+else becomes exactly one token. One master regular expression, tried at each
+position in turn, picks the token.
 
-``Token`` and ``SourceSpan`` are immutable ``typing.NamedTuple`` records,
-which are cheaper to build than frozen dataclasses; the lexer makes one of
-each per token.
+``tokenize`` returns a ``Tokens``: parallel lists of each token's kind, text,
+start offset and start line, and no object per token. Tokens and tree nodes
+carry source offsets; a ``SourceMap`` turns offsets into a 1-based
+``SourceSpan`` only when a diagnostic (or a test) reads one. This module is
+the only place that builds a ``SourceSpan``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import LexError
@@ -66,43 +69,95 @@ class SourceSpan(NamedTuple):
         return f"{self.file}:{self.line_start}:{self.col_start}"
 
 
-class Token(NamedTuple):
-    kind: str  # identifier | int-literal | float-literal | string-literal | keyword | operator | punctuation
-    text: str
-    span: SourceSpan
+class SourceMap:
+    """A file's name and text; turns source offsets into a ``SourceSpan``.
+
+    Tokens and tree nodes share one map per file. Its line-start table is
+    built the first time a span is asked for.
+    """
+
+    __slots__ = ("file", "source", "_line_starts")
+
+    def __init__(self, file: str, source: str):
+        self.file = file
+        self.source = source
+        self._line_starts: list[int] | None = None
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        """The span of the non-empty ``source[start:end]``, from its first
+        character to its last; one that ends with a newline ends in column 1
+        of the next line."""
+        if self._line_starts is None:
+            self._line_starts = [0, *(m.end() for m in re.finditer("\n", self.source))]
+        table = self._line_starts
+        line_start = bisect_right(table, start)
+        line_end = bisect_right(table, end)
+        col_start = start - table[line_start - 1] + 1
+        col_end = max(1, end - table[line_end - 1])
+        return SourceSpan(self.file, line_start, col_start, line_end, col_end)
 
 
-def tokenize(source: str, file: str = "<input>") -> list[Token]:
-    """Convert source text to a token list; raises LexError with a span."""
-    tokens: list[Token] = []
-    line, line_offset = 1, 0  # the current line and the offset where it begins
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN.match(source, pos)
-        kind, text, end = match.lastgroup, match.group(), match.end()
-        start_line, start_col = line, pos - line_offset + 1
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_offset = pos + text.rindex("\n") + 1
-        pos = end
+class Tokens:
+    """The tokens of one file as parallel lists, indexed by token number:
+    ``kinds``, ``texts``, ``starts`` (source offsets) and ``lines`` (the
+    1-based line each token starts on)."""
+
+    __slots__ = ("kinds", "texts", "starts", "lines", "source_map")
+
+    def __init__(self, source_map: SourceMap):
+        # identifier | int-literal | float-literal | string-literal | keyword | operator | punctuation
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.starts: list[int] = []
+        self.lines: list[int] = []
+        self.source_map = source_map
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def span(self, i: int) -> SourceSpan:
+        """The span of token ``i``; past the last token, the end of input:
+        the point where the last token ends, or 1:1 when there is none."""
+        if i < len(self.kinds):
+            start = self.starts[i]
+            return self.source_map.span(start, start + len(self.texts[i]))
+        point = self.span(len(self.kinds) - 1)[3:] if self.kinds else (1, 1)
+        return SourceSpan(self.source_map.file, *point, *point)
+
+
+def tokenize(source: str, file: str = "<input>") -> Tokens:
+    """Convert source text to its tokens; raises LexError with a span."""
+    tokens = Tokens(SourceMap(file, source))
+    kinds, texts, starts, lines = tokens.kinds, tokens.texts, tokens.starts, tokens.lines
+    line = 1
+    end = 0
+    for match in _TOKEN.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        start, end = end, end + len(text)
         if kind == "skip":
+            line += source.count("\n", start, end)
             continue
-        # The span ends on the token's last character; an unclosed comment or
-        # string that ends with a newline ends in column 1 of the next line.
-        span = SourceSpan(file, start_line, start_col, line, max(1, end - line_offset))
-        if kind == "unclosed":
-            what = "block comment" if text.startswith("/*") else "string literal"
-            raise LexError(f"unterminated {what}", span)
-        # `\w+` also matches from a non-decimal digit such as `²` or `½`.
-        if kind == "illegal" or (kind == "word" and not (text[0].isalpha() or text[0] == "_")):
-            bad = SourceSpan(file, start_line, start_col, start_line, start_col)
-            raise LexError(f"illegal character {text[0]!r}", bad)
         if kind == "word":
-            kind = "keyword" if text in KEYWORDS else "identifier"
+            if text in KEYWORDS:
+                kind = "keyword"
+            # `\w+` also matches from a non-decimal digit such as `²` or `½`.
+            elif text[0].isalpha() or text[0] == "_":
+                kind = "identifier"
+            else:
+                kind = "illegal"
         elif kind == "number":
             kind = "float-literal" if "." in text else "int-literal"
         elif kind == "string":
             kind = "string-literal"
-        tokens.append(Token(kind, text, span))
+        if kind == "unclosed":
+            what = "block comment" if text.startswith("/*") else "string literal"
+            raise LexError(f"unterminated {what}", tokens.source_map.span(start, end))
+        if kind == "illegal":
+            raise LexError(f"illegal character {text[0]!r}", tokens.source_map.span(start, start + 1))
+        kinds.append(kind)
+        texts.append(text)
+        starts.append(start)
+        lines.append(line)
+        if kind == "string-literal":  # a backslash-newline continues a string
+            line += text.count("\n")
     return tokens

@@ -10,8 +10,8 @@ configurable through a JSON table.
 
 LOC is the number of lines that hold at least one token, so blank and
 comment-only lines do not count. It is read off the token list the lexer
-already produced (each token's starting line; only ``\n`` ends a line, as in
-diagnostic spans) and is counted once per analysis.
+already produced (the ``lines`` list: each token's starting line; only ``\n``
+ends a line, as in diagnostic spans) and is counted once per analysis.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .erm import serialize_erm
 from .errors import EmptyProgram, InconsistentInput
 from .granules import BcsKind, Granule, GranuleTree
 from .ledger import OccurrenceLedger, SiMode
-from .lexer import Token
+from .lexer import Tokens
 
 DEFAULT_WEIGHTS: dict[str, int] = {
     "linear": 1,
@@ -185,9 +185,9 @@ def escim(
     )
 
 
-def loc(tokens: list[Token]) -> int:
+def loc(tokens: Tokens) -> int:
     """Lines that hold at least one token; raises EmptyProgram on zero."""
-    count = len({tok.span.line_start for tok in tokens})
+    count = len(set(tokens.lines))
     if count == 0:
         raise EmptyProgram("no countable lines of code")
     return count

@@ -23,6 +23,12 @@ of ``ast.BINARY_PRECEDENCE``, loosest first: ``||``; ``&&``; ``==`` ``!=``;
 The array marker is accepted both on the type (``int[] a``) and after the
 name (``int a[10]``); both normalize to the same TypeRef. String literals
 are only legal as direct arguments of the builtin ``print``.
+
+The parser reads the lexer's parallel ``kinds`` and ``texts`` lists by token
+index, with one end sentinel so that no lookahead needs a bounds check. Each
+node stores its start and end source offsets and the file's shared
+``SourceMap``; a ``SourceSpan`` is built only for a diagnostic, from the
+offending token's index.
 """
 
 from __future__ import annotations
@@ -35,96 +41,83 @@ from .ast import (
     Unary, VarRef, WhileStmt, BINARY_PRECEDENCE,
 )
 from .errors import ParseError
-from .lexer import SourceSpan, Token, tokenize
+from .lexer import Tokens, tokenize
 
 TYPE_KEYWORDS = ("int", "float", "bool")
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
 ASSIGNABLE = (VarRef, GlobalRef, Index, Member)
+LITERAL_KINDS = {"int-literal": "int", "float-literal": "float", "string-literal": "string"}
+END = "end"  # the kind of the sentinel after the last token; its text is ""
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
-        self.file = file
+        # One sentinel after the last token, matching no text or kind the
+        # parser looks for, so every lookahead is a plain list lookup. None
+        # reaches past it: each lookahead follows a match on a real token.
+        self.kinds = tokens.kinds + [END]
+        self.texts = tokens.texts + [""]
+        self.starts = tokens.starts
+        self.source_map = tokens.source_map
         self.pos = 0
 
     # ------------------------------------------------------------ plumbing
 
-    def _eof_span(self) -> SourceSpan:
-        if self.tokens:
-            last = self.tokens[-1].span
-            return SourceSpan(self.file, last.line_end, last.col_end, last.line_end, last.col_end)
-        return SourceSpan(self.file, 1, 1, 1, 1)
+    def _found(self, pos: int) -> str:
+        return "end of input" if self.kinds[pos] == END else repr(self.texts[pos])
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def expect(self, text: str) -> None:
+        pos = self.pos
+        if self.texts[pos] != text:
+            raise ParseError(f"expected {text!r}, found {self._found(pos)}", self.tokens.span(pos),
+                             expected=frozenset({text}))
+        self.pos = pos + 1
 
-    def at(self, text: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok.text == text
-
-    def at_kind(self, kind: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok.kind == kind
-
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self._eof_span())
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
-            span = tok.span if tok else self._eof_span()
-            found = repr(tok.text) if tok else "end of input"
-            raise ParseError(f"expected {text!r}, found {found}", span, expected=frozenset({text}))
-        return self.advance()
-
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != "identifier":
-            span = tok.span if tok else self._eof_span()
-            found = repr(tok.text) if tok else "end of input"
-            raise ParseError(f"expected identifier, found {found}", span, expected=frozenset({"IDENT"}))
-        return self.advance()
+    def expect_ident(self) -> str:
+        pos = self.pos
+        if self.kinds[pos] != "identifier":
+            raise ParseError(f"expected identifier, found {self._found(pos)}", self.tokens.span(pos),
+                             expected=frozenset({"IDENT"}))
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def _spanned(self, node: Node, start_idx: int) -> Node:
-        first = self.tokens[start_idx].span
-        last = self.tokens[self.pos - 1].span if self.pos > 0 else first
-        node.span = SourceSpan(self.file, first.line_start, first.col_start, last.line_end, last.col_end)
+        """Give ``node`` the offsets from token ``start_idx`` to the last one read."""
+        last = self.pos - 1
+        node.start = self.starts[start_idx]
+        node.end = self.starts[last] + len(self.texts[last])
+        node.source_map = self.source_map
         return node
 
     # ------------------------------------------------------------ items
 
     def parse_program(self) -> SyntaxTree:
         items = []
-        while self.peek() is not None:
+        while self.kinds[self.pos] != END:
             items.append(self.parse_item())
-        return SyntaxTree(items, file=self.file)
+        return SyntaxTree(items, file=self.source_map.file)
 
     def parse_item(self):
-        if self.at("struct"):
+        if self.texts[self.pos] == "struct":
             return self.parse_record_def()
         start = self.pos
         ty = self.parse_type()
         name = self.expect_ident()
-        if self.at("("):
-            return self.parse_func_def(ty, name.text, start)
-        return self.parse_decl_tail(ty, name.text, start)
+        if self.texts[self.pos] == "(":
+            return self.parse_func_def(ty, name, start)
+        return self.parse_decl_tail(ty, name, start)
 
     def parse_record_def(self) -> RecordDef:
         start = self.pos
         self.expect("struct")
-        name = self.expect_ident().text
+        name = self.expect_ident()
         self.expect("{")
         members: list[RecordField] = []
-        while not self.at("}"):
+        while self.texts[self.pos] != "}":
             fstart = self.pos
             fty = self.parse_type()
-            fname = self.expect_ident().text
+            fname = self.expect_ident()
             self.expect(";")
             members.append(self._spanned(RecordField(fty, fname), fstart))
         self.expect("}")
@@ -133,58 +126,59 @@ class _Parser:
 
     def parse_type(self) -> TypeRef:
         start = self.pos
-        tok = self.peek()
-        if tok is None or not (tok.text in TYPE_KEYWORDS or tok.kind == "identifier"):
-            span = tok.span if tok else self._eof_span()
+        text = self.texts[start]
+        if not (text in TYPE_KEYWORDS or self.kinds[start] == "identifier"):
             raise ParseError(
-                "expected a type", span, expected=frozenset(TYPE_KEYWORDS) | {"IDENT"}
+                "expected a type", self.tokens.span(start),
+                expected=frozenset(TYPE_KEYWORDS) | {"IDENT"},
             )
-        self.advance()
-        ty = TypeRef(tok.text)
-        if self.at("["):
+        self.pos = start + 1
+        ty = TypeRef(text)
+        if self.texts[self.pos] == "[":
             self.parse_array_marker(ty)
         return self._spanned(ty, start)
 
     def parse_array_marker(self, ty: TypeRef) -> None:
         """``[`` INT? ``]`` after a type or a declared name; marks ``ty`` an array."""
         if ty.is_array:
-            raise ParseError("duplicate array marker", self.peek().span)
-        self.advance()
-        if self.at_kind("int-literal"):
-            ty.array_size = int(self.advance().text)
+            raise ParseError("duplicate array marker", self.tokens.span(self.pos))
+        self.pos += 1
+        if self.kinds[self.pos] == "int-literal":
+            ty.array_size = int(self.texts[self.pos])
+            self.pos += 1
         self.expect("]")
         ty.is_array = True
 
     def parse_func_def(self, ret_type: TypeRef, name: str, start: int) -> FuncDef:
         self.expect("(")
         params: list[Param] = []
-        if not self.at(")"):
+        if self.texts[self.pos] != ")":
             while True:
                 pstart = self.pos
                 pty = self.parse_type()
-                pname = self.expect_ident().text
+                pname = self.expect_ident()
                 params.append(self._spanned(Param(pty, pname), pstart))
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
+                if self.texts[self.pos] != ",":
+                    break
+                self.pos += 1
         self.expect(")")
         body = self.parse_block()
         return self._spanned(FuncDef(ret_type, name, params, body), start)
 
     def parse_decl_tail(self, ty: TypeRef, name: str, start: int) -> DeclStmt:
+        texts = self.texts
         # C-style array marker after the name.
-        if self.at("["):
+        if texts[self.pos] == "[":
             self.parse_array_marker(ty)
         init = None
         init_list = None
-        if self.at("="):
-            self.advance()
-            if self.at("{"):
-                self.advance()
+        if texts[self.pos] == "=":
+            self.pos += 1
+            if texts[self.pos] == "{":
+                self.pos += 1
                 init_list = [self.parse_expr()]
-                while self.at(","):
-                    self.advance()
+                while texts[self.pos] == ",":
+                    self.pos += 1
                     init_list.append(self.parse_expr())
                 self.expect("}")
             else:
@@ -198,63 +192,60 @@ class _Parser:
         start = self.pos
         self.expect("{")
         stmts: list[Stmt] = []
-        while not self.at("}"):
-            if self.peek() is None:
-                raise ParseError("unterminated block", self._eof_span(), expected=frozenset({"}"}))
+        while self.texts[self.pos] != "}":
+            if self.kinds[self.pos] == END:
+                raise ParseError("unterminated block", self.tokens.span(self.pos),
+                                 expected=frozenset({"}"}))
             stmts.append(self.parse_stmt())
-        self.expect("}")
+        self.pos += 1
         return self._spanned(Block(stmts), start)
 
     def _starts_decl(self) -> bool:
-        tok = self.peek()
-        if tok is None:
-            return False
-        if tok.text in TYPE_KEYWORDS:
+        pos, kinds, texts = self.pos, self.kinds, self.texts
+        if texts[pos] in TYPE_KEYWORDS:
             return True
-        if tok.kind != "identifier":
+        if kinds[pos] != "identifier":
             return False
         # `Point p ...` / `Point[] p ...` / `Point[3] p ...`
-        if self.at_kind("identifier", 1):
+        if kinds[pos + 1] == "identifier":
             return True
-        if self.at("[", 1):
-            if self.at("]", 2) :
+        if texts[pos + 1] == "[":
+            if texts[pos + 2] == "]":
                 return True
-            if self.at_kind("int-literal", 2) and self.at("]", 3) and self.at_kind("identifier", 4):
+            if kinds[pos + 2] == "int-literal" and texts[pos + 3] == "]" and kinds[pos + 4] == "identifier":
                 return True
         return False
 
     def parse_stmt(self) -> Stmt:
         start = self.pos
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a statement", self._eof_span())
-        if tok.text == "{":
+        text = self.texts[start]
+        if text == "{":
             return self.parse_block()
-        if tok.text == ";":
-            self.advance()
+        if text == ";":
+            self.pos += 1
             return self._spanned(EmptyStmt(), start)
-        if tok.text == "if":
-            self.advance()
+        if text == "if":
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             then = self.parse_stmt()
             orelse = None
-            if self.at("else"):
-                self.advance()
+            if self.texts[self.pos] == "else":
+                self.pos += 1
                 orelse = self.parse_stmt()
             return self._spanned(IfStmt(cond, then, orelse), start)
-        if tok.text == "switch":
+        if text == "switch":
             return self.parse_switch(start)
-        if tok.text == "while":
-            self.advance()
+        if text == "while":
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_stmt()
             return self._spanned(WhileStmt(cond, body), start)
-        if tok.text == "do":
-            self.advance()
+        if text == "do":
+            self.pos += 1
             body = self.parse_stmt()
             self.expect("while")
             self.expect("(")
@@ -262,38 +253,40 @@ class _Parser:
             self.expect(")")
             self.expect(";")
             return self._spanned(DoWhileStmt(body, cond), start)
-        if tok.text == "for":
+        if text == "for":
             return self.parse_for(start)
-        if tok.text == "return":
-            self.advance()
-            value = None if self.at(";") else self.parse_expr()
+        if text == "return":
+            self.pos += 1
+            value = None if self.texts[self.pos] == ";" else self.parse_expr()
             self.expect(";")
             return self._spanned(ReturnStmt(value), start)
-        if tok.text == "break":
-            self.advance()
+        if text == "break":
+            self.pos += 1
             self.expect(";")
             return self._spanned(BreakStmt(), start)
-        if tok.text == "continue":
-            self.advance()
+        if text == "continue":
+            self.pos += 1
             self.expect(";")
             return self._spanned(ContinueStmt(), start)
-        if tok.text == "goto":
-            self.advance()
-            label = self.expect_ident().text
+        if text == "goto":
+            self.pos += 1
+            label = self.expect_ident()
             self.expect(";")
             return self._spanned(GotoStmt(label), start)
-        if tok.kind == "identifier" and self.at(":", 1):
-            self.advance()
-            self.advance()
+        kind = self.kinds[start]
+        if kind == END:
+            raise ParseError("expected a statement", self.tokens.span(start))
+        if kind == "identifier" and self.texts[start + 1] == ":":
+            self.pos += 2
             inner = self.parse_stmt()
-            return self._spanned(LabeledStmt(tok.text, inner), start)
+            return self._spanned(LabeledStmt(text, inner), start)
         return self.parse_decl_or_expr_stmt()
 
     def parse_decl_or_expr_stmt(self) -> Stmt:
         start = self.pos
         if self._starts_decl():
             ty = self.parse_type()
-            return self.parse_decl_tail(ty, self.expect_ident().text, start)
+            return self.parse_decl_tail(ty, self.expect_ident(), start)
         expr = self.parse_expr()
         self.expect(";")
         return self._spanned(ExprStmt(expr), start)
@@ -305,41 +298,41 @@ class _Parser:
         self.expect(")")
         self.expect("{")
         arms: list[CaseArm] = []
-        while not self.at("}"):
+        texts = self.texts
+        while texts[self.pos] != "}":
             astart = self.pos
-            if self.at("case"):
-                self.advance()
-                lit = self.peek()
-                if lit is None or lit.kind not in ("int-literal", "float-literal", "string-literal"):
-                    span = lit.span if lit else self._eof_span()
-                    raise ParseError("expected a literal case label", span, expected=frozenset({"LITERAL"}))
-                self.advance()
-                label = lit.text
-            elif self.at("default"):
-                self.advance()
+            if texts[astart] == "case":
+                self.pos += 1
+                if self.kinds[self.pos] not in LITERAL_KINDS:
+                    raise ParseError("expected a literal case label", self.tokens.span(self.pos),
+                                     expected=frozenset({"LITERAL"}))
+                label = texts[self.pos]
+                self.pos += 1
+            elif texts[astart] == "default":
+                self.pos += 1
                 label = None
             else:
                 raise ParseError(
-                    "expected 'case' or 'default'", self.peek().span,
+                    "expected 'case' or 'default'", self.tokens.span(astart),
                     expected=frozenset({"case", "default"}),
                 )
             self.expect(":")
             body: list[Stmt] = []
-            while not (self.at("case") or self.at("default") or self.at("}")):
+            while texts[self.pos] not in ("case", "default", "}"):
                 body.append(self.parse_stmt())
             arms.append(self._spanned(CaseArm(label, body), astart))
-        self.expect("}")
+        self.pos += 1
         return self._spanned(SwitchStmt(scrutinee, arms), start)
 
     def parse_for(self, start: int) -> ForStmt:
         self.expect("for")
         self.expect("(")
-        init = None if self.at(";") else self.parse_decl_or_expr_stmt()
+        init = None if self.texts[self.pos] == ";" else self.parse_decl_or_expr_stmt()
         if init is None:
-            self.expect(";")
-        cond = None if self.at(";") else self.parse_expr()
+            self.pos += 1
+        cond = None if self.texts[self.pos] == ";" else self.parse_expr()
         self.expect(";")
-        update = None if self.at(")") else self.parse_expr()
+        update = None if self.texts[self.pos] == ")" else self.parse_expr()
         self.expect(")")
         body = self.parse_stmt()
         return self._spanned(ForStmt(init, cond, update, body), start)
@@ -349,15 +342,16 @@ class _Parser:
     def parse_expr(self) -> Expr:
         start = self.pos
         lhs = self.parse_binary(1)
-        tok = self.peek()
-        if tok is not None and tok.text in ASSIGN_OPS:
+        op_pos = self.pos
+        op = self.texts[op_pos]
+        if op in ASSIGN_OPS:
             if not isinstance(lhs, ASSIGNABLE):
-                raise ParseError("invalid assignment target", tok.span)
-            self.advance()
+                raise ParseError("invalid assignment target", self.tokens.span(op_pos))
+            self.pos = op_pos + 1
             rhs = self.parse_expr()
-            if tok.text == "=":
+            if op == "=":
                 return self._spanned(Assign(lhs, rhs), start)
-            return self._spanned(CompoundAssign(tok.text, lhs, rhs), start)
+            return self._spanned(CompoundAssign(op, lhs, rhs), start)
         return lhs
 
     def parse_binary(self, min_prec: int) -> Expr:
@@ -365,54 +359,54 @@ class _Parser:
         start = self.pos
         lhs = self.parse_unary()
         while True:
-            tok = self.peek()
-            prec = BINARY_PRECEDENCE.get(tok.text, 0) if tok is not None else 0
+            op = self.texts[self.pos]
+            prec = BINARY_PRECEDENCE.get(op, 0)
             if prec < min_prec:
                 return lhs
-            self.advance()
+            self.pos += 1
             rhs = self.parse_binary(prec + 1)
-            lhs = self._spanned(Binary(tok.text, lhs, rhs), start)
+            lhs = self._spanned(Binary(op, lhs, rhs), start)
 
     def parse_unary(self) -> Expr:
         start = self.pos
-        tok = self.peek()
-        if tok is not None and tok.text in ("!", "-"):
-            self.advance()
+        op = self.texts[start]
+        if op == "!" or op == "-":
+            self.pos = start + 1
             operand = self.parse_unary()
-            return self._spanned(Unary(tok.text, operand), start)
+            return self._spanned(Unary(op, operand), start)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         start = self.pos
         expr = self.parse_primary()
+        texts = self.texts
         while True:
-            tok = self.peek()
-            if tok is None:
-                return expr
-            if tok.text == "[":
-                self.advance()
+            pos = self.pos
+            text = texts[pos]
+            if text == "[":
+                self.pos = pos + 1
                 idx = self.parse_expr()
                 self.expect("]")
                 expr = self._spanned(Index(expr, idx), start)
-            elif tok.text == ".":
-                self.advance()
-                member = self.expect_ident().text
+            elif text == ".":
+                self.pos = pos + 1
+                member = self.expect_ident()
                 expr = self._spanned(Member(expr, member), start)
-            elif tok.text in ("++", "--"):
+            elif text == "++" or text == "--":
                 if not isinstance(expr, ASSIGNABLE):
-                    raise ParseError(f"invalid {tok.text} target", tok.span)
-                self.advance()
-                cls = Increment if tok.text == "++" else Decrement
+                    raise ParseError(f"invalid {text} target", self.tokens.span(pos))
+                self.pos = pos + 1
+                cls = Increment if text == "++" else Decrement
                 expr = self._spanned(cls(expr), start)
-            elif tok.text == "(":
+            elif text == "(":
                 if not isinstance(expr, VarRef):
-                    raise ParseError("call target must be a simple name", tok.span)
-                self.advance()
+                    raise ParseError("call target must be a simple name", self.tokens.span(pos))
+                self.pos = pos + 1
                 args: list[Expr] = []
-                if not self.at(")"):
+                if texts[self.pos] != ")":
                     args.append(self.parse_expr())
-                    while self.at(","):
-                        self.advance()
+                    while texts[self.pos] == ",":
+                        self.pos += 1
                         args.append(self.parse_expr())
                 self.expect(")")
                 expr = self._spanned(Call(expr.name, args), start)
@@ -421,35 +415,29 @@ class _Parser:
 
     def parse_primary(self) -> Expr:
         start = self.pos
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected an expression", self._eof_span())
-        if tok.kind == "int-literal":
-            self.advance()
-            return self._spanned(Literal("int", tok.text), start)
-        if tok.kind == "float-literal":
-            self.advance()
-            return self._spanned(Literal("float", tok.text), start)
-        if tok.kind == "string-literal":
-            self.advance()
-            return self._spanned(Literal("string", tok.text), start)
-        if tok.text in ("true", "false"):
-            self.advance()
-            return self._spanned(Literal("bool", tok.text), start)
-        if tok.text == "::":
-            self.advance()
-            name = self.expect_ident().text
+        kind, text = self.kinds[start], self.texts[start]
+        if kind == "identifier":
+            self.pos = start + 1
+            return self._spanned(VarRef(text), start)
+        if kind in LITERAL_KINDS:
+            self.pos = start + 1
+            return self._spanned(Literal(LITERAL_KINDS[kind], text), start)
+        if text == "true" or text == "false":
+            self.pos = start + 1
+            return self._spanned(Literal("bool", text), start)
+        if text == "::":
+            self.pos = start + 1
+            name = self.expect_ident()
             return self._spanned(GlobalRef(name), start)
-        if tok.kind == "identifier":
-            self.advance()
-            return self._spanned(VarRef(tok.text), start)
-        if tok.text == "(":
-            self.advance()
+        if text == "(":
+            self.pos = start + 1
             inner = self.parse_expr()
             self.expect(")")
             return inner
+        if kind == END:
+            raise ParseError("expected an expression", self.tokens.span(start))
         raise ParseError(
-            f"unexpected token {tok.text!r}", tok.span,
+            f"unexpected token {text!r}", self.tokens.span(start),
             expected=frozenset({"IDENT", "LITERAL", "(", "::"}),
         )
 
@@ -464,12 +452,12 @@ def _check_string_literals(tree: SyntaxTree) -> None:
             raise ParseError("string literal only allowed as a print argument", node.span)
 
 
-def parse(tokens: list[Token], file: str = "<input>") -> SyntaxTree:
-    """Parse a token list into a finalized SyntaxTree."""
-    tree = _Parser(tokens, file).parse_program().finalize()
+def parse(tokens: Tokens) -> SyntaxTree:
+    """Parse a file's tokens into a finalized SyntaxTree."""
+    tree = _Parser(tokens).parse_program().finalize()
     _check_string_literals(tree)
     return tree
 
 
 def parse_source(source: str, file: str = "<input>") -> SyntaxTree:
-    return parse(tokenize(source, file), file)
+    return parse(tokenize(source, file))

@@ -20,7 +20,6 @@ from typing import NamedTuple
 from . import ast
 from .ast import SyntaxTree, operator_count
 from .errors import DuplicateDeclaration, UnresolvedName
-from .lexer import SourceSpan
 
 BUILTINS = frozenset({"print", "read"})
 
@@ -34,7 +33,6 @@ class ScopeNode:
     sid: int
     parent: int | None
     kind: str  # global | function | block | for-init | switch-body
-    span: SourceSpan
 
 
 @dataclass
@@ -48,7 +46,6 @@ class ScopedVariable:
     vid: int
     name: str
     scope: int
-    decl_span: SourceSpan
     is_record: bool = False
     members: tuple[str, ...] = ()
 
@@ -92,10 +89,10 @@ class _Resolver:
 
     # ------------------------------------------------------------ scopes
 
-    def push_scope(self, kind: str, span: SourceSpan) -> int:
+    def push_scope(self, kind: str) -> int:
         sid = len(self.scope_nodes)
         parent = self.stack[-1] if self.stack else None
-        self.scope_nodes[sid] = ScopeNode(sid, parent, kind, span)
+        self.scope_nodes[sid] = ScopeNode(sid, parent, kind)
         self.scope_vars[sid] = {}
         self.stack.append(sid)
         return sid
@@ -103,28 +100,28 @@ class _Resolver:
     def pop_scope(self) -> None:
         self.stack.pop()
 
-    def declare(self, name: str, type_name: str, span: SourceSpan) -> int:
+    def declare(self, name: str, type_name: str, node: ast.Node) -> int:
         sid = self.stack[-1]
         if name in self.scope_vars[sid]:
-            raise DuplicateDeclaration(f"'{name}' already declared in this scope", span)
+            raise DuplicateDeclaration(f"'{name}' already declared in this scope", node.span)
         is_record = type_name in self.records
         members = tuple(f.name for f in self.records[type_name].fields) if is_record else ()
         vid = len(self.variables)
-        self.variables[vid] = ScopedVariable(vid, name, sid, span, is_record, members)
+        self.variables[vid] = ScopedVariable(vid, name, sid, is_record, members)
         self.scope_vars[sid][name] = vid
         return vid
 
-    def lookup(self, name: str, span: SourceSpan) -> int:
+    def lookup(self, node: ast.VarRef) -> int:
         for sid in reversed(self.stack):
-            vid = self.scope_vars[sid].get(name)
+            vid = self.scope_vars[sid].get(node.name)
             if vid is not None:
                 return vid
-        raise UnresolvedName(f"undeclared name '{name}'", span)
+        raise UnresolvedName(f"undeclared name '{node.name}'", node.span)
 
-    def lookup_global(self, name: str, span: SourceSpan) -> int:
-        vid = self.scope_vars[0].get(name)
+    def lookup_global(self, node: ast.GlobalRef) -> int:
+        vid = self.scope_vars[0].get(node.name)
         if vid is None:
-            raise UnresolvedName(f"no global named '{name}'", span)
+            raise UnresolvedName(f"no global named '{node.name}'", node.span)
         return vid
 
     def check_type(self, ty: ast.TypeRef) -> None:
@@ -154,10 +151,10 @@ class _Resolver:
                 member = node.member
                 node = node.obj
             elif isinstance(node, ast.VarRef):
-                vid = self.lookup(node.name, node.span)
+                vid = self.lookup(node)
                 break
             elif isinstance(node, ast.GlobalRef):
-                vid = self.lookup_global(node.name, node.span)
+                vid = self.lookup_global(node)
                 break
             else:
                 raise UnresolvedName("invalid assignment target", node.span)
@@ -206,7 +203,7 @@ class _Resolver:
 
     def walk_decl(self, decl: ast.DeclStmt, anchor: int) -> None:
         self.check_type(decl.type)
-        vid = self.declare(decl.name, decl.type.name, decl.span)
+        vid = self.declare(decl.name, decl.type.name, decl)
         self.occurrence(vid, None, decl, ROLE_DECL, anchor, 0)
         if decl.init is not None:
             ops = operator_count(decl.init)
@@ -224,7 +221,7 @@ class _Resolver:
         elif isinstance(stmt, ast.ExprStmt):
             self.walk_expr(stmt.expr, stmt.nid, operator_count(stmt.expr))
         elif isinstance(stmt, ast.Block):
-            self.push_scope("block", stmt.span)
+            self.push_scope("block")
             for inner in stmt.stmts:
                 self.walk_stmt(inner)
             self.pop_scope()
@@ -240,7 +237,7 @@ class _Resolver:
             self.walk_stmt(stmt.body)
             self.walk_expr(stmt.cond, stmt.nid, operator_count(stmt.cond))
         elif isinstance(stmt, ast.ForStmt):
-            self.push_scope("for-init", stmt.span)
+            self.push_scope("for-init")
             if isinstance(stmt.init, ast.DeclStmt):
                 self.walk_decl(stmt.init, stmt.nid)
             elif isinstance(stmt.init, ast.ExprStmt):
@@ -253,7 +250,7 @@ class _Resolver:
             self.pop_scope()
         elif isinstance(stmt, ast.SwitchStmt):
             self.walk_expr(stmt.scrutinee, stmt.nid, operator_count(stmt.scrutinee))
-            self.push_scope("switch-body", stmt.span)
+            self.push_scope("switch-body")
             for arm in stmt.arms:
                 for inner in arm.body:
                     self.walk_stmt(inner)
@@ -271,15 +268,7 @@ class _Resolver:
     # ------------------------------------------------------------ driver
 
     def run(self) -> Resolution:
-        spans = [item.span for item in self.tree.items if item.span is not None]
-        if spans:
-            whole = SourceSpan(
-                self.tree.file, 1, 1,
-                max(s.line_end for s in spans), max(s.col_end for s in spans),
-            )
-        else:
-            whole = SourceSpan(self.tree.file, 1, 1, 1, 1)
-        self.push_scope("global", whole)
+        self.push_scope("global")
 
         for item in self.tree.items:
             if isinstance(item, ast.RecordDef):
@@ -298,10 +287,10 @@ class _Resolver:
                 self.walk_decl(item, item.nid)
             elif isinstance(item, ast.FuncDef):
                 self.current_function = item.name
-                self.push_scope("function", item.span)
+                self.push_scope("function")
                 for param in item.params:
                     self.check_type(param.type)
-                    vid = self.declare(param.name, param.type.name, param.span)
+                    vid = self.declare(param.name, param.type.name, param)
                     self.occurrence(vid, None, param, ROLE_DECL, item.nid, 0)
                     self.occurrence(vid, None, param, ROLE_TARGET, item.nid, 0)
                 for inner in item.body.stmts:

@@ -160,7 +160,7 @@ def compose(ptree: ast.SyntaxTree, qtree: ast.SyntaxTree) -> Analysis:
 def rename(p: str, mapping: dict[str, str]) -> str:
     """Apply an injective identifier renaming; preserves line structure."""
     tokens = tokenize(p, "<rename>")
-    names = {t.text for t in tokens if t.kind == "identifier"} - BUILTINS
+    names = {text for kind, text in zip(tokens.kinds, tokens.texts) if kind == "identifier"} - BUILTINS
     for target in mapping.values():
         if target in KEYWORDS or target in BUILTINS or not target.isidentifier():
             raise RenameCollision(f"invalid rename target {target!r}")
@@ -174,11 +174,10 @@ def rename(p: str, mapping: dict[str, str]) -> str:
         return p
 
     lines: dict[int, list[str]] = {}
-    for tok in tokens:
-        text = tok.text
-        if tok.kind == "identifier" and text in complete:
+    for kind, text, line in zip(tokens.kinds, tokens.texts, tokens.lines):
+        if kind == "identifier" and text in complete:
             text = complete[text]
-        lines.setdefault(tok.span.line_start, []).append(text)
+        lines.setdefault(line, []).append(text)
     height = max(lines) if lines else 0
     return "\n".join(" ".join(lines.get(i, [])) for i in range(1, height + 1)) + "\n"
 

@@ -23,7 +23,9 @@ def _node_classes() -> set[type]:
 
 
 def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in ("span", "nid"))
+    # without the bookkeeping fields: the node's source offsets, source map and id
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if f.name not in ("start", "end", "source_map", "nid"))
 
 
 def _children(node) -> list:

@@ -60,6 +60,19 @@ def test_analysis_diagnostics_exit_1(tmp_path):
     assert diag["span"]["line_start"] == 1
 
 
+def test_input_ending_inside_a_switch_body_is_a_diagnostic(tmp_path):
+    bad = tmp_path / "bad.mc"
+    bad.write_text("int main() { int x = 1; switch (x) {")
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == "expected 'case' or 'default'"
+    # the end-of-input point, as for any other expected token
+    assert diag["span"] == {"file": str(bad), "line_start": 1, "col_start": 36,
+                            "line_end": 1, "col_end": 36}
+
+
 def test_non_decimal_digit_is_a_lex_diagnostic(tmp_path):
     bad = tmp_path / "digit.mc"
     bad.write_text("int main() { int a[²]; }", encoding="utf-8")

@@ -9,16 +9,16 @@ from conftest import corpus_names, fixture_source
 
 
 def kinds(text):
-    return [t.kind for t in tokenize(text)]
+    return tokenize(text).kinds
 
 
 def texts(text):
-    return [t.text for t in tokenize(text)]
+    return tokenize(text).texts
 
 
 def test_minimal_statement():
     toks = tokenize("a=1;")
-    assert [(t.kind, t.text) for t in toks] == [
+    assert list(zip(toks.kinds, toks.texts)) == [
         ("identifier", "a"), ("operator", "="), ("int-literal", "1"), ("punctuation", ";"),
     ]
 
@@ -26,7 +26,7 @@ def test_minimal_statement():
 def test_squaring_line_has_six_tokens_one_star():
     toks = tokenize("square=userInput*userInput;")
     assert len(toks) == 6
-    assert [t.text for t in toks if t.kind == "operator"] == ["=", "*"]
+    assert [text for kind, text in zip(toks.kinds, toks.texts) if kind == "operator"] == ["=", "*"]
 
 
 def test_comment_elision():
@@ -40,7 +40,7 @@ def test_compound_tokens_are_single():
 
 def test_keywords_vs_identifiers():
     toks = tokenize("while whilex int intx true")
-    assert [t.kind for t in toks] == ["keyword", "identifier", "keyword", "identifier", "keyword"]
+    assert toks.kinds == ["keyword", "identifier", "keyword", "identifier", "keyword"]
 
 
 def test_numeric_literals():
@@ -51,13 +51,13 @@ def test_numeric_literals():
 
 def test_string_literal_with_escape():
     toks = tokenize(r'print("a\"b");')
-    assert toks[2].kind == "string-literal"
-    assert toks[2].text == r'"a\"b"'
+    assert toks.kinds[2] == "string-literal"
+    assert toks.texts[2] == r'"a\"b"'
 
 
 def test_spans_are_one_based():
-    tok = tokenize("  ab\n cd")[1]
-    assert (tok.span.line_start, tok.span.col_start) == (2, 2)
+    span = tokenize("  ab\n cd").span(1)
+    assert (span.line_start, span.col_start) == (2, 2)
 
 
 def span_tuple(span):
@@ -105,7 +105,8 @@ def test_lex_errors_carry_spans(bad):
     ("٣", [("int-literal", "٣", (1, 1, 1, 1))]),
 ])
 def test_token_kinds_texts_and_spans(source, expected):
-    assert [(t.kind, t.text, span_tuple(t.span)) for t in tokenize(source)] == expected
+    toks = tokenize(source)
+    assert [(toks.kinds[i], toks.texts[i], span_tuple(toks.span(i))) for i in range(len(toks))] == expected
 
 
 def _significant(source: str) -> str:
@@ -139,13 +140,12 @@ def _significant(source: str) -> str:
     *(pytest.param(generate(seed), id=f"generate-{seed}") for seed in range(50)),
 ])
 def test_concatenation_reproduces_significant_content(source):
-    assert "".join(t.text for t in tokenize(source)) == _significant(source)
+    assert "".join(tokenize(source).texts) == _significant(source)
 
 
 @given(st.lists(st.from_regex(r"[a-z][a-z0-9]{0,5}", fullmatch=True), min_size=1, max_size=20))
 def test_identifier_soup_roundtrip(words):
-    toks = tokenize(" ".join(words))
-    assert [t.text for t in toks] == words
+    assert tokenize(" ".join(words)).texts == words
 
 
 # MiniC's characters, a few multi-character pieces that open or close comments
@@ -165,8 +165,9 @@ def test_tokens_are_source_slices_or_lex_error(source):
         assert err.span is not None
         return
     line_offsets = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
-    for tok in toks:
-        span = tok.span
+    for i, text in enumerate(toks.texts):
+        span = toks.span(i)
         begin = line_offsets[span.line_start - 1] + span.col_start - 1
         end = line_offsets[span.line_end - 1] + span.col_end
-        assert source[begin:end] == tok.text
+        assert source[begin:end] == text
+        assert (toks.starts[i], toks.lines[i]) == (begin, span.line_start)

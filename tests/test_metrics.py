@@ -73,7 +73,7 @@ def test_loc_counts_code_sharing_a_line_with_comments():
 )
 def test_loc_breaks_lines_only_at_newline(src):
     tokens = tokenize(src)
-    assert {tok.span.line_start for tok in tokens} == {1}
+    assert {tokens.span(i).line_start for i in range(len(tokens))} == set(tokens.lines) == {1}
     assert loc(tokens) == 1
     assert analyze_source(src).report().loc == 1
 

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from minicog import ParseError, parse_source
+from minicog import AnalysisError, EmptyProgram, ParseError, analyze_source, parse_source
 from minicog import ast
+from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION
 
 from conftest import analyzed, corpus_names
 
@@ -174,3 +177,17 @@ def test_parse_error_reports_expected_set():
     with pytest.raises(ParseError) as err:
         parse_source("int main() { a = 1 }")
     assert ";" in err.value.expected
+
+
+_TOKEN_POOL = sorted(KEYWORDS) + list(OPERATORS) + list(PUNCTUATION) + [
+    "main", "x", "y", "print", "read", "0", "7", "2.5", '"s"',
+]
+
+
+@given(st.lists(st.sampled_from(_TOKEN_POOL), max_size=60))
+@example("int main ( ) { int x = 1 ; switch ( x ) {".split())
+def test_any_token_sequence_analyzes_or_gives_a_diagnostic(tokens):
+    try:
+        analyze_source(" ".join(tokens))
+    except (AnalysisError, EmptyProgram):
+        pass
