@@ -10,8 +10,8 @@ positions and ids) goes through ``fingerprint``.
 
 Tree walks are table-driven: ``NODE_FIELDS`` holds each node class's field
 names (without the bookkeeping fields of ``Node``), read from the dataclass
-fields once at import, and ``child_nodes`` and ``fingerprint`` look them up
-there.
+fields once at import, and ``child_nodes``, ``fingerprint`` and ``finalize``
+look them up there.
 ``finalize`` and ``operator_count`` walk with an explicit stack, so they take
 trees of any depth, such as a long ``x + ... + x`` chain, which the parser
 builds as deep as it is long.
@@ -276,6 +276,7 @@ NODE_FIELDS: dict[type, tuple[str, ...]] = {
     for cls in globals().values()
     if isinstance(cls, type) and issubclass(cls, Node)
 }
+_FIELDS_REVERSED = {cls: names[::-1] for cls, names in NODE_FIELDS.items()}
 
 
 @dataclass(eq=False)
@@ -286,22 +287,24 @@ class SyntaxTree:
     parents: dict[int, int] = field(default_factory=dict, repr=False)
 
     def finalize(self) -> "SyntaxTree":
-        """Assign depth-first node ids and parent links, by an explicit stack."""
+        """Assign depth-first node ids and parent links, by an explicit stack
+        of (node, parent nid) pairs; an item's parent nid is -1."""
         nodes: dict[int, Node] = {}
         parents: dict[int, int] = {}
-        stack = self.items[::-1]
-        owners = [-1] * len(stack)  # the parent nid of each stacked node; -1 for an item
+        stack = [(item, -1) for item in reversed(self.items)]
         while stack:
-            node = stack.pop()
-            parent = owners.pop()
+            node, parent = stack.pop()
             nid = node.nid = len(nodes)
             nodes[nid] = node
             if parent >= 0:
                 parents[nid] = parent
-            children = child_nodes(node)
-            children.reverse()
-            stack += children
-            owners += [nid] * len(children)
+            # children pushed last to first, so they pop in source order
+            for name in _FIELDS_REVERSED[type(node)]:
+                value = getattr(node, name)
+                if isinstance(value, Node):
+                    stack.append((value, nid))
+                elif isinstance(value, list):
+                    stack += [(v, nid) for v in reversed(value) if isinstance(v, Node)]
         self.nodes = nodes
         self.parents = parents
         return self

@@ -11,9 +11,12 @@ Exit codes: 0 success, 1 analysis diagnostics, 2 I/O or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import Analysis, analyze_source
@@ -68,6 +71,67 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, required=True)
 
     return parser
+
+
+# ------------------------------------------------------------------ JSON text
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _json_level(depth: int) -> tuple:
+    """The C encoder for a value at indent `depth`, and the newline-and-indent
+    strings of the items (depth + 1) and of the closing bracket (depth).
+
+    With `indent` set, `json.dumps` runs its pure-Python encoder. The C encoder
+    cannot indent, but its item separator can carry the newline and the indent
+    of one level, which is all a container that holds no container needs.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan: json.dumps's settings, less its cycle
+    # check (markers), which a report, being a tree, does not need
+    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                            ": ", "," + inner, False, False, True)
+    return encode, inner, "\n" + "  " * depth
+
+
+def _write_json(obj, depth: int, out: list[str]) -> None:
+    """Append the text of `obj`, nested `depth` levels deep, to `out`."""
+    encode, inner, outer = _json_level(depth)
+    if not isinstance(obj, _CONTAINERS) or not obj:  # a scalar, {} or []
+        out += encode(obj, depth)
+        return
+    is_dict = isinstance(obj, dict)
+    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+        # the item separators carry the newlines between items; add the two
+        # after the opening and before the closing bracket
+        text = "".join(encode(obj, depth))
+        out.append(f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}")
+    elif is_dict:
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str) and (key is None or isinstance(key, (int, float))):
+                key = json.dumps(key)  # json's text for a non-string key
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write_json(value, depth + 1, out)
+            sep = "," + inner
+        out.append(outer + "}")
+    else:
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, depth + 1, out)
+            sep = "," + inner
+        out.append(outer + "]")
+
+
+def _json_text(obj) -> str:
+    """Exactly the text of `json.dumps(obj, indent=2)`: 2-space indented and
+    ASCII-escaped. A value json cannot encode raises TypeError."""
+    out: list[str] = []
+    _write_json(obj, 0, out)
+    return "".join(out)
 
 
 # ------------------------------------------------------------------ reports
@@ -250,7 +314,7 @@ def run_analyze(args) -> int:
             },
         }
         if args.format == "json":
-            print(json.dumps(payload, indent=2))
+            print(_json_text(payload))
         else:
             for rep in reports:
                 for line in _report_text(rep, emit):
@@ -261,7 +325,7 @@ def run_analyze(args) -> int:
     else:
         rep = reports[0]
         if args.format == "json":
-            print(json.dumps(rep, indent=2))
+            print(_json_text(rep))
         else:
             for line in _report_text(rep, emit):
                 print(line)
@@ -339,7 +403,7 @@ def run_weyuker(args) -> int:
         print(f"minicog: corpus fixture does not analyze: {where}{exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(_matrix_obj(result), indent=2))
+        print(_json_text(_matrix_obj(result)))
     else:
         for line in _matrix_text(result):
             print(line)

@@ -45,7 +45,6 @@ class OccurrenceLedger:
     resolution: Resolution
     by_variable: dict[int, list[int]] = field(default_factory=dict)
     by_anchor: dict[int, list[int]] = field(default_factory=dict)
-    member_totals: dict[tuple[int, str | None], int] = field(default_factory=dict)
 
     # -------------------------------------------------------------- regions
 
@@ -107,9 +106,6 @@ class OccurrenceLedger:
             out[name] = max(out.get(name, 0), entry.icn_after)
         return out
 
-    def member_sicn(self, vid: int, member: str | None) -> int:
-        return self.member_totals.get((vid, member), 0)
-
     def dump(self) -> list[dict]:
         rows = []
         for entry in self.entries:
@@ -134,13 +130,11 @@ def build_ledger(resolution: Resolution) -> OccurrenceLedger:
     entries: list[LedgerEntry] = []
     name_count: dict[str, int] = {}
     var_count: dict[int, int] = {}
-    member_totals: dict[tuple[int, str | None], int] = {}
     ledger = OccurrenceLedger(
         entries=entries,
         variables=resolution.variables,
         tree=resolution.tree,
         resolution=resolution,
-        member_totals=member_totals,
     )
     for occ in resolution.occurrences:
         var = resolution.variables[occ.variable]
@@ -148,8 +142,6 @@ def build_ledger(resolution: Resolution) -> OccurrenceLedger:
         if delta:
             name_count[var.name] = name_count.get(var.name, 0) + delta
             var_count[occ.variable] = var_count.get(occ.variable, 0) + delta
-            key = (occ.variable, occ.member)
-            member_totals[key] = member_totals.get(key, 0) + delta
         entries.append(
             LedgerEntry(
                 occ, delta,

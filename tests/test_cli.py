@@ -131,6 +131,16 @@ def test_reports_match_frozen_sidecars(name):
     assert proc.stdout == sidecar
 
 
+def test_json_report_of_a_non_ascii_file_name_is_escaped_ascii(tmp_path):
+    source = tmp_path / "prüfung_ñ_\u2028.mc"
+    source.write_bytes((CORPUS / "example1.mc").read_bytes())
+    proc = run_cli("analyze", str(source), "--format", "json")
+    assert proc.returncode == 0
+    assert proc.stdout.isascii()
+    assert b"pr\\u00fcfung_\\u00f1_\\u2028.mc" in proc.stdout
+    assert proc.stdout == (json.dumps(json.loads(proc.stdout), indent=2) + "\n").encode()
+
+
 def test_emit_sections_appear_in_json():
     proc = run_cli("analyze", "corpus/example6.mc", "--format", "json",
                    "--emit", "metrics,erm,ledger,granules")
