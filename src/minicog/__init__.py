@@ -15,9 +15,6 @@ from .metrics import (
 )
 from .parser import parse, parse_source
 from .printer import pretty_print
-from .scopes import (
-    OccurrenceRef, Resolution, ScopedVariable, ScopeTree,
-    build_scope_tree, resolve,
-)
+from .scopes import OccurrenceRef, Resolution, ScopedVariable, ScopeTree, resolve
 
 __version__ = "0.1.0"

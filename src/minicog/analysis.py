@@ -47,9 +47,6 @@ class Analysis:
     def si_program(self, mode: SiMode = SiMode.DELTA) -> int:
         return self.ledger.si(self.ledger.all_anchors(), mode)
 
-    def icn_by_name(self) -> dict[str, int]:
-        return self.ledger.icn_max_by_name(self.ledger.all_anchors())
-
 
 def analyze_source(source: str, file: str = "<input>") -> Analysis:
     tokens = tokenize(source, file)

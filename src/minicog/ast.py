@@ -12,9 +12,9 @@ Tree walks are table-driven: ``NODE_FIELDS`` holds each node class's field
 names (without the bookkeeping fields of ``Node``), read from the dataclass
 fields once at import, and ``child_nodes``, ``fingerprint`` and ``finalize``
 look them up there.
-``finalize`` and ``operator_count`` walk with an explicit stack, so they take
-trees of any depth, such as a long ``x + ... + x`` chain, which the parser
-builds as deep as it is long.
+``finalize`` walks with an explicit stack, so it takes trees of any depth,
+such as a long ``x + ... + x`` chain, which the parser builds as deep as it
+is long.
 """
 
 from __future__ import annotations
@@ -263,8 +263,6 @@ class RecordDef(Node):
     fields: list[RecordField]
 
 
-Item = object  # RecordDef | FuncDef | DeclStmt
-
 _BOOKKEEPING = frozenset(f.name for f in fields(Node))
 
 
@@ -311,7 +309,7 @@ class SyntaxTree:
 
 
 def child_nodes(node: Node) -> list[Node]:
-    """Children in source order (used for numbering and fingerprints)."""
+    """Children in source order."""
     out: list[Node] = []
     for name in NODE_FIELDS[type(node)]:
         value = getattr(node, name)
@@ -336,23 +334,3 @@ def fingerprint(node) -> tuple:
         else:
             parts.append(value)
     return tuple(parts)
-
-
-_OPERATOR_NODES = (Unary, Binary, CompoundAssign, Increment, Decrement)
-
-
-def operator_count(node) -> int:
-    """Number of operator nodes in a subtree.
-
-    Counts unary/binary operators, compound assignments and ++/--; the plain
-    assignment ``=`` is not an operator. Call parentheses, indexing and
-    member access do not count.
-    """
-    count = 0
-    stack = [node] if node is not None else []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _OPERATOR_NODES):
-            count += 1
-        stack.extend(child_nodes(node))
-    return count

@@ -68,12 +68,9 @@ class OccurrenceLedger:
 
     def sicn_max(self, vid: int, anchors: set[int]) -> int:
         """Highest SICN among the variable's occurrences in the region; 0 if absent."""
-        inside = set(self.region_ordinals(anchors))
-        best = 0
-        for o in self.by_variable.get(vid, ()):
-            if o in inside:
-                best = max(best, self.entries[o].sicn_after)
-        return best
+        entries = self.entries
+        return max((entries[o].sicn_after for o in self.region_ordinals(anchors)
+                    if entries[o].occurrence.variable == vid), default=0)
 
     def si(self, anchors: set[int], mode: SiMode = SiMode.DELTA) -> int:
         ordinals = self.region_ordinals(anchors)

@@ -9,7 +9,12 @@ mutually recursive definitions resolve.
 
 Each occurrence records the statement it is anchored to (header expressions
 of if/while/do/for/switch anchor to the structured statement itself) and the
-operator count of its counting unit, which the ledger turns into deltas.
+operator count of its counting unit, which the ledger turns into deltas. A
+counting unit is a declaration's initializer or all of its ``{...}`` list, an
+expression statement, an if/while/do/switch header, each for clause, or a
+return value. Each unit is walked once, by an explicit stack, binding names
+and counting operators together, so a flat ``x + ... + x`` chain of any
+length resolves.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import ast
-from .ast import SyntaxTree, operator_count
+from .ast import SyntaxTree
 from .errors import DuplicateDeclaration, UnresolvedName
 
 BUILTINS = frozenset({"print", "read"})
@@ -26,6 +31,8 @@ BUILTINS = frozenset({"print", "read"})
 ROLE_DECL = "declaration"
 ROLE_TARGET = "assignment-target"
 ROLE_READ = "read"
+
+_NAMES = (ast.VarRef, ast.GlobalRef, ast.Member, ast.Index)  # resolved by `_target_root`
 
 
 @dataclass(frozen=True)
@@ -164,40 +171,50 @@ class _Resolver:
                 raise UnresolvedName(f"'{member}' is not a member of '{var.name}'", expr.span)
         return vid, member, node, reads
 
-    def walk_expr(self, expr: ast.Expr, anchor: int, ops: int, role: str = ROLE_READ) -> None:
-        if isinstance(expr, ast.Literal) or expr is None:
-            return
-        if isinstance(expr, (ast.VarRef, ast.GlobalRef, ast.Member, ast.Index)):
-            vid, member, root, reads = self._target_root(expr)
-            self.occurrence(vid, member, root, role, anchor, ops)
-            for sub in reversed(reads):  # reads were collected outer-first
-                self.walk_expr(sub, anchor, ops)
-            return
-        if isinstance(expr, (ast.Assign, ast.CompoundAssign)):
-            self.walk_expr(expr.target, anchor, ops, ROLE_TARGET)
-            self.walk_expr(expr.value, anchor, ops)
-            return
-        if isinstance(expr, (ast.Increment, ast.Decrement)):
-            self.walk_expr(expr.target, anchor, ops, ROLE_TARGET)
-            return
-        if isinstance(expr, ast.Call):
-            if expr.callee not in BUILTINS:
-                if expr.callee not in self.functions:
-                    raise UnresolvedName(f"unknown function '{expr.callee}'", expr.span)
-                if self.current_function is not None:
-                    self.call_graph[self.current_function].add(expr.callee)
-                self.calls_by_anchor[anchor] = self.calls_by_anchor.get(anchor, 0) + 1
-            for arg in expr.args:
-                self.walk_expr(arg, anchor, ops)
-            return
-        if isinstance(expr, ast.Unary):
-            self.walk_expr(expr.operand, anchor, ops)
-            return
-        if isinstance(expr, ast.Binary):
-            self.walk_expr(expr.lhs, anchor, ops)
-            self.walk_expr(expr.rhs, anchor, ops)
-            return
-        raise TypeError(f"unexpected expression {type(expr).__name__}")
+    def walk_unit(self, exprs: list[ast.Expr | None], anchor: int,
+                  found: list[tuple] | None = None) -> None:
+        """Walk one counting unit once, in pre-order by an explicit stack:
+        bind its names, record its calls and count its operators (an absent
+        clause is None and adds nothing). Then record its occurrences, all
+        carrying that count; ``found`` holds any that go first (a declared
+        variable's own target occurrence)."""
+        found = found or []
+        ops = 0
+        stack = [(expr, ROLE_READ) for expr in reversed(exprs)]
+        while stack:
+            expr, role = stack.pop()
+            if isinstance(expr, _NAMES):
+                vid, member, root, reads = self._target_root(expr)
+                found.append((vid, member, root.nid, role))
+                # reads were collected outer-first, so they pop inner-first
+                stack += [(sub, ROLE_READ) for sub in reads]
+            elif isinstance(expr, ast.Binary):
+                ops += 1
+                stack += [(expr.rhs, ROLE_READ), (expr.lhs, ROLE_READ)]
+            elif isinstance(expr, (ast.Assign, ast.CompoundAssign)):
+                ops += isinstance(expr, ast.CompoundAssign)  # the plain `=` is no operator
+                stack += [(expr.value, ROLE_READ), (expr.target, ROLE_TARGET)]
+            elif isinstance(expr, (ast.Increment, ast.Decrement)):
+                ops += 1
+                stack.append((expr.target, ROLE_TARGET))
+            elif isinstance(expr, ast.Unary):
+                ops += 1
+                stack.append((expr.operand, ROLE_READ))
+            elif isinstance(expr, ast.Call):
+                if expr.callee not in BUILTINS:
+                    if expr.callee not in self.functions:
+                        raise UnresolvedName(f"unknown function '{expr.callee}'", expr.span)
+                    if self.current_function is not None:
+                        self.call_graph[self.current_function].add(expr.callee)
+                    self.calls_by_anchor[anchor] = self.calls_by_anchor.get(anchor, 0) + 1
+                stack += [(arg, ROLE_READ) for arg in reversed(expr.args)]
+            elif not (isinstance(expr, ast.Literal) or expr is None):
+                raise TypeError(f"unexpected expression {type(expr).__name__}")
+        first = len(self.occurrences)
+        self.occurrences += [
+            OccurrenceRef(vid, member, nid, first + i, role, anchor, ops)
+            for i, (vid, member, nid, role) in enumerate(found)
+        ]
 
     # ------------------------------------------------------------ statements
 
@@ -205,59 +222,50 @@ class _Resolver:
         self.check_type(decl.type)
         vid = self.declare(decl.name, decl.type.name, decl)
         self.occurrence(vid, None, decl, ROLE_DECL, anchor, 0)
-        if decl.init is not None:
-            ops = operator_count(decl.init)
-            self.occurrence(vid, None, decl, ROLE_TARGET, anchor, ops)
-            self.walk_expr(decl.init, anchor, ops)
-        elif decl.init_list is not None:
-            ops = sum(operator_count(e) for e in decl.init_list)
-            self.occurrence(vid, None, decl, ROLE_TARGET, anchor, ops)
-            for e in decl.init_list:
-                self.walk_expr(e, anchor, ops)
+        exprs = decl.init_list if decl.init is None else [decl.init]
+        if exprs is not None:
+            self.walk_unit(exprs, anchor, [(vid, None, decl.nid, ROLE_TARGET)])
 
     def walk_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.DeclStmt):
             self.walk_decl(stmt, stmt.nid)
         elif isinstance(stmt, ast.ExprStmt):
-            self.walk_expr(stmt.expr, stmt.nid, operator_count(stmt.expr))
+            self.walk_unit([stmt.expr], stmt.nid)
         elif isinstance(stmt, ast.Block):
             self.push_scope("block")
             for inner in stmt.stmts:
                 self.walk_stmt(inner)
             self.pop_scope()
         elif isinstance(stmt, ast.IfStmt):
-            self.walk_expr(stmt.cond, stmt.nid, operator_count(stmt.cond))
+            self.walk_unit([stmt.cond], stmt.nid)
             self.walk_stmt(stmt.then)
             if stmt.orelse is not None:
                 self.walk_stmt(stmt.orelse)
         elif isinstance(stmt, ast.WhileStmt):
-            self.walk_expr(stmt.cond, stmt.nid, operator_count(stmt.cond))
+            self.walk_unit([stmt.cond], stmt.nid)
             self.walk_stmt(stmt.body)
         elif isinstance(stmt, ast.DoWhileStmt):
             self.walk_stmt(stmt.body)
-            self.walk_expr(stmt.cond, stmt.nid, operator_count(stmt.cond))
+            self.walk_unit([stmt.cond], stmt.nid)
         elif isinstance(stmt, ast.ForStmt):
             self.push_scope("for-init")
             if isinstance(stmt.init, ast.DeclStmt):
                 self.walk_decl(stmt.init, stmt.nid)
             elif isinstance(stmt.init, ast.ExprStmt):
-                self.walk_expr(stmt.init.expr, stmt.nid, operator_count(stmt.init.expr))
-            if stmt.cond is not None:
-                self.walk_expr(stmt.cond, stmt.nid, operator_count(stmt.cond))
-            if stmt.update is not None:
-                self.walk_expr(stmt.update, stmt.nid, operator_count(stmt.update))
+                self.walk_unit([stmt.init.expr], stmt.nid)
+            self.walk_unit([stmt.cond], stmt.nid)
+            self.walk_unit([stmt.update], stmt.nid)
             self.walk_stmt(stmt.body)
             self.pop_scope()
         elif isinstance(stmt, ast.SwitchStmt):
-            self.walk_expr(stmt.scrutinee, stmt.nid, operator_count(stmt.scrutinee))
+            self.walk_unit([stmt.scrutinee], stmt.nid)
             self.push_scope("switch-body")
             for arm in stmt.arms:
                 for inner in arm.body:
                     self.walk_stmt(inner)
             self.pop_scope()
         elif isinstance(stmt, ast.ReturnStmt):
-            if stmt.value is not None:
-                self.walk_expr(stmt.value, stmt.nid, operator_count(stmt.value))
+            self.walk_unit([stmt.value], stmt.nid)
         elif isinstance(stmt, ast.LabeledStmt):
             self.walk_stmt(stmt.stmt)
         elif isinstance(stmt, (ast.BreakStmt, ast.ContinueStmt, ast.GotoStmt, ast.EmptyStmt)):
@@ -313,7 +321,3 @@ class _Resolver:
 def resolve(tree: SyntaxTree) -> Resolution:
     """Bind every identifier; raises DuplicateDeclaration or UnresolvedName."""
     return _Resolver(tree).run()
-
-
-def build_scope_tree(tree: SyntaxTree) -> ScopeTree:
-    return resolve(tree).scopes

@@ -36,7 +36,7 @@ def test_criterion_1_example1_reproduction():
     report = analysis.report()
     elapsed = time.monotonic() - t0
     assert report.i_l == 3
-    assert analysis.icn_by_name() == {"userInput": 1, "square": 2}
+    assert analysis.ledger.icn_max_by_name(analysis.ledger.all_anchors()) == {"userInput": 1, "square": 2}
     assert analysis.si_program(SiMode.DELTA) == 3
     assert elapsed < 1.0
     ok("1", f"I(L)=3, per-variable ICN {{userInput:1, square:2}}, delta SI=3, {elapsed:.3f}s")

@@ -1,5 +1,6 @@
-"""The table-driven, explicit-stack tree walks of ``minicog.ast`` against
-recursive reference walks that reflect over ``dataclasses.fields``."""
+"""The table-driven, explicit-stack tree walks of ``minicog.ast``, and the
+resolver's operator counts, against recursive reference walks that reflect
+over ``dataclasses.fields``."""
 
 import dataclasses
 
@@ -7,6 +8,7 @@ import pytest
 
 from minicog import ast, parse_source
 from minicog.generator import generate
+from minicog.scopes import ROLE_TARGET, resolve
 
 from conftest import corpus_names, fixture_source
 
@@ -39,8 +41,10 @@ def _children(node) -> list:
     return out
 
 
-def _numbering(tree) -> tuple[list, dict[int, int]]:
-    order, parents = [], {}
+def _numbering(tree) -> tuple[list, dict[int, int], dict[int, int]]:
+    """Pre-order nodes, parent links, and the end of each node's subtree
+    (its nids are contiguous: from the node's own nid up to that end)."""
+    order, parents, ends = [], {}, {}
 
     def visit(node, parent):
         nid = len(order)
@@ -49,10 +53,11 @@ def _numbering(tree) -> tuple[list, dict[int, int]]:
             parents[nid] = parent
         for child in _children(node):
             visit(child, nid)
+        ends[nid] = len(order)
 
     for item in tree.items:
         visit(item, None)
-    return order, parents
+    return order, parents, ends
 
 
 def _fingerprint(node) -> tuple:
@@ -77,6 +82,50 @@ def _operator_count(node) -> int:
     return isinstance(node, _OPERATORS) + sum(_operator_count(c) for c in _children(node))
 
 
+def _counting_units(order) -> list[tuple[ast.Node | None, list]]:
+    """(declaration or None, clause expressions) of each counting unit."""
+    units = []
+    for node in order:
+        if isinstance(node, ast.DeclStmt):
+            exprs = node.init_list if node.init is None else [node.init]
+            if exprs is not None:
+                units.append((node, exprs))
+        elif isinstance(node, ast.ExprStmt):
+            units.append((None, [node.expr]))
+        elif isinstance(node, (ast.IfStmt, ast.WhileStmt, ast.DoWhileStmt)):
+            units.append((None, [node.cond]))
+        elif isinstance(node, ast.SwitchStmt):
+            units.append((None, [node.scrutinee]))
+        elif isinstance(node, ast.ForStmt):
+            units += [(None, [e]) for e in (node.cond, node.update) if e is not None]
+        elif isinstance(node, ast.ReturnStmt) and node.value is not None:
+            units.append((None, [node.value]))
+    return units
+
+
+def _assert_op_units_match_reference(tree, order, ends) -> None:
+    """Each occurrence inside a clause's subtree, and each declaration's own
+    target occurrence, carries the reference operator count of its unit;
+    every other occurrence carries 0."""
+    expected: dict[int, int] = {}
+    declared: dict[int, int] = {}
+    for decl, exprs in _counting_units(order):
+        ops = sum(_operator_count(e) for e in exprs)
+        for e in exprs:
+            expected.update(dict.fromkeys(range(e.nid, ends[e.nid]), ops))
+        if decl is not None:
+            declared[decl.nid] = ops
+    occurrences = resolve(tree).occurrences
+    assert occurrences
+    for occ in occurrences:
+        if occ.node in expected:
+            assert occ.op_unit == expected[occ.node], occ
+        elif occ.role == ROLE_TARGET and occ.node in declared:
+            assert occ.op_unit == declared[occ.node], occ
+        else:
+            assert occ.op_unit == 0, occ
+
+
 def test_node_fields_table_is_dataclass_fields_without_span_and_nid():
     classes = _node_classes()
     assert len(classes) > 30
@@ -87,19 +136,40 @@ def test_node_fields_table_is_dataclass_fields_without_span_and_nid():
 
 def _assert_walks_match_reference(source: str) -> None:
     tree = parse_source(source)
-    order, parents = _numbering(tree)
+    order, parents, ends = _numbering(tree)
     assert len(tree.nodes) == len(order)
     assert all(tree.nodes[nid] is node and node.nid == nid for nid, node in enumerate(order))
     assert tree.parents == parents
     assert ast.fingerprint(tree) == _fingerprint(tree)
-    for node in order:
-        if isinstance(node, ast.Expr):
-            assert ast.operator_count(node) == _operator_count(node)
+    _assert_op_units_match_reference(tree, order, ends)
 
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_walks_match_reference_on_fixtures(name):
     _assert_walks_match_reference(fixture_source(name))
+
+
+# every kind of counting unit, with operators in more than one `{...}` element
+_EVERY_UNIT_KIND = """
+int g = 1;
+int f(int n) { return -n + 1; }
+int main() {
+    int a[] = {1 + 2, g * 3, -g};
+    int x = a[g + 1] + f(g - 1);
+    x += a[x % 2] * 2;
+    if (x > 2 || !(g == 1)) x = x - 1; else a[x + 1]--;
+    for (int i = 0; i < x - 1; i++) { a[i + 1] = a[i] * 2; }
+    for (x = 0 + 1; ; x = x + 1) { break; }
+    do { x -= 1; } while (x * 2 > 1 && g != 0);
+    switch (x + g) { case 1: x++; break; default: ; }
+    while (::g < 3) ::g = ::g + f(2 * g);
+    return x * 2;
+}
+"""
+
+
+def test_walks_match_reference_on_every_kind_of_counting_unit():
+    _assert_walks_match_reference(_EVERY_UNIT_KIND)
 
 
 def test_walks_match_reference_on_generated_programs():

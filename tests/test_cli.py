@@ -100,6 +100,19 @@ def test_long_operator_chain_analyzes(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("statement", ["x = {};", "print({});", "a[{}] = x;"],
+                         ids=["assignment", "print-argument", "index"])
+def test_ten_thousand_term_chain_analyzes(tmp_path, statement):
+    # the parser builds a left-associative chain as deep as it is long
+    chain = tmp_path / "chain.mc"
+    terms = " + ".join(["x"] * 10_000)
+    chain.write_text("int main() { int x = 1; int a[3]; " + statement.format(terms) + " return x; }\n")
+    proc = run_cli("analyze", str(chain), "--format", "json")
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["diagnostics"] == []
+
+
 def test_closed_stdout_exits_2_without_traceback():
     read_end, write_end = os.pipe()
     os.close(read_end)  # nobody reads: the child's first flush fails with EPIPE

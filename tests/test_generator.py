@@ -3,6 +3,7 @@ import pytest
 from minicog import analyze_source
 from minicog import ast
 from minicog.generator import MAX_DEPTH, MAX_STATEMENTS, generate
+from minicog.scopes import ROLE_TARGET
 
 
 def count_statements(tree) -> int:
@@ -45,8 +46,12 @@ def test_bounds(seed):
 def test_declarations_carry_operator_free_initializers():
     # policy: every declaration is initialized by a literal, read() or a name
     for seed in range(0, 80):
-        tree = analyze_source(generate(seed)).tree
+        analysis = analyze_source(generate(seed))
+        tree = analysis.tree
+        # a declaration's own target occurrence carries its initializer's operator count
+        declared_ops = {occ.node: occ.op_unit for occ in analysis.resolution.occurrences
+                        if occ.role == ROLE_TARGET and isinstance(tree.nodes[occ.node], ast.DeclStmt)}
         for node in tree.nodes.values():
             if isinstance(node, ast.DeclStmt):
                 assert node.init is not None
-                assert ast.operator_count(node.init) == 0
+                assert declared_ops[node.nid] == 0

@@ -20,8 +20,8 @@ def var_named(analysis, name, scope_kind=None):
 
 def test_example1_counts():
     analysis = analyzed("example1.mc")
-    assert analysis.icn_by_name() == {"userInput": 1, "square": 2}
     led = analysis.ledger
+    assert led.icn_max_by_name(led.all_anchors()) == {"userInput": 1, "square": 2}
     assert led.info_icn(led.all_anchors()) == 3
     square = var_named(analysis, "square")
     assert led.sicn_max(square.vid, led.all_anchors()) == 2

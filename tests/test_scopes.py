@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from minicog import DuplicateDeclaration, UnresolvedName, analyze_source, parse_source
 from minicog import ast
-from minicog.scopes import ROLE_DECL, ROLE_TARGET, build_scope_tree, resolve
+from minicog.scopes import ROLE_DECL, ROLE_TARGET, resolve
 
 from conftest import analyzed, corpus_names
 
@@ -74,10 +74,10 @@ def test_undeclared_name_rejected():
         resolve(parse_source("int main() { unknown(1); }"))
 
 
-def test_build_scope_tree_shape():
-    scopes = build_scope_tree(parse_source(
+def test_scope_tree_shape():
+    scopes = resolve(parse_source(
         "int main() { { int a; } for (int i = 0; i < 2; i++) { a: ; } switch (0) { default: ; } }"
-    ))
+    )).scopes
     kinds = sorted(node.kind for node in scopes.nodes.values())
     assert kinds == ["block", "block", "for-init", "function", "global", "switch-body"]
     root = scopes.nodes[scopes.root]
