@@ -2,9 +2,12 @@
 
 Lexing, parsing, resolution, ledger construction and decomposition run once
 per program. LOC, the number of lines holding a token, is counted from the
-same token list during that one pass and stored on the analysis. Per-mode
-metric evaluation is cached so the property validator can score the same
-program under all three scope-information modes cheaply.
+same token list during that one pass and stored on the analysis. So is all of
+the scoring work that does not depend on the SI mode or the weights: each
+function's leaf list and ERM lines (built by ``decompose``) and I(L) (set by
+``build_ledger``). A report for one (mode, weights) pair is then one SI scan
+per leaf; it is cached, so the property validator scores each program under
+all three scope-information modes cheaply.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ Tree walks are table-driven: ``NODE_FIELDS`` holds each node class's field
 names (without the bookkeeping fields of ``Node``), read from the dataclass
 fields once at import, and ``child_nodes``, ``fingerprint`` and ``finalize``
 look them up there.
-``finalize`` walks with an explicit stack, so it takes trees of any depth,
-such as a long ``x + ... + x`` chain, which the parser builds as deep as it
-is long.
+``finalize`` and ``fingerprint`` walk with an explicit stack, so they take
+trees of any depth, such as a long ``x + ... + x`` chain, which the parser
+builds as deep as it is long; a fingerprint is a flat tuple, so comparing two
+does not recurse either.
 """
 
 from __future__ import annotations
@@ -321,16 +322,32 @@ def child_nodes(node: Node) -> list[Node]:
 
 
 def fingerprint(node) -> tuple:
-    """Structural identity of a node/tree, ignoring positions and node ids."""
+    """Structural identity of a node/tree, ignoring positions and node ids.
+
+    A flat tuple in pre-order: each node's class, then its fields in
+    ``NODE_FIELDS`` order, a list field as its length followed by its
+    elements. The field tables make it decodable, so equal fingerprints mean
+    equal structure. It is built by an explicit stack and, being flat, is
+    compared without recursion, so trees of any depth have one.
+    """
+    out: list = []
     if isinstance(node, SyntaxTree):
-        return ("program", tuple(fingerprint(i) for i in node.items))
-    parts: list = [type(node).__name__]
-    for name in NODE_FIELDS[type(node)]:
-        value = getattr(node, name)
-        if isinstance(value, Node):
-            parts.append(fingerprint(value))
-        elif isinstance(value, list):
-            parts.append(tuple(fingerprint(v) if isinstance(v, Node) else v for v in value))
-        else:
-            parts.append(value)
-    return tuple(parts)
+        out += ("program", len(node.items))
+        todo = node.items[::-1]
+    else:
+        todo = [node]
+    while todo:  # the next piece is last
+        item = todo.pop()
+        if not isinstance(item, Node):
+            out.append(item)
+            continue
+        cls = type(item)
+        out.append(cls)
+        for name in _FIELDS_REVERSED[cls]:
+            value = getattr(item, name)
+            if isinstance(value, list):
+                todo.extend(reversed(value))
+                todo.append(len(value))
+            else:
+                todo.append(value)
+    return tuple(out)

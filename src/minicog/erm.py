@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ErmSyntaxError
-from .granules import Granule, GranuleTree
+
+if TYPE_CHECKING:  # granules imports this module to serialize each tree once
+    from .granules import Granule, GranuleTree
 
 SEQUENCE = "->"
 INCLUDE = ">"

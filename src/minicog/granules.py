@@ -9,16 +9,22 @@ switch scrutinees) belong to the structured granule and their occurrences are
 carried by one designated child leaf: the first for head-tested structures,
 the last for do-while (keeping every leaf's occurrence window contiguous).
 An empty leaf is inserted when that position is not already a leaf.
+
+Decomposition also prepares what ESCIM reads of each function, none of which
+depends on the SI mode or the weights: the leaf list (``Leaf``: label,
+region, enclosing structured kinds, call and goto counts) and the ERM lines.
+Scoring a mode is then one SI scan per leaf (``minicog.metrics.escim``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from . import ast
 from .ast import SyntaxTree
+from .erm import serialize_erm
 from .scopes import Resolution
 
 
@@ -59,13 +65,14 @@ def classify_bcs(stmt: ast.Stmt) -> BcsKind:
     return BcsKind.LINEAR
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Granule:
     label: str
     kind: BcsKind
-    stmts: list[int]                      # leaf: covered statement ids; structured: [own id]
-    children: list["Granule"] = field(default_factory=list)
-    arm_starts: list[int] = field(default_factory=list)  # child index where each arm begins
+    stmts: tuple[int, ...]                # leaf: covered statement ids; structured: (own id,)
+    # a leaf keeps the shared empty tuples: there are many leaves, and they are alive with the report
+    children: Sequence["Granule"] = ()
+    arm_starts: Sequence[int] = ()        # child index where each arm begins
     header_attach: str = "first"          # which child leaf carries header occurrences
 
     @property
@@ -88,20 +95,30 @@ class Granule:
             yield from child.walk()
 
 
+class Leaf(NamedTuple):
+    """What ESCIM reads of one leaf granule."""
+    label: str
+    kind: str                        # the BcsKind value
+    region: tuple[int, ...]          # anchors whose occurrences the leaf carries, header included
+    enclosing: tuple[BcsKind, ...]   # kinds of the structured granules around it, outermost first
+    calls: int                       # user-function calls anchored in the region
+    gotos: int                       # goto statements among the leaf's statements
+
+
 @dataclass(eq=False)
 class GranuleTree:
-    """Decomposition of one function: its top-level granule run."""
+    """Decomposition of one function: its top-level granule run, its leaves in
+    pre-order and its ERM lines."""
     function: str
     recursive: bool
     roots: list[Granule]
     tree: SyntaxTree
+    leaves: list[Leaf]
+    erm: list[str]
 
     def walk(self):
         for root in self.roots:
             yield from root.walk()
-
-    def leaves(self):
-        return [g for g in self.walk() if g.is_leaf]
 
 
 def _flatten(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
@@ -124,7 +141,7 @@ def _body_list(stmt: ast.Stmt | None) -> list[ast.Stmt]:
 
 
 def _empty_leaf() -> Granule:
-    return Granule(label="", kind=BcsKind.LINEAR, stmts=[])
+    return Granule(label="", kind=BcsKind.LINEAR, stmts=())
 
 
 def _decompose_run(stmts: list[ast.Stmt]) -> list[Granule]:
@@ -133,7 +150,7 @@ def _decompose_run(stmts: list[ast.Stmt]) -> list[Granule]:
 
     def flush() -> None:
         if run:
-            granules.append(Granule(label="", kind=BcsKind.LINEAR, stmts=list(run)))
+            granules.append(Granule(label="", kind=BcsKind.LINEAR, stmts=tuple(run)))
             run.clear()
 
     for unit in _flatten(stmts):
@@ -148,7 +165,7 @@ def _decompose_run(stmts: list[ast.Stmt]) -> list[Granule]:
 
 def _structured(stmt: ast.Stmt) -> Granule:
     kind = _STRUCTURED_KIND[type(stmt)]
-    g = Granule(label="", kind=kind, stmts=[stmt.nid])
+    g = Granule(label="", kind=kind, stmts=(stmt.nid,))
     if isinstance(stmt, ast.IfStmt):
         arms = [_body_list(stmt.then)]
         if stmt.orelse is not None:
@@ -191,6 +208,29 @@ def _assign_labels(roots: list[Granule]) -> None:
 
     for i, root in enumerate(roots, start=1):
         visit(root, (i,))
+
+
+def _leaves(roots: list[Granule], tree: SyntaxTree, calls_by_anchor: dict[int, int]) -> list[Leaf]:
+    """The leaves in pre-order, by an explicit stack of (granule, enclosing kinds, parent)."""
+    out: list[Leaf] = []
+    stack: list[tuple[Granule, tuple[BcsKind, ...], Granule | None]] = [
+        (root, (), None) for root in reversed(roots)
+    ]
+    while stack:
+        g, enclosing, parent = stack.pop()
+        if g.children:
+            inner = enclosing + (g.kind,)
+            stack.extend((child, inner, g) for child in reversed(g.children))
+            continue
+        region = g.stmts
+        if parent is not None and parent.header_carrier() is g:
+            region += parent.stmts
+        out.append(Leaf(
+            g.label, g.kind.value, region, enclosing,
+            sum([calls_by_anchor.get(nid, 0) for nid in region]),
+            sum([isinstance(tree.nodes[nid], ast.GotoStmt) for nid in g.stmts]),
+        ))
+    return out
 
 
 def detect_recursion(resolution: Resolution) -> set[str]:
@@ -242,7 +282,7 @@ def detect_recursion(resolution: Resolution) -> set[str]:
 
 
 def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
-    """Granule hierarchy per function, in source order."""
+    """Granule hierarchy per function, in source order, with its leaves and ERM lines."""
     recursive = detect_recursion(resolution)
     out: list[GranuleTree] = []
     for item in tree.items:
@@ -250,5 +290,8 @@ def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
             continue
         roots = _decompose_run(item.body.stmts)
         _assign_labels(roots)
-        out.append(GranuleTree(item.name, item.name in recursive, roots, tree))
+        gt = GranuleTree(item.name, item.name in recursive, roots, tree,
+                         _leaves(roots, tree, resolution.calls_by_anchor), [])
+        gt.erm = serialize_erm(gt).lines()
+        out.append(gt)
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .ast import SyntaxTree
 from .scopes import ROLE_TARGET, OccurrenceRef, Resolution, ScopedVariable
@@ -45,6 +45,7 @@ class OccurrenceLedger:
     resolution: Resolution
     by_variable: dict[int, list[int]] = field(default_factory=dict)
     by_anchor: dict[int, list[int]] = field(default_factory=dict)
+    i_l: int = 0  # I(L) of the whole program: info_icn(all_anchors()), set by build_ledger
 
     # -------------------------------------------------------------- regions
 
@@ -72,24 +73,37 @@ class OccurrenceLedger:
         return max((entries[o].sicn_after for o in self.region_ordinals(anchors)
                     if entries[o].occurrence.variable == vid), default=0)
 
-    def si(self, anchors: set[int], mode: SiMode = SiMode.DELTA) -> int:
-        ordinals = self.region_ordinals(anchors)
-        if not ordinals:
-            return 0
-        region_start = ordinals[0]
-        per_var: dict[int, list[int]] = {}
-        for o in ordinals:
-            entry = self.entries[o]
-            per_var.setdefault(entry.occurrence.variable, []).append(entry.sicn_after)
-        total = 0
-        for vid, values in per_var.items():
-            if mode is SiMode.ABSOLUTE:
-                total += max(values)
-            elif mode is SiMode.MINMAX:
-                total += max(values) - min(values)
-            else:
-                total += max(values) - self._value_before(vid, region_start)
-        return total
+    def si(self, anchors: Iterable[int], mode: SiMode = SiMode.DELTA) -> int:
+        """Scope information of the region made of the given anchors.
+
+        One pass over the region's occurrences, in any order, keeps each
+        variable's highest and lowest SICN and the region's first ordinal;
+        the three modes differ only in the final sum.
+        """
+        entries = self.entries
+        by_anchor = self.by_anchor
+        high: dict[int, int] = {}
+        low: dict[int, int] = {}
+        start = len(entries)
+        for anchor in anchors:
+            ordinals = by_anchor.get(anchor)
+            if ordinals is None:
+                continue
+            if ordinals[0] < start:  # each list is in ordinal order
+                start = ordinals[0]
+            for o in ordinals:
+                entry = entries[o]
+                vid = entry.occurrence.variable
+                value = entry.sicn_after
+                if value > high.get(vid, -1):
+                    high[vid] = value
+                if value < low.get(vid, value + 1):
+                    low[vid] = value
+        if mode is SiMode.ABSOLUTE:
+            return sum(high.values())
+        if mode is SiMode.MINMAX:
+            return sum(value - low[vid] for vid, value in high.items())
+        return sum(value - self._value_before(vid, start) for vid, value in high.items())
 
     def info_icn(self, anchors: set[int]) -> int:
         """The scope-blind baseline: sum over names of the highest ICN in the region."""
@@ -148,5 +162,7 @@ def build_ledger(resolution: Resolution) -> OccurrenceLedger:
         )
         ledger.by_variable.setdefault(occ.variable, []).append(occ.ordinal)
         ledger.by_anchor.setdefault(occ.anchor, []).append(occ.ordinal)
+    # A name's ICN only grows, so its highest value is its final count.
+    ledger.i_l = sum(name_count.values())
     return ledger
 

@@ -8,6 +8,11 @@ function's total is multiplied by the recursion weight. The numeric defaults
 below are conventional values for this family of weighted measures and are
 configurable through a JSON table.
 
+Only the SI scans depend on the SI mode. Decomposition builds each function's
+leaf list (regions, enclosing kinds, call and goto counts) and ERM lines once,
+and ``build_ledger`` sets I(L) once, so ``escim`` for one mode reads those,
+scans each leaf's region with ``OccurrenceLedger.si`` and multiplies weights.
+
 LOC is the number of lines that hold at least one token, so blank and
 comment-only lines do not count. It is read off the token list the lexer
 already produced (the ``lines`` list: each token's starting line; only ``\n``
@@ -19,12 +24,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import ast
 from .ast import SyntaxTree
-from .erm import serialize_erm
 from .errors import EmptyProgram, InconsistentInput
-from .granules import BcsKind, Granule, GranuleTree
+from .granules import BcsKind, GranuleTree
 from .ledger import OccurrenceLedger, SiMode
 from .lexer import Tokens
 
@@ -41,6 +46,9 @@ DEFAULT_WEIGHTS: dict[str, int] = {
 }
 
 
+_KIND_NAMES = tuple((kind, kind.value) for kind in BcsKind)  # iterating the enum is slow
+
+
 class WeightTable:
     """Total map from BCS kind to a positive integer weight."""
 
@@ -55,6 +63,9 @@ class WeightTable:
             if type(weight) is not int or weight < 1:  # bool is an int subclass
                 raise ValueError(f"weight for {kind!r} must be an integer >= 1, got {weight!r}")
         self._table = table
+        # the table is never changed after this, so its derived forms are built once
+        self._key = tuple(sorted(table.items()))
+        self.by_kind = {kind: table[name] for kind, name in _KIND_NAMES}
 
     def __getitem__(self, kind: BcsKind | str) -> int:
         key = kind.value if isinstance(kind, BcsKind) else kind
@@ -64,7 +75,7 @@ class WeightTable:
         return isinstance(other, WeightTable) and self._table == other._table
 
     def key(self) -> tuple:
-        return tuple(sorted(self._table.items()))
+        return self._key
 
     def as_dict(self) -> dict[str, int]:
         return dict(self._table)
@@ -82,8 +93,7 @@ class WeightTable:
         return cls(data)
 
 
-@dataclass(frozen=True)
-class LeafRow:
+class LeafRow(NamedTuple):
     label: str
     kind: str
     weight: int            # leaf weight including call/goto factors
@@ -113,58 +123,41 @@ class MetricsReport:
     efficiency: Fraction | None = None
 
 
-def _leaf_region(leaf: Granule, parent: Granule | None) -> set[int]:
-    region = set(leaf.stmts)
-    if parent is not None and parent.header_carrier() is leaf:
-        region.add(parent.stmts[0])
-    return region
-
-
-def _count_gotos(tree: SyntaxTree, leaf: Granule) -> int:
-    return sum(1 for nid in leaf.stmts if isinstance(tree.nodes[nid], ast.GotoStmt))
-
-
 def escim(
     granule_trees: list[GranuleTree],
     ledger: OccurrenceLedger,
     weights: WeightTable | None = None,
     mode: SiMode = SiMode.DELTA,
 ) -> MetricsReport:
-    """Evaluate the weighted scope-information measure per function and program."""
+    """Evaluate the weighted scope-information measure per function and program.
+
+    Reads the mode-independent data the analysis built once (each tree's
+    leaves and ERM lines, the ledger's I(L)); the reports of one analysis
+    share the ERM line lists.
+    """
     weights = weights or WeightTable.default()
-    tree = ledger.tree
-    calls_by_anchor = ledger.resolution.calls_by_anchor
+    by_kind = weights.by_kind
+    linear, call, goto = by_kind[BcsKind.LINEAR], by_kind[BcsKind.CALL], by_kind[BcsKind.GOTO]
     functions: list[FunctionMetrics] = []
 
     for gt in granule_trees:
-        if gt.tree is not tree:
+        if gt.tree is not ledger.tree:
             raise InconsistentInput(
                 f"granule tree for '{gt.function}' does not belong to the ledger's syntax tree"
             )
         rows: list[LeafRow] = []
-
-        def visit(g: Granule, product: int, parent: Granule | None) -> None:
-            if g.is_leaf:
-                region = _leaf_region(g, parent)
-                si_val = ledger.si(region, mode)
-                calls = sum(calls_by_anchor.get(nid, 0) for nid in region)
-                leaf_weight = (
-                    weights[BcsKind.LINEAR]
-                    * weights[BcsKind.CALL] ** calls
-                    * weights[BcsKind.GOTO] ** _count_gotos(tree, g)
-                )
-                rows.append(LeafRow(g.label, g.kind.value, leaf_weight, si_val, product, si_val * leaf_weight * product))
-                return
-            inner = product * weights[g.kind]
-            for child in g.children:
-                visit(child, inner, g)
-
-        for root in gt.roots:
-            visit(root, 1, None)
+        for leaf in gt.leaves:
+            si_val = ledger.si(leaf.region, mode)
+            leaf_weight = linear * call ** leaf.calls * goto ** leaf.gotos
+            product = 1
+            for kind in leaf.enclosing:
+                product *= by_kind[kind]
+            rows.append(LeafRow(leaf.label, leaf.kind, leaf_weight, si_val, product,
+                                si_val * leaf_weight * product))
 
         total = sum(row.term for row in rows)
         if gt.recursive:
-            total *= weights[BcsKind.RECURSION]
+            total *= by_kind[BcsKind.RECURSION]
         functions.append(
             FunctionMetrics(
                 name=gt.function,
@@ -172,7 +165,7 @@ def escim(
                 escim=total,
                 si_total=sum(row.si for row in rows),
                 leaves=rows,
-                erm=serialize_erm(gt).lines(),
+                erm=gt.erm,
             )
         )
 
@@ -181,7 +174,7 @@ def escim(
         weights=weights,
         functions=functions,
         escim=sum(f.escim for f in functions),
-        i_l=ledger.info_icn(ledger.all_anchors()),
+        i_l=ledger.i_l,
     )
 
 

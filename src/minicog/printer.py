@@ -31,42 +31,89 @@ def _prec(expr: Expr) -> int:
     return _PREC_POSTFIX
 
 
-def _expr(e: Expr) -> str:
-    if isinstance(e, Literal):
-        return e.text
-    if isinstance(e, VarRef):
-        return e.name
-    if isinstance(e, GlobalRef):
-        return f"::{e.name}"
+def _wrapped(e: Expr, min_prec: int) -> list:
+    """``e`` in a position that binds at ``min_prec``, parenthesized if it binds looser."""
+    return ["(", e, ")"] if _prec(e) < min_prec else [e]
+
+
+def _left_edge(e: Expr) -> tuple[Expr, int] | None:
+    """The operand printed first in ``e`` and the precedence it is printed at."""
+    if isinstance(e, Binary):
+        return e.lhs, BINARY_PRECEDENCE[e.op]
+    if isinstance(e, (Assign, CompoundAssign, Increment, Decrement)):
+        return e.target, _PREC_POSTFIX
     if isinstance(e, Member):
-        return f"{_child(e.obj, _PREC_POSTFIX)}.{e.member}"
+        return e.obj, _PREC_POSTFIX
     if isinstance(e, Index):
-        return f"{_child(e.base, _PREC_POSTFIX)}[{_expr(e.index)}]"
+        return e.base, _PREC_POSTFIX
+    return None
+
+
+def _starts_with_minus(e: Expr) -> bool:
+    """Whether the text of ``e`` begins with ``-``, found by a loop down its left edge."""
+    while True:
+        if isinstance(e, Unary):
+            return e.op == "-"
+        if isinstance(e, Literal):
+            return e.text.startswith("-")
+        edge = _left_edge(e)
+        if edge is None or _prec(edge[0]) < edge[1]:
+            return False  # a name, a call or a parenthesis comes first
+        e = edge[0]
+
+
+def _pieces(e: Expr) -> list:
+    """The text of ``e`` as strings and subexpressions still to print, in order."""
+    if isinstance(e, Literal):
+        return [e.text]
+    if isinstance(e, VarRef):
+        return [e.name]
+    if isinstance(e, GlobalRef):
+        return [f"::{e.name}"]
+    if isinstance(e, Member):
+        return [*_wrapped(e.obj, _PREC_POSTFIX), f".{e.member}"]
+    if isinstance(e, Index):
+        return [*_wrapped(e.base, _PREC_POSTFIX), "[", e.index, "]"]
     if isinstance(e, Call):
-        return f"{e.callee}({', '.join(_expr(a) for a in e.args)})"
+        out: list = [f"{e.callee}("]
+        for i, arg in enumerate(e.args):
+            if i:
+                out.append(", ")
+            out.append(arg)
+        out.append(")")
+        return out
     if isinstance(e, Unary):
-        inner = _child(e.operand, _PREC_UNARY)
-        if e.op == "-" and inner.startswith("-"):
-            inner = f"({inner})"  # avoid `--x` lexing as a decrement
-        return f"{e.op}{inner}"
+        inner = _wrapped(e.operand, _PREC_UNARY)
+        if e.op == "-" and len(inner) == 1 and _starts_with_minus(e.operand):
+            inner = ["(", e.operand, ")"]  # avoid `--x` lexing as a decrement
+        return [e.op, *inner]
     if isinstance(e, Binary):
         # left-associative: right child needs parens at equal precedence
         p = BINARY_PRECEDENCE[e.op]
-        return f"{_child(e.lhs, p)} {e.op} {_child(e.rhs, p + 1)}"
+        return [*_wrapped(e.lhs, p), f" {e.op} ", *_wrapped(e.rhs, p + 1)]
     if isinstance(e, Assign):
-        return f"{_child(e.target, _PREC_POSTFIX)} = {_child(e.value, _PREC_ASSIGN)}"
+        return [*_wrapped(e.target, _PREC_POSTFIX), " = ", *_wrapped(e.value, _PREC_ASSIGN)]
     if isinstance(e, CompoundAssign):
-        return f"{_child(e.target, _PREC_POSTFIX)} {e.op} {_child(e.value, _PREC_ASSIGN)}"
+        return [*_wrapped(e.target, _PREC_POSTFIX), f" {e.op} ", *_wrapped(e.value, _PREC_ASSIGN)]
     if isinstance(e, Increment):
-        return f"{_child(e.target, _PREC_POSTFIX)}++"
+        return [*_wrapped(e.target, _PREC_POSTFIX), "++"]
     if isinstance(e, Decrement):
-        return f"{_child(e.target, _PREC_POSTFIX)}--"
+        return [*_wrapped(e.target, _PREC_POSTFIX), "--"]
     raise TypeError(f"unprintable expression {type(e).__name__}")
 
 
-def _child(e: Expr, min_prec: int) -> str:
-    text = _expr(e)
-    return f"({text})" if _prec(e) < min_prec else text
+def _expr(e: Expr) -> str:
+    """Render an expression by an explicit stack of pieces, so a chain of any
+    length prints."""
+    text: list[str] = []
+    todo: list = [e]  # the next piece is last
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            text.append(piece)
+        else:
+            todo.extend(reversed(_pieces(piece)))
+    return "".join(text)
 
 
 def _type(ty: TypeRef, name: str) -> str:

@@ -196,13 +196,15 @@ class SlotInfo:
 def _has_delta(stmt: ast.Stmt) -> bool:
     if isinstance(stmt, ast.DeclStmt):
         return stmt.init is not None or stmt.init_list is not None
-
-    def any_assign(node) -> bool:
+    if not isinstance(stmt, ast.ExprStmt):
+        return False
+    todo = [stmt.expr]  # an explicit stack, so a chain of any length is searched
+    while todo:
+        node = todo.pop()
         if isinstance(node, (ast.Assign, ast.CompoundAssign, ast.Increment, ast.Decrement)):
             return True
-        return any(any_assign(c) for c in ast.child_nodes(node))
-
-    return isinstance(stmt, ast.ExprStmt) and any_assign(stmt.expr)
+        todo.extend(ast.child_nodes(node))
+    return False
 
 
 def _collect_slots(entry: ast.FuncDef):

@@ -47,3 +47,29 @@ def run_cli(*args: str, hash_seed: str | None = None, cwd: Path = REPO) -> subpr
         [sys.executable, "-m", "minicog", *args],
         cwd=cwd, env=env, capture_output=True, text=False,
     )
+
+
+def reference_si(ledger, anchors, mode) -> int:
+    """Scope information of a region, computed the long way: every occurrence
+    in ordinal order, each variable's values listed, and for delta mode the
+    variable's SICN just before the region's first occurrence."""
+    from minicog.ledger import SiMode
+
+    ordinals = sorted(o for a in anchors for o in ledger.by_anchor.get(a, ()))
+    if not ordinals:
+        return 0
+    per_var: dict[int, list[int]] = {}
+    for o in ordinals:
+        entry = ledger.entries[o]
+        per_var.setdefault(entry.occurrence.variable, []).append(entry.sicn_after)
+    total = 0
+    for vid, values in per_var.items():
+        if mode is SiMode.ABSOLUTE:
+            total += max(values)
+        elif mode is SiMode.MINMAX:
+            total += max(values) - min(values)
+        else:
+            before = [e.sicn_after for e in ledger.entries[:ordinals[0]]
+                      if e.occurrence.variable == vid]
+            total += max(values) - (before[-1] if before else 0)
+    return total

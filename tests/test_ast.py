@@ -61,17 +61,19 @@ def _numbering(tree) -> tuple[list, dict[int, int], dict[int, int]]:
 
 
 def _fingerprint(node) -> tuple:
+    """Flat pre-order: a node's class, then each field; a list as its length and elements."""
     if isinstance(node, ast.SyntaxTree):
-        return ("program", tuple(_fingerprint(i) for i in node.items))
-    parts = [type(node).__name__]
+        return ("program", len(node.items), *(p for i in node.items for p in _fingerprint(i)))
+    parts = [type(node)]
     for name in _field_names(node):
         value = getattr(node, name)
-        if isinstance(value, ast.Node):
-            parts.append(_fingerprint(value))
-        elif isinstance(value, list):
-            parts.append(tuple(_fingerprint(v) if isinstance(v, ast.Node) else v for v in value))
+        if isinstance(value, list):
+            parts.append(len(value))
+            values = value
         else:
-            parts.append(value)
+            values = [value]
+        for v in values:
+            parts.extend(_fingerprint(v) if isinstance(v, ast.Node) else (v,))
     return tuple(parts)
 
 

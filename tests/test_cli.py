@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, REPO, corpus_names, run_cli
+from conftest import CORPUS, REPO, corpus_names, fixture_source, run_cli
 from minicog.generator import generate
 
 
@@ -265,6 +265,20 @@ def test_weyuker_fixture_without_entry_function_is_skipped(tmp_path):
     proc = run_cli("weyuker", "--corpus", str(tmp_path), "--count", "2", "--format", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["corpus"] == ["lib.mc"]
+
+
+@pytest.mark.parametrize("statement", ["x = {};", "print({});", "{};"],
+                         ids=["assignment", "print-argument", "bare"])
+def test_weyuker_over_a_ten_thousand_term_chain(tmp_path, statement):
+    # the chain fixture is composed, printed, re-parsed and fingerprinted
+    terms = " + ".join(["x"] * 10_000)
+    (tmp_path / "chain.mc").write_text("int main() { int x = 1; " + statement.format(terms) + " }\n")
+    (tmp_path / "unit.mc").write_text(fixture_source("unit.mc"))
+    proc = run_cli("weyuker", "--corpus", str(tmp_path), "--seed", "0", "--count", "2",
+                   "--format", "json")
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["corpus"] == ["chain.mc", "unit.mc"]
 
 
 def test_weyuker_negative_count_is_a_usage_error():

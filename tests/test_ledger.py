@@ -7,7 +7,7 @@ from minicog.granules import BcsKind
 from minicog.ledger import SiMode
 from minicog.scopes import ROLE_TARGET
 
-from conftest import analyzed, corpus_names
+from conftest import analyzed, corpus_names, reference_si
 
 
 def var_named(analysis, name, scope_kind=None):
@@ -251,3 +251,21 @@ def test_ledger_dump_schema():
         "ordinal", "variable", "scope", "role", "delta", "icn_after", "sicn_after",
     }
     assert rows[0]["variable"] == "a"
+
+
+@pytest.mark.parametrize("name", corpus_names() + [f"gen-{k}" for k in range(0, 100, 10)])
+def test_si_matches_reference_on_random_regions(name):
+    import random
+
+    from minicog.generator import generate
+
+    analysis = analyzed(name) if name.endswith(".mc") else analyze_source(generate(int(name[4:])))
+    led = analysis.ledger
+    rng = random.Random(name)
+    nids = sorted(analysis.tree.nodes)  # anchors and nodes that anchor nothing
+    regions = [set(), set(nids), led.all_anchors()]
+    regions += [set(rng.sample(nids, rng.randint(1, len(nids)))) for _ in range(40)]
+    for region in regions:
+        for mode in SiMode:
+            assert led.si(region, mode) == reference_si(led, region, mode)
+            assert led.si(tuple(region), mode) == reference_si(led, region, mode)

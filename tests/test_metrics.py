@@ -10,7 +10,7 @@ from minicog import (
 from minicog.ledger import SiMode
 from minicog.metrics import DEFAULT_WEIGHTS, WeightTable
 
-from conftest import analyzed, corpus_names, fixture_source
+from conftest import analyzed, corpus_names, fixture_source, reference_si
 
 
 def test_unit_program_measures_one_in_every_mode():
@@ -169,3 +169,128 @@ def test_delta_additivity_for_disjoint_programs():
 
     combined = compose(parse_source(fixture_source("p6_p.mc")), parse_source(fixture_source("p6_q.mc")))
     assert combined.escim_value() == p.escim_value() + q.escim_value() == 2
+
+
+# ----------------------------------------------------------------- shared work
+
+def _reference_escim(analysis, weights, mode):
+    """ESCIM the long way: a recursive walk of every granule tree that finds each
+    leaf's region, calls and gotos afresh, with the reference SI and I(L)."""
+    import minicog.ast as ast
+    from minicog.erm import serialize_erm
+    from minicog.granules import BcsKind
+
+    led = analysis.ledger
+    functions = []
+    for gt in analysis.granules:
+        rows = []
+
+        def visit(g, product, parent):
+            if g.is_leaf:
+                region = set(g.stmts)
+                if parent is not None and parent.header_carrier() is g:
+                    region.add(parent.stmts[0])
+                si = reference_si(led, region, mode)
+                calls = sum(led.resolution.calls_by_anchor.get(nid, 0) for nid in region)
+                gotos = sum(1 for nid in g.stmts if isinstance(analysis.tree.nodes[nid], ast.GotoStmt))
+                weight = weights[BcsKind.LINEAR] * weights[BcsKind.CALL] ** calls \
+                    * weights[BcsKind.GOTO] ** gotos
+                rows.append((g.label, g.kind.value, weight, si, product, si * weight * product))
+                return
+            for child in g.children:
+                visit(child, product * weights[g.kind], g)
+
+        for root in gt.roots:
+            visit(root, 1, None)
+        total = sum(row[5] for row in rows)
+        if gt.recursive:
+            total *= weights[BcsKind.RECURSION]
+        functions.append((gt.function, gt.recursive, total, sum(row[3] for row in rows), rows,
+                          serialize_erm(gt).lines()))
+    return functions, sum(f[2] for f in functions), led.info_icn(led.all_anchors())
+
+
+def _fields(report):
+    functions = [(f.name, f.recursive, f.escim, f.si_total,
+                  [(r.label, r.kind, r.weight, r.si, r.ancestor_product, r.term) for r in f.leaves],
+                  f.erm)
+                 for f in report.functions]
+    return functions, report.escim, report.i_l
+
+
+_TABLES = [WeightTable.default(), WeightTable({"call": 3, "if": 5, "recursion": 2})]
+
+
+def _assert_reports_match_reference(analysis):
+    orders = [list(SiMode), list(SiMode)[::-1]]
+    for weights, modes in zip(_TABLES + _TABLES[::-1], orders + orders):
+        for mode in modes:
+            rep = analysis.report(mode, weights)
+            assert rep.si_mode is mode and rep.weights is weights
+            assert _fields(rep) == _reference_escim(analysis, weights, mode), (mode, weights.key())
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_reports_match_reference_on_fixtures(name):
+    _assert_reports_match_reference(analyze_source(fixture_source(name)))
+
+
+_EDGE_PROGRAMS = [
+    # calls in loop, do-while and switch headers, carried by the first or last child leaf
+    "int f(int a) { return a - 1; }\n"
+    "int main() { int x = 3; while (f(x) > 0) { x = f(x); } do { x = x + 1; } while (f(x) < 5);"
+    " switch (f(x)) { case 1: x = 2; break; default: ; } }",
+    # a leaf that starts by assigning and then reading x, after a structured granule
+    "int main() { int x = 1; if (x) x = 2; else { x = x + 1; print(x); } x = x + 1; print(x); }",
+    # gotos and labels, and a call inside a goto-carrying leaf
+    "int g() { return 1; } int main() { int a = 1; lab: a = a + g(); if (a < 9) goto lab; goto end; end: ; }",
+]
+
+
+@pytest.mark.parametrize("source", _EDGE_PROGRAMS)
+def test_reports_match_reference_on_edge_programs(source):
+    _assert_reports_match_reference(analyze_source(source))
+
+
+def test_reports_match_reference_on_generated_programs():
+    from minicog.generator import generate
+
+    for seed in range(500):
+        _assert_reports_match_reference(analyze_source(generate(seed)))
+
+
+def test_all_modes_share_the_mode_independent_work(monkeypatch):
+    import minicog.erm
+    import minicog.granules
+    from minicog.ledger import OccurrenceLedger
+
+    calls = {"serialize_erm": 0, "info_icn": 0, "si": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(minicog.granules, "serialize_erm",
+                        counted("serialize_erm", minicog.erm.serialize_erm))
+    monkeypatch.setattr(OccurrenceLedger, "info_icn", counted("info_icn", OccurrenceLedger.info_icn))
+    monkeypatch.setattr(OccurrenceLedger, "si", counted("si", OccurrenceLedger.si))
+    analysis = analyze_source(fixture_source("recursion.mc"))
+    trees = len(analysis.granules)
+    assert trees > 1 and calls["serialize_erm"] == trees
+    for weights in _TABLES:
+        for mode in SiMode:
+            analysis.report(mode, weights)
+            analysis.report(mode, weights)  # a cache hit does no work
+    leaves = sum(len(gt.leaves) for gt in analysis.granules)
+    # I(L) is read off the ledger's final counts, so no call builds it
+    assert calls == {"serialize_erm": trees, "info_icn": 0, "si": 2 * 3 * leaves}
+    led = analysis.ledger
+    assert analysis.report().i_l == led.info_icn(led.all_anchors())
+
+
+def test_weight_table_key_is_built_once():
+    table = WeightTable({"while": 4})
+    assert table.key() is table.key()
+    assert table.key() == tuple(sorted(table.as_dict().items()))

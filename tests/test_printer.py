@@ -67,3 +67,30 @@ def test_output_is_deterministic():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_generated_program_roundtrip(seed):
     assert roundtrips(generate(seed))
+
+
+@pytest.mark.parametrize("statement", ["x = {};", "print({});", "{};"],
+                         ids=["assignment", "print-argument", "bare"])
+def test_ten_thousand_term_chain_prints_and_roundtrips(statement):
+    # a left-associative chain is as deep as it is long
+    terms = " + ".join(["x"] * 10_000)
+    tree = parse_source("int main() { int x = 1; " + statement.format(terms) + " }")
+    text = pretty_print(tree)
+    assert "    " + statement.format(terms) + "\n" in text
+    again = parse_source(text)
+    assert fingerprint(again) == fingerprint(tree)
+    assert fingerprint(again) != fingerprint(parse_source(
+        "int main() { int x = 1; " + statement.format(terms + " + x") + " }"))
+
+
+@pytest.mark.parametrize("left, right", [
+    ("x = x + x + x;", "x = x + (x + x);"),
+    ("x = x * x + x;", "x = x * (x + x);"),
+    ("{ print(1); } print(2);", "{ print(1); print(2); }"),
+    ("print(x, x);", "print(x); print(x);"),
+])
+def test_fingerprint_tells_structures_apart(left, right):
+    def tree(body):
+        return parse_source("int main() { int x = 1; " + body + " }")
+    assert fingerprint(tree(left)) == fingerprint(tree(left))
+    assert fingerprint(tree(left)) != fingerprint(tree(right))

@@ -1,0 +1,52 @@
+"""The benchmark's traced run wraps minicog functions by name
+(``perfbench/tracing.py``, ``LAYERS``) and reads some of their arguments by
+position. These checks fail in the test suite when a refactor renames a traced
+layer or moves a traced argument; the traced run itself is only exercised
+with ``perfbench/run.py --trace 1``. ``perfbench/`` is read, never changed."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+
+import pytest
+
+from conftest import REPO
+
+from minicog.ledger import SiMode
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up while building Layer
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_traced_layer_names_a_callable(tracing):
+    assert tracing.LAYERS
+    for layer in tracing.LAYERS:
+        owner = importlib.import_module(layer.module)
+        for part in layer.attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{layer.module}.{layer.attr} (span {layer.span})"
+
+
+def test_traced_arguments_keep_their_positions(tracing):
+    import minicog.metrics
+    from minicog.ledger import OccurrenceLedger
+
+    escim = list(inspect.signature(minicog.metrics.escim).parameters)
+    assert escim[3] == "mode"
+    assert tracing._escim_mode((None, None, None, SiMode.MINMAX), {}) == "minmax"
+    assert tracing._escim_mode((None, None), {"mode": SiMode.ABSOLUTE}) == "absolute"
+    assert list(inspect.signature(OccurrenceLedger.si).parameters) == ["self", "anchors", "mode"]
+    check = list(inspect.signature(importlib.import_module("minicog.weyuker").check_property).parameters)
+    assert check[0] == "prop"
+    analyze = list(inspect.signature(importlib.import_module("minicog.analysis").analyze_source).parameters)
+    assert analyze[0] == "source"
