@@ -11,7 +11,7 @@ from .granules import BcsKind, Granule, GranuleTree, classify_bcs, decompose, de
 from .ledger import LedgerEntry, OccurrenceLedger, SiMode, build_ledger
 from .lexer import SourceSpan, Tokens, tokenize
 from .metrics import (
-    DEFAULT_WEIGHTS, MetricsReport, WeightTable, coding_efficiency, cyclomatic, escim, loc,
+    DEFAULT_WEIGHTS, MetricsReport, WeightTable, coding_efficiency, escim, loc,
 )
 from .parser import parse, parse_source
 from .printer import pretty_print

@@ -48,7 +48,7 @@ class Analysis:
         return self.report(mode, weights).escim
 
     def si_program(self, mode: SiMode = SiMode.DELTA) -> int:
-        return self.ledger.si(self.ledger.all_anchors(), mode)
+        return self.ledger.si(range(len(self.ledger.entries)), mode)
 
 
 def analyze_source(source: str, file: str = "<input>") -> Analysis:

@@ -7,8 +7,15 @@ partitioning stops at linear leaves. Blocks and statement labels are
 transparent. Header expressions (loop conditions, for clauses, if conditions,
 switch scrutinees) belong to the structured granule and their occurrences are
 carried by one designated child leaf: the first for head-tested structures,
-the last for do-while (keeping every leaf's occurrence window contiguous).
-An empty leaf is inserted when that position is not already a leaf.
+the last for do-while. An empty leaf is inserted when that position is not
+already a leaf.
+
+A leaf's region is one range of occurrence ordinals, from the lowest start
+to the highest stop of its anchors' runs (``Resolution.runs``), with no gap:
+the resolver walks statements in source order, so the simple statements of a
+leaf (one run, flattened through blocks and labels) are walked one after
+another; a head-tested header is walked just before the structure's first
+child leaf, and a do-while condition just after its last one.
 
 Decomposition also prepares what ESCIM reads of each function, none of which
 depends on the SI mode or the weights: the leaf list (``Leaf``: label,
@@ -83,12 +90,6 @@ class Granule:
         child = self.children[0] if self.header_attach == "first" else self.children[-1]
         return child
 
-    def covered_ids(self) -> set[int]:
-        out = set(self.stmts)
-        for child in self.children:
-            out |= child.covered_ids()
-        return out
-
     def walk(self):
         yield self
         for child in self.children:
@@ -99,9 +100,9 @@ class Leaf(NamedTuple):
     """What ESCIM reads of one leaf granule."""
     label: str
     kind: str                        # the BcsKind value
-    region: tuple[int, ...]          # anchors whose occurrences the leaf carries, header included
+    region: range                    # ordinals of its occurrences, carried header included
     enclosing: tuple[BcsKind, ...]   # kinds of the structured granules around it, outermost first
-    calls: int                       # user-function calls anchored in the region
+    calls: int                       # user-function calls anchored in the leaf or its header
     gotos: int                       # goto statements among the leaf's statements
 
 
@@ -210,8 +211,9 @@ def _assign_labels(roots: list[Granule]) -> None:
         visit(root, (i,))
 
 
-def _leaves(roots: list[Granule], tree: SyntaxTree, calls_by_anchor: dict[int, int]) -> list[Leaf]:
+def _leaves(roots: list[Granule], tree: SyntaxTree, resolution: Resolution) -> list[Leaf]:
     """The leaves in pre-order, by an explicit stack of (granule, enclosing kinds, parent)."""
+    runs, calls_by_anchor = resolution.runs, resolution.calls_by_anchor
     out: list[Leaf] = []
     stack: list[tuple[Granule, tuple[BcsKind, ...], Granule | None]] = [
         (root, (), None) for root in reversed(roots)
@@ -222,12 +224,14 @@ def _leaves(roots: list[Granule], tree: SyntaxTree, calls_by_anchor: dict[int, i
             inner = enclosing + (g.kind,)
             stack.extend((child, inner, g) for child in reversed(g.children))
             continue
-        region = g.stmts
+        anchors = g.stmts
         if parent is not None and parent.header_carrier() is g:
-            region += parent.stmts
+            anchors += parent.stmts
+        spans = [runs[nid] for nid in anchors if nid in runs] or [range(0)]
+        region = range(min([r.start for r in spans]), max([r.stop for r in spans]))
         out.append(Leaf(
             g.label, g.kind.value, region, enclosing,
-            sum([calls_by_anchor.get(nid, 0) for nid in region]),
+            sum([calls_by_anchor.get(nid, 0) for nid in anchors]),
             sum([isinstance(tree.nodes[nid], ast.GotoStmt) for nid in g.stmts]),
         ))
     return out
@@ -291,7 +295,7 @@ def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
         roots = _decompose_run(item.body.stmts)
         _assign_labels(roots)
         gt = GranuleTree(item.name, item.name in recursive, roots, tree,
-                         _leaves(roots, tree, resolution.calls_by_anchor), [])
+                         _leaves(roots, tree, resolution), [])
         gt.erm = serialize_erm(gt).lines()
         out.append(gt)
     return out

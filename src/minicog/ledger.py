@@ -10,14 +10,19 @@ is the operator count of its statement or clause (compound assignment and
 ``++``/``--`` count themselves; the plain ``=`` does not). Reads and bare
 declarations contribute zero but still appear in the ledger carrying the
 current values, which is what region minima/maxima are taken over.
+
+A region is one range of occurrence ordinals (see ``minicog.granules``), so
+scoring it scans one slice of the entries. Every delta is at least zero, so
+a variable's SICN never falls along the stream: inside a region its first
+entry holds its lowest value, that value less the entry's delta is its value
+just before the region, and its last entry holds its highest value.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .ast import SyntaxTree
 from .scopes import ROLE_TARGET, OccurrenceRef, Resolution, ScopedVariable
@@ -43,79 +48,27 @@ class OccurrenceLedger:
     variables: dict[int, ScopedVariable]
     tree: SyntaxTree
     resolution: Resolution
-    by_variable: dict[int, list[int]] = field(default_factory=dict)
-    by_anchor: dict[int, list[int]] = field(default_factory=dict)
-    i_l: int = 0  # I(L) of the whole program: info_icn(all_anchors()), set by build_ledger
+    i_l: int = 0  # I(L) of the whole program, read off the final name counts by build_ledger
 
-    # -------------------------------------------------------------- regions
+    def si(self, anchors: range, mode: SiMode = SiMode.DELTA) -> int:
+        """Scope information of a region: ``anchors`` is the region's range
+        of occurrence ordinals (a leaf's ``Leaf.region``).
 
-    def all_anchors(self) -> set[int]:
-        return set(self.by_anchor)
-
-    def region_ordinals(self, anchors: set[int]) -> list[int]:
-        ordinals: list[int] = []
-        for anchor in anchors:
-            ordinals.extend(self.by_anchor.get(anchor, ()))
-        ordinals.sort()
-        return ordinals
-
-    def _value_before(self, vid: int, ordinal: int) -> int:
-        """SICN of variable `vid` just before the given ordinal."""
-        ords = self.by_variable.get(vid, [])
-        i = bisect_left(ords, ordinal)
-        if i == 0:
-            return 0
-        return self.entries[ords[i - 1]].sicn_after
-
-    def sicn_max(self, vid: int, anchors: set[int]) -> int:
-        """Highest SICN among the variable's occurrences in the region; 0 if absent."""
-        entries = self.entries
-        return max((entries[o].sicn_after for o in self.region_ordinals(anchors)
-                    if entries[o].occurrence.variable == vid), default=0)
-
-    def si(self, anchors: Iterable[int], mode: SiMode = SiMode.DELTA) -> int:
-        """Scope information of the region made of the given anchors.
-
-        One pass over the region's occurrences, in any order, keeps each
-        variable's highest and lowest SICN and the region's first ordinal;
-        the three modes differ only in the final sum.
+        One scan of the region's entries keeps each variable's lowest value
+        (from its first entry; in delta mode, the value before the region)
+        and its highest (from its last entry).
         """
-        entries = self.entries
-        by_anchor = self.by_anchor
+        before = mode is SiMode.DELTA  # delta mode counts from the value before the region
         high: dict[int, int] = {}
         low: dict[int, int] = {}
-        start = len(entries)
-        for anchor in anchors:
-            ordinals = by_anchor.get(anchor)
-            if ordinals is None:
-                continue
-            if ordinals[0] < start:  # each list is in ordinal order
-                start = ordinals[0]
-            for o in ordinals:
-                entry = entries[o]
-                vid = entry.occurrence.variable
-                value = entry.sicn_after
-                if value > high.get(vid, -1):
-                    high[vid] = value
-                if value < low.get(vid, value + 1):
-                    low[vid] = value
+        for entry in self.entries[anchors.start:anchors.stop]:
+            vid = entry.occurrence.variable
+            if vid not in low:
+                low[vid] = entry.sicn_after - entry.delta if before else entry.sicn_after
+            high[vid] = entry.sicn_after
         if mode is SiMode.ABSOLUTE:
             return sum(high.values())
-        if mode is SiMode.MINMAX:
-            return sum(value - low[vid] for vid, value in high.items())
-        return sum(value - self._value_before(vid, start) for vid, value in high.items())
-
-    def info_icn(self, anchors: set[int]) -> int:
-        """The scope-blind baseline: sum over names of the highest ICN in the region."""
-        return sum(self.icn_max_by_name(anchors).values())
-
-    def icn_max_by_name(self, anchors: set[int]) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for o in self.region_ordinals(anchors):
-            entry = self.entries[o]
-            name = self.variables[entry.occurrence.variable].name
-            out[name] = max(out.get(name, 0), entry.icn_after)
-        return out
+        return sum(high.values()) - sum(low.values())
 
     def dump(self) -> list[dict]:
         rows = []
@@ -160,8 +113,6 @@ def build_ledger(resolution: Resolution) -> OccurrenceLedger:
                 sicn_after=var_count.get(occ.variable, 0),
             )
         )
-        ledger.by_variable.setdefault(occ.variable, []).append(occ.ordinal)
-        ledger.by_anchor.setdefault(occ.anchor, []).append(occ.ordinal)
     # A name's ICN only grows, so its highest value is its final count.
     ledger.i_l = sum(name_count.values())
     return ledger

@@ -14,7 +14,6 @@ the only place that builds a ``SourceSpan``.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import LexError
@@ -72,28 +71,25 @@ class SourceSpan(NamedTuple):
 class SourceMap:
     """A file's name and text; turns source offsets into a ``SourceSpan``.
 
-    Tokens and tree nodes share one map per file. Its line-start table is
-    built the first time a span is asked for.
+    Tokens and tree nodes share one map per file. Lines and columns are
+    counted from the text only when a span is asked for.
     """
 
-    __slots__ = ("file", "source", "_line_starts")
+    __slots__ = ("file", "source")
 
     def __init__(self, file: str, source: str):
         self.file = file
         self.source = source
-        self._line_starts: list[int] | None = None
 
     def span(self, start: int, end: int) -> SourceSpan:
         """The span of the non-empty ``source[start:end]``, from its first
         character to its last; one that ends with a newline ends in column 1
         of the next line."""
-        if self._line_starts is None:
-            self._line_starts = [0, *(m.end() for m in re.finditer("\n", self.source))]
-        table = self._line_starts
-        line_start = bisect_right(table, start)
-        line_end = bisect_right(table, end)
-        col_start = start - table[line_start - 1] + 1
-        col_end = max(1, end - table[line_end - 1])
+        source = self.source
+        line_start = source.count("\n", 0, start) + 1
+        line_end = line_start + source.count("\n", start, end)
+        col_start = start - source.rfind("\n", 0, start)
+        col_end = max(1, end - source.rfind("\n", 0, end) - 1)
         return SourceSpan(self.file, line_start, col_start, line_end, col_end)
 
 

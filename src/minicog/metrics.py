@@ -1,4 +1,4 @@
-"""Weighted cognitive metrics: ESCIM, LOC, coding efficiency, cyclomatic.
+"""Weighted cognitive metrics: ESCIM, LOC and coding efficiency.
 
 ESCIM sums, over all leaf granules, the leaf's scope information multiplied
 by its own weight and the weights of every enclosing structured granule. A
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import ast
-from .ast import SyntaxTree
 from .errors import EmptyProgram, InconsistentInput
 from .granules import BcsKind, GranuleTree
 from .ledger import OccurrenceLedger, SiMode
@@ -76,9 +74,6 @@ class WeightTable:
 
     def key(self) -> tuple:
         return self._key
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._table)
 
     @classmethod
     def default(cls) -> "WeightTable":
@@ -188,23 +183,3 @@ def loc(tokens: Tokens) -> int:
 
 def coding_efficiency(escim_value: int, loc_value: int) -> Fraction:
     return Fraction(escim_value, loc_value)
-
-
-def cyclomatic(tree: SyntaxTree) -> int:
-    """1 + decision points (if, case label, loops, && and ||) per function, summed."""
-
-    def decisions(node) -> int:
-        n = 0
-        if isinstance(node, (ast.IfStmt, ast.WhileStmt, ast.DoWhileStmt, ast.ForStmt)):
-            n += 1
-        elif isinstance(node, ast.CaseArm) and node.label is not None:
-            n += 1
-        elif isinstance(node, ast.Binary) and node.op in ("&&", "||"):
-            n += 1
-        return n + sum(decisions(c) for c in ast.child_nodes(node))
-
-    total = 0
-    for item in tree.items:
-        if isinstance(item, ast.FuncDef):
-            total += 1 + decisions(item.body)
-    return total if total > 0 else 1

@@ -15,6 +15,11 @@ expression statement, an if/while/do/switch header, each for clause, or a
 return value. Each unit is walked once, by an explicit stack, binding names
 and counting operators together, so a flat ``x + ... + x`` chain of any
 length resolves.
+
+An anchor's occurrences are one consecutive run of ordinals, kept as a
+``range`` in ``Resolution.runs``: nothing else is walked between the units of
+one statement (a for statement's clauses all come before its body, and a
+do-while condition after it).
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ class Resolution:
     records: dict[str, ast.RecordDef]
     call_graph: dict[str, set[str]]
     calls_by_anchor: dict[int, int]
+    runs: dict[int, range]  # anchor -> its occurrence ordinals; anchors with none are absent
 
 
 class _Resolver:
@@ -92,6 +98,7 @@ class _Resolver:
         self.records: dict[str, ast.RecordDef] = {}
         self.call_graph: dict[str, set[str]] = {}
         self.calls_by_anchor: dict[int, int] = {}
+        self.runs: dict[int, range] = {}
         self.current_function: str | None = None
 
     # ------------------------------------------------------------ scopes
@@ -139,9 +146,14 @@ class _Resolver:
 
     def occurrence(self, vid: int, member: str | None, node: ast.Node, role: str,
                    anchor: int, ops: int) -> None:
-        self.occurrences.append(
-            OccurrenceRef(vid, member, node.nid, len(self.occurrences), role, anchor, ops)
-        )
+        first = len(self.occurrences)
+        self.occurrences.append(OccurrenceRef(vid, member, node.nid, first, role, anchor, ops))
+        self.extend_run(anchor, first)
+
+    def extend_run(self, anchor: int, first: int) -> None:
+        """Add the occurrences from ordinal ``first`` on to the anchor's run."""
+        run = self.runs.get(anchor)
+        self.runs[anchor] = range(first if run is None else run.start, len(self.occurrences))
 
     def _target_root(self, expr: ast.Expr) -> tuple[int, str | None, ast.Expr, list[ast.Expr]]:
         """Resolve an lvalue to (vid, member, root node, read subexpressions)."""
@@ -215,6 +227,8 @@ class _Resolver:
             OccurrenceRef(vid, member, nid, first + i, role, anchor, ops)
             for i, (vid, member, nid, role) in enumerate(found)
         ]
+        if found:
+            self.extend_run(anchor, first)
 
     # ------------------------------------------------------------ statements
 
@@ -315,6 +329,7 @@ class _Resolver:
             records=self.records,
             call_graph=self.call_graph,
             calls_by_anchor=self.calls_by_anchor,
+            runs=self.runs,
         )
 
 

@@ -49,18 +49,62 @@ def run_cli(*args: str, hash_seed: str | None = None, cwd: Path = REPO) -> subpr
     )
 
 
-def reference_si(ledger, anchors, mode) -> int:
-    """Scope information of a region, computed the long way: every occurrence
-    in ordinal order, each variable's values listed, and for delta mode the
-    variable's SICN just before the region's first occurrence."""
+# ------------------------------------------------ reference queries over a region
+#
+# A region is a range of occurrence ordinals, as ``OccurrenceLedger.si`` takes
+# it. These helpers compute the paper's per-region quantities the long way.
+
+def ordinals_of(analysis, anchors) -> range:
+    """The ordinals of the occurrences anchored at any of ``anchors`` (statement
+    ids), as a range; asserts that they are consecutive."""
+    anchors = set(anchors)
+    ordinals = [e.occurrence.ordinal for e in analysis.ledger.entries
+                if e.occurrence.anchor in anchors]
+    if not ordinals:
+        return range(0)
+    region = range(ordinals[0], ordinals[-1] + 1)
+    assert ordinals == list(region), "the anchors' occurrences are not consecutive"
+    return region
+
+
+def granule_region(analysis, granule) -> range:
+    """The range spanning a granule's leaves: the ordinals of every statement
+    it covers, its own header included."""
+    return ordinals_of(analysis, {nid for g in granule.walk() for nid in g.stmts})
+
+
+def whole(ledger) -> range:
+    return range(len(ledger.entries))
+
+
+def sicn_max(ledger, vid, region) -> int:
+    """Highest SICN among the variable's occurrences in the region; 0 if absent."""
+    return max((e.sicn_after for e in ledger.entries[region.start:region.stop]
+                if e.occurrence.variable == vid), default=0)
+
+
+def icn_max_by_name(ledger, region) -> dict[str, int]:
+    """Highest name-blind ICN per variable name in the region."""
+    out: dict[str, int] = {}
+    for e in ledger.entries[region.start:region.stop]:
+        name = ledger.variables[e.occurrence.variable].name
+        out[name] = max(out.get(name, 0), e.icn_after)
+    return out
+
+
+def info_icn(ledger, region) -> int:
+    """The scope-blind baseline I(L): the sum over names of the highest ICN."""
+    return sum(icn_max_by_name(ledger, region).values())
+
+
+def reference_si(ledger, region, mode) -> int:
+    """Scope information of a region, computed the long way: each variable's
+    values in the region listed, and for delta mode the variable's SICN just
+    before the region found by scanning every entry ahead of it."""
     from minicog.ledger import SiMode
 
-    ordinals = sorted(o for a in anchors for o in ledger.by_anchor.get(a, ()))
-    if not ordinals:
-        return 0
     per_var: dict[int, list[int]] = {}
-    for o in ordinals:
-        entry = ledger.entries[o]
+    for entry in ledger.entries[region.start:region.stop]:
         per_var.setdefault(entry.occurrence.variable, []).append(entry.sicn_after)
     total = 0
     for vid, values in per_var.items():
@@ -69,7 +113,7 @@ def reference_si(ledger, anchors, mode) -> int:
         elif mode is SiMode.MINMAX:
             total += max(values) - min(values)
         else:
-            before = [e.sicn_after for e in ledger.entries[:ordinals[0]]
+            before = [e.sicn_after for e in ledger.entries[:region.start]
                       if e.occurrence.variable == vid]
             total += max(values) - (before[-1] if before else 0)
     return total

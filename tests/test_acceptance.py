@@ -12,7 +12,10 @@ from minicog.granules import BcsKind
 from minicog.ledger import SiMode
 from minicog.weyuker import rename, run_matrix
 
-from conftest import CORPUS, analyzed, corpus_pairs, fixture_source, run_cli
+from conftest import (
+    CORPUS, analyzed, corpus_pairs, fixture_source, granule_region, icn_max_by_name, info_icn,
+    ordinals_of, run_cli, sicn_max, whole,
+)
 
 MODES = (SiMode.DELTA, SiMode.MINMAX, SiMode.ABSOLUTE)
 
@@ -36,7 +39,7 @@ def test_criterion_1_example1_reproduction():
     report = analysis.report()
     elapsed = time.monotonic() - t0
     assert report.i_l == 3
-    assert analysis.ledger.icn_max_by_name(analysis.ledger.all_anchors()) == {"userInput": 1, "square": 2}
+    assert icn_max_by_name(analysis.ledger, whole(analysis.ledger)) == {"userInput": 1, "square": 2}
     assert analysis.si_program(SiMode.DELTA) == 3
     assert elapsed < 1.0
     ok("1", f"I(L)=3, per-variable ICN {{userInput:1, square:2}}, delta SI=3, {elapsed:.3f}s")
@@ -85,9 +88,8 @@ def test_criterion_4_example2_shadowing():
     global_refs = [o for o in res.occurrences
                    if isinstance(res.tree.nodes[o.node], ast.GlobalRef)]
     assert global_refs and all(o.variable == global_amount.vid for o in global_refs)
-    whole = led.all_anchors()
-    icn_max = led.icn_max_by_name(whole)["amount"]
-    per_scope = [led.sicn_max(v.vid, whole) for v in amounts]
+    icn_max = icn_max_by_name(led, whole(led))["amount"]
+    per_scope = [sicn_max(led, v.vid, whole(led)) for v in amounts]
     assert all(icn_max > value for value in per_scope)
     assert sum(per_scope) <= icn_max  # scope dominance
     ok("4", f"3 scoped 'amount' variables, ::amount binds globally, ICN {icn_max} > SICN {per_scope}")
@@ -99,15 +101,15 @@ def test_criterion_5_example3_diagnostic():
     analysis = analyzed("example3.mc")
     led = analysis.ledger
     fors = [g for g in analysis.granules[0].walk() if g.kind == BcsKind.FOR]
-    l1, l2 = fors[0].covered_ids(), fors[1].covered_ids()
+    l1, l2 = granule_region(analysis, fors[0]), granule_region(analysis, fors[1])
     s_vars = [v for v in analysis.resolution.variables.values() if v.name == "s"]
-    scoped_max_l2 = max(led.sicn_max(v.vid, l2) for v in s_vars)
-    name_max_l2 = led.icn_max_by_name(l2)["s"]
+    scoped_max_l2 = max(sicn_max(led, v.vid, l2) for v in s_vars)
+    name_max_l2 = icn_max_by_name(led, l2)["s"]
     assert scoped_max_l2 == 5 and name_max_l2 == 8
     assert scoped_max_l2 < name_max_l2
 
     loop_weight = 3
-    icn_total = loop_weight * led.info_icn(l1) + loop_weight * led.info_icn(l2)
+    icn_total = loop_weight * info_icn(led, l1) + loop_weight * info_icn(led, l2)
     si_total = loop_weight * led.si(l1, SiMode.DELTA) + loop_weight * led.si(l2, SiMode.DELTA)
     assert si_total < icn_total
     # the published absolute totals are not reproducible from the corrupted
@@ -177,14 +179,12 @@ def _inside(tree, nid, ancestor):
     return False
 
 
-def _top_level_regions(analysis):
+def _top_level_statements(analysis):
+    """The statement ids each top-level statement of `main` covers, itself included."""
     main = next(i for i in analysis.tree.items
                 if isinstance(i, ast.FuncDef) and i.name == "main")
-    regions = []
-    for s in main.body.stmts:
-        ids = {s.nid} | {n for n in analysis.tree.nodes if _inside(analysis.tree, n, s.nid)}
-        regions.append(ids)
-    return regions
+    return [{s.nid} | {n for n in analysis.tree.nodes if _inside(analysis.tree, n, s.nid)}
+            for s in main.body.stmts]
 
 
 def test_criterion_8b_delta_additivity_200_splits():
@@ -193,12 +193,13 @@ def test_criterion_8b_delta_additivity_200_splits():
     while checked < 200:
         analysis = _fresh(seed)
         seed += 1
-        regions = _top_level_regions(analysis)
+        stmts = _top_level_statements(analysis)
         led = analysis.ledger
-        for cut in range(1, len(regions)):
-            a = set().union(*regions[:cut])
-            b = set().union(*regions[cut:])
-            assert led.si(a | b, SiMode.DELTA) == \
+        both = ordinals_of(analysis, set().union(*stmts))
+        for cut in range(1, len(stmts)):
+            a = ordinals_of(analysis, set().union(*stmts[:cut]))
+            b = ordinals_of(analysis, set().union(*stmts[cut:]))
+            assert led.si(both, SiMode.DELTA) == \
                 led.si(a, SiMode.DELTA) + led.si(b, SiMode.DELTA), (seed - 1, cut)
             checked += 1
             if checked >= 200:
@@ -213,9 +214,9 @@ def test_criterion_8c_mode_ordering_200_regions():
         analysis = _fresh(seed)
         seed += 1
         led = analysis.ledger
-        regions = _top_level_regions(analysis)
-        windows = [set().union(*regions[i:j]) for i in range(len(regions))
-                   for j in range(i + 1, len(regions) + 1)]
+        stmts = _top_level_statements(analysis)
+        windows = [ordinals_of(analysis, set().union(*stmts[i:j])) for i in range(len(stmts))
+                   for j in range(i + 1, len(stmts) + 1)]
         for region in windows:
             assert led.si(region, SiMode.MINMAX) <= led.si(region, SiMode.DELTA) \
                 <= led.si(region, SiMode.ABSOLUTE), seed - 1

@@ -8,7 +8,7 @@ from minicog import analyze_source, detect_recursion, parse_source, resolve
 from minicog import ast
 from minicog.granules import BcsKind, classify_bcs
 
-from conftest import analyzed, corpus_names
+from conftest import analyzed, corpus_names, ordinals_of
 
 
 def shape(granule):
@@ -159,19 +159,24 @@ def test_leaves_are_linear(name):
                 assert g.kind == BcsKind.LINEAR
 
 
+def _covered(granule) -> set[int]:
+    """The statement ids a granule covers: its own and those of every granule below it."""
+    return {nid for g in granule.walk() for nid in g.stmts}
+
+
 @pytest.mark.parametrize("name", corpus_names())
 def test_partition_disjoint_union(name):
     for gt in analyzed(name).granules:
         for g in gt.walk():
             if g.children:
-                parts = [frozenset(c.covered_ids()) for c in g.children] + [frozenset(g.stmts)]
+                parts = [frozenset(_covered(c)) for c in g.children] + [frozenset(g.stmts)]
                 combined: set[int] = set()
                 total = 0
                 for part in parts:
                     combined |= part
                     total += len(part)
                 assert len(combined) == total  # disjoint
-                assert combined == g.covered_ids()
+                assert combined == _covered(g)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -204,3 +209,42 @@ def test_generated_decomposition_invariants(seed):
                 assert all(0 <= s < len(g.children) for s in g.arm_starts)
                 carrier = g.header_carrier()
                 assert carrier.is_leaf
+
+
+# ------------------------------------------------------------- leaf regions
+
+def _assert_leaf_regions_are_their_anchors(analysis):
+    """Each leaf's ordinal range is exactly the occurrences of its statements
+    and carried header, and those are consecutive (``ordinals_of`` asserts it)."""
+    for gt in analysis.granules:
+        headers = {id(g.header_carrier()): g.stmts for g in gt.walk() if g.children}
+        leaves = [g for g in gt.walk() if g.is_leaf]
+        assert [g.label for g in leaves] == [leaf.label for leaf in gt.leaves]
+        for g, leaf in zip(leaves, gt.leaves):
+            anchors = g.stmts + headers.get(id(g), ())
+            assert leaf.region == ordinals_of(analysis, anchors), leaf.label
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_leaf_regions_are_contiguous_on_fixtures(name):
+    _assert_leaf_regions_are_their_anchors(analyzed(name))
+
+
+def test_leaf_regions_are_contiguous_on_generated_programs():
+    from minicog.generator import generate
+
+    for seed in range(1000):
+        _assert_leaf_regions_are_their_anchors(analyze_source(generate(seed)))
+
+
+def test_leaf_regions_are_contiguous_on_composed_and_permuted_programs():
+    from minicog import ComposeError
+    from minicog.weyuker import ValidatorPool, _permutations
+
+    pool = ValidatorPool([], seed=0, n_generated=20)
+    composed = [pool.composed(i, j) for i in range(len(pool)) for j in range(len(pool))]
+    composed = [c for c in composed if not isinstance(c, ComposeError)]
+    permuted = [analysis for _, analysis in _permutations(pool)]
+    assert composed and permuted
+    for analysis in composed + permuted:
+        _assert_leaf_regions_are_their_anchors(analysis)

@@ -7,7 +7,10 @@ from minicog.granules import BcsKind
 from minicog.ledger import SiMode
 from minicog.scopes import ROLE_TARGET
 
-from conftest import analyzed, corpus_names, reference_si
+from conftest import (
+    analyzed, corpus_names, granule_region, icn_max_by_name, info_icn, ordinals_of,
+    reference_si, sicn_max, whole,
+)
 
 
 def var_named(analysis, name, scope_kind=None):
@@ -21,10 +24,10 @@ def var_named(analysis, name, scope_kind=None):
 def test_example1_counts():
     analysis = analyzed("example1.mc")
     led = analysis.ledger
-    assert led.icn_max_by_name(led.all_anchors()) == {"userInput": 1, "square": 2}
-    assert led.info_icn(led.all_anchors()) == 3
+    assert icn_max_by_name(led, whole(led)) == {"userInput": 1, "square": 2}
+    assert info_icn(led, whole(led)) == 3
     square = var_named(analysis, "square")
-    assert led.sicn_max(square.vid, led.all_anchors()) == 2
+    assert sicn_max(led, square.vid, whole(led)) == 2
 
 
 def test_unit_fixture_deltas():
@@ -32,26 +35,25 @@ def test_unit_fixture_deltas():
     led = analysis.ledger
     assert [e.delta for e in led.entries] == [0, 1]
     a = var_named(analysis, "a")
-    assert led.sicn_max(a.vid, led.all_anchors()) == 1
+    assert sicn_max(led, a.vid, whole(led)) == 1
 
 
 def test_example2_hand_traced_values():
     analysis = analyzed("example2.mc")
     led = analysis.ledger
-    whole = led.all_anchors()
     res = analysis.resolution
     amounts = [v for v in res.variables.values() if v.name == "amount"]
-    assert sorted(led.sicn_max(v.vid, whole) for v in amounts) == [3, 3, 3]
-    assert led.icn_max_by_name(whole) == {"amount": 9}
+    assert sorted(sicn_max(led, v.vid, whole(led)) for v in amounts) == [3, 3, 3]
+    assert icn_max_by_name(led, whole(led)) == {"amount": 9}
 
 
 def test_absent_variable_scores_zero():
     analysis = analyzed("example1.mc")
     led = analysis.ledger
     square = var_named(analysis, "square")
-    assert led.sicn_max(square.vid, set()) == 0
-    assert led.si(set(), SiMode.DELTA) == 0
-    assert led.info_icn(set()) == 0
+    assert sicn_max(led, square.vid, range(0)) == 0
+    assert led.si(range(0), SiMode.DELTA) == 0
+    assert info_icn(led, range(0)) == 0
 
 
 def test_example3_second_loop_region():
@@ -59,14 +61,14 @@ def test_example3_second_loop_region():
     led = analysis.ledger
     gt = analysis.granules[0]
     fors = [g for g in gt.walk() if g.kind == BcsKind.FOR]
-    l1 = fors[0].covered_ids()
-    l2 = fors[1].covered_ids()  # the shadowing summation loop inside the while
+    l1 = granule_region(analysis, fors[0])
+    l2 = granule_region(analysis, fors[1])  # the shadowing summation loop inside the while
     s_vars = [v for v in analysis.resolution.variables.values() if v.name == "s"]
-    assert sorted(led.sicn_max(v.vid, l1) for v in s_vars) == [0, 3]
-    assert led.icn_max_by_name(l1)["s"] == 3
+    assert sorted(sicn_max(led, v.vid, l1) for v in s_vars) == [0, 3]
+    assert icn_max_by_name(led, l1)["s"] == 3
     # scope-aware maximum stays below the name-blind one in the second loop
-    assert sorted(led.sicn_max(v.vid, l2) for v in s_vars) == [0, 5]
-    assert led.icn_max_by_name(l2)["s"] == 8
+    assert sorted(sicn_max(led, v.vid, l2) for v in s_vars) == [0, 5]
+    assert icn_max_by_name(led, l2)["s"] == 8
 
 
 def test_si_modes_on_whole_example1():
@@ -91,9 +93,10 @@ def test_regional_icn_exceeds_scoped_sum_under_shadowing():
     block = next(n for n in analysis.tree.nodes.values() if isinstance(n, ast.Block)
                  and analysis.tree.parents.get(n.nid) is not None
                  and isinstance(analysis.tree.nodes[analysis.tree.parents[n.nid]], ast.Block))
-    region = {nid for nid in analysis.tree.nodes if _inside(analysis.tree, nid, block.nid)}
-    icn_total = led.info_icn(region)
-    scoped_total = sum(led.sicn_max(v.vid, region) for v in res.variables.values())
+    region = ordinals_of(analysis, {nid for nid in analysis.tree.nodes
+                                    if _inside(analysis.tree, nid, block.nid)})
+    icn_total = info_icn(led, region)
+    scoped_total = sum(sicn_max(led, v.vid, region) for v in res.variables.values())
     assert icn_total == 9
     assert scoped_total == 6
     assert icn_total > scoped_total
@@ -139,14 +142,14 @@ def test_record_variable_sums_members():
 
     assert member_total("x") == 1
     assert member_total("y") == 3
-    assert led.sicn_max(p.vid, led.all_anchors()) == 4  # sum of member counts
+    assert sicn_max(led, p.vid, whole(led)) == 4  # sum of member counts
 
 
 def test_array_element_assignment_counts_the_array():
     analysis = analyze_source("int main() { int k[3]; k[0] = 1; k[1] = k[0] + 1; }")
     led = analysis.ledger
     k = next(v for v in analysis.resolution.variables.values() if v.name == "k")
-    assert led.sicn_max(k.vid, led.all_anchors()) == 3  # 1 + (1 + one operator)
+    assert sicn_max(led, k.vid, whole(led)) == 3  # 1 + (1 + one operator)
 
 
 # ---------------------------------------------------------------- invariants
@@ -180,7 +183,7 @@ def _windows(analysis, count=8):
                 ids.add(s.nid)
                 ids.update(nid for nid in analysis.tree.nodes
                            if _inside(analysis.tree, nid, s.nid))
-            out.append(ids)
+            out.append(ordinals_of(analysis, ids))
             if len(out) >= count:
                 return out
     return out
@@ -198,7 +201,7 @@ def _inside(tree, nid, ancestor):
 def test_mode_ordering_on_regions(name):
     analysis = analyzed(name)
     led = analysis.ledger
-    for region in _windows(analysis) + [led.all_anchors()]:
+    for region in _windows(analysis) + [whole(led)]:
         minmax = led.si(region, SiMode.MINMAX)
         delta = led.si(region, SiMode.DELTA)
         absolute = led.si(region, SiMode.ABSOLUTE)
@@ -210,11 +213,11 @@ def test_scope_dominance(name):
     analysis = analyzed(name)
     led = analysis.ledger
     res = analysis.resolution
-    for region in _windows(analysis) + [led.all_anchors()]:
-        icn = led.icn_max_by_name(region)
+    for region in _windows(analysis) + [whole(led)]:
+        icn = icn_max_by_name(led, region)
         by_name: dict[str, int] = {}
         for v in res.variables.values():
-            by_name[v.name] = by_name.get(v.name, 0) + led.sicn_max(v.vid, region)
+            by_name[v.name] = by_name.get(v.name, 0) + sicn_max(led, v.vid, region)
         for vname, total in by_name.items():
             assert total <= icn.get(vname, 0) or total == 0
 
@@ -238,11 +241,12 @@ def test_region_additivity_delta_mode(seed):
         for s in span:
             ids.add(s.nid)
             ids.update(nid for nid in analysis.tree.nodes if _inside(analysis.tree, nid, s.nid))
-        return ids
+        return ordinals_of(analysis, ids)
 
+    both = region_of(stmts)
     for cut in range(1, len(stmts)):
         a, b = region_of(stmts[:cut]), region_of(stmts[cut:])
-        assert led.si(a | b, SiMode.DELTA) == led.si(a, SiMode.DELTA) + led.si(b, SiMode.DELTA)
+        assert led.si(both, SiMode.DELTA) == led.si(a, SiMode.DELTA) + led.si(b, SiMode.DELTA)
 
 
 def test_ledger_dump_schema():
@@ -262,10 +266,11 @@ def test_si_matches_reference_on_random_regions(name):
     analysis = analyzed(name) if name.endswith(".mc") else analyze_source(generate(int(name[4:])))
     led = analysis.ledger
     rng = random.Random(name)
-    nids = sorted(analysis.tree.nodes)  # anchors and nodes that anchor nothing
-    regions = [set(), set(nids), led.all_anchors()]
-    regions += [set(rng.sample(nids, rng.randint(1, len(nids)))) for _ in range(40)]
+    n = len(led.entries)
+    regions = [range(0), range(n)]
+    for _ in range(40):
+        lo = rng.randint(0, n)
+        regions.append(range(lo, rng.randint(lo, n)))
     for region in regions:
         for mode in SiMode:
             assert led.si(region, mode) == reference_si(led, region, mode)
-            assert led.si(tuple(region), mode) == reference_si(led, region, mode)

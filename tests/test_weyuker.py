@@ -11,7 +11,7 @@ from minicog.weyuker import (
     rename, run_matrix,
 )
 
-from conftest import corpus_pairs, fixture_source
+from conftest import corpus_pairs, fixture_source, icn_max_by_name, whole
 
 
 # ------------------------------------------------------------------ compose
@@ -99,7 +99,7 @@ def test_rename_preserves_all_metrics():
     p = fixture_source("example1.mc")
     renamed = rename(p, {"userInput": "x", "square": "y"})
     a, b = analyze_source(p), analyze_source(renamed)
-    assert b.ledger.icn_max_by_name(b.ledger.all_anchors()) == {"x": 1, "y": 2}
+    assert icn_max_by_name(b.ledger, whole(b.ledger)) == {"x": 1, "y": 2}
     for mode in SiMode:
         assert a.escim_value(mode) == b.escim_value(mode)
         assert a.si_program(mode) == b.si_program(mode)
