@@ -7,7 +7,7 @@ from .errors import (
     ErmSyntaxError, InconsistentInput, InvalidPermutation, LexError,
     ParseError, RenameCollision, UnresolvedName,
 )
-from .granules import BcsKind, Granule, GranuleTree, classify_bcs, decompose, detect_recursion
+from .granules import BcsKind, Granule, GranuleTree, decompose, detect_recursion
 from .ledger import LedgerEntry, OccurrenceLedger, SiMode, build_ledger
 from .lexer import SourceSpan, Tokens, tokenize
 from .metrics import (

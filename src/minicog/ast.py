@@ -3,9 +3,11 @@
 Nodes are dataclasses with ``__slots__``. Positions and node ids are attached
 after construction: the parser stores each node's ``start`` and ``end``
 source offsets and its file's shared ``SourceMap``, and ``SyntaxTree.finalize``
-numbers every node in depth-first source order and records parent links.
-``Node.span`` builds a ``SourceSpan`` from the offsets only when it is read,
-which on the success path nothing does. Structural equality (ignoring
+numbers every node in depth-first source order. The tree keeps no parent
+links: no stage reads them (the parser checks string literals as it builds
+calls), and ``child_nodes`` gives them to whoever needs them.
+``Node.span`` builds a ``SourceSpan`` from the offsets only when it is
+read, which on the success path nothing does. Structural equality (ignoring
 positions and ids) goes through ``fingerprint``.
 
 Tree walks are table-driven: ``NODE_FIELDS`` holds each node class's field
@@ -283,29 +285,23 @@ class SyntaxTree:
     items: list
     file: str = "<input>"
     nodes: dict[int, Node] = field(default_factory=dict, repr=False)
-    parents: dict[int, int] = field(default_factory=dict, repr=False)
 
     def finalize(self) -> "SyntaxTree":
-        """Assign depth-first node ids and parent links, by an explicit stack
-        of (node, parent nid) pairs; an item's parent nid is -1."""
+        """Assign depth-first node ids, by an explicit stack."""
         nodes: dict[int, Node] = {}
-        parents: dict[int, int] = {}
-        stack = [(item, -1) for item in reversed(self.items)]
+        stack = self.items[::-1]
         while stack:
-            node, parent = stack.pop()
+            node = stack.pop()
             nid = node.nid = len(nodes)
             nodes[nid] = node
-            if parent >= 0:
-                parents[nid] = parent
             # children pushed last to first, so they pop in source order
             for name in _FIELDS_REVERSED[type(node)]:
                 value = getattr(node, name)
                 if isinstance(value, Node):
-                    stack.append((value, nid))
+                    stack.append(value)
                 elif isinstance(value, list):
-                    stack += [(v, nid) for v in reversed(value) if isinstance(v, Node)]
+                    stack += [v for v in reversed(value) if isinstance(v, Node)]
         self.nodes = nodes
-        self.parents = parents
         return self
 
 

@@ -296,8 +296,9 @@ def run_analyze(args) -> int:
             print(f"minicog: cannot read {path}: {exc}", file=sys.stderr)
             return 2
         try:
-            analysis = analyze_source(source, str(path))
-            reports.append(report_obj(analysis, mode, args.weights, emit))
+            # the analysis is freed once its report is built, before the next
+            # file's analysis and the JSON writer run
+            reports.append(report_obj(analyze_source(source, str(path)), mode, args.weights, emit))
         except (AnalysisError, EmptyProgram) as exc:
             had_diagnostics = True
             reports.append(diagnostic_obj(str(path), mode, exc))

@@ -60,18 +60,6 @@ _STRUCTURED_KIND = {
 }
 
 
-def classify_bcs(stmt: ast.Stmt) -> BcsKind:
-    """Table-driven statement classification."""
-    while isinstance(stmt, ast.LabeledStmt):
-        stmt = stmt.stmt
-    if isinstance(stmt, ast.GotoStmt):
-        return BcsKind.GOTO
-    for cls, kind in _STRUCTURED_KIND.items():
-        if isinstance(stmt, cls):
-            return kind
-    return BcsKind.LINEAR
-
-
 @dataclass(eq=False, slots=True)
 class Granule:
     label: str

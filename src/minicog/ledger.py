@@ -11,11 +11,17 @@ is the operator count of its statement or clause (compound assignment and
 declarations contribute zero but still appear in the ledger carrying the
 current values, which is what region minima/maxima are taken over.
 
+The ledger is stored as int columns beside the resolver's occurrence columns
+(``minicog.scopes.Occurrences``), indexed by the same ordinal: ``delta``,
+``icn_after``, ``sicn_after`` and ``sicn_before`` (``sicn_after`` less
+``delta``). ``entries`` is a view that builds a ``LedgerEntry`` row only when
+one is read; nothing in the pipeline reads one.
+
 A region is one range of occurrence ordinals (see ``minicog.granules``), so
-scoring it scans one slice of the entries. Every delta is at least zero, so
-a variable's SICN never falls along the stream: inside a region its first
-entry holds its lowest value, that value less the entry's delta is its value
-just before the region, and its last entry holds its highest value.
+scoring it scans that range of the columns. Every delta is at least zero, so
+a variable's SICN never falls along the stream. Inside a region, then, its
+first occurrence holds its lowest value (and, in ``sicn_before``, its value
+just before the region), and its last occurrence holds its highest value.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .ast import SyntaxTree
-from .scopes import ROLE_TARGET, OccurrenceRef, Resolution, ScopedVariable
+from .scopes import ROLE_TARGET, OccurrenceRef, Resolution, RowView, ScopedVariable
 
 
 class SiMode(str, Enum):
@@ -34,7 +40,7 @@ class SiMode(str, Enum):
     ABSOLUTE = "absolute"
 
 
-# A NamedTuple: cheaper to build than a frozen dataclass, and one is built per occurrence.
+# One row of ``LedgerEntries``, built only when it is read.
 class LedgerEntry(NamedTuple):
     occurrence: OccurrenceRef
     delta: int
@@ -42,78 +48,118 @@ class LedgerEntry(NamedTuple):
     sicn_after: int
 
 
+class LedgerEntries(RowView):
+    """The ledger read as ``LedgerEntry`` rows, one per occurrence."""
+
+    __slots__ = ("ledger",)
+
+    def __init__(self, ledger: "OccurrenceLedger") -> None:
+        self.ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self.ledger.delta)
+
+    def _row(self, i: int) -> LedgerEntry:
+        led = self.ledger
+        return LedgerEntry(led.resolution.occurrences[i], led.delta[i], led.icn_after[i],
+                           led.sicn_after[i])
+
+    def __iter__(self):
+        led = self.ledger
+        return map(LedgerEntry, led.resolution.occurrences, led.delta, led.icn_after,
+                   led.sicn_after)
+
+
 @dataclass
 class OccurrenceLedger:
-    entries: list[LedgerEntry]
-    variables: dict[int, ScopedVariable]
-    tree: SyntaxTree
     resolution: Resolution
-    i_l: int = 0  # I(L) of the whole program, read off the final name counts by build_ledger
+    delta: list[int]
+    icn_after: list[int]
+    sicn_after: list[int]
+    sicn_before: list[int]
+    i_l: int  # I(L) of the whole program, read off the final name counts
+
+    @property
+    def variables(self) -> dict[int, ScopedVariable]:
+        return self.resolution.variables
+
+    @property
+    def tree(self) -> SyntaxTree:
+        return self.resolution.tree
+
+    @property
+    def entries(self) -> LedgerEntries:
+        return LedgerEntries(self)
 
     def si(self, anchors: range, mode: SiMode = SiMode.DELTA) -> int:
         """Scope information of a region: ``anchors`` is the region's range
         of occurrence ordinals (a leaf's ``Leaf.region``).
 
-        One scan of the region's entries keeps each variable's lowest value
-        (from its first entry; in delta mode, the value before the region)
-        and its highest (from its last entry).
+        One scan of the region keeps each variable's highest value (from its
+        last occurrence) and, but in absolute mode, its lowest (from its
+        first occurrence; in delta mode, the value before the region).
         """
-        before = mode is SiMode.DELTA  # delta mode counts from the value before the region
+        variable, after = self.resolution.occurrences.variable, self.sicn_after
         high: dict[int, int] = {}
-        low: dict[int, int] = {}
-        for entry in self.entries[anchors.start:anchors.stop]:
-            vid = entry.occurrence.variable
-            if vid not in low:
-                low[vid] = entry.sicn_after - entry.delta if before else entry.sicn_after
-            high[vid] = entry.sicn_after
         if mode is SiMode.ABSOLUTE:
+            for i in anchors:
+                high[variable[i]] = after[i]
             return sum(high.values())
+        lows = self.sicn_before if mode is SiMode.DELTA else after
+        low: dict[int, int] = {}
+        for i in anchors:
+            vid = variable[i]
+            if vid not in low:
+                low[vid] = lows[i]
+            high[vid] = after[i]
         return sum(high.values()) - sum(low.values())
 
     def dump(self) -> list[dict]:
+        occ, variables = self.resolution.occurrences, self.variables
         rows = []
-        for entry in self.entries:
-            occ = entry.occurrence
-            var = self.variables[occ.variable]
-            name = var.name if occ.member is None else f"{var.name}.{occ.member}"
+        for ordinal, vid, member, role, delta, icn, sicn in zip(
+                range(len(occ)), occ.variable, occ.member, occ.role,
+                self.delta, self.icn_after, self.sicn_after):
+            var = variables[vid]
             rows.append(
                 {
-                    "ordinal": occ.ordinal,
-                    "variable": name,
+                    "ordinal": ordinal,
+                    "variable": var.name if member is None else f"{var.name}.{member}",
                     "scope": var.scope,
-                    "role": occ.role,
-                    "delta": entry.delta,
-                    "icn_after": entry.icn_after,
-                    "sicn_after": entry.sicn_after,
+                    "role": role,
+                    "delta": delta,
+                    "icn_after": icn,
+                    "sicn_after": sicn,
                 }
             )
         return rows
 
 
 def build_ledger(resolution: Resolution) -> OccurrenceLedger:
-    entries: list[LedgerEntry] = []
-    name_count: dict[str, int] = {}
-    var_count: dict[int, int] = {}
-    ledger = OccurrenceLedger(
-        entries=entries,
-        variables=resolution.variables,
-        tree=resolution.tree,
-        resolution=resolution,
-    )
-    for occ in resolution.occurrences:
-        var = resolution.variables[occ.variable]
-        delta = 1 + occ.op_unit if occ.role == ROLE_TARGET else 0
-        if delta:
-            name_count[var.name] = name_count.get(var.name, 0) + delta
-            var_count[occ.variable] = var_count.get(occ.variable, 0) + delta
-        entries.append(
-            LedgerEntry(
-                occ, delta,
-                icn_after=name_count.get(var.name, 0),
-                sicn_after=var_count.get(occ.variable, 0),
-            )
-        )
+    """Run both counters over the occurrence columns in one loop over ints:
+    names and variables are numbered, so each count is a list slot."""
+    names: dict[str, int] = {}
+    name_of = [names.setdefault(var.name, len(names)) for var in resolution.variables.values()]
+    name_count = [0] * len(names)
+    var_count = [0] * len(name_of)
+    delta: list[int] = []
+    icn_after: list[int] = []
+    sicn_after: list[int] = []
+    sicn_before: list[int] = []
+    occ = resolution.occurrences
+    for vid, role, ops in zip(occ.variable, occ.role, occ.op_unit):
+        name = name_of[vid]
+        before = var_count[vid]
+        if role == ROLE_TARGET:
+            step = 1 + ops
+            name_count[name] += step
+            var_count[vid] = before + step
+        else:
+            step = 0
+        delta.append(step)
+        icn_after.append(name_count[name])
+        sicn_after.append(var_count[vid])
+        sicn_before.append(before)
     # A name's ICN only grows, so its highest value is its final count.
-    ledger.i_l = sum(name_count.values())
-    return ledger
-
+    return OccurrenceLedger(resolution, delta, icn_after, sicn_after, sicn_before,
+                            i_l=sum(name_count))

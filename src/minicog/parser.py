@@ -22,7 +22,10 @@ of ``ast.BINARY_PRECEDENCE``, loosest first: ``||``; ``&&``; ``==`` ``!=``;
 
 The array marker is accepted both on the type (``int[] a``) and after the
 name (``int a[10]``); both normalize to the same TypeRef. String literals
-are only legal as direct arguments of the builtin ``print``.
+are only legal as direct arguments of the builtin ``print``: the parser
+keeps each string literal it makes until a ``print`` call takes it as an
+argument, and once the whole file has parsed (so a syntax error anywhere is
+reported first) the earliest one left is the error.
 
 The parser reads the lexer's parallel ``kinds`` and ``texts`` lists by token
 index, with one end sentinel so that no lookahead needs a bounds check. Each
@@ -61,6 +64,8 @@ class _Parser:
         self.starts = tokens.starts
         self.source_map = tokens.source_map
         self.pos = 0
+        # string literals not (yet) a direct argument of print, in source order
+        self.strings: dict[Literal, None] = {}
 
     # ------------------------------------------------------------ plumbing
 
@@ -409,6 +414,9 @@ class _Parser:
                         self.pos += 1
                         args.append(self.parse_expr())
                 self.expect(")")
+                if expr.name == "print":
+                    for arg in args:
+                        self.strings.pop(arg, None)
                 expr = self._spanned(Call(expr.name, args), start)
             else:
                 return expr
@@ -421,7 +429,10 @@ class _Parser:
             return self._spanned(VarRef(text), start)
         if kind in LITERAL_KINDS:
             self.pos = start + 1
-            return self._spanned(Literal(LITERAL_KINDS[kind], text), start)
+            literal = self._spanned(Literal(LITERAL_KINDS[kind], text), start)
+            if kind == "string-literal":
+                self.strings[literal] = None
+            return literal
         if text == "true" or text == "false":
             self.pos = start + 1
             return self._spanned(Literal("bool", text), start)
@@ -442,21 +453,13 @@ class _Parser:
         )
 
 
-def _check_string_literals(tree: SyntaxTree) -> None:
-    # Strings are only allowed as direct arguments of print(...).
-    for nid, node in tree.nodes.items():
-        if isinstance(node, Literal) and node.kind == "string":
-            parent = tree.nodes.get(tree.parents.get(nid, -1))
-            if isinstance(parent, Call) and parent.callee == "print":
-                continue
-            raise ParseError("string literal only allowed as a print argument", node.span)
-
-
 def parse(tokens: Tokens) -> SyntaxTree:
     """Parse a file's tokens into a finalized SyntaxTree."""
-    tree = _Parser(tokens).parse_program().finalize()
-    _check_string_literals(tree)
-    return tree
+    parser = _Parser(tokens)
+    tree = parser.parse_program()
+    for literal in parser.strings:  # the earliest misplaced string literal, if any
+        raise ParseError("string literal only allowed as a print argument", literal.span)
+    return tree.finalize()
 
 
 def parse_source(source: str, file: str = "<input>") -> SyntaxTree:

@@ -16,6 +16,11 @@ return value. Each unit is walked once, by an explicit stack, binding names
 and counting operators together, so a flat ``x + ... + x`` chain of any
 length resolves.
 
+The occurrence stream is stored as columns (``Occurrences``): parallel lists
+of variable, member, node, role, anchor and operator count, where an
+occurrence's ordinal is its index. No record is built per occurrence; an
+``OccurrenceRef`` row is made only when one is read through the view.
+
 An anchor's occurrences are one consecutive run of ordinals, kept as a
 ``range`` in ``Resolution.runs``: nothing else is walked between the units of
 one statement (a for statement's clauses all come before its body, and a
@@ -24,6 +29,7 @@ do-while condition after it).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,7 +68,7 @@ class ScopedVariable:
     members: tuple[str, ...] = ()
 
 
-# A NamedTuple: cheaper to build than a frozen dataclass, and one is built per occurrence.
+# One row of ``Occurrences``, built only when it is read.
 class OccurrenceRef(NamedTuple):
     variable: int
     member: str | None
@@ -73,12 +79,52 @@ class OccurrenceRef(NamedTuple):
     op_unit: int      # operator count of the statement/clause containing this occurrence
 
 
+class RowView(Sequence):
+    """A read-only sequence over parallel columns: ``_row(i)`` builds row
+    ``i`` when it is read, and a slice reads as a list of rows."""
+
+    __slots__ = ()
+
+    def _row(self, i: int):
+        raise NotImplementedError
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]  # counts a negative index from the end; raises IndexError
+        return [self._row(j) for j in rows] if isinstance(i, slice) else self._row(rows)
+
+
+class Occurrences(RowView):
+    """The occurrence stream as columns, one list per ``OccurrenceRef`` field
+    but the ordinal, which is the index."""
+
+    __slots__ = ("variable", "member", "node", "role", "anchor", "op_unit")
+
+    def __init__(self) -> None:
+        self.variable: list[int] = []
+        self.member: list[str | None] = []
+        self.node: list[int] = []
+        self.role: list[str] = []
+        self.anchor: list[int] = []
+        self.op_unit: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.variable)
+
+    def _row(self, i: int) -> OccurrenceRef:
+        return OccurrenceRef(self.variable[i], self.member[i], self.node[i], i,
+                             self.role[i], self.anchor[i], self.op_unit[i])
+
+    def __iter__(self):
+        return map(OccurrenceRef, self.variable, self.member, self.node, range(len(self)),
+                   self.role, self.anchor, self.op_unit)
+
+
 @dataclass
 class Resolution:
     tree: SyntaxTree
     scopes: ScopeTree
     variables: dict[int, ScopedVariable]
-    occurrences: list[OccurrenceRef]
+    occurrences: Occurrences
     functions: dict[str, ast.FuncDef]
     records: dict[str, ast.RecordDef]
     call_graph: dict[str, set[str]]
@@ -93,7 +139,7 @@ class _Resolver:
         self.scope_vars: dict[int, dict[str, int]] = {}
         self.stack: list[int] = []
         self.variables: dict[int, ScopedVariable] = {}
-        self.occurrences: list[OccurrenceRef] = []
+        self.occurrences = Occurrences()
         self.functions: dict[str, ast.FuncDef] = {}
         self.records: dict[str, ast.RecordDef] = {}
         self.call_graph: dict[str, set[str]] = {}
@@ -144,16 +190,23 @@ class _Resolver:
 
     # ------------------------------------------------------------ occurrences
 
-    def occurrence(self, vid: int, member: str | None, node: ast.Node, role: str,
-                   anchor: int, ops: int) -> None:
-        first = len(self.occurrences)
-        self.occurrences.append(OccurrenceRef(vid, member, node.nid, first, role, anchor, ops))
-        self.extend_run(anchor, first)
-
-    def extend_run(self, anchor: int, first: int) -> None:
-        """Add the occurrences from ordinal ``first`` on to the anchor's run."""
+    def record(self, found: list[tuple], anchor: int, ops: int) -> None:
+        """Append the (variable, member, node, role) occurrences in ``found``
+        to the columns, all anchored at ``anchor`` and carrying ``ops``, and
+        add them to the anchor's run."""
+        if not found:
+            return
+        occ = self.occurrences
+        first = len(occ.variable)
+        for vid, member, nid, role in found:
+            occ.variable.append(vid)
+            occ.member.append(member)
+            occ.node.append(nid)
+            occ.role.append(role)
+        occ.anchor += [anchor] * len(found)
+        occ.op_unit += [ops] * len(found)
         run = self.runs.get(anchor)
-        self.runs[anchor] = range(first if run is None else run.start, len(self.occurrences))
+        self.runs[anchor] = range(first if run is None else run.start, first + len(found))
 
     def _target_root(self, expr: ast.Expr) -> tuple[int, str | None, ast.Expr, list[ast.Expr]]:
         """Resolve an lvalue to (vid, member, root node, read subexpressions)."""
@@ -222,20 +275,14 @@ class _Resolver:
                 stack += [(arg, ROLE_READ) for arg in reversed(expr.args)]
             elif not (isinstance(expr, ast.Literal) or expr is None):
                 raise TypeError(f"unexpected expression {type(expr).__name__}")
-        first = len(self.occurrences)
-        self.occurrences += [
-            OccurrenceRef(vid, member, nid, first + i, role, anchor, ops)
-            for i, (vid, member, nid, role) in enumerate(found)
-        ]
-        if found:
-            self.extend_run(anchor, first)
+        self.record(found, anchor, ops)
 
     # ------------------------------------------------------------ statements
 
     def walk_decl(self, decl: ast.DeclStmt, anchor: int) -> None:
         self.check_type(decl.type)
         vid = self.declare(decl.name, decl.type.name, decl)
-        self.occurrence(vid, None, decl, ROLE_DECL, anchor, 0)
+        self.record([(vid, None, decl.nid, ROLE_DECL)], anchor, 0)
         exprs = decl.init_list if decl.init is None else [decl.init]
         if exprs is not None:
             self.walk_unit(exprs, anchor, [(vid, None, decl.nid, ROLE_TARGET)])
@@ -313,8 +360,8 @@ class _Resolver:
                 for param in item.params:
                     self.check_type(param.type)
                     vid = self.declare(param.name, param.type.name, param)
-                    self.occurrence(vid, None, param, ROLE_DECL, item.nid, 0)
-                    self.occurrence(vid, None, param, ROLE_TARGET, item.nid, 0)
+                    self.record([(vid, None, param.nid, ROLE_DECL),
+                                 (vid, None, param.nid, ROLE_TARGET)], item.nid, 0)
                 for inner in item.body.stmts:
                     self.walk_stmt(inner)
                 self.pop_scope()

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from minicog import analyze_source
+from minicog import ParseError, analyze_source, ast, tokenize
+from minicog.parser import _Parser
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus"
@@ -49,6 +50,33 @@ def run_cli(*args: str, hash_seed: str | None = None, cwd: Path = REPO) -> subpr
     )
 
 
+# ------------------------------------------------ reference tree queries
+
+def parents_of(tree) -> dict[int, int]:
+    """The parent nid of every node but the top-level items, derived from
+    ``ast.child_nodes``: the tree itself keeps no parent links."""
+    return {child.nid: nid for nid, node in tree.nodes.items() for child in ast.child_nodes(node)}
+
+
+def reference_string_literal_error(source: str, file: str = "<input>"):
+    """What parsing ``source`` reports, with the string-literal rule checked
+    the long way: the whole file is parsed and numbered without the rule,
+    and then the first string literal in node order whose parent (from
+    ``parents_of``) is not a ``print`` call is the error. Returns the
+    (message, span) of the first error, or None."""
+    try:
+        tree = _Parser(tokenize(source, file)).parse_program().finalize()
+    except ParseError as exc:
+        return str(exc), exc.span
+    parents = parents_of(tree)
+    for nid, node in tree.nodes.items():
+        if isinstance(node, ast.Literal) and node.kind == "string":
+            parent = tree.nodes.get(parents.get(nid, -1))
+            if not (isinstance(parent, ast.Call) and parent.callee == "print"):
+                return "string literal only allowed as a print argument", node.span
+    return None
+
+
 # ------------------------------------------------ reference queries over a region
 #
 # A region is a range of occurrence ordinals, as ``OccurrenceLedger.si`` takes
@@ -58,8 +86,8 @@ def ordinals_of(analysis, anchors) -> range:
     """The ordinals of the occurrences anchored at any of ``anchors`` (statement
     ids), as a range; asserts that they are consecutive."""
     anchors = set(anchors)
-    ordinals = [e.occurrence.ordinal for e in analysis.ledger.entries
-                if e.occurrence.anchor in anchors]
+    ordinals = [i for i, anchor in enumerate(analysis.resolution.occurrences.anchor)
+                if anchor in anchors]
     if not ordinals:
         return range(0)
     region = range(ordinals[0], ordinals[-1] + 1)
@@ -113,7 +141,7 @@ def reference_si(ledger, region, mode) -> int:
         elif mode is SiMode.MINMAX:
             total += max(values) - min(values)
         else:
-            before = [e.sicn_after for e in ledger.entries[:region.start]
-                      if e.occurrence.variable == vid]
+            variable = ledger.resolution.occurrences.variable
+            before = [ledger.sicn_after[i] for i in range(region.start) if variable[i] == vid]
             total += max(values) - (before[-1] if before else 0)
     return total

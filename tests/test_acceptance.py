@@ -14,7 +14,7 @@ from minicog.weyuker import rename, run_matrix
 
 from conftest import (
     CORPUS, analyzed, corpus_pairs, fixture_source, granule_region, icn_max_by_name, info_icn,
-    ordinals_of, run_cli, sicn_max, whole,
+    ordinals_of, parents_of, run_cli, sicn_max, whole,
 )
 
 MODES = (SiMode.DELTA, SiMode.MINMAX, SiMode.ABSOLUTE)
@@ -171,9 +171,9 @@ def test_criterion_8a_rename_invariance_200():
     ok("8a", "rename invariance on 200 generated programs")
 
 
-def _inside(tree, nid, ancestor):
-    while nid in tree.parents:
-        nid = tree.parents[nid]
+def _inside(parents, nid, ancestor):
+    while nid in parents:
+        nid = parents[nid]
         if nid == ancestor:
             return True
     return False
@@ -183,7 +183,8 @@ def _top_level_statements(analysis):
     """The statement ids each top-level statement of `main` covers, itself included."""
     main = next(i for i in analysis.tree.items
                 if isinstance(i, ast.FuncDef) and i.name == "main")
-    return [{s.nid} | {n for n in analysis.tree.nodes if _inside(analysis.tree, n, s.nid)}
+    parents = parents_of(analysis.tree)
+    return [{s.nid} | {n for n in analysis.tree.nodes if _inside(parents, n, s.nid)}
             for s in main.body.stmts]
 
 

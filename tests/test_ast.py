@@ -10,7 +10,7 @@ from minicog import ast, parse_source
 from minicog.generator import generate
 from minicog.scopes import ROLE_TARGET, resolve
 
-from conftest import corpus_names, fixture_source
+from conftest import corpus_names, fixture_source, parents_of
 
 
 def _node_classes() -> set[type]:
@@ -141,7 +141,7 @@ def _assert_walks_match_reference(source: str) -> None:
     order, parents, ends = _numbering(tree)
     assert len(tree.nodes) == len(order)
     assert all(tree.nodes[nid] is node and node.nid == nid for nid, node in enumerate(order))
-    assert tree.parents == parents
+    assert parents_of(tree) == parents
     assert ast.fingerprint(tree) == _fingerprint(tree)
     _assert_op_units_match_reference(tree, order, ends)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from minicog import analyze_source, detect_recursion, parse_source, resolve
 from minicog import ast
-from minicog.granules import BcsKind, classify_bcs
+from minicog.granules import BcsKind
 
 from conftest import analyzed, corpus_names, ordinals_of
 
@@ -54,30 +54,6 @@ def test_do_while_header_attaches_to_trailing_leaf():
     assert do.kind == BcsKind.DO_WHILE
     assert do.header_attach == "last"
     assert do.children[-1].is_leaf
-
-
-def test_classify_bcs_table():
-    src = """int main()
-{
-    int a = 1;
-    a = 2;
-    print(a);
-    goto end;
-    if (a > 1) ;
-    switch (a) { default: ; }
-    while (a > 1) a--;
-    do a--; while (a > 1);
-    for (;;) break;
-    end: return 0;
-}
-"""
-    stmts = parse_source(src).items[0].body.stmts
-    kinds = [classify_bcs(s) for s in stmts]
-    assert kinds == [
-        BcsKind.LINEAR, BcsKind.LINEAR, BcsKind.LINEAR, BcsKind.GOTO,
-        BcsKind.IF, BcsKind.CASE, BcsKind.WHILE, BcsKind.DO_WHILE,
-        BcsKind.FOR, BcsKind.LINEAR,
-    ]
 
 
 # ------------------------------------------------------------- recursion

@@ -4,12 +4,12 @@ from hypothesis import strategies as st
 
 from minicog import analyze_source
 from minicog.granules import BcsKind
-from minicog.ledger import SiMode
-from minicog.scopes import ROLE_TARGET
+from minicog.ledger import LedgerEntry, SiMode
+from minicog.scopes import ROLE_TARGET, OccurrenceRef
 
 from conftest import (
-    analyzed, corpus_names, granule_region, icn_max_by_name, info_icn, ordinals_of,
-    reference_si, sicn_max, whole,
+    analyzed, corpus_names, fixture_source, granule_region, icn_max_by_name, info_icn,
+    ordinals_of, parents_of, reference_si, sicn_max, whole,
 )
 
 
@@ -90,11 +90,12 @@ def test_regional_icn_exceeds_scoped_sum_under_shadowing():
     analysis = analyzed("example2.mc")
     res = analysis.resolution
     led = analysis.ledger
+    parents = parents_of(analysis.tree)
     block = next(n for n in analysis.tree.nodes.values() if isinstance(n, ast.Block)
-                 and analysis.tree.parents.get(n.nid) is not None
-                 and isinstance(analysis.tree.nodes[analysis.tree.parents[n.nid]], ast.Block))
+                 and parents.get(n.nid) is not None
+                 and isinstance(analysis.tree.nodes[parents[n.nid]], ast.Block))
     region = ordinals_of(analysis, {nid for nid in analysis.tree.nodes
-                                    if _inside(analysis.tree, nid, block.nid)})
+                                    if _inside(parents, nid, block.nid)})
     icn_total = info_icn(led, region)
     scoped_total = sum(sicn_max(led, v.vid, region) for v in res.variables.values())
     assert icn_total == 9
@@ -174,6 +175,7 @@ def _windows(analysis, count=8):
     main = next(i for i in analysis.tree.items
                 if isinstance(i, ast.FuncDef) and i.name == "main")
     stmts = main.body.stmts
+    parents = parents_of(analysis.tree)
     out = []
     n = len(stmts)
     for width in range(1, n + 1):
@@ -182,16 +184,16 @@ def _windows(analysis, count=8):
             for s in stmts[start:start + width]:
                 ids.add(s.nid)
                 ids.update(nid for nid in analysis.tree.nodes
-                           if _inside(analysis.tree, nid, s.nid))
+                           if _inside(parents, nid, s.nid))
             out.append(ordinals_of(analysis, ids))
             if len(out) >= count:
                 return out
     return out
 
 
-def _inside(tree, nid, ancestor):
-    while nid in tree.parents:
-        nid = tree.parents[nid]
+def _inside(parents, nid, ancestor):
+    while nid in parents:
+        nid = parents[nid]
         if nid == ancestor:
             return True
     return False
@@ -235,12 +237,13 @@ def test_region_additivity_delta_mode(seed):
     if len(stmts) < 2:
         return
     led = analysis.ledger
+    parents = parents_of(analysis.tree)
 
     def region_of(span):
         ids = set()
         for s in span:
             ids.add(s.nid)
-            ids.update(nid for nid in analysis.tree.nodes if _inside(analysis.tree, nid, s.nid))
+            ids.update(nid for nid in analysis.tree.nodes if _inside(parents, nid, s.nid))
         return ordinals_of(analysis, ids)
 
     both = region_of(stmts)
@@ -274,3 +277,54 @@ def test_si_matches_reference_on_random_regions(name):
     for region in regions:
         for mode in SiMode:
             assert led.si(region, mode) == reference_si(led, region, mode)
+
+
+def _count_row_builds(monkeypatch) -> dict[str, int]:
+    """Count every `OccurrenceRef` and `LedgerEntry` made from now on."""
+    built = {"OccurrenceRef": 0, "LedgerEntry": 0}
+    for cls in (OccurrenceRef, LedgerEntry):
+        def counting_new(klass, *args, _new=cls.__new__, **kwargs):
+            built[klass.__name__] += 1
+            return _new(klass, *args, **kwargs)
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting_new))
+    return built
+
+
+def test_pipeline_builds_no_per_occurrence_record(monkeypatch):
+    built = _count_row_builds(monkeypatch)
+    analyses = []
+    for name in corpus_names():
+        analysis = analyze_source(fixture_source(name), name)
+        for mode in SiMode:
+            analysis.report(mode)
+        analysis.ledger.dump()
+        analyses.append(analysis)
+    assert built == {"OccurrenceRef": 0, "LedgerEntry": 0}
+    # the counter does see the rows a reader asks for
+    entries = analyses[0].ledger.entries
+    list(entries)
+    assert built == {"OccurrenceRef": len(entries), "LedgerEntry": len(entries)}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_row_views_read_the_columns(name):
+    analysis = analyzed(name)
+    occ, led = analysis.resolution.occurrences, analysis.ledger
+    columns = list(zip(occ.variable, occ.member, occ.node, range(len(occ)), occ.role,
+                       occ.anchor, occ.op_unit))
+    assert [tuple(row) for row in occ] == columns
+    assert [tuple(occ[i]) for i in range(len(occ))] == columns
+    assert occ[-1] == occ[len(occ) - 1] and [tuple(row) for row in occ[1:3]] == columns[1:3]
+    with pytest.raises(IndexError):
+        occ[len(occ)]
+    entries = list(led.entries)
+    assert len(entries) == len(led.entries) == len(occ)
+    assert [e.occurrence for e in entries] == list(occ)
+    assert [(e.delta, e.icn_after, e.sicn_after) for e in entries] == \
+        list(zip(led.delta, led.icn_after, led.sicn_after))
+    assert led.entries[2:5] == entries[2:5] and led.entries[-1] == entries[-1]
+    assert led.sicn_before == [e.sicn_after - e.delta for e in entries]
+    assert [(row["ordinal"], row["role"], row["delta"], row["icn_after"], row["sicn_after"])
+            for row in led.dump()] == \
+        [(e.occurrence.ordinal, e.occurrence.role, e.delta, e.icn_after, e.sicn_after)
+         for e in entries]

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from minicog import AnalysisError, EmptyProgram, ParseError, analyze_source, parse_source
+from minicog import AnalysisError, EmptyProgram, ParseError, analyze_source, parse_source, tokenize
 from minicog import ast
 from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION
 
-from conftest import analyzed, corpus_names
+from conftest import (
+    analyzed, corpus_names, fixture_source, parents_of, reference_string_literal_error,
+)
 
 
 def main_stmts(tree):
@@ -41,7 +43,7 @@ def test_example6_while_contains_if():
 @pytest.mark.parametrize("name", corpus_names())
 def test_child_spans_nest_in_parents(name):
     tree = analyzed(name).tree
-    for nid, parent_id in tree.parents.items():
+    for nid, parent_id in parents_of(tree).items():
         child, parent = tree.nodes[nid], tree.nodes[parent_id]
         if child.span is None or parent.span is None:
             continue
@@ -191,3 +193,82 @@ def test_any_token_sequence_analyzes_or_gives_a_diagnostic(tokens):
         analyze_source(" ".join(tokens))
     except (AnalysisError, EmptyProgram):
         pass
+
+
+# ------------------------------------------------ the string-literal rule
+
+def _parse_outcome(source: str):
+    try:
+        parse_source(source)
+    except ParseError as exc:
+        return str(exc), exc.span
+    return None
+
+
+_MISPLACED = "string literal only allowed as a print argument"
+
+
+@pytest.mark.parametrize(
+    "body, misplaced",
+    [
+        ('print("s");', None),
+        ('print(("s"));', None),
+        ('print("a", 1, "b");', None),
+        ('print(print("s"));', None),
+        ('print("a" + "b");', '"a"'),
+        ('print(f("s"));', '"s"'),
+        ('print(-"s");', '"s"'),
+        ('print("s"[0]);', '"s"'),
+        ('int x = "s";', '"s"'),
+        ('x = 1; print(1); x = "late";', '"late"'),
+        ('switch (x) { case "s": print("t"); }', None),
+    ],
+)
+def test_string_literal_rule_matches_reference(body, misplaced):
+    source = f"int f(int a) {{ return a; }}\nint main() {{ int x = 0; {body} }}"
+    outcome = _parse_outcome(source)
+    assert outcome == reference_string_literal_error(source)
+    if misplaced is None:
+        assert outcome is None
+    else:
+        message, span = outcome
+        assert message == _MISPLACED
+        start = source.index(misplaced)
+        assert (span.line_start, span.col_start) == (2, start - source.index("\n"))
+
+
+def test_syntax_error_after_a_misplaced_string_wins():
+    source = 'int main() { int x = "s"; }\nint g(  { }'
+    message, span = _parse_outcome(source)
+    assert message != _MISPLACED and span.line_start == 2
+    assert (message, span) == reference_string_literal_error(source)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_string_literal_rule_matches_reference_on_fixtures(name):
+    source = fixture_source(name)
+    assert _parse_outcome(source) == reference_string_literal_error(source) is None
+
+
+def test_string_literal_rule_matches_reference_on_spliced_programs():
+    """A string spliced over a random identifier or number token of each
+    generated program: allowed, misplaced or a syntax error, the parser and
+    the reference agree on message and span."""
+    import random
+
+    from minicog.generator import generate
+
+    seen = {"allowed": 0, "misplaced": 0, "syntax": 0}
+    for seed in range(500):
+        source = generate(seed)
+        tokens = tokenize(source)
+        slots = [i for i, kind in enumerate(tokens.kinds) if kind in ("identifier", "int-literal")]
+        rng = random.Random(seed)
+        for i in rng.sample(slots, min(3, len(slots))):
+            start = tokens.starts[i]
+            spliced = source[:start] + '"s"' + source[start + len(tokens.texts[i]):]
+            outcome = _parse_outcome(spliced)
+            assert outcome == reference_string_literal_error(spliced), (seed, start)
+            kind = "allowed" if outcome is None else "misplaced" if outcome[0] == _MISPLACED else "syntax"
+            seen[kind] += 1
+    assert min(seen.values()) > 0, seen

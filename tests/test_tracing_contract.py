@@ -1,17 +1,19 @@
 """The benchmark's traced run wraps minicog functions by name
 (``perfbench/tracing.py``, ``LAYERS``) and reads some of their arguments by
-position. These checks fail in the test suite when a refactor renames a traced
-layer or moves a traced argument; the traced run itself is only exercised
-with ``perfbench/run.py --trace 1``. ``perfbench/`` is read, never changed."""
+position, and counts sizes off their results. These checks fail in the test
+suite when a refactor renames a traced layer, moves a traced argument or
+changes what a counted result's ``len`` means; the traced run itself is only
+exercised with ``perfbench/run.py --trace 1``. ``perfbench/`` is read, never changed."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 
 import pytest
 
-from conftest import REPO
+from conftest import CORPUS, REPO, corpus_names, fixture_source
 
 from minicog.ledger import SiMode
 
@@ -50,3 +52,19 @@ def test_traced_arguments_keep_their_positions(tracing):
     assert check[0] == "prop"
     analyze = list(inspect.signature(importlib.import_module("minicog.analysis").analyze_source).parameters)
     assert analyze[0] == "source"
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_layer_counts_measure_real_results(tracing, name, capsys):
+    from minicog import build_ledger, parse, resolve, tokenize
+    from minicog.cli import main
+
+    measure = {layer.count: layer.measure for layer in tracing.LAYERS if layer.count}
+    tree = parse(tokenize(fixture_source(name), name))
+    resolution = resolve(tree)
+    assert main(["analyze", str(CORPUS / name), "--format", "json", "--emit", "ledger"]) == 0
+    rows = len(json.loads(capsys.readouterr().out)["ledger"])
+    assert rows > 0
+    assert measure["scopes.occurrences"](resolution) == rows
+    assert measure["ledger.entries"](build_ledger(resolution)) == rows
+    assert measure["parser.nodes"](tree) == len(tree.nodes) == max(tree.nodes) + 1

@@ -11,7 +11,7 @@ from minicog.weyuker import (
     rename, run_matrix,
 )
 
-from conftest import corpus_pairs, fixture_source, icn_max_by_name, whole
+from conftest import corpus_pairs, fixture_source, icn_max_by_name, parents_of, whole
 
 
 # ------------------------------------------------------------------ compose
@@ -87,9 +87,9 @@ def test_compose_duplicate_global_keeps_first_definition():
 def test_compose_leaves_its_input_trees_unchanged():
     ptree = parse_source("int g = 1;\nint main() { int v = 2; g = v; }")
     qtree = parse_source("int g = 9;\nint main() { int v = 5; print(v); }")
-    before = [(fingerprint(t), dict(t.parents)) for t in (ptree, qtree)]
+    before = [(fingerprint(t), parents_of(t)) for t in (ptree, qtree)]
     compose(ptree, qtree)
-    assert [(fingerprint(t), dict(t.parents)) for t in (ptree, qtree)] == before
+    assert [(fingerprint(t), parents_of(t)) for t in (ptree, qtree)] == before
     assert all(node.nid == nid for t in (ptree, qtree) for nid, node in t.nodes.items())
 
 
