@@ -244,22 +244,19 @@ def _report_text(obj: dict, emit: set[str]) -> list[str]:
             )
     if "granules" in emit and "granule_trees" in obj:
         lines.append("  granules:")
-
-        def walk(node: dict, depth: int) -> None:
-            lines.append("    " + "  " * depth + f"{node['label']} [{node['kind']}] stmts={node['stmts']}")
-            for child in node["children"]:
-                walk(child, depth + 1)
-
         for gt in obj["granule_trees"]:
             lines.append(f"    {gt['function']}:")
-            for root in gt["granules"]:
-                walk(root, 1)
+            stack = [(root, 1) for root in reversed(gt["granules"])]
+            while stack:
+                node, depth = stack.pop()
+                lines.append("    " + "  " * depth + f"{node['label']} [{node['kind']}] stmts={node['stmts']}")
+                stack.extend((child, depth + 1) for child in reversed(node["children"]))
     return lines
 
 
 # ------------------------------------------------------------------ analyze
 
-def _expand_corpus(inputs: list[str]) -> list[Path]:
+def _expand_corpus(inputs: list[str]) -> list[str]:
     paths: list[Path] = []
     for raw in inputs:
         p = Path(raw)
@@ -267,7 +264,7 @@ def _expand_corpus(inputs: list[str]) -> list[Path]:
             paths.extend(sorted(p.glob("*.mc")))
         else:
             paths.append(p)
-    return sorted(set(paths))
+    return [str(p) for p in sorted(set(paths))]
 
 
 def run_analyze(args) -> int:
@@ -285,52 +282,52 @@ def run_analyze(args) -> int:
             print("minicog: analyze expects exactly one input file (use --corpus for many)",
                   file=sys.stderr)
             return 2
-        paths = [Path(args.inputs[0])]
+        paths = [str(Path(args.inputs[0]))]
 
-    reports: list[dict] = []
-    had_diagnostics = False
-    for path in paths:
+    sources: list[tuple[str, str]] = []
+    for path in paths:  # every input is read before any output is written
         try:
-            source = path.read_text(encoding="utf-8")
+            sources.append((path, Path(path).read_text(encoding="utf-8")))
         except (OSError, UnicodeDecodeError) as exc:
             print(f"minicog: cannot read {path}: {exc}", file=sys.stderr)
             return 2
-        try:
-            # the analysis is freed once its report is built, before the next
-            # file's analysis and the JSON writer run
-            reports.append(report_obj(analyze_source(source, str(path)), mode, args.weights, emit))
-        except (AnalysisError, EmptyProgram) as exc:
-            had_diagnostics = True
-            reports.append(diagnostic_obj(str(path), mode, exc))
 
-    if args.corpus:
-        ok = [r for r in reports if not r.get("diagnostics")]
-        payload = {
-            "files": reports,
-            "totals": {
-                "files": len(reports),
-                "analyzed": len(ok),
-                "loc": sum(r["loc"] for r in ok),
-                "escim": sum(r["escim"] for r in ok),
-            },
-        }
-        if args.format == "json":
-            print(_json_text(payload))
+    # Each report is written as soon as it is built and dropped before the next
+    # file is analyzed; a corpus adds the {"files": [...]} wrapper and totals.
+    as_json = args.format == "json"
+    write = sys.stdout.write
+    sep, depth = ("\n    ", 2) if args.corpus else ("", 0)
+    if args.corpus and as_json:
+        write('{\n  "files": [')
+    totals = {"files": len(sources), "analyzed": 0, "loc": 0, "escim": 0}
+    for file, source in sources:
+        try:
+            rep = report_obj(analyze_source(source, file), mode, args.weights, emit)
+        except (AnalysisError, EmptyProgram) as exc:
+            rep = diagnostic_obj(file, mode, exc)
         else:
-            for rep in reports:
-                for line in _report_text(rep, emit):
-                    print(line)
-            totals = payload["totals"]
-            print(f"totals   files {totals['files']}   analyzed {totals['analyzed']}   "
-                  f"loc {totals['loc']}   ESCIM {totals['escim']}")
-    else:
-        rep = reports[0]
-        if args.format == "json":
-            print(_json_text(rep))
+            totals["analyzed"] += 1
+            totals["loc"] += rep["loc"]
+            totals["escim"] += rep["escim"]
+        if as_json:
+            out = [sep]
+            _write_json(rep, depth, out)
+            sep = ",\n    "
         else:
-            for line in _report_text(rep, emit):
-                print(line)
-    return 1 if had_diagnostics else 0
+            out = [line + "\n" for line in _report_text(rep, emit)]
+        write("".join(out))
+        del rep, out
+
+    if args.corpus and as_json:
+        out = ["\n  ]" if totals["files"] else "]", ',\n  "totals": ']
+        _write_json(totals, 1, out)
+        write("".join(out) + "\n}\n")
+    elif as_json:
+        write("\n")
+    elif args.corpus:
+        write(f"totals   files {totals['files']}   analyzed {totals['analyzed']}   "
+              f"loc {totals['loc']}   ESCIM {totals['escim']}\n")
+    return 0 if totals["analyzed"] == totals["files"] else 1
 
 
 # ------------------------------------------------------------------ weyuker

@@ -51,18 +51,15 @@ def _chain(facts: list[Fact], siblings: list[Granule], arm_starts: list[int]) ->
 
 def serialize_erm(gt: GranuleTree) -> ErmExpression:
     facts: list[Fact] = []
-
-    def visit(g: Granule) -> None:
+    _chain(facts, gt.roots, [0])
+    stack = gt.roots[::-1]  # pre-order by an explicit stack
+    while stack:
+        g = stack.pop()
         if g.children:
             for start in g.arm_starts:
                 facts.append(Fact(g.label, INCLUDE, g.children[start].label))
             _chain(facts, g.children, g.arm_starts)
-            for child in g.children:
-                visit(child)
-
-    _chain(facts, gt.roots, [0])
-    for root in gt.roots:
-        visit(root)
+            stack.extend(reversed(g.children))
     return ErmExpression(facts)
 
 

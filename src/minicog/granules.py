@@ -185,18 +185,13 @@ def _structured(stmt: ast.Stmt) -> Granule:
 
 
 def _assign_labels(roots: list[Granule]) -> None:
-    def label_of(path: tuple[int, ...]) -> str:
-        if len(path) == 1:
-            return f"G{path[0]}"
-        return "G(" + ",".join(str(p) for p in path) + ")"
-
-    def visit(g: Granule, path: tuple[int, ...]) -> None:
-        g.label = label_of(path)
-        for j, child in enumerate(g.children, start=1):
-            visit(child, path + (j,))
-
-    for i, root in enumerate(roots, start=1):
-        visit(root, (i,))
+    """Label each granule by its path of 1-based sibling positions, by an
+    explicit stack (a recursive closure would leave a reference cycle)."""
+    stack = [(root, (i,)) for i, root in enumerate(roots, start=1)]
+    while stack:
+        g, path = stack.pop()
+        g.label = f"G{path[0]}" if len(path) == 1 else "G(" + ",".join(map(str, path)) + ")"
+        stack.extend((child, path + (j,)) for j, child in enumerate(g.children, start=1))
 
 
 def _leaves(roots: list[Granule], tree: SyntaxTree, resolution: Resolution) -> list[Leaf]:

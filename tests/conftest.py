@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from minicog import ParseError, analyze_source, ast, tokenize
+from minicog import ParseError, analyze_source, ast, cli, tokenize
+from minicog.errors import AnalysisError, EmptyProgram
 from minicog.parser import _Parser
 
 REPO = Path(__file__).resolve().parents[1]
@@ -48,6 +50,39 @@ def run_cli(*args: str, hash_seed: str | None = None, cwd: Path = REPO) -> subpr
         [sys.executable, "-m", "minicog", *args],
         cwd=cwd, env=env, capture_output=True, text=False,
     )
+
+
+def reference_analyze_output(inputs: list[str], fmt: str, mode, emit: set[str],
+                              corpus: bool = True) -> str:
+    """What ``analyze`` prints, assembled the old way: every file's report kept
+    until the end, then the whole payload through ``json.dumps(obj, indent=2)``,
+    or each report's text lines followed by the totals line."""
+    paths = map(str, cli._expand_corpus(inputs) if corpus else [Path(inputs[0])])
+    reports = []
+    for path in paths:
+        try:
+            analysis = analyze_source(Path(path).read_text(encoding="utf-8"), path)
+            reports.append(cli.report_obj(analysis, mode, None, emit))
+        except (AnalysisError, EmptyProgram) as exc:
+            reports.append(cli.diagnostic_obj(path, mode, exc))
+    if not corpus:
+        rep = reports[0]
+        if fmt == "json":
+            return json.dumps(rep, indent=2) + "\n"
+        return "".join(line + "\n" for line in cli._report_text(rep, emit))
+    ok = [r for r in reports if not r.get("diagnostics")]
+    totals = {
+        "files": len(reports),
+        "analyzed": len(ok),
+        "loc": sum(r["loc"] for r in ok),
+        "escim": sum(r["escim"] for r in ok),
+    }
+    if fmt == "json":
+        return json.dumps({"files": reports, "totals": totals}, indent=2) + "\n"
+    lines = [line for rep in reports for line in cli._report_text(rep, emit)]
+    lines.append(f"totals   files {totals['files']}   analyzed {totals['analyzed']}   "
+                 f"loc {totals['loc']}   ESCIM {totals['escim']}")
+    return "".join(line + "\n" for line in lines)
 
 
 # ------------------------------------------------ reference tree queries

@@ -113,20 +113,45 @@ def test_ten_thousand_term_chain_analyzes(tmp_path, statement):
     assert json.loads(proc.stdout)["diagnostics"] == []
 
 
-def test_closed_stdout_exits_2_without_traceback():
+def _run_with_closed_stdout(*args: str) -> tuple[int, bytes]:
     read_end, write_end = os.pipe()
     os.close(read_end)  # nobody reads: the child's first flush fails with EPIPE
     try:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "minicog", "analyze", "corpus/example1.mc", "--format", "json"],
-            cwd=REPO, stdout=write_end, stderr=subprocess.PIPE,
-        )
+        proc = subprocess.Popen([sys.executable, "-m", "minicog", *args],
+                                cwd=REPO, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     _, stderr = proc.communicate(timeout=60)
-    assert proc.returncode == 2
+    return proc.returncode, stderr
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    code, stderr = _run_with_closed_stdout("analyze", "corpus/example1.mc", "--format", "json")
+    assert code == 2
     assert b"Traceback" not in stderr
     assert b"BrokenPipeError" not in stderr
+
+
+def test_closed_stdout_during_a_corpus_run_exits_2_without_traceback():
+    # the reports are written one file at a time, so the pipe breaks mid-corpus
+    code, stderr = _run_with_closed_stdout("analyze", "corpus", "--corpus", "--format", "json",
+                                           "--emit", "metrics,erm,ledger,granules")
+    assert code == 2
+    assert b"Traceback" not in stderr
+    assert b"BrokenPipeError" not in stderr
+
+
+def test_corpus_file_that_is_not_utf8_exits_2_before_any_output(tmp_path):
+    # the unreadable file sorts last: every other file is read, none analyzed or written
+    for name in corpus_names()[:3]:
+        (tmp_path / name).write_bytes((CORPUS / name).read_bytes())
+    (tmp_path / "zz_bad.mc").write_bytes(b"int main() { int a = 1; }\n\xff\n")
+    for fmt in ("json", "text"):
+        proc = run_cli("analyze", str(tmp_path), "--corpus", "--format", fmt)
+        assert proc.returncode == 2
+        assert b"cannot read" in proc.stderr and b"zz_bad.mc" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert proc.stdout == b""
 
 
 def test_comment_only_file_exits_1(tmp_path):
