@@ -12,7 +12,9 @@ its ``source`` holds the new text, so callers never analyze it a second
 time. ``rename`` returns the new text.
 
 The classical nine properties are checked over a pool of corpus programs
-plus seeded generated programs, each analyzed once. A checker scores every
+plus seeded generated programs, each analyzed and scored once. The pool keeps
+each program's text, tree and scores, and each composition's text and scores;
+no analysis outlives its scoring. A checker scores every
 scope-information mode in one walk over its candidates (P6, whose candidates
 differ per mode, walks each mode's list once), so each transformed program is
 built and analyzed once. Existential properties report witnessed /
@@ -208,41 +210,33 @@ def _has_delta(stmt: ast.Stmt) -> bool:
 
 
 def _collect_slots(entry: ast.FuncDef):
+    """Where each simple statement of the entry function sits (a list and an
+    index, or an owner and an attribute), and its SlotInfo, in source order.
+    An explicit stack, not recursive closures, so the walk leaves no cycle."""
     slots: list[tuple] = []
     infos: list[SlotInfo] = []
-
-    def add(ref: tuple, stmt: ast.Stmt, in_loop: bool, top: bool) -> None:
-        infos.append(SlotInfo(len(slots), in_loop, top, isinstance(stmt, ast.DeclStmt), _has_delta(stmt)))
-        slots.append(ref)
-
-    def handle(stmt: ast.Stmt, ref: tuple, in_loop: bool, top: bool) -> None:
+    # (statement, where it sits, in a loop, at top level); the next one is last
+    todo = [(stmt, ("list", entry.body.stmts, idx), False, True)
+            for idx, stmt in reversed(list(enumerate(entry.body.stmts)))]
+    while todo:
+        stmt, ref, in_loop, top = todo.pop()
         if isinstance(stmt, SIMPLE_STMTS):
-            add(ref, stmt, in_loop, top)
-        elif isinstance(stmt, ast.Block):
-            walk_list(stmt.stmts, in_loop, False)
-        elif isinstance(stmt, ast.IfStmt):
-            sub(stmt, "then", in_loop)
-            if stmt.orelse is not None:
-                sub(stmt, "orelse", in_loop)
-        elif isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt, ast.ForStmt)):
-            sub(stmt, "body", True)
-        elif isinstance(stmt, ast.SwitchStmt):
-            for arm in stmt.arms:
-                walk_list(arm.body, in_loop, False)
-        # labeled statements stay anchored
-
-    def sub(owner: ast.Stmt, attr: str, in_loop: bool) -> None:
-        stmt = getattr(owner, attr)
+            infos.append(SlotInfo(len(slots), in_loop, top, isinstance(stmt, ast.DeclStmt),
+                                  _has_delta(stmt)))
+            slots.append(ref)
+            continue
+        inner: list[tuple] = []  # its sub-statements in source order; labeled ones stay anchored
         if isinstance(stmt, ast.Block):
-            walk_list(stmt.stmts, in_loop, False)
-        else:
-            handle(stmt, ("attr", owner, attr), in_loop, False)
-
-    def walk_list(stmts: list[ast.Stmt], in_loop: bool, top: bool) -> None:
-        for idx, stmt in enumerate(stmts):
-            handle(stmt, ("list", stmts, idx), in_loop, top)
-
-    walk_list(entry.body.stmts, False, True)
+            inner = [(sub, ("list", stmt.stmts, idx), in_loop) for idx, sub in enumerate(stmt.stmts)]
+        elif isinstance(stmt, ast.IfStmt):
+            inner = [(getattr(stmt, attr), ("attr", stmt, attr), in_loop)
+                     for attr in ("then", "orelse") if getattr(stmt, attr) is not None]
+        elif isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt, ast.ForStmt)):
+            inner = [(stmt.body, ("attr", stmt, "body"), True)]
+        elif isinstance(stmt, ast.SwitchStmt):
+            inner = [(sub, ("list", arm.body, idx), in_loop)
+                     for arm in stmt.arms for idx, sub in enumerate(arm.body)]
+        todo.extend((sub, where, loop, False) for sub, where, loop in reversed(inner))
     return slots, infos
 
 
@@ -289,17 +283,25 @@ def permute(p: str, order: list[int]) -> Analysis:
 
 @dataclass
 class PoolEntry:
+    """A pool program's text and tree, and the scores the checks read."""
     name: str
     source: str
-    analysis: Analysis
+    tree: ast.SyntaxTree
+    escim: dict[SiMode, int]
+    si_program: dict[SiMode, int]
+    i_l: int
+    loc: int
+    names: list[str]  # its variable and function names, sorted (P8 renames them)
 
 
 class ValidatorPool:
-    """Programs under test, each analyzed once, plus caches shared by the checks."""
+    """Programs under test, each analyzed and scored once, plus caches shared
+    by the checks. Only scores are kept, so each analysis is freed once scored."""
 
     def __init__(self, corpus: list[tuple[str, str]], seed: int = 0, n_generated: int = 100,
-                 weights: WeightTable | None = None):
+                 weights: WeightTable | None = None, modes: list[SiMode] | None = None):
         self.weights = weights or WeightTable.default()
+        self.modes = modes or list(SiMode)
         self.n_corpus = len(corpus)
         self.entries: list[PoolEntry] = []
         generated = [(f"gen-{k}", generate(k)) for k in range(seed, seed + n_generated)]
@@ -308,28 +310,38 @@ class ValidatorPool:
                 analysis = analyze_source(source, name)
             except EmptyProgram as exc:  # the one diagnostic without a span naming its file
                 raise EmptyProgram(f"{name}: {exc}") from None
-            self.entries.append(PoolEntry(name, source, analysis))
-        self._composed: dict[tuple[int, int], Analysis | ComposeError] = {}
+            resolution = analysis.resolution
+            names = sorted({v.name for v in resolution.variables.values()} | set(resolution.functions))
+            self.entries.append(PoolEntry(
+                name, source, analysis.tree, self._escim(analysis),
+                {mode: analysis.si_program(mode) for mode in self.modes},
+                analysis.ledger.i_l, analysis.loc, names))
+        # (i, j) -> text and scores of P;Q, or None where the two do not compose
+        self._composed: dict[tuple[int, int], tuple[str, dict[SiMode, int]] | None] = {}
         self._fingerprints: dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
+    def _escim(self, analysis: Analysis) -> dict[SiMode, int]:
+        return {mode: analysis.escim_value(mode, self.weights) for mode in self.modes}
+
     def esc(self, i: int, mode: SiMode) -> int:
-        return self.entries[i].analysis.escim_value(mode, self.weights)
+        return self.entries[i].escim[mode]
 
     def fp(self, i: int) -> tuple:
         if i not in self._fingerprints:
-            self._fingerprints[i] = fingerprint(self.entries[i].analysis.tree)
+            self._fingerprints[i] = fingerprint(self.entries[i].tree)
         return self._fingerprints[i]
 
-    def composed(self, i: int, j: int) -> Analysis | ComposeError:
+    def composed(self, i: int, j: int) -> tuple[str, dict[SiMode, int]] | None:
+        """The text of P;Q and its ESCIM per mode, or None on a composition conflict."""
         if (i, j) not in self._composed:
             try:
-                self._composed[i, j] = compose(self.entries[i].analysis.tree,
-                                               self.entries[j].analysis.tree)
-            except ComposeError as exc:
-                self._composed[i, j] = exc
+                combined = compose(self.entries[i].tree, self.entries[j].tree)
+                self._composed[i, j] = combined.source, self._escim(combined)
+            except ComposeError:
+                self._composed[i, j] = None
         return self._composed[i, j]
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -373,8 +385,8 @@ def _first_hits(modes: list[SiMode], candidates: Iterable, hit: Callable,
 
 
 def check_property(prop: str, pool: ValidatorPool, modes: list[SiMode] | None = None) -> Verdicts:
-    """Verdicts of one property for each mode (default: all three)."""
-    return _CHECKERS[prop](prop, pool, modes or list(SiMode))
+    """Verdicts of one property for each mode (default: every mode the pool scores)."""
+    return _CHECKERS[prop](prop, pool, modes or pool.modes)
 
 
 def _check_p1(prop, pool, modes):
@@ -425,20 +437,20 @@ def _check_p4(prop, pool, modes):
 
 
 def _compositions(pool: ValidatorPool):
-    """(i, j, analysis of P;Q) for each pool pair that composes, in order."""
+    """(i, j, text of P;Q, its ESCIM per mode) for each pool pair that composes, in order."""
     for i, j in pool.pairs():
         combined = pool.composed(i, j)
-        if not isinstance(combined, ComposeError):
-            yield i, j, combined
+        if combined is not None:
+            yield i, j, *combined
 
 
 def _check_p5(prop, pool, modes):
     def hit(candidate, mode):
-        i, j, combined = candidate
-        vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), combined.escim_value(mode, pool.weights)
+        i, j, text, escim = candidate
+        vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), escim[mode]
         if vpq < vi or vpq < vj:
             values = {"p": vi, "q": vj, "pq": vpq}
-            witness = _witness(pool, p=i, q=j, values=values, composed=combined.source)
+            witness = _witness(pool, p=i, q=j, values=values, composed=text)
             return PropertyVerdict("refuted", witness)
 
     def holds(mode):  # an open mode saw every pair, so each composition is cached
@@ -472,10 +484,9 @@ def _check_p6(prop, pool, modes):
             for r in range(min(len(pool), 12)):
                 left = pool.composed(i, r) if after else pool.composed(r, i)
                 right = pool.composed(j, r) if after else pool.composed(r, j)
-                if isinstance(left, ComposeError) or isinstance(right, ComposeError):
+                if left is None or right is None:
                     continue
-                lv = left.escim_value(mode, pool.weights)
-                rv = right.escim_value(mode, pool.weights)
+                lv, rv = left[1][mode], right[1][mode]
                 if lv != rv:
                     values = {"equal": pool.esc(i, mode), "left": lv, "right": rv}
                     witness = _witness(pool, p=i, q=j, r=r, values=values)
@@ -521,24 +532,21 @@ def _check_p7(prop, pool, modes):
     return _first_hits(modes, _permutations(pool), hit)
 
 
-def _rename_map(analysis: Analysis) -> dict[str, str]:
-    names = sorted({v.name for v in analysis.resolution.variables.values()}
-                   | set(analysis.resolution.functions))
+def _rename_map(names: list[str]) -> dict[str, str]:
     return {name: f"ren{k}" for k, name in enumerate(names)}
 
 
 def _check_p8(prop, pool, modes):
-    renamings = ((i, analyze_source(rename(entry.source, _rename_map(entry.analysis)), "<renamed>"))
+    renamings = ((i, analyze_source(rename(entry.source, _rename_map(entry.names)), "<renamed>"))
                  for i, entry in enumerate(pool.entries[:200]))
 
     def hit(candidate, mode):
         i, renamed = candidate
-        analysis = pool.entries[i].analysis
-        before, after = analysis.report(mode, pool.weights), renamed.report(mode, pool.weights)
-        if (before.escim, before.i_l, before.loc, analysis.si_program(mode)) != \
-                (after.escim, after.i_l, after.loc, renamed.si_program(mode)):
-            values = {key: [getattr(before, key), getattr(after, key)]
-                      for key in ("escim", "i_l", "loc")}
+        entry = pool.entries[i]
+        before = (entry.escim[mode], entry.i_l, entry.loc)
+        after = (renamed.escim_value(mode, pool.weights), renamed.ledger.i_l, renamed.loc)
+        if before + (entry.si_program[mode],) != after + (renamed.si_program(mode),):
+            values = {key: [b, a] for key, b, a in zip(("escim", "i_l", "loc"), before, after)}
             witness = _witness(pool, p=i, renamed=renamed.source, values=values)
             return PropertyVerdict("refuted", witness)
     return _first_hits(modes, renamings, hit, lambda mode: PropertyVerdict("holds-on-sample"))
@@ -546,8 +554,8 @@ def _check_p8(prop, pool, modes):
 
 def _check_p9(prop, pool, modes):
     def hit(candidate, mode):
-        i, j, combined = candidate
-        vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), combined.escim_value(mode, pool.weights)
+        i, j, _, escim = candidate
+        vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), escim[mode]
         if vi + vj <= vpq:
             values = {"p": vi, "q": vj, "pq": vpq}
             return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, values=values))
@@ -567,13 +575,12 @@ def run_matrix(
     modes: list[SiMode] | None = None,
     weights: WeightTable | None = None,
 ) -> MatrixResult:
-    """Check every property under every mode over one shared pool."""
-    modes = modes or list(SiMode)
-    pool = ValidatorPool(corpus, seed, n_generated, weights)
+    """Check every property under each mode (default: all three) over one shared pool."""
+    pool = ValidatorPool(corpus, seed, n_generated, weights, modes)
     return MatrixResult(
         seed=seed,
         generated=n_generated,
         corpus=[name for name, _ in corpus],
-        modes=modes,
-        verdicts={prop: check_property(prop, pool, modes) for prop in _CHECKERS},
+        modes=pool.modes,
+        verdicts={prop: check_property(prop, pool) for prop in _CHECKERS},
     )

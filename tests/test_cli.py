@@ -318,3 +318,13 @@ def test_weyuker_single_mode_flag():
                    "--si-mode", "delta", "--format", "json")
     obj = json.loads(proc.stdout)
     assert obj["modes"] == ["delta"]
+
+
+@pytest.mark.parametrize("mode", ["delta", "minmax", "absolute"])
+def test_weyuker_single_mode_cells_equal_that_column_of_the_full_matrix(mode):
+    # the pool scores only the modes a run asks for
+    args = ("weyuker", "--corpus", "corpus", "--seed", "5", "--count", "12", "--format", "json")
+    full = json.loads(run_cli(*args).stdout)
+    single = json.loads(run_cli(*args, "--si-mode", mode).stdout)
+    assert single["modes"] == [mode]
+    assert single["rows"] == [{"property": row["property"], mode: row[mode]} for row in full["rows"]]

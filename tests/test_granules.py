@@ -215,11 +215,16 @@ def test_leaf_regions_are_contiguous_on_generated_programs():
 
 def test_leaf_regions_are_contiguous_on_composed_and_permuted_programs():
     from minicog import ComposeError
-    from minicog.weyuker import ValidatorPool, _permutations
+    from minicog.weyuker import ValidatorPool, _permutations, compose
 
     pool = ValidatorPool([], seed=0, n_generated=20)
-    composed = [pool.composed(i, j) for i in range(len(pool)) for j in range(len(pool))]
-    composed = [c for c in composed if not isinstance(c, ComposeError)]
+    composed = []
+    for p in pool.entries:
+        for q in pool.entries:
+            try:
+                composed.append(compose(p.tree, q.tree))
+            except ComposeError:
+                pass
     permuted = [analysis for _, analysis in _permutations(pool)]
     assert composed and permuted
     for analysis in composed + permuted:

@@ -1,8 +1,11 @@
+import gc
 from collections import Counter
 
 import pytest
 
-from minicog import ComposeError, InvalidPermutation, RenameCollision, analyze_source, parse_source
+from minicog import (
+    Analysis, ComposeError, InvalidPermutation, RenameCollision, analyze_source, parse_source,
+)
 from minicog.ast import fingerprint
 from minicog import weyuker
 from minicog.ledger import SiMode
@@ -275,3 +278,31 @@ def test_matrix_builds_and_analyzes_each_program_once(monkeypatch):
     assert all(labels[f"gen-{k}"] == 1 for k in range(20))
     assert set(compositions.values()) == {1}  # each pair is composed once ...
     assert labels["<composed>"] <= len(compositions)  # ... and analyzed at most once
+
+
+def _live_analyses() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Analysis) for obj in gc.get_objects())
+
+
+def test_a_checked_pool_holds_no_analysis():
+    # the pool keeps scores, so every analysis is freed once it is scored;
+    # other tests' caches may hold analyses, so count the ones this test adds
+    before = _live_analyses()
+    pool = ValidatorPool(corpus_pairs(), seed=0, n_generated=40)
+    for prop in weyuker._CHECKERS:
+        check_property(prop, pool)
+    assert _live_analyses() - before == 0
+    assert len(pool) == 52
+
+
+def test_the_matrix_leaves_no_reference_cycles():
+    # so the pool and every analysis are freed by reference counting,
+    # without waiting for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        run_matrix(corpus_pairs(), seed=0, n_generated=100)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
