@@ -8,13 +8,13 @@ from .errors import (
     ParseError, RenameCollision, UnresolvedName,
 )
 from .granules import BcsKind, Granule, GranuleTree, decompose, detect_recursion
-from .ledger import LedgerEntry, OccurrenceLedger, SiMode, build_ledger
+from .ledger import OccurrenceLedger, SiMode, build_ledger
 from .lexer import SourceSpan, Tokens, tokenize
 from .metrics import (
     DEFAULT_WEIGHTS, MetricsReport, WeightTable, coding_efficiency, escim, loc,
 )
 from .parser import parse, parse_source
 from .printer import pretty_print
-from .scopes import OccurrenceRef, Resolution, ScopedVariable, ScopeTree, resolve
+from .scopes import Resolution, ScopedVariable, ScopeTree, resolve
 
 __version__ = "0.1.0"

@@ -6,13 +6,13 @@ same token list during that one pass and stored on the analysis. So is all of
 the scoring work that does not depend on the SI mode or the weights: each
 function's leaf list and ERM lines (built by ``decompose``) and I(L) (set by
 ``build_ledger``). A report for one (mode, weights) pair is then one SI scan
-per leaf; it is cached, so the property validator scores each program under
-all three scope-information modes cheaply.
+per leaf, computed on each call, so the property validator scores each
+program under all three scope-information modes cheaply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ast import SyntaxTree
 from .granules import GranuleTree, decompose
@@ -32,23 +32,18 @@ class Analysis:
     ledger: OccurrenceLedger
     granules: list[GranuleTree]
     loc: int
-    _reports: dict = field(default_factory=dict, repr=False)
 
     def report(self, mode: SiMode = SiMode.DELTA, weights: WeightTable | None = None) -> MetricsReport:
-        weights = weights or WeightTable.default()
-        key = (mode, weights.key())
-        if key not in self._reports:
-            rep = escim(self.granules, self.ledger, weights, mode)
-            rep.loc = self.loc
-            rep.efficiency = coding_efficiency(rep.escim, rep.loc)
-            self._reports[key] = rep
-        return self._reports[key]
+        rep = escim(self.granules, self.ledger, weights, mode)
+        rep.loc = self.loc
+        rep.efficiency = coding_efficiency(rep.escim, rep.loc)
+        return rep
 
     def escim_value(self, mode: SiMode = SiMode.DELTA, weights: WeightTable | None = None) -> int:
         return self.report(mode, weights).escim
 
     def si_program(self, mode: SiMode = SiMode.DELTA) -> int:
-        return self.ledger.si(range(len(self.ledger.entries)), mode)
+        return self.ledger.si(self.ledger.entries, mode)
 
 
 def analyze_source(source: str, file: str = "<input>") -> Analysis:

@@ -397,7 +397,7 @@ def run_weyuker(args) -> int:
                             modes=modes, weights=args.weights)
     except (AnalysisError, EmptyProgram) as exc:
         span = getattr(exc, "span", None)
-        where = f"{span.file}:{span.line_start}:{span.col_start}: " if span else ""
+        where = f"{span}: " if span else ""
         print(f"minicog: corpus fixture does not analyze: {where}{exc}", file=sys.stderr)
         return 1
     if args.format == "json":

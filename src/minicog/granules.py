@@ -68,15 +68,15 @@ class Granule:
     # a leaf keeps the shared empty tuples: there are many leaves, and they are alive with the report
     children: Sequence["Granule"] = ()
     arm_starts: Sequence[int] = ()        # child index where each arm begins
-    header_attach: str = "first"          # which child leaf carries header occurrences
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
     def header_carrier(self) -> "Granule":
-        child = self.children[0] if self.header_attach == "first" else self.children[-1]
-        return child
+        """The child leaf that carries the header occurrences: the last for a
+        do-while, whose condition follows its body; the first otherwise."""
+        return self.children[-1] if self.kind is BcsKind.DO_WHILE else self.children[0]
 
     def walk(self):
         yield self
@@ -165,14 +165,12 @@ def _structured(stmt: ast.Stmt) -> Granule:
         arms = [_body_list(stmt.body)]
 
     arm_lists = [_decompose_run(arm) or [_empty_leaf()] for arm in arms]
-    g.header_attach = "last" if kind is BcsKind.DO_WHILE else "first"
     # The header-carrying position must be a leaf.
-    if g.header_attach == "first":
-        if not arm_lists[0][0].is_leaf:
-            arm_lists[0].insert(0, _empty_leaf())
-    else:
+    if kind is BcsKind.DO_WHILE:
         if not arm_lists[-1][-1].is_leaf:
             arm_lists[-1].append(_empty_leaf())
+    elif not arm_lists[0][0].is_leaf:
+        arm_lists[0].insert(0, _empty_leaf())
 
     children: list[Granule] = []
     starts: list[int] = []

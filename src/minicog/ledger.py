@@ -14,8 +14,8 @@ current values, which is what region minima/maxima are taken over.
 The ledger is stored as int columns beside the resolver's occurrence columns
 (``minicog.scopes.Occurrences``), indexed by the same ordinal: ``delta``,
 ``icn_after``, ``sicn_after`` and ``sicn_before`` (``sicn_after`` less
-``delta``). ``entries`` is a view that builds a ``LedgerEntry`` row only when
-one is read; nothing in the pipeline reads one.
+``delta``). The columns are the only way to read the ledger; ``entries`` is
+the range of its ordinals.
 
 A region is one range of occurrence ordinals (see ``minicog.granules``), so
 scoring it scans that range of the columns. Every delta is at least zero, so
@@ -28,46 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
-from .ast import SyntaxTree
-from .scopes import ROLE_TARGET, OccurrenceRef, Resolution, RowView, ScopedVariable
+from .scopes import ROLE_TARGET, Resolution
 
 
 class SiMode(str, Enum):
     DELTA = "delta"
     MINMAX = "minmax"
     ABSOLUTE = "absolute"
-
-
-# One row of ``LedgerEntries``, built only when it is read.
-class LedgerEntry(NamedTuple):
-    occurrence: OccurrenceRef
-    delta: int
-    icn_after: int
-    sicn_after: int
-
-
-class LedgerEntries(RowView):
-    """The ledger read as ``LedgerEntry`` rows, one per occurrence."""
-
-    __slots__ = ("ledger",)
-
-    def __init__(self, ledger: "OccurrenceLedger") -> None:
-        self.ledger = ledger
-
-    def __len__(self) -> int:
-        return len(self.ledger.delta)
-
-    def _row(self, i: int) -> LedgerEntry:
-        led = self.ledger
-        return LedgerEntry(led.resolution.occurrences[i], led.delta[i], led.icn_after[i],
-                           led.sicn_after[i])
-
-    def __iter__(self):
-        led = self.ledger
-        return map(LedgerEntry, led.resolution.occurrences, led.delta, led.icn_after,
-                   led.sicn_after)
 
 
 @dataclass
@@ -80,16 +48,9 @@ class OccurrenceLedger:
     i_l: int  # I(L) of the whole program, read off the final name counts
 
     @property
-    def variables(self) -> dict[int, ScopedVariable]:
-        return self.resolution.variables
-
-    @property
-    def tree(self) -> SyntaxTree:
-        return self.resolution.tree
-
-    @property
-    def entries(self) -> LedgerEntries:
-        return LedgerEntries(self)
+    def entries(self) -> range:
+        """The ordinals of the ledger's rows."""
+        return range(len(self.delta))
 
     def si(self, anchors: range, mode: SiMode = SiMode.DELTA) -> int:
         """Scope information of a region: ``anchors`` is the region's range
@@ -115,7 +76,7 @@ class OccurrenceLedger:
         return sum(high.values()) - sum(low.values())
 
     def dump(self) -> list[dict]:
-        occ, variables = self.resolution.occurrences, self.variables
+        occ, variables = self.resolution.occurrences, self.resolution.variables
         rows = []
         for ordinal, vid, member, role, delta, icn, sicn in zip(
                 range(len(occ)), occ.variable, occ.member, occ.role,

@@ -61,8 +61,7 @@ class WeightTable:
             if type(weight) is not int or weight < 1:  # bool is an int subclass
                 raise ValueError(f"weight for {kind!r} must be an integer >= 1, got {weight!r}")
         self._table = table
-        # the table is never changed after this, so its derived forms are built once
-        self._key = tuple(sorted(table.items()))
+        # the table is never changed after this, so its by-kind form is built once
         self.by_kind = {kind: table[name] for kind, name in _KIND_NAMES}
 
     def __getitem__(self, kind: BcsKind | str) -> int:
@@ -71,13 +70,6 @@ class WeightTable:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightTable) and self._table == other._table
-
-    def key(self) -> tuple:
-        return self._key
-
-    @classmethod
-    def default(cls) -> "WeightTable":
-        return cls()
 
     @classmethod
     def from_file(cls, path) -> "WeightTable":
@@ -102,15 +94,12 @@ class FunctionMetrics:
     name: str
     recursive: bool
     escim: int
-    si_total: int
     leaves: list[LeafRow] = field(default_factory=list)
     erm: list[str] = field(default_factory=list)
 
 
 @dataclass
 class MetricsReport:
-    si_mode: SiMode
-    weights: WeightTable
     functions: list[FunctionMetrics]
     escim: int
     i_l: int
@@ -130,13 +119,13 @@ def escim(
     leaves and ERM lines, the ledger's I(L)); the reports of one analysis
     share the ERM line lists.
     """
-    weights = weights or WeightTable.default()
+    weights = weights or WeightTable()
     by_kind = weights.by_kind
     linear, call, goto = by_kind[BcsKind.LINEAR], by_kind[BcsKind.CALL], by_kind[BcsKind.GOTO]
     functions: list[FunctionMetrics] = []
 
     for gt in granule_trees:
-        if gt.tree is not ledger.tree:
+        if gt.tree is not ledger.resolution.tree:
             raise InconsistentInput(
                 f"granule tree for '{gt.function}' does not belong to the ledger's syntax tree"
             )
@@ -158,15 +147,12 @@ def escim(
                 name=gt.function,
                 recursive=gt.recursive,
                 escim=total,
-                si_total=sum(row.si for row in rows),
                 leaves=rows,
                 erm=gt.erm,
             )
         )
 
     return MetricsReport(
-        si_mode=mode,
-        weights=weights,
         functions=functions,
         escim=sum(f.escim for f in functions),
         i_l=ledger.i_l,

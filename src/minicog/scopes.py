@@ -18,8 +18,8 @@ length resolves.
 
 The occurrence stream is stored as columns (``Occurrences``): parallel lists
 of variable, member, node, role, anchor and operator count, where an
-occurrence's ordinal is its index. No record is built per occurrence; an
-``OccurrenceRef`` row is made only when one is read through the view.
+occurrence's ordinal is its index. No record is built per occurrence, and
+the columns are the only way to read one.
 
 An anchor's occurrences are one consecutive run of ordinals, kept as a
 ``range`` in ``Resolution.runs``: nothing else is walked between the units of
@@ -29,9 +29,7 @@ do-while condition after it).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import ast
 from .ast import SyntaxTree
@@ -68,34 +66,9 @@ class ScopedVariable:
     members: tuple[str, ...] = ()
 
 
-# One row of ``Occurrences``, built only when it is read.
-class OccurrenceRef(NamedTuple):
-    variable: int
-    member: str | None
-    node: int
-    ordinal: int
-    role: str
-    anchor: int       # nid of the anchoring statement (or function def for params)
-    op_unit: int      # operator count of the statement/clause containing this occurrence
-
-
-class RowView(Sequence):
-    """A read-only sequence over parallel columns: ``_row(i)`` builds row
-    ``i`` when it is read, and a slice reads as a list of rows."""
-
-    __slots__ = ()
-
-    def _row(self, i: int):
-        raise NotImplementedError
-
-    def __getitem__(self, i):
-        rows = range(len(self))[i]  # counts a negative index from the end; raises IndexError
-        return [self._row(j) for j in rows] if isinstance(i, slice) else self._row(rows)
-
-
-class Occurrences(RowView):
-    """The occurrence stream as columns, one list per ``OccurrenceRef`` field
-    but the ordinal, which is the index."""
+class Occurrences:
+    """The occurrence stream as columns; an occurrence's ordinal is its index
+    in each of them."""
 
     __slots__ = ("variable", "member", "node", "role", "anchor", "op_unit")
 
@@ -104,19 +77,11 @@ class Occurrences(RowView):
         self.member: list[str | None] = []
         self.node: list[int] = []
         self.role: list[str] = []
-        self.anchor: list[int] = []
-        self.op_unit: list[int] = []
+        self.anchor: list[int] = []       # nid of the anchoring statement (or function def for params)
+        self.op_unit: list[int] = []      # operator count of the statement/clause holding each one
 
     def __len__(self) -> int:
         return len(self.variable)
-
-    def _row(self, i: int) -> OccurrenceRef:
-        return OccurrenceRef(self.variable[i], self.member[i], self.node[i], i,
-                             self.role[i], self.anchor[i], self.op_unit[i])
-
-    def __iter__(self):
-        return map(OccurrenceRef, self.variable, self.member, self.node, range(len(self)),
-                   self.role, self.anchor, self.op_unit)
 
 
 @dataclass

@@ -71,9 +71,6 @@ class MatrixResult:
     modes: list[SiMode]
     verdicts: dict[str, dict[SiMode, PropertyVerdict]]
 
-    def verdict(self, prop: str, mode: SiMode) -> PropertyVerdict:
-        return self.verdicts[prop][mode]
-
 
 # =================================================================== compose
 
@@ -300,7 +297,7 @@ class ValidatorPool:
 
     def __init__(self, corpus: list[tuple[str, str]], seed: int = 0, n_generated: int = 100,
                  weights: WeightTable | None = None, modes: list[SiMode] | None = None):
-        self.weights = weights or WeightTable.default()
+        self.weights = weights or WeightTable()
         self.modes = modes or list(SiMode)
         self.n_corpus = len(corpus)
         self.entries: list[PoolEntry] = []
@@ -428,12 +425,12 @@ def _check_p4(prop, pool, modes):
         "construction; equivalence is asserted by the fixture pair, not proven."
     )
 
-    def verdict(mode):
+    def judge(mode):
         vi, vj = pool.esc(i, mode), pool.esc(j, mode)
         if vi == vj:
             return PropertyVerdict("no-witness-found", note=note)
         return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, values=[vi, vj]), note=note)
-    return {mode: verdict(mode) for mode in modes}
+    return {mode: judge(mode) for mode in modes}
 
 
 def _compositions(pool: ValidatorPool):
@@ -478,7 +475,7 @@ def _check_p6(prop, pool, modes):
     # The pairs P, Q differ per mode, so each mode walks its own; compositions are cached.
     after = prop == "6a"  # |P;R| vs |Q;R| if True, else |R;P| vs |R;Q|
 
-    def verdict(mode):
+    def judge(mode):
         note = None if mode is SiMode.ABSOLUTE else _NOTE_P6_BASELINE
         for i, j in _equal_value_pairs(pool, mode, cap=30):
             for r in range(min(len(pool), 12)):
@@ -492,7 +489,7 @@ def _check_p6(prop, pool, modes):
                     witness = _witness(pool, p=i, q=j, r=r, values=values)
                     return PropertyVerdict("witnessed", witness, note=note)
         return PropertyVerdict("no-witness-found", note=note)
-    return {mode: verdict(mode) for mode in modes}
+    return {mode: judge(mode) for mode in modes}
 
 
 def _permutations(pool: ValidatorPool):

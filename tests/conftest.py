@@ -137,21 +137,23 @@ def granule_region(analysis, granule) -> range:
 
 
 def whole(ledger) -> range:
-    return range(len(ledger.entries))
+    return range(len(ledger.resolution.occurrences))
 
 
 def sicn_max(ledger, vid, region) -> int:
     """Highest SICN among the variable's occurrences in the region; 0 if absent."""
-    return max((e.sicn_after for e in ledger.entries[region.start:region.stop]
-                if e.occurrence.variable == vid), default=0)
+    variable = ledger.resolution.occurrences.variable
+    return max((ledger.sicn_after[i] for i in range(region.start, region.stop)
+                if variable[i] == vid), default=0)
 
 
 def icn_max_by_name(ledger, region) -> dict[str, int]:
     """Highest name-blind ICN per variable name in the region."""
+    variable, variables = ledger.resolution.occurrences.variable, ledger.resolution.variables
     out: dict[str, int] = {}
-    for e in ledger.entries[region.start:region.stop]:
-        name = ledger.variables[e.occurrence.variable].name
-        out[name] = max(out.get(name, 0), e.icn_after)
+    for i in range(region.start, region.stop):
+        name = variables[variable[i]].name
+        out[name] = max(out.get(name, 0), ledger.icn_after[i])
     return out
 
 
@@ -166,9 +168,10 @@ def reference_si(ledger, region, mode) -> int:
     before the region found by scanning every entry ahead of it."""
     from minicog.ledger import SiMode
 
+    variable = ledger.resolution.occurrences.variable
     per_var: dict[int, list[int]] = {}
-    for entry in ledger.entries[region.start:region.stop]:
-        per_var.setdefault(entry.occurrence.variable, []).append(entry.sicn_after)
+    for i in range(region.start, region.stop):
+        per_var.setdefault(variable[i], []).append(ledger.sicn_after[i])
     total = 0
     for vid, values in per_var.items():
         if mode is SiMode.ABSOLUTE:
@@ -176,7 +179,6 @@ def reference_si(ledger, region, mode) -> int:
         elif mode is SiMode.MINMAX:
             total += max(values) - min(values)
         else:
-            variable = ledger.resolution.occurrences.variable
             before = [ledger.sicn_after[i] for i in range(region.start) if variable[i] == vid]
             total += max(values) - (before[-1] if before else 0)
     return total

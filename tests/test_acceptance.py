@@ -85,9 +85,10 @@ def test_criterion_4_example2_shadowing():
     amounts = [v for v in res.variables.values() if v.name == "amount"]
     assert len(amounts) == 3
     global_amount = next(v for v in amounts if res.scopes.nodes[v.scope].kind == "global")
-    global_refs = [o for o in res.occurrences
-                   if isinstance(res.tree.nodes[o.node], ast.GlobalRef)]
-    assert global_refs and all(o.variable == global_amount.vid for o in global_refs)
+    occ = res.occurrences
+    global_refs = [vid for vid, nid in zip(occ.variable, occ.node)
+                   if isinstance(res.tree.nodes[nid], ast.GlobalRef)]
+    assert global_refs and all(vid == global_amount.vid for vid in global_refs)
     icn_max = icn_max_by_name(led, whole(led))["amount"]
     per_scope = [sicn_max(led, v.vid, whole(led)) for v in amounts]
     assert all(icn_max > value for value in per_scope)
@@ -125,10 +126,10 @@ def test_criterion_6_absolute_matrix(matrix500):
     result, elapsed = matrix500
     assert result.generated >= 500
     for prop in ("1", "3", "4", "6a", "6b", "7", "9"):
-        assert result.verdict(prop, SiMode.ABSOLUTE).status == "witnessed", prop
+        assert result.verdicts[prop][SiMode.ABSOLUTE].status == "witnessed", prop
     for prop in ("5", "8"):
-        assert result.verdict(prop, SiMode.ABSOLUTE).status == "holds-on-sample", prop
-    assert result.verdict("2", SiMode.ABSOLUTE).status == "holds-on-sample"
+        assert result.verdicts[prop][SiMode.ABSOLUTE].status == "holds-on-sample", prop
+    assert result.verdicts["2"][SiMode.ABSOLUTE].status == "holds-on-sample"
     assert elapsed < 60.0
     ok("6", f"absolute-mode matrix all satisfied over corpus + {result.generated} programs in {elapsed:.1f}s")
 
@@ -139,12 +140,12 @@ def test_criterion_7_baseline_modes(matrix500):
     result, _ = matrix500
     for mode in (SiMode.DELTA, SiMode.MINMAX):
         for prop in ("1", "3", "4", "7", "9"):
-            assert result.verdict(prop, mode).status == "witnessed", (prop, mode)
+            assert result.verdicts[prop][mode].status == "witnessed", (prop, mode)
         for prop in ("2", "5", "8"):
-            assert result.verdict(prop, mode).status == "holds-on-sample", (prop, mode)
+            assert result.verdicts[prop][mode].status == "holds-on-sample", (prop, mode)
         p6_statuses = {}
         for prop in ("6a", "6b"):
-            verdict = result.verdict(prop, mode)
+            verdict = result.verdicts[prop][mode]
             assert verdict.status in ("witnessed", "no-witness-found")
             assert verdict.note  # the deviation is documented, never silent
             p6_statuses[prop] = verdict.status

@@ -119,13 +119,14 @@ def _assert_op_units_match_reference(tree, order, ends) -> None:
             declared[decl.nid] = ops
     occurrences = resolve(tree).occurrences
     assert occurrences
-    for occ in occurrences:
-        if occ.node in expected:
-            assert occ.op_unit == expected[occ.node], occ
-        elif occ.role == ROLE_TARGET and occ.node in declared:
-            assert occ.op_unit == declared[occ.node], occ
+    for occ in zip(occurrences.node, occurrences.role, occurrences.op_unit):
+        node, role, op_unit = occ
+        if node in expected:
+            assert op_unit == expected[node], occ
+        elif role == ROLE_TARGET and node in declared:
+            assert op_unit == declared[node], occ
         else:
-            assert occ.op_unit == 0, occ
+            assert op_unit == 0, occ
 
 
 def test_node_fields_table_is_dataclass_fields_without_span_and_nid():

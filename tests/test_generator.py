@@ -49,8 +49,9 @@ def test_declarations_carry_operator_free_initializers():
         analysis = analyze_source(generate(seed))
         tree = analysis.tree
         # a declaration's own target occurrence carries its initializer's operator count
-        declared_ops = {occ.node: occ.op_unit for occ in analysis.resolution.occurrences
-                        if occ.role == ROLE_TARGET and isinstance(tree.nodes[occ.node], ast.DeclStmt)}
+        occ = analysis.resolution.occurrences
+        declared_ops = {nid: ops for nid, role, ops in zip(occ.node, occ.role, occ.op_unit)
+                        if role == ROLE_TARGET and isinstance(tree.nodes[nid], ast.DeclStmt)}
         for node in tree.nodes.values():
             if isinstance(node, ast.DeclStmt):
                 assert node.init is not None

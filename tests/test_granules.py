@@ -52,7 +52,7 @@ def test_do_while_header_attaches_to_trailing_leaf():
     ).granules
     do = gts[0].roots[1]
     assert do.kind == BcsKind.DO_WHILE
-    assert do.header_attach == "last"
+    assert do.header_carrier() is do.children[-1]
     assert do.children[-1].is_leaf
 
 

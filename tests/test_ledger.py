@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from minicog import analyze_source
 from minicog.granules import BcsKind
-from minicog.ledger import LedgerEntry, SiMode
-from minicog.scopes import ROLE_TARGET, OccurrenceRef
+from minicog.ledger import SiMode
+from minicog.scopes import ROLE_TARGET
 
 from conftest import (
     analyzed, corpus_names, fixture_source, granule_region, icn_max_by_name, info_icn,
@@ -33,7 +33,7 @@ def test_example1_counts():
 def test_unit_fixture_deltas():
     analysis = analyzed("unit.mc")
     led = analysis.ledger
-    assert [e.delta for e in led.entries] == [0, 1]
+    assert led.delta == [0, 1]
     a = var_named(analysis, "a")
     assert sicn_max(led, a.vid, whole(led)) == 1
 
@@ -117,7 +117,8 @@ def test_operator_rule_examples():
 }
 """
     led = analyze_source(src).ledger
-    deltas = [e.delta for e in led.entries if e.occurrence.role == ROLE_TARGET]
+    deltas = [delta for delta, role in zip(led.delta, led.resolution.occurrences.role)
+              if role == ROLE_TARGET]
     assert deltas == [1, 4, 2, 2, 2, 1]
 
 
@@ -126,8 +127,9 @@ def test_operator_rule_general(k):
     chain = " + b" * k
     src = f"int main() {{ int b = 0; int a; a = b{chain}; }}"
     led = analyze_source(src).ledger
-    last = [e for e in led.entries if e.occurrence.role == ROLE_TARGET][-1]
-    assert last.delta == 1 + k
+    last = [delta for delta, role in zip(led.delta, led.resolution.occurrences.role)
+            if role == ROLE_TARGET][-1]
+    assert last == 1 + k
 
 
 def test_record_variable_sums_members():
@@ -137,9 +139,11 @@ def test_record_variable_sums_members():
     )
     led = analysis.ledger
     p = next(v for v in analysis.resolution.variables.values() if v.name == "p")
+    occ = analysis.resolution.occurrences
+
     def member_total(member: str) -> int:
-        return sum(e.delta for e in led.entries
-                   if e.occurrence.variable == p.vid and e.occurrence.member == member)
+        return sum(delta for delta, vid, m in zip(led.delta, occ.variable, occ.member)
+                   if vid == p.vid and m == member)
 
     assert member_total("x") == 1
     assert member_total("y") == 3
@@ -158,14 +162,15 @@ def test_array_element_assignment_counts_the_array():
 @pytest.mark.parametrize("name", corpus_names())
 def test_ledger_entry_invariants(name):
     led = analyzed(name).ledger
+    occ = led.resolution.occurrences
     last_per_var: dict[int, int] = {}
-    for e in led.entries:
-        assert e.sicn_after <= e.icn_after
-        if e.occurrence.role != ROLE_TARGET:
-            assert e.delta == 0
-        vid = e.occurrence.variable
-        assert e.sicn_after >= last_per_var.get(vid, 0)
-        last_per_var[vid] = e.sicn_after
+    for vid, role, delta, icn, sicn in zip(occ.variable, occ.role, led.delta,
+                                           led.icn_after, led.sicn_after):
+        assert sicn <= icn
+        if role != ROLE_TARGET:
+            assert delta == 0
+        assert sicn >= last_per_var.get(vid, 0)
+        last_per_var[vid] = sicn
 
 
 def _windows(analysis, count=8):
@@ -279,52 +284,19 @@ def test_si_matches_reference_on_random_regions(name):
             assert led.si(region, mode) == reference_si(led, region, mode)
 
 
-def _count_row_builds(monkeypatch) -> dict[str, int]:
-    """Count every `OccurrenceRef` and `LedgerEntry` made from now on."""
-    built = {"OccurrenceRef": 0, "LedgerEntry": 0}
-    for cls in (OccurrenceRef, LedgerEntry):
-        def counting_new(klass, *args, _new=cls.__new__, **kwargs):
-            built[klass.__name__] += 1
-            return _new(klass, *args, **kwargs)
-        monkeypatch.setattr(cls, "__new__", staticmethod(counting_new))
-    return built
-
-
-def test_pipeline_builds_no_per_occurrence_record(monkeypatch):
-    built = _count_row_builds(monkeypatch)
-    analyses = []
-    for name in corpus_names():
-        analysis = analyze_source(fixture_source(name), name)
-        for mode in SiMode:
-            analysis.report(mode)
-        analysis.ledger.dump()
-        analyses.append(analysis)
-    assert built == {"OccurrenceRef": 0, "LedgerEntry": 0}
-    # the counter does see the rows a reader asks for
-    entries = analyses[0].ledger.entries
-    list(entries)
-    assert built == {"OccurrenceRef": len(entries), "LedgerEntry": len(entries)}
-
-
 @pytest.mark.parametrize("name", corpus_names())
 def test_row_views_read_the_columns(name):
+    """The columns are the only rows: the occurrence and ledger columns share
+    one ordinal, each holds one item per occurrence, and ``entries`` is the
+    range of those ordinals."""
     analysis = analyzed(name)
     occ, led = analysis.resolution.occurrences, analysis.ledger
-    columns = list(zip(occ.variable, occ.member, occ.node, range(len(occ)), occ.role,
-                       occ.anchor, occ.op_unit))
-    assert [tuple(row) for row in occ] == columns
-    assert [tuple(occ[i]) for i in range(len(occ))] == columns
-    assert occ[-1] == occ[len(occ) - 1] and [tuple(row) for row in occ[1:3]] == columns[1:3]
-    with pytest.raises(IndexError):
-        occ[len(occ)]
-    entries = list(led.entries)
-    assert len(entries) == len(led.entries) == len(occ)
-    assert [e.occurrence for e in entries] == list(occ)
-    assert [(e.delta, e.icn_after, e.sicn_after) for e in entries] == \
-        list(zip(led.delta, led.icn_after, led.sicn_after))
-    assert led.entries[2:5] == entries[2:5] and led.entries[-1] == entries[-1]
-    assert led.sicn_before == [e.sicn_after - e.delta for e in entries]
+    n = len(occ)
+    for column in (occ.variable, occ.member, occ.node, occ.role, occ.anchor, occ.op_unit,
+                   led.delta, led.icn_after, led.sicn_after, led.sicn_before):
+        assert len(column) == n
+    assert all(led.sicn_before[i] == led.sicn_after[i] - led.delta[i] for i in range(n))
+    assert led.entries == range(n)
     assert [(row["ordinal"], row["role"], row["delta"], row["icn_after"], row["sicn_after"])
             for row in led.dump()] == \
-        [(e.occurrence.ordinal, e.occurrence.role, e.delta, e.icn_after, e.sicn_after)
-         for e in entries]
+        list(zip(range(n), occ.role, led.delta, led.icn_after, led.sicn_after))

@@ -90,8 +90,8 @@ def test_coding_efficiency(e, lines, expected):
 # ----------------------------------------------------------------- weights
 
 def test_weight_table_defaults_and_validation():
-    table = WeightTable.default()
-    assert dict(table.key()) == DEFAULT_WEIGHTS
+    table = WeightTable()
+    assert {kind.value: weight for kind, weight in table.by_kind.items()} == DEFAULT_WEIGHTS
     with pytest.raises(ValueError):
         WeightTable({"linear": 0})
     with pytest.raises(ValueError):
@@ -113,7 +113,7 @@ def test_weight_table_from_file(tmp_path):
 
 @pytest.mark.parametrize("kind", sorted(DEFAULT_WEIGHTS))
 def test_weight_monotonicity(kind):
-    base = WeightTable.default()
+    base = WeightTable()
     bumped = WeightTable({kind: DEFAULT_WEIGHTS[kind] + 1})
     for name in ("example3.mc", "example6.mc", "recursion.mc", "sum_loop.mc"):
         analysis = analyzed(name)
@@ -193,20 +193,19 @@ def _reference_escim(analysis, weights, mode):
         total = sum(row[5] for row in rows)
         if gt.recursive:
             total *= weights[BcsKind.RECURSION]
-        functions.append((gt.function, gt.recursive, total, sum(row[3] for row in rows), rows,
-                          serialize_erm(gt).lines()))
+        functions.append((gt.function, gt.recursive, total, rows, serialize_erm(gt).lines()))
     return functions, sum(f[2] for f in functions), info_icn(led, whole(led))
 
 
 def _fields(report):
-    functions = [(f.name, f.recursive, f.escim, f.si_total,
+    functions = [(f.name, f.recursive, f.escim,
                   [(r.label, r.kind, r.weight, r.si, r.ancestor_product, r.term) for r in f.leaves],
                   f.erm)
                  for f in report.functions]
     return functions, report.escim, report.i_l
 
 
-_TABLES = [WeightTable.default(), WeightTable({"call": 3, "if": 5, "recursion": 2})]
+_TABLES = [WeightTable(), WeightTable({"call": 3, "if": 5, "recursion": 2})]
 
 
 def _assert_reports_match_reference(analysis):
@@ -214,8 +213,7 @@ def _assert_reports_match_reference(analysis):
     for weights, modes in zip(_TABLES + _TABLES[::-1], orders + orders):
         for mode in modes:
             rep = analysis.report(mode, weights)
-            assert rep.si_mode is mode and rep.weights is weights
-            assert _fields(rep) == _reference_escim(analysis, weights, mode), (mode, weights.key())
+            assert _fields(rep) == _reference_escim(analysis, weights, mode), (mode, weights.by_kind)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -269,15 +267,8 @@ def test_all_modes_share_the_mode_independent_work(monkeypatch):
     for weights in _TABLES:
         for mode in SiMode:
             analysis.report(mode, weights)
-            analysis.report(mode, weights)  # a cache hit does no work
     leaves = sum(len(gt.leaves) for gt in analysis.granules)
     assert calls == {"serialize_erm": trees, "si": 2 * 3 * leaves}
     # I(L) is read off the ledger's final counts; it equals the long-way sum of ICN maxima
     led = analysis.ledger
     assert analysis.report().i_l == info_icn(led, whole(led))
-
-
-def test_weight_table_key_is_built_once():
-    table = WeightTable({"while": 4})
-    assert table.key() is table.key()
-    assert table.key() == tuple(sorted({**DEFAULT_WEIGHTS, "while": 4}.items()))

@@ -39,23 +39,25 @@ def test_global_ref_binds_global_despite_shadowing():
     res = analysis.resolution
     global_amount = next(v for v in res.variables.values()
                          if res.scopes.nodes[v.scope].kind == "global")
-    global_refs = [o for o in res.occurrences
-                   if isinstance(res.tree.nodes[o.node], ast.GlobalRef)]
-    assert global_refs and all(o.variable == global_amount.vid for o in global_refs)
+    occ = res.occurrences
+    global_refs = [vid for vid, nid in zip(occ.variable, occ.node)
+                   if isinstance(res.tree.nodes[nid], ast.GlobalRef)]
+    assert global_refs and all(vid == global_amount.vid for vid in global_refs)
     # the bare `print(amount)` in the block binds to the innermost amount
     block_amount = next(v for v in res.variables.values()
                         if res.scopes.nodes[v.scope].kind == "block")
-    plain_reads = [o for o in res.occurrences
-                   if isinstance(res.tree.nodes[o.node], ast.VarRef) and o.role == "read"]
-    assert plain_reads[-1].variable == block_amount.vid
+    plain_reads = [vid for vid, nid, role in zip(occ.variable, occ.node, occ.role)
+                   if isinstance(res.tree.nodes[nid], ast.VarRef) and role == "read"]
+    assert plain_reads[-1] == block_amount.vid
 
 
 def test_use_before_inner_declaration_binds_outer():
     # `amount = amount * 2;` precedes the local declaration, so it is global
     res = analyzed("example2.mc").resolution
-    first_target = next(o for o in res.occurrences if o.role == ROLE_TARGET
-                        and isinstance(res.tree.nodes[o.node], ast.VarRef))
-    assert res.scopes.nodes[res.variables[first_target.variable].scope].kind == "global"
+    occ = res.occurrences
+    first_target = next(vid for vid, nid, role in zip(occ.variable, occ.node, occ.role)
+                        if role == ROLE_TARGET and isinstance(res.tree.nodes[nid], ast.VarRef))
+    assert res.scopes.nodes[res.variables[first_target].scope].kind == "global"
 
 
 def test_duplicate_declaration_rejected():
@@ -86,9 +88,10 @@ def test_scope_tree_shape():
 
 def test_parameters_declared_with_initial_assignment():
     res = analyzed("recursion.mc").resolution
-    param_occs = [o for o in res.occurrences if res.variables[o.variable].name == "n"
-                  and isinstance(res.tree.nodes[o.node], ast.Param)]
-    assert [o.role for o in param_occs] == [ROLE_DECL, ROLE_TARGET]
+    occ = res.occurrences
+    param_roles = [role for vid, nid, role in zip(occ.variable, occ.node, occ.role)
+                   if res.variables[vid].name == "n" and isinstance(res.tree.nodes[nid], ast.Param)]
+    assert param_roles == [ROLE_DECL, ROLE_TARGET]
 
 
 def test_record_members_resolved_per_member():
@@ -99,7 +102,9 @@ def test_record_members_resolved_per_member():
     res = analysis.resolution
     p = vars_named(analysis, "p")[0]
     assert p.is_record and p.members == ("x", "y")
-    members = [o.member for o in res.occurrences if o.variable == p.vid and o.member]
+    occ = res.occurrences
+    members = [member for vid, member in zip(occ.variable, occ.member)
+               if vid == p.vid and member]
     assert members == ["x", "y", "x"]
     with pytest.raises(UnresolvedName):
         analyze_source("struct Point { int x; };\nint main() { Point p; p.z = 1; }")
@@ -110,23 +115,29 @@ def test_every_reference_resolves_exactly_once(name):
     res = analyzed(name).resolution
     ref_nodes = [nid for nid, node in res.tree.nodes.items()
                  if isinstance(node, (ast.VarRef, ast.GlobalRef))]
-    occ_nodes = [o.node for o in res.occurrences
-                 if isinstance(res.tree.nodes[o.node], (ast.VarRef, ast.GlobalRef))]
+    occ_nodes = [nid for nid in res.occurrences.node
+                 if isinstance(res.tree.nodes[nid], (ast.VarRef, ast.GlobalRef))]
     assert sorted(occ_nodes) == sorted(ref_nodes)
 
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_ordinals_are_dense_and_increasing(name):
+    # An occurrence's ordinal is its index in every column, and the anchors'
+    # runs cover the ordinals in order, with no gap and no overlap.
     res = analyzed(name).resolution
-    assert [o.ordinal for o in res.occurrences] == list(range(len(res.occurrences)))
+    occ = res.occurrences
+    columns = (occ.variable, occ.member, occ.node, occ.role, occ.anchor, occ.op_unit)
+    assert all(len(column) == len(occ) for column in columns)
+    runs = sorted(res.runs.values(), key=lambda run: run.start)
+    assert [i for run in runs for i in run] == list(range(len(occ)))
 
 
 def test_chained_index_reads_keep_textual_order():
     res = analyze_source(
         "int main() { int a[3]; int i = 0; int j = 1; a[i][j] = 2; }"
     ).resolution
-    last_stmt = [o for o in res.occurrences if o.ordinal >= len(res.occurrences) - 3]
-    names = [res.variables[o.variable].name for o in last_stmt]
+    n = len(res.occurrences)
+    names = [res.variables[res.occurrences.variable[i]].name for i in range(n - 3, n)]
     assert names == ["a", "i", "j"]
 
 
@@ -137,9 +148,9 @@ def test_shadowing_does_not_rebind_outer_occurrences():
     def binding_names(analysis):
         res = analysis.resolution
         out = []
-        for occ in res.occurrences:
-            var = res.variables[occ.variable]
-            out.append((var.name, res.scopes.nodes[var.scope].kind, occ.role))
+        for vid, role in zip(res.occurrences.variable, res.occurrences.role):
+            var = res.variables[vid]
+            out.append((var.name, res.scopes.nodes[var.scope].kind, role))
         return out
 
     base_bindings = binding_names(base)
@@ -158,5 +169,5 @@ def test_generated_programs_resolve_totally(seed):
     res = analysis.resolution
     ref_nodes = [nid for nid, node in res.tree.nodes.items()
                  if isinstance(node, (ast.VarRef, ast.GlobalRef))]
-    occ_nodes = {o.node for o in res.occurrences}
+    occ_nodes = set(res.occurrences.node)
     assert all(nid in occ_nodes for nid in ref_nodes)

@@ -67,4 +67,6 @@ def test_layer_counts_measure_real_results(tracing, name, capsys):
     assert rows > 0
     assert measure["scopes.occurrences"](resolution) == rows
     assert measure["ledger.entries"](build_ledger(resolution)) == rows
+    # the benchmark counts the ledger's rows through ``entries``, the range of their ordinals
+    assert build_ledger(resolution).entries == range(rows)
     assert measure["parser.nodes"](tree) == len(tree.nodes) == max(tree.nodes) + 1
