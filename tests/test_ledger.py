@@ -1,3 +1,6 @@
+import gc
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,6 +285,44 @@ def test_si_matches_reference_on_random_regions(name):
     for region in regions:
         for mode in SiMode:
             assert led.si(region, mode) == reference_si(led, region, mode)
+
+
+def _live_resolution_objects() -> Counter:
+    """Count the live instances of each class defined in `scopes` or `ledger`."""
+    gc.collect()
+    return Counter(type(obj).__name__ for obj in gc.get_objects()
+                   if type(obj).__module__ in ("minicog.scopes", "minicog.ledger"))
+
+
+def test_pipeline_builds_no_per_occurrence_record():
+    """Resolving, scoring and dumping a program leaves no object per
+    occurrence: the only objects of `scopes` and `ledger` it keeps are one per
+    scope, one per variable and one of each container, and every column holds
+    plain values."""
+    before = _live_resolution_objects()
+    analyses = []
+    for name in corpus_names():
+        analysis = analyze_source(fixture_source(name), name)
+        for mode in SiMode:
+            analysis.report(mode)
+        analysis.ledger.dump()
+        analyses.append(analysis)
+    gained = _live_resolution_objects() - before
+    n = len(analyses)
+    assert gained == Counter({
+        "ScopeNode": sum(len(a.resolution.scopes.nodes) for a in analyses),
+        "ScopedVariable": sum(len(a.resolution.variables) for a in analyses),
+        "ScopeTree": n, "Occurrences": n, "Resolution": n, "OccurrenceLedger": n,
+    })
+    assert sum(len(a.resolution.occurrences) for a in analyses) > gained["ScopedVariable"]
+    for analysis in analyses:
+        occ, led = analysis.resolution.occurrences, analysis.ledger
+        assert led.entries == range(len(occ))
+        for column in (occ.variable, occ.node, occ.anchor, occ.op_unit,
+                       led.delta, led.icn_after, led.sicn_after, led.sicn_before):
+            assert type(column) is list and all(type(v) is int for v in column)
+        assert all(type(v) is str for v in occ.role)
+        assert all(v is None or type(v) is str for v in occ.member)
 
 
 @pytest.mark.parametrize("name", corpus_names())

@@ -6,6 +6,7 @@ import pytest
 from minicog import (
     EmptyProgram, InconsistentInput, analyze_source, coding_efficiency, escim, loc, tokenize,
 )
+from minicog.granules import BcsKind
 from minicog.ledger import SiMode
 from minicog.metrics import DEFAULT_WEIGHTS, WeightTable
 
@@ -100,6 +101,20 @@ def test_weight_table_defaults_and_validation():
         WeightTable({"if": 2.5})  # type: ignore[dict-item]
     with pytest.raises(ValueError):
         WeightTable({"if": True})  # JSON true is not a weight
+
+
+def test_weight_table_by_kind_is_built_once():
+    """The kind-keyed weights are built with the table, and scoring reads that
+    map rather than building its own from the names."""
+    table = WeightTable({"while": 4})
+    by_kind = table.by_kind
+    assert by_kind == {kind: table[kind] for kind in BcsKind}
+    assert by_kind[BcsKind.WHILE] == 4 and by_kind[BcsKind.IF] == DEFAULT_WEIGHTS["if"]
+    analysis = analyzed("example6.mc")
+    assert analysis.escim_value(SiMode.DELTA, table) == 2 + 1 * 4 + 0 + 3 * 4
+    assert table.by_kind is by_kind
+    table.by_kind = {**by_kind, BcsKind.WHILE: 5}
+    assert analysis.escim_value(SiMode.DELTA, table) == 2 + 1 * 5 + 0 + 3 * 5
 
 
 def test_weight_table_from_file(tmp_path):
