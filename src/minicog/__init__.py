@@ -15,6 +15,6 @@ from .metrics import (
 )
 from .parser import parse, parse_source
 from .printer import pretty_print
-from .scopes import Resolution, ScopedVariable, ScopeTree, resolve
+from .scopes import Resolution, ScopedVariable, resolve
 
 __version__ = "0.1.0"

@@ -53,5 +53,5 @@ def analyze_source(source: str, file: str = "<input>") -> Analysis:
     del tokens  # free the tokens before the later stages; they would raise peak memory
     resolution = resolve(tree)
     ledger = build_ledger(resolution)
-    granules = decompose(tree, resolution)
+    granules = decompose(resolution)
     return Analysis(file, source, tree, resolution, ledger, granules, lines)

@@ -192,9 +192,9 @@ def _assign_labels(roots: list[Granule]) -> None:
         stack.extend((child, path + (j,)) for j, child in enumerate(g.children, start=1))
 
 
-def _leaves(roots: list[Granule], tree: SyntaxTree, resolution: Resolution) -> list[Leaf]:
+def _leaves(roots: list[Granule], resolution: Resolution) -> list[Leaf]:
     """The leaves in pre-order, by an explicit stack of (granule, enclosing kinds, parent)."""
-    runs, calls_by_anchor = resolution.runs, resolution.calls_by_anchor
+    runs, calls_by_anchor, nodes = resolution.runs, resolution.calls_by_anchor, resolution.tree.nodes
     out: list[Leaf] = []
     stack: list[tuple[Granule, tuple[BcsKind, ...], Granule | None]] = [
         (root, (), None) for root in reversed(roots)
@@ -213,7 +213,7 @@ def _leaves(roots: list[Granule], tree: SyntaxTree, resolution: Resolution) -> l
         out.append(Leaf(
             g.label, g.kind.value, region, enclosing,
             sum([calls_by_anchor.get(nid, 0) for nid in anchors]),
-            sum([isinstance(tree.nodes[nid], ast.GotoStmt) for nid in g.stmts]),
+            sum([isinstance(nodes[nid], ast.GotoStmt) for nid in g.stmts]),
         ))
     return out
 
@@ -266,8 +266,9 @@ def detect_recursion(resolution: Resolution) -> set[str]:
     return recursive
 
 
-def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
+def decompose(resolution: Resolution) -> list[GranuleTree]:
     """Granule hierarchy per function, in source order, with its leaves and ERM lines."""
+    tree = resolution.tree
     recursive = detect_recursion(resolution)
     out: list[GranuleTree] = []
     for item in tree.items:
@@ -276,7 +277,7 @@ def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
         roots = _decompose_run(item.body.stmts)
         _assign_labels(roots)
         gt = GranuleTree(item.name, item.name in recursive, roots, tree,
-                         _leaves(roots, tree, resolution), [])
+                         _leaves(roots, resolution), [])
         gt.erm = serialize_erm(gt).lines()
         out.append(gt)
     return out

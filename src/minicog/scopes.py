@@ -7,23 +7,24 @@ before an inner redeclaration still binds to the outer variable. ``::name``
 always binds in the global scope. Functions are visible program-wide so that
 mutually recursive definitions resolve.
 
-Each occurrence records the statement it is anchored to (header expressions
-of if/while/do/for/switch anchor to the structured statement itself) and the
-operator count of its counting unit, which the ledger turns into deltas. A
-counting unit is a declaration's initializer or all of its ``{...}`` list, an
-expression statement, an if/while/do/switch header, each for clause, or a
-return value. Each unit is walked once, by an explicit stack, binding names
-and counting operators together, so a flat ``x + ... + x`` chain of any
-length resolves.
+A scope only keeps same-named variables distinct, so no scope outlives the
+walk: ``ScopedVariable.scope`` numbers scopes in the order they are entered.
+
+Each occurrence is anchored to a statement (header expressions of
+if/while/do/for/switch and a for init clause anchor to the structured
+statement, parameters to their function) and carries the operator count of
+its counting unit, which the ledger turns into deltas. A counting unit is a
+declaration's initializer or all of its ``{...}`` list, an expression
+statement, an if/while/do/switch header, each for clause, or a return value.
+Each unit is walked once, by an explicit stack, binding names and counting
+operators together, so a flat ``x + ... + x`` chain of any length resolves.
 
 The occurrence stream is stored as columns (``Occurrences``): parallel lists
-of variable, member, node, role, anchor and operator count, where an
-occurrence's ordinal is its index. No record is built per occurrence, and
-the columns are the only way to read one.
-
-An anchor's occurrences are one consecutive run of ordinals, kept as a
-``range`` in ``Resolution.runs``: nothing else is walked between the units of
-one statement (a for statement's clauses all come before its body, and a
+of variable, member, role and operator count, where an occurrence's ordinal
+is its index. No record is built per occurrence. An anchor is kept only as a
+key of ``Resolution.runs``: its occurrences are one consecutive run of
+ordinals, a ``range``, as nothing else is walked between the units of one
+statement (a for statement's clauses all come before its body, and a
 do-while condition after it).
 """
 
@@ -45,19 +46,6 @@ _NAMES = (ast.VarRef, ast.GlobalRef, ast.Member, ast.Index)  # resolved by `_tar
 
 
 @dataclass(frozen=True)
-class ScopeNode:
-    sid: int
-    parent: int | None
-    kind: str  # global | function | block | for-init | switch-body
-
-
-@dataclass
-class ScopeTree:
-    nodes: dict[int, ScopeNode]
-    root: int = 0
-
-
-@dataclass(frozen=True)
 class ScopedVariable:
     vid: int
     name: str
@@ -70,14 +58,12 @@ class Occurrences:
     """The occurrence stream as columns; an occurrence's ordinal is its index
     in each of them."""
 
-    __slots__ = ("variable", "member", "node", "role", "anchor", "op_unit")
+    __slots__ = ("variable", "member", "role", "op_unit")
 
     def __init__(self) -> None:
         self.variable: list[int] = []
         self.member: list[str | None] = []
-        self.node: list[int] = []
         self.role: list[str] = []
-        self.anchor: list[int] = []       # nid of the anchoring statement (or function def for params)
         self.op_unit: list[int] = []      # operator count of the statement/clause holding each one
 
     def __len__(self) -> int:
@@ -87,11 +73,8 @@ class Occurrences:
 @dataclass
 class Resolution:
     tree: SyntaxTree
-    scopes: ScopeTree
     variables: dict[int, ScopedVariable]
     occurrences: Occurrences
-    functions: dict[str, ast.FuncDef]
-    records: dict[str, ast.RecordDef]
     call_graph: dict[str, set[str]]
     calls_by_anchor: dict[int, int]
     runs: dict[int, range]  # anchor -> its occurrence ordinals; anchors with none are absent
@@ -100,12 +83,10 @@ class Resolution:
 class _Resolver:
     def __init__(self, tree: SyntaxTree):
         self.tree = tree
-        self.scope_nodes: dict[int, ScopeNode] = {}
         self.scope_vars: dict[int, dict[str, int]] = {}
         self.stack: list[int] = []
         self.variables: dict[int, ScopedVariable] = {}
         self.occurrences = Occurrences()
-        self.functions: dict[str, ast.FuncDef] = {}
         self.records: dict[str, ast.RecordDef] = {}
         self.call_graph: dict[str, set[str]] = {}
         self.calls_by_anchor: dict[int, int] = {}
@@ -114,13 +95,10 @@ class _Resolver:
 
     # ------------------------------------------------------------ scopes
 
-    def push_scope(self, kind: str) -> int:
-        sid = len(self.scope_nodes)
-        parent = self.stack[-1] if self.stack else None
-        self.scope_nodes[sid] = ScopeNode(sid, parent, kind)
+    def push_scope(self) -> None:
+        sid = len(self.scope_vars)
         self.scope_vars[sid] = {}
         self.stack.append(sid)
-        return sid
 
     def pop_scope(self) -> None:
         self.stack.pop()
@@ -156,25 +134,23 @@ class _Resolver:
     # ------------------------------------------------------------ occurrences
 
     def record(self, found: list[tuple], anchor: int, ops: int) -> None:
-        """Append the (variable, member, node, role) occurrences in ``found``
+        """Append the (variable, member, role) occurrences in ``found``
         to the columns, all anchored at ``anchor`` and carrying ``ops``, and
         add them to the anchor's run."""
         if not found:
             return
         occ = self.occurrences
         first = len(occ.variable)
-        for vid, member, nid, role in found:
+        for vid, member, role in found:
             occ.variable.append(vid)
             occ.member.append(member)
-            occ.node.append(nid)
             occ.role.append(role)
-        occ.anchor += [anchor] * len(found)
         occ.op_unit += [ops] * len(found)
         run = self.runs.get(anchor)
         self.runs[anchor] = range(first if run is None else run.start, first + len(found))
 
-    def _target_root(self, expr: ast.Expr) -> tuple[int, str | None, ast.Expr, list[ast.Expr]]:
-        """Resolve an lvalue to (vid, member, root node, read subexpressions)."""
+    def _target_root(self, expr: ast.Expr) -> tuple[int, str | None, list[ast.Expr]]:
+        """Resolve an lvalue to (vid, member, read subexpressions)."""
         reads: list[ast.Expr] = []
         member: str | None = None
         node = expr
@@ -199,7 +175,7 @@ class _Resolver:
             var = self.variables[vid]
             if not var.is_record or member not in var.members:
                 raise UnresolvedName(f"'{member}' is not a member of '{var.name}'", expr.span)
-        return vid, member, node, reads
+        return vid, member, reads
 
     def walk_unit(self, exprs: list[ast.Expr | None], anchor: int,
                   found: list[tuple] | None = None) -> None:
@@ -214,8 +190,8 @@ class _Resolver:
         while stack:
             expr, role = stack.pop()
             if isinstance(expr, _NAMES):
-                vid, member, root, reads = self._target_root(expr)
-                found.append((vid, member, root.nid, role))
+                vid, member, reads = self._target_root(expr)
+                found.append((vid, member, role))
                 # reads were collected outer-first, so they pop inner-first
                 stack += [(sub, ROLE_READ) for sub in reads]
             elif isinstance(expr, ast.Binary):
@@ -232,7 +208,7 @@ class _Resolver:
                 stack.append((expr.operand, ROLE_READ))
             elif isinstance(expr, ast.Call):
                 if expr.callee not in BUILTINS:
-                    if expr.callee not in self.functions:
+                    if expr.callee not in self.call_graph:
                         raise UnresolvedName(f"unknown function '{expr.callee}'", expr.span)
                     if self.current_function is not None:
                         self.call_graph[self.current_function].add(expr.callee)
@@ -247,10 +223,10 @@ class _Resolver:
     def walk_decl(self, decl: ast.DeclStmt, anchor: int) -> None:
         self.check_type(decl.type)
         vid = self.declare(decl.name, decl.type.name, decl)
-        self.record([(vid, None, decl.nid, ROLE_DECL)], anchor, 0)
+        self.record([(vid, None, ROLE_DECL)], anchor, 0)
         exprs = decl.init_list if decl.init is None else [decl.init]
         if exprs is not None:
-            self.walk_unit(exprs, anchor, [(vid, None, decl.nid, ROLE_TARGET)])
+            self.walk_unit(exprs, anchor, [(vid, None, ROLE_TARGET)])
 
     def walk_stmt(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.DeclStmt):
@@ -258,7 +234,7 @@ class _Resolver:
         elif isinstance(stmt, ast.ExprStmt):
             self.walk_unit([stmt.expr], stmt.nid)
         elif isinstance(stmt, ast.Block):
-            self.push_scope("block")
+            self.push_scope()
             for inner in stmt.stmts:
                 self.walk_stmt(inner)
             self.pop_scope()
@@ -274,7 +250,7 @@ class _Resolver:
             self.walk_stmt(stmt.body)
             self.walk_unit([stmt.cond], stmt.nid)
         elif isinstance(stmt, ast.ForStmt):
-            self.push_scope("for-init")
+            self.push_scope()
             if isinstance(stmt.init, ast.DeclStmt):
                 self.walk_decl(stmt.init, stmt.nid)
             elif isinstance(stmt.init, ast.ExprStmt):
@@ -285,7 +261,7 @@ class _Resolver:
             self.pop_scope()
         elif isinstance(stmt, ast.SwitchStmt):
             self.walk_unit([stmt.scrutinee], stmt.nid)
-            self.push_scope("switch-body")
+            self.push_scope()
             for arm in stmt.arms:
                 for inner in arm.body:
                     self.walk_stmt(inner)
@@ -302,15 +278,14 @@ class _Resolver:
     # ------------------------------------------------------------ driver
 
     def run(self) -> Resolution:
-        self.push_scope("global")
+        self.push_scope()
 
         for item in self.tree.items:
             if isinstance(item, ast.RecordDef):
                 self.records[item.name] = item
             elif isinstance(item, ast.FuncDef):
-                if item.name in self.functions:
+                if item.name in self.call_graph:
                     raise DuplicateDeclaration(f"function '{item.name}' already defined", item.span)
-                self.functions[item.name] = item
                 self.call_graph[item.name] = set()
 
         for item in self.tree.items:
@@ -321,12 +296,11 @@ class _Resolver:
                 self.walk_decl(item, item.nid)
             elif isinstance(item, ast.FuncDef):
                 self.current_function = item.name
-                self.push_scope("function")
+                self.push_scope()
                 for param in item.params:
                     self.check_type(param.type)
                     vid = self.declare(param.name, param.type.name, param)
-                    self.record([(vid, None, param.nid, ROLE_DECL),
-                                 (vid, None, param.nid, ROLE_TARGET)], item.nid, 0)
+                    self.record([(vid, None, ROLE_DECL), (vid, None, ROLE_TARGET)], item.nid, 0)
                 for inner in item.body.stmts:
                     self.walk_stmt(inner)
                 self.pop_scope()
@@ -334,11 +308,8 @@ class _Resolver:
 
         return Resolution(
             tree=self.tree,
-            scopes=ScopeTree(self.scope_nodes, root=0),
             variables=self.variables,
             occurrences=self.occurrences,
-            functions=self.functions,
-            records=self.records,
             call_graph=self.call_graph,
             calls_by_anchor=self.calls_by_anchor,
             runs=self.runs,

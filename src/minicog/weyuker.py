@@ -308,7 +308,7 @@ class ValidatorPool:
             except EmptyProgram as exc:  # the one diagnostic without a span naming its file
                 raise EmptyProgram(f"{name}: {exc}") from None
             resolution = analysis.resolution
-            names = sorted({v.name for v in resolution.variables.values()} | set(resolution.functions))
+            names = sorted({v.name for v in resolution.variables.values()} | set(resolution.call_graph))
             self.entries.append(PoolEntry(
                 name, source, analysis.tree, self._escim(analysis),
                 {mode: analysis.si_program(mode) for mode in self.modes},

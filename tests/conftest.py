@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,63 @@ def parents_of(tree) -> dict[int, int]:
     return {child.nid: nid for nid, node in tree.nodes.items() for child in ast.child_nodes(node)}
 
 
+def reference_occurrences(tree) -> list[tuple[int, int]]:
+    """The (node nid, anchor nid) of every occurrence the resolver records, in
+    ordinal order, derived from the tree alone. Walking the nodes in nid
+    (pre-)order: a parameter gives two, anchored at its function; a
+    declaration gives one, or two if it has an initializer or a ``{...}``
+    list; each ``VarRef`` and ``GlobalRef`` gives one. The anchor is the
+    nearest statement at or above the node, except that a for statement's
+    init clause is anchored at the for statement."""
+    parents = parents_of(tree)
+
+    def anchor(nid: int) -> int:
+        while not isinstance(tree.nodes[nid], ast.Stmt):
+            nid = parents[nid]
+        parent = tree.nodes.get(parents.get(nid, -1))
+        if isinstance(parent, ast.ForStmt) and parent.init is tree.nodes[nid]:
+            return parent.nid
+        return nid
+
+    out: list[tuple[int, int]] = []
+    for nid, node in tree.nodes.items():
+        if isinstance(node, ast.Param):
+            out += [(nid, parents[nid])] * 2
+        elif isinstance(node, ast.DeclStmt):
+            has_init = node.init is not None or node.init_list is not None
+            out += [(nid, anchor(nid))] * (1 + has_init)
+        elif isinstance(node, (ast.VarRef, ast.GlobalRef)):
+            out.append((nid, anchor(nid)))
+    return out
+
+
+def occurrence_nodes(resolution) -> list[int]:
+    """The node nid of each occurrence, by ordinal, from
+    ``reference_occurrences``; asserts that the resolver recorded as many."""
+    nodes = [nid for nid, _ in reference_occurrences(resolution.tree)]
+    assert len(nodes) == len(resolution.occurrences)
+    return nodes
+
+
+def scope_kinds(tree) -> list[str]:
+    """The kind of every scope, indexed by scope id (``ScopedVariable.scope``):
+    the global scope, then one per function, block, for statement (its init
+    clause's scope) and switch body, in nid order. A function's own body
+    block shares the function's scope."""
+    bodies = {item.body.nid for item in tree.items if isinstance(item, ast.FuncDef)}
+    kinds = ["global"]
+    for nid, node in tree.nodes.items():
+        if isinstance(node, ast.FuncDef):
+            kinds.append("function")
+        elif isinstance(node, ast.Block) and nid not in bodies:
+            kinds.append("block")
+        elif isinstance(node, ast.ForStmt):
+            kinds.append("for-init")
+        elif isinstance(node, ast.SwitchStmt):
+            kinds.append("switch-body")
+    return kinds
+
+
 def reference_string_literal_error(source: str, file: str = "<input>"):
     """What parsing ``source`` reports, with the string-literal rule checked
     the long way: the whole file is parsed and numbered without the rule,
@@ -117,12 +175,18 @@ def reference_string_literal_error(source: str, file: str = "<input>"):
 # A region is a range of occurrence ordinals, as ``OccurrenceLedger.si`` takes
 # it. These helpers compute the paper's per-region quantities the long way.
 
+_ANCHORS = weakref.WeakKeyDictionary()  # tree -> the anchor of each ordinal, from the oracle
+
+
 def ordinals_of(analysis, anchors) -> range:
-    """The ordinals of the occurrences anchored at any of ``anchors`` (statement
-    ids), as a range; asserts that they are consecutive."""
+    """The ordinals of the occurrences that ``reference_occurrences`` anchors at
+    any of ``anchors`` (statement ids), as a range; asserts that they are
+    consecutive."""
+    tree = analysis.tree
+    if tree not in _ANCHORS:
+        _ANCHORS[tree] = [anchor for _, anchor in reference_occurrences(tree)]
     anchors = set(anchors)
-    ordinals = [i for i, anchor in enumerate(analysis.resolution.occurrences.anchor)
-                if anchor in anchors]
+    ordinals = [i for i, anchor in enumerate(_ANCHORS[tree]) if anchor in anchors]
     if not ordinals:
         return range(0)
     region = range(ordinals[0], ordinals[-1] + 1)

@@ -14,7 +14,7 @@ from minicog.weyuker import rename, run_matrix
 
 from conftest import (
     CORPUS, analyzed, corpus_pairs, fixture_source, granule_region, icn_max_by_name, info_icn,
-    ordinals_of, parents_of, run_cli, sicn_max, whole,
+    occurrence_nodes, ordinals_of, parents_of, run_cli, scope_kinds, sicn_max, whole,
 )
 
 MODES = (SiMode.DELTA, SiMode.MINMAX, SiMode.ABSOLUTE)
@@ -84,9 +84,9 @@ def test_criterion_4_example2_shadowing():
     led = analysis.ledger
     amounts = [v for v in res.variables.values() if v.name == "amount"]
     assert len(amounts) == 3
-    global_amount = next(v for v in amounts if res.scopes.nodes[v.scope].kind == "global")
+    global_amount = next(v for v in amounts if scope_kinds(res.tree)[v.scope] == "global")
     occ = res.occurrences
-    global_refs = [vid for vid, nid in zip(occ.variable, occ.node)
+    global_refs = [vid for vid, nid in zip(occ.variable, occurrence_nodes(res))
                    if isinstance(res.tree.nodes[nid], ast.GlobalRef)]
     assert global_refs and all(vid == global_amount.vid for vid in global_refs)
     icn_max = icn_max_by_name(led, whole(led))["amount"]
@@ -162,7 +162,7 @@ def test_criterion_8a_rename_invariance_200():
     for seed in range(200):
         analysis = _fresh(seed)
         names = sorted({v.name for v in analysis.resolution.variables.values()}
-                       | set(analysis.resolution.functions))
+                       | set(analysis.resolution.call_graph))
         renamed = analyze_source(rename(analysis.source, {n: f"ren{i}" for i, n in enumerate(names)}))
         for mode in MODES:
             assert renamed.escim_value(mode) == analysis.escim_value(mode), seed

@@ -10,7 +10,7 @@ from minicog import ast, parse_source
 from minicog.generator import generate
 from minicog.scopes import ROLE_TARGET, resolve
 
-from conftest import corpus_names, fixture_source, parents_of
+from conftest import corpus_names, fixture_source, occurrence_nodes, parents_of
 
 
 def _node_classes() -> set[type]:
@@ -117,9 +117,10 @@ def _assert_op_units_match_reference(tree, order, ends) -> None:
             expected.update(dict.fromkeys(range(e.nid, ends[e.nid]), ops))
         if decl is not None:
             declared[decl.nid] = ops
-    occurrences = resolve(tree).occurrences
+    resolution = resolve(tree)
+    occurrences = resolution.occurrences
     assert occurrences
-    for occ in zip(occurrences.node, occurrences.role, occurrences.op_unit):
+    for occ in zip(occurrence_nodes(resolution), occurrences.role, occurrences.op_unit):
         node, role, op_unit = occ
         if node in expected:
             assert op_unit == expected[node], occ

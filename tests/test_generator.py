@@ -5,6 +5,8 @@ from minicog import ast
 from minicog.generator import MAX_DEPTH, MAX_STATEMENTS, generate
 from minicog.scopes import ROLE_TARGET
 
+from conftest import occurrence_nodes
+
 
 def count_statements(tree) -> int:
     blocks = (ast.Block,)
@@ -50,7 +52,8 @@ def test_declarations_carry_operator_free_initializers():
         tree = analysis.tree
         # a declaration's own target occurrence carries its initializer's operator count
         occ = analysis.resolution.occurrences
-        declared_ops = {nid: ops for nid, role, ops in zip(occ.node, occ.role, occ.op_unit)
+        nodes = occurrence_nodes(analysis.resolution)
+        declared_ops = {nid: ops for nid, role, ops in zip(nodes, occ.role, occ.op_unit)
                         if role == ROLE_TARGET and isinstance(tree.nodes[nid], ast.DeclStmt)}
         for node in tree.nodes.values():
             if isinstance(node, ast.DeclStmt):

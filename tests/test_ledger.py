@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from minicog import analyze_source
 from minicog.granules import BcsKind
 from minicog.ledger import SiMode
-from minicog.scopes import ROLE_TARGET
+from minicog.scopes import ROLE_TARGET, Occurrences
 
 from conftest import (
     analyzed, corpus_names, fixture_source, granule_region, icn_max_by_name, info_icn,
-    ordinals_of, parents_of, reference_si, sicn_max, whole,
+    ordinals_of, parents_of, reference_si, scope_kinds, sicn_max, whole,
 )
 
 
 def var_named(analysis, name, scope_kind=None):
     res = analysis.resolution
     for v in res.variables.values():
-        if v.name == name and (scope_kind is None or res.scopes.nodes[v.scope].kind == scope_kind):
+        if v.name == name and (scope_kind is None or scope_kinds(res.tree)[v.scope] == scope_kind):
             return v
     raise AssertionError(f"no variable {name}")
 
@@ -297,8 +297,9 @@ def _live_resolution_objects() -> Counter:
 def test_pipeline_builds_no_per_occurrence_record():
     """Resolving, scoring and dumping a program leaves no object per
     occurrence: the only objects of `scopes` and `ledger` it keeps are one per
-    scope, one per variable and one of each container, and every column holds
-    plain values."""
+    variable and one of each container, and every column holds plain values.
+    The occurrence columns are these four: variable, member, role and
+    operator count."""
     before = _live_resolution_objects()
     analyses = []
     for name in corpus_names():
@@ -310,15 +311,15 @@ def test_pipeline_builds_no_per_occurrence_record():
     gained = _live_resolution_objects() - before
     n = len(analyses)
     assert gained == Counter({
-        "ScopeNode": sum(len(a.resolution.scopes.nodes) for a in analyses),
         "ScopedVariable": sum(len(a.resolution.variables) for a in analyses),
-        "ScopeTree": n, "Occurrences": n, "Resolution": n, "OccurrenceLedger": n,
+        "Occurrences": n, "Resolution": n, "OccurrenceLedger": n,
     })
     assert sum(len(a.resolution.occurrences) for a in analyses) > gained["ScopedVariable"]
+    assert Occurrences.__slots__ == ("variable", "member", "role", "op_unit")
     for analysis in analyses:
         occ, led = analysis.resolution.occurrences, analysis.ledger
         assert led.entries == range(len(occ))
-        for column in (occ.variable, occ.node, occ.anchor, occ.op_unit,
+        for column in (occ.variable, occ.op_unit,
                        led.delta, led.icn_after, led.sicn_after, led.sicn_before):
             assert type(column) is list and all(type(v) is int for v in column)
         assert all(type(v) is str for v in occ.role)
@@ -333,7 +334,7 @@ def test_row_views_read_the_columns(name):
     analysis = analyzed(name)
     occ, led = analysis.resolution.occurrences, analysis.ledger
     n = len(occ)
-    for column in (occ.variable, occ.member, occ.node, occ.role, occ.anchor, occ.op_unit,
+    for column in (occ.variable, occ.member, occ.role, occ.op_unit,
                    led.delta, led.icn_after, led.sicn_after, led.sicn_before):
         assert len(column) == n
     assert all(led.sicn_before[i] == led.sicn_after[i] - led.delta[i] for i in range(n))

@@ -6,7 +6,9 @@ from minicog import DuplicateDeclaration, UnresolvedName, analyze_source, parse_
 from minicog import ast
 from minicog.scopes import ROLE_DECL, ROLE_TARGET, resolve
 
-from conftest import analyzed, corpus_names
+from conftest import (
+    analyzed, corpus_pairs, corpus_names, occurrence_nodes, reference_occurrences, scope_kinds,
+)
 
 
 def vars_named(analysis, name):
@@ -17,15 +19,15 @@ def test_example2_has_three_amounts_in_distinct_scopes():
     analysis = analyzed("example2.mc")
     amounts = vars_named(analysis, "amount")
     assert len(amounts) == 3
-    kinds = sorted(analysis.resolution.scopes.nodes[v.scope].kind for v in amounts)
+    kinds = sorted(scope_kinds(analysis.tree)[v.scope] for v in amounts)
     assert kinds == ["block", "function", "global"]
 
 
 def test_example1_two_variables_in_function_scope():
     analysis = analyzed("example1.mc")
-    scopes = analysis.resolution.scopes
+    kinds = scope_kinds(analysis.tree)
     in_function = [v for v in analysis.resolution.variables.values()
-                   if scopes.nodes[v.scope].kind == "function"]
+                   if kinds[v.scope] == "function"]
     assert sorted(v.name for v in in_function) == ["square", "userInput"]
     assert len(analysis.resolution.variables) == 2
 
@@ -37,16 +39,15 @@ def test_for_init_shadowing_in_example3():
 def test_global_ref_binds_global_despite_shadowing():
     analysis = analyzed("example2.mc")
     res = analysis.resolution
-    global_amount = next(v for v in res.variables.values()
-                         if res.scopes.nodes[v.scope].kind == "global")
+    kinds = scope_kinds(res.tree)
+    global_amount = next(v for v in res.variables.values() if kinds[v.scope] == "global")
     occ = res.occurrences
-    global_refs = [vid for vid, nid in zip(occ.variable, occ.node)
+    global_refs = [vid for vid, nid in zip(occ.variable, occurrence_nodes(res))
                    if isinstance(res.tree.nodes[nid], ast.GlobalRef)]
     assert global_refs and all(vid == global_amount.vid for vid in global_refs)
     # the bare `print(amount)` in the block binds to the innermost amount
-    block_amount = next(v for v in res.variables.values()
-                        if res.scopes.nodes[v.scope].kind == "block")
-    plain_reads = [vid for vid, nid, role in zip(occ.variable, occ.node, occ.role)
+    block_amount = next(v for v in res.variables.values() if kinds[v.scope] == "block")
+    plain_reads = [vid for vid, nid, role in zip(occ.variable, occurrence_nodes(res), occ.role)
                    if isinstance(res.tree.nodes[nid], ast.VarRef) and role == "read"]
     assert plain_reads[-1] == block_amount.vid
 
@@ -55,9 +56,9 @@ def test_use_before_inner_declaration_binds_outer():
     # `amount = amount * 2;` precedes the local declaration, so it is global
     res = analyzed("example2.mc").resolution
     occ = res.occurrences
-    first_target = next(vid for vid, nid, role in zip(occ.variable, occ.node, occ.role)
+    first_target = next(vid for vid, nid, role in zip(occ.variable, occurrence_nodes(res), occ.role)
                         if role == ROLE_TARGET and isinstance(res.tree.nodes[nid], ast.VarRef))
-    assert res.scopes.nodes[res.variables[first_target].scope].kind == "global"
+    assert scope_kinds(res.tree)[res.variables[first_target].scope] == "global"
 
 
 def test_duplicate_declaration_rejected():
@@ -76,20 +77,27 @@ def test_undeclared_name_rejected():
         resolve(parse_source("int main() { unknown(1); }"))
 
 
-def test_scope_tree_shape():
-    scopes = resolve(parse_source(
-        "int main() { { int a; } for (int i = 0; i < 2; i++) { a: ; } switch (0) { default: ; } }"
-    )).scopes
-    kinds = sorted(node.kind for node in scopes.nodes.values())
-    assert kinds == ["block", "block", "for-init", "function", "global", "switch-body"]
-    root = scopes.nodes[scopes.root]
-    assert root.parent is None and root.kind == "global"
+def test_each_construct_gives_its_variables_a_scope_of_its_kind():
+    tree = parse_source(
+        "int g; int main(int p) { int f; { int b; } for (int i = 0; i < 2; i++) { int c; a: ; }"
+        " switch (0) { default: int s; } }"
+    )
+    kinds = scope_kinds(tree)
+    assert sorted(kinds) == ["block", "block", "for-init", "function", "global", "switch-body"]
+    assert kinds[0] == "global"
+    variables = resolve(tree).variables.values()
+    assert {v.name: kinds[v.scope] for v in variables} == {
+        "g": "global", "p": "function", "f": "function", "b": "block",
+        "i": "for-init", "c": "block", "s": "switch-body",
+    }
+    # the two blocks are distinct scopes
+    assert len({v.scope for v in variables}) == 6
 
 
 def test_parameters_declared_with_initial_assignment():
     res = analyzed("recursion.mc").resolution
     occ = res.occurrences
-    param_roles = [role for vid, nid, role in zip(occ.variable, occ.node, occ.role)
+    param_roles = [role for vid, nid, role in zip(occ.variable, occurrence_nodes(res), occ.role)
                    if res.variables[vid].name == "n" and isinstance(res.tree.nodes[nid], ast.Param)]
     assert param_roles == [ROLE_DECL, ROLE_TARGET]
 
@@ -115,9 +123,10 @@ def test_every_reference_resolves_exactly_once(name):
     res = analyzed(name).resolution
     ref_nodes = [nid for nid, node in res.tree.nodes.items()
                  if isinstance(node, (ast.VarRef, ast.GlobalRef))]
-    occ_nodes = [nid for nid in res.occurrences.node
+    occ_nodes = [nid for nid in occurrence_nodes(res)
                  if isinstance(res.tree.nodes[nid], (ast.VarRef, ast.GlobalRef))]
     assert sorted(occ_nodes) == sorted(ref_nodes)
+    _assert_occurrences_name_their_nodes(res)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -126,7 +135,7 @@ def test_ordinals_are_dense_and_increasing(name):
     # runs cover the ordinals in order, with no gap and no overlap.
     res = analyzed(name).resolution
     occ = res.occurrences
-    columns = (occ.variable, occ.member, occ.node, occ.role, occ.anchor, occ.op_unit)
+    columns = (occ.variable, occ.member, occ.role, occ.op_unit)
     assert all(len(column) == len(occ) for column in columns)
     runs = sorted(res.runs.values(), key=lambda run: run.start)
     assert [i for run in runs for i in run] == list(range(len(occ)))
@@ -150,7 +159,7 @@ def test_shadowing_does_not_rebind_outer_occurrences():
         out = []
         for vid, role in zip(res.occurrences.variable, res.occurrences.role):
             var = res.variables[vid]
-            out.append((var.name, res.scopes.nodes[var.scope].kind, role))
+            out.append((var.name, scope_kinds(res.tree)[var.scope], role))
         return out
 
     base_bindings = binding_names(base)
@@ -169,5 +178,61 @@ def test_generated_programs_resolve_totally(seed):
     res = analysis.resolution
     ref_nodes = [nid for nid, node in res.tree.nodes.items()
                  if isinstance(node, (ast.VarRef, ast.GlobalRef))]
-    occ_nodes = set(res.occurrences.node)
+    occ_nodes = set(occurrence_nodes(res))
     assert all(nid in occ_nodes for nid in ref_nodes)
+    _assert_occurrences_name_their_nodes(res)
+
+
+def _assert_occurrences_name_their_nodes(res):
+    """Each occurrence's variable has the name of the node the tree oracle
+    places at its ordinal, and declarations and parameters give their two
+    occurrences in the order declaration, initial assignment."""
+    occ, nodes = res.occurrences, occurrence_nodes(res)
+    for i, nid in enumerate(nodes):
+        node = res.tree.nodes[nid]
+        assert res.variables[occ.variable[i]].name == node.name, (i, node)
+        if isinstance(node, (ast.DeclStmt, ast.Param)):
+            assert occ.role[i] == (ROLE_TARGET if i and nodes[i - 1] == nid else ROLE_DECL), (i, node)
+
+
+def _assert_runs_match_reference(res):
+    """``Resolution.runs`` holds, for each anchor, exactly the ordinals the
+    tree oracle anchors there, and the resolver records the oracle's number
+    of occurrences."""
+    oracle = reference_occurrences(res.tree)
+    assert len(res.occurrences) == len(oracle)
+    expected: dict[int, list[int]] = {}
+    for i, (_, anchor) in enumerate(oracle):
+        expected.setdefault(anchor, []).append(i)
+    assert {a: list(run) for a, run in res.runs.items()} == expected
+    _assert_occurrences_name_their_nodes(res)
+
+
+def test_runs_match_the_tree_on_fixtures_generated_and_composed_programs():
+    from minicog import ComposeError
+    from minicog.generator import generate
+    from minicog.weyuker import compose
+
+    analyses = [analyze_source(source, name) for name, source in corpus_pairs()]
+    analyses += [analyze_source(generate(seed)) for seed in range(500)]
+    trees = [parse_source(generate(seed)) for seed in range(8)]
+    composed = 0
+    for p in trees:
+        for q in trees:
+            try:
+                analyses.append(compose(p, q))
+                composed += 1
+            except ComposeError:
+                pass
+    assert composed > 10
+    for analysis in analyses:
+        _assert_runs_match_reference(analysis.resolution)
+
+
+def test_resolution_keeps_only_what_a_later_stage_reads():
+    from dataclasses import fields
+
+    from minicog.scopes import Resolution
+
+    assert [f.name for f in fields(Resolution)] == [
+        "tree", "variables", "occurrences", "call_graph", "calls_by_anchor", "runs"]

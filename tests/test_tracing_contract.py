@@ -56,17 +56,26 @@ def test_traced_arguments_keep_their_positions(tracing):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_layer_counts_measure_real_results(tracing, name, capsys):
-    from minicog import build_ledger, parse, resolve, tokenize
+    from minicog import build_ledger, decompose, parse, resolve, tokenize
     from minicog.cli import main
 
     measure = {layer.count: layer.measure for layer in tracing.LAYERS if layer.count}
     tree = parse(tokenize(fixture_source(name), name))
     resolution = resolve(tree)
-    assert main(["analyze", str(CORPUS / name), "--format", "json", "--emit", "ledger"]) == 0
-    rows = len(json.loads(capsys.readouterr().out)["ledger"])
+    assert main(["analyze", str(CORPUS / name), "--format", "json", "--emit", "ledger,granules"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = len(report["ledger"])
     assert rows > 0
     assert measure["scopes.occurrences"](resolution) == rows
     assert measure["ledger.entries"](build_ledger(resolution)) == rows
     # the benchmark counts the ledger's rows through ``entries``, the range of their ordinals
     assert build_ledger(resolution).entries == range(rows)
     assert measure["parser.nodes"](tree) == len(tree.nodes) == max(tree.nodes) + 1
+    # the benchmark counts granules by ``GranuleTree.walk``, which is why the walks stay
+    emitted = [g for gt in report["granule_trees"] for g in gt["granules"]]
+    count = 0
+    while emitted:
+        count += 1
+        emitted += emitted.pop()["children"]
+    assert count > 0
+    assert measure["granules.granules"](decompose(resolution)) == count
