@@ -22,6 +22,7 @@ from pathlib import Path
 from .analysis import Analysis, analyze_source
 from .errors import AnalysisError, EmptyProgram
 from .generator import generate
+from .granules import BcsKind
 from .ledger import SiMode
 from .metrics import WeightTable
 from .weyuker import MatrixResult, run_matrix
@@ -148,19 +149,12 @@ def _span_obj(span) -> dict | None:
     }
 
 
-def _granule_obj(granule) -> dict:
-    return {
-        "label": granule.label,
-        "kind": granule.kind.value,
-        "stmts": list(granule.stmts),
-        "children": [_granule_obj(c) for c in granule.children],
-    }
-
-
-def report_obj(analysis: Analysis, mode: SiMode, weights: WeightTable | None,
-               emit: set[str]) -> dict:
+def report_obj(analysis: Analysis, mode: SiMode, weights: WeightTable | None) -> dict:
+    """A report's head: the metrics, each function's leaf rows and ERM lines,
+    and the (empty) diagnostics. The ledger and granule sections are written
+    after it, straight from the analysis (see "sections" below)."""
     rep = analysis.report(mode, weights)
-    out = {
+    return {
         "file": analysis.file,
         "si_mode": mode.value,
         "loc": rep.loc,
@@ -189,15 +183,6 @@ def report_obj(analysis: Analysis, mode: SiMode, weights: WeightTable | None,
         ],
         "diagnostics": [],
     }
-    if "ledger" in emit:
-        out["ledger"] = analysis.ledger.dump()
-    if "granules" in emit:
-        out["granule_trees"] = [
-            {"function": gt.function, "recursive": gt.recursive,
-             "granules": [_granule_obj(root) for root in gt.roots]}
-            for gt in analysis.granules
-        ]
-    return out
 
 
 def diagnostic_obj(file: str, mode: SiMode, exc: Exception) -> dict:
@@ -235,23 +220,145 @@ def _report_text(obj: dict, emit: set[str]) -> list[str]:
                 lines.extend(f"      {fact}" for fact in fn["erm"])
             else:
                 lines.append("    erm: (none)")
-    if "ledger" in emit and "ledger" in obj:
-        lines.append("  ledger:")
-        for row in obj["ledger"]:
-            lines.append(
-                f"    #{row['ordinal']:<3} {row['variable']:<16} scope={row['scope']} "
-                f"{row['role']:<17} delta={row['delta']} icn={row['icn_after']} sicn={row['sicn_after']}"
-            )
-    if "granules" in emit and "granule_trees" in obj:
-        lines.append("  granules:")
-        for gt in obj["granule_trees"]:
-            lines.append(f"    {gt['function']}:")
-            stack = [(root, 1) for root in reversed(gt["granules"])]
-            while stack:
-                node, depth = stack.pop()
-                lines.append("    " + "  " * depth + f"{node['label']} [{node['kind']}] stmts={node['stmts']}")
-                stack.extend((child, depth + 1) for child in reversed(node["children"]))
     return lines
+
+
+# ------------------------------------------------------------------ sections
+#
+# `--emit ledger` adds one row per occurrence and `--emit granules` one object
+# per granule: most of a report. They are written from the analysis by fixed
+# templates, one per nesting depth, with no object built per row or granule;
+# the JSON text is that of `_write_json` on the dicts the rows would be.
+
+_KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in BcsKind}
+
+
+@functools.cache
+def _newline(depth: int) -> str:
+    """A newline and the indent of an item nested `depth` levels deep."""
+    return "\n" + "  " * depth
+
+
+def _row_name(variables: dict, vid: int, member: str | None) -> str:
+    """What a ledger row shows as its variable: the name, or `name.member`."""
+    name = variables[vid].name
+    return name if member is None else f"{name}.{member}"
+
+
+@functools.cache
+def _ledger_row(depth: int) -> str:
+    """The template of a ledger row in a report nested `depth` levels deep:
+    ordinal, quoted variable, scope, quoted role, delta, icn_after, sicn_after."""
+    field = _newline(depth + 3)
+    slots = ('"ordinal": %d', '"variable": %s', '"scope": %d', '"role": %s',
+             '"delta": %d', '"icn_after": %d', '"sicn_after": %d')
+    return "{" + field + ("," + field).join(slots) + _newline(depth + 2) + "}"
+
+
+def _write_ledger(analysis: Analysis, depth: int, out: list[str]) -> None:
+    """Append a report's `"ledger"` section: one row per occurrence."""
+    occ, led, variables = analysis.resolution.occurrences, analysis.ledger, analysis.resolution.variables
+    key, row = _newline(depth + 1), _newline(depth + 2)
+    if not led.delta:
+        out.append(f',{key}"ledger": []')
+        return
+    keys = list(zip(occ.variable, occ.member))
+    names = {pair: encode_basestring_ascii(_row_name(variables, *pair)) for pair in set(keys)}
+    roles = {role: encode_basestring_ascii(role) for role in set(occ.role)}
+    rows = zip(range(len(keys)), map(names.__getitem__, keys),
+               [variables[vid].scope for vid in occ.variable], map(roles.__getitem__, occ.role),
+               led.delta, led.icn_after, led.sicn_after)
+    out.append(f',{key}"ledger": [{row}' + ("," + row).join(map(_ledger_row(depth).__mod__, rows))
+               + key + "]")
+
+
+def _ledger_text(analysis: Analysis, lines: list[str]) -> None:
+    occ, led, variables = analysis.resolution.occurrences, analysis.ledger, analysis.resolution.variables
+    lines.append("  ledger:")
+    for ordinal, vid, member, role, delta, icn, sicn in zip(
+            range(len(occ)), occ.variable, occ.member, occ.role,
+            led.delta, led.icn_after, led.sicn_after):
+        lines.append(f"    #{ordinal:<3} {_row_name(variables, vid, member):<16} "
+                     f"scope={variables[vid].scope} {role:<17} delta={delta} icn={icn} sicn={sicn}")
+
+
+@functools.cache
+def _granule_level(depth: int) -> tuple[str, str, str, str]:
+    """For a list of granules nested `depth` levels deep: the newline and
+    indent of its items, of their keys and of the ids in their stmts, and the
+    template of an item up to its list of children (quoted label, quoted
+    kind, stmts)."""
+    item, key, stmt = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
+    head = "{" + key + ("," + key).join(f'"{n}": %s' for n in ("label", "kind", "stmts"))
+    return item, key, stmt, head + f',{key}"children": '
+
+
+def _write_granules(granules, depth: int, out: list[str]) -> None:
+    """Append the text of the list `granules` nested `depth` levels deep. The
+    walk is an explicit stack of texts and of (granules, depth, closing text)
+    lists still to write."""
+    stack: list = [(granules, depth, "")]
+    while stack:
+        top = stack.pop()
+        if top.__class__ is str:
+            out.append(top)
+            continue
+        items, depth, closing = top
+        if not items:
+            out.append("[]" + closing)
+            continue
+        item, key, stmt, head = _granule_level(depth)
+        stack.append(_newline(depth) + "]" + closing)
+        for i in range(len(items) - 1, -1, -1):
+            g = items[i]
+            stmts = f"[{stmt}" + ("," + stmt).join(map(str, g.stmts)) + f"{key}]" if g.stmts else "[]"
+            stack.append((g.children, depth + 2, item + "}"))
+            stack.append(("," if i else "[") + item + head % (
+                encode_basestring_ascii(g.label), _KIND_JSON[g.kind], stmts))
+
+
+def _write_granule_trees(analysis: Analysis, depth: int, out: list[str]) -> None:
+    """Append a report's `"granule_trees"` section: one tree per function."""
+    key, tree, field = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
+    out.append(f',{key}"granule_trees": ')
+    sep = "[" + tree
+    for gt in analysis.granules:
+        out.append(f'{sep}{{{field}"function": {encode_basestring_ascii(gt.function)},'
+                   f'{field}"recursive": {"true" if gt.recursive else "false"},{field}"granules": ')
+        _write_granules(gt.roots, depth + 3, out)
+        out.append(tree + "}")
+        sep = "," + tree
+    out.append(key + "]" if analysis.granules else "[]")
+
+
+def _granules_text(analysis: Analysis, lines: list[str]) -> None:
+    lines.append("  granules:")
+    for gt in analysis.granules:
+        lines.append(f"    {gt.function}:")
+        stack = [(root, 1) for root in reversed(gt.roots)]
+        while stack:
+            g, depth = stack.pop()
+            # stmts print as a list, `[3]`, as the report's JSON has them
+            lines.append("    " + "  " * depth + f"{g.label} [{g.kind.value}] stmts={list(g.stmts)}")
+            stack.extend((child, depth + 1) for child in reversed(g.children))
+
+
+def _sections(analysis: Analysis, emit: set[str], as_json: bool, depth: int) -> list[str]:
+    """The ledger and granule sections that `emit` asks for: the JSON text to
+    go before the closing brace of a report nested `depth` levels deep, or the
+    text lines to follow the report's own."""
+    out: list[str] = []
+    if "ledger" in emit:
+        if as_json:
+            _write_ledger(analysis, depth, out)
+        else:
+            _ledger_text(analysis, out)
+    if "granules" in emit:
+        if as_json:
+            _write_granule_trees(analysis, depth, out)
+        else:
+            _granules_text(analysis, out)
+    return out
 
 
 # ------------------------------------------------------------------ analyze
@@ -302,21 +409,28 @@ def run_analyze(args) -> int:
     totals = {"files": len(sources), "analyzed": 0, "loc": 0, "escim": 0}
     for file, source in sources:
         try:
-            rep = report_obj(analyze_source(source, file), mode, args.weights, emit)
+            analysis = analyze_source(source, file)
+            rep = report_obj(analysis, mode, args.weights)
+            sections = _sections(analysis, emit, as_json, depth)
         except (AnalysisError, EmptyProgram) as exc:
-            rep = diagnostic_obj(file, mode, exc)
+            rep, sections = diagnostic_obj(file, mode, exc), []
         else:
             totals["analyzed"] += 1
             totals["loc"] += rep["loc"]
             totals["escim"] += rep["escim"]
+        # The analysis, tree included, is freed before the report is written:
+        # the writing then neither adds to its peak memory nor makes the
+        # collector walk it.
+        analysis = None
         if as_json:
             out = [sep]
             _write_json(rep, depth, out)
+            out[-1:] = [*sections, out[-1]]  # the sections go before the report's closing "}"
             sep = ",\n    "
         else:
-            out = [line + "\n" for line in _report_text(rep, emit)]
+            out = [line + "\n" for line in _report_text(rep, emit) + sections]
         write("".join(out))
-        del rep, out
+        del rep, sections, out
 
     if args.corpus and as_json:
         out = ["\n  ]" if totals["files"] else "]", ',\n  "totals": ']

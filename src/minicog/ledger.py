@@ -75,26 +75,6 @@ class OccurrenceLedger:
             high[vid] = after[i]
         return sum(high.values()) - sum(low.values())
 
-    def dump(self) -> list[dict]:
-        occ, variables = self.resolution.occurrences, self.resolution.variables
-        rows = []
-        for ordinal, vid, member, role, delta, icn, sicn in zip(
-                range(len(occ)), occ.variable, occ.member, occ.role,
-                self.delta, self.icn_after, self.sicn_after):
-            var = variables[vid]
-            rows.append(
-                {
-                    "ordinal": ordinal,
-                    "variable": var.name if member is None else f"{var.name}.{member}",
-                    "scope": var.scope,
-                    "role": role,
-                    "delta": delta,
-                    "icn_after": icn,
-                    "sicn_after": sicn,
-                }
-            )
-        return rows
-
 
 def build_ledger(resolution: Resolution) -> OccurrenceLedger:
     """Run both counters over the occurrence columns in one loop over ints:

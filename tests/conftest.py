@@ -53,24 +53,95 @@ def run_cli(*args: str, hash_seed: str | None = None, cwd: Path = REPO) -> subpr
     )
 
 
+def reference_ledger_rows(analysis) -> list[dict]:
+    """The report's ``"ledger"`` section as objects, one dict per occurrence."""
+    occ, variables = analysis.resolution.occurrences, analysis.resolution.variables
+    rows = []
+    for ordinal, vid, member, role, delta, icn, sicn in zip(
+            range(len(occ)), occ.variable, occ.member, occ.role,
+            analysis.ledger.delta, analysis.ledger.icn_after, analysis.ledger.sicn_after):
+        var = variables[vid]
+        rows.append(
+            {
+                "ordinal": ordinal,
+                "variable": var.name if member is None else f"{var.name}.{member}",
+                "scope": var.scope,
+                "role": role,
+                "delta": delta,
+                "icn_after": icn,
+                "sicn_after": sicn,
+            }
+        )
+    return rows
+
+
+def reference_granule_obj(granule) -> dict:
+    """One granule of the report's ``"granule_trees"`` section as an object."""
+    return {
+        "label": granule.label,
+        "kind": granule.kind.value,
+        "stmts": list(granule.stmts),
+        "children": [reference_granule_obj(c) for c in granule.children],
+    }
+
+
+def reference_report_obj(analysis, mode, emit: set[str]) -> dict:
+    """A whole report as one object: the CLI's head, then the sections built
+    as dicts from the oracles above."""
+    out = cli.report_obj(analysis, mode, None)
+    if "ledger" in emit:
+        out["ledger"] = reference_ledger_rows(analysis)
+    if "granules" in emit:
+        out["granule_trees"] = [
+            {"function": gt.function, "recursive": gt.recursive,
+             "granules": [reference_granule_obj(root) for root in gt.roots]}
+            for gt in analysis.granules
+        ]
+    return out
+
+
+def reference_report_text(obj: dict, emit: set[str]) -> list[str]:
+    """A report's text lines: the CLI's head lines, then the ledger and granule
+    sections printed from the objects of ``reference_report_obj``."""
+    lines = cli._report_text(obj, emit)
+    if "ledger" in emit and "ledger" in obj:
+        lines.append("  ledger:")
+        for row in obj["ledger"]:
+            lines.append(
+                f"    #{row['ordinal']:<3} {row['variable']:<16} scope={row['scope']} "
+                f"{row['role']:<17} delta={row['delta']} icn={row['icn_after']} sicn={row['sicn_after']}"
+            )
+    if "granules" in emit and "granule_trees" in obj:
+        lines.append("  granules:")
+        for gt in obj["granule_trees"]:
+            lines.append(f"    {gt['function']}:")
+            stack = [(root, 1) for root in reversed(gt["granules"])]
+            while stack:
+                node, depth = stack.pop()
+                lines.append("    " + "  " * depth + f"{node['label']} [{node['kind']}] stmts={node['stmts']}")
+                stack.extend((child, depth + 1) for child in reversed(node["children"]))
+    return lines
+
+
 def reference_analyze_output(inputs: list[str], fmt: str, mode, emit: set[str],
                               corpus: bool = True) -> str:
     """What ``analyze`` prints, assembled the old way: every file's report kept
-    until the end, then the whole payload through ``json.dumps(obj, indent=2)``,
-    or each report's text lines followed by the totals line."""
+    until the end as one object (``reference_report_obj``), then the whole
+    payload through ``json.dumps(obj, indent=2)``, or each report's text lines
+    (``reference_report_text``) followed by the totals line."""
     paths = map(str, cli._expand_corpus(inputs) if corpus else [Path(inputs[0])])
     reports = []
     for path in paths:
         try:
             analysis = analyze_source(Path(path).read_text(encoding="utf-8"), path)
-            reports.append(cli.report_obj(analysis, mode, None, emit))
+            reports.append(reference_report_obj(analysis, mode, emit))
         except (AnalysisError, EmptyProgram) as exc:
             reports.append(cli.diagnostic_obj(path, mode, exc))
     if not corpus:
         rep = reports[0]
         if fmt == "json":
             return json.dumps(rep, indent=2) + "\n"
-        return "".join(line + "\n" for line in cli._report_text(rep, emit))
+        return "".join(line + "\n" for line in reference_report_text(rep, emit))
     ok = [r for r in reports if not r.get("diagnostics")]
     totals = {
         "files": len(reports),
@@ -80,7 +151,7 @@ def reference_analyze_output(inputs: list[str], fmt: str, mode, emit: set[str],
     }
     if fmt == "json":
         return json.dumps({"files": reports, "totals": totals}, indent=2) + "\n"
-    lines = [line for rep in reports for line in cli._report_text(rep, emit)]
+    lines = [line for rep in reports for line in reference_report_text(rep, emit)]
     lines.append(f"totals   files {totals['files']}   analyzed {totals['analyzed']}   "
                  f"loc {totals['loc']}   ESCIM {totals['escim']}")
     return "".join(line + "\n" for line in lines)

@@ -48,7 +48,8 @@ def inputs(tmp_path_factory) -> dict[str, tuple[list[str], bool]]:
     }
 
 
-@pytest.mark.parametrize("emit", ["metrics", "metrics,erm,ledger,granules"])
+@pytest.mark.parametrize("emit", ["metrics", "ledger", "granules", "erm,granules",
+                                  "metrics,erm,ledger,granules"])
 @pytest.mark.parametrize("mode", [m.value for m in SiMode])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("case", ["empty-corpus", "one-file-corpus", "broken-corpus",
@@ -117,9 +118,13 @@ def test_an_analysis_and_its_report_leave_no_reference_cycles():
     gc.disable()
     try:
         for name in corpus_names():
-            rep = cli.report_obj(analyze_source(fixture_source(name), name), SiMode.DELTA, None, every)
+            analysis = analyze_source(fixture_source(name), name)
+            rep = cli.report_obj(analysis, SiMode.DELTA, None)
             cli._report_text(rep, every)
-        del rep
+            cli._write_json(rep, 0, [])
+            for as_json in (True, False):
+                cli._sections(analysis, every, as_json, 0)
+        del analysis, rep
         assert gc.collect() == 0
     finally:
         gc.enable()

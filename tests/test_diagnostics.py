@@ -5,12 +5,12 @@ import hashlib
 import json
 import random
 
-from minicog import AnalysisError, EmptyProgram, analyze_source, lexer
+from minicog import AnalysisError, EmptyProgram, analyze_source, cli, lexer
 from minicog.cli import report_obj
 from minicog.generator import generate
 from minicog.ledger import SiMode
 
-from conftest import corpus_pairs
+from conftest import corpus_pairs, reference_granule_obj, reference_ledger_rows
 
 # Inserted once at a seeded position and once at the end of each source: an
 # illegal character, an unclosed string, an unclosed comment, a non-decimal
@@ -78,7 +78,11 @@ def test_successful_analysis_builds_no_source_span(monkeypatch):
     for name, source in corpus_pairs() + [(f"generate-{s}.mc", generate(s)) for s in range(50)]:
         analysis = analyze_source(source, name)
         for mode in SiMode:
-            report_obj(analysis, mode, None, {"ledger", "granules"})
+            report_obj(analysis, mode, None)
+        reference_ledger_rows(analysis)
+        [reference_granule_obj(root) for gt in analysis.granules for root in gt.roots]
+        for as_json in (True, False):  # and what `--emit ledger,granules` writes
+            cli._sections(analysis, {"ledger", "granules"}, as_json, 0)
     assert built == []
     # the counter sees the spans a diagnostic builds
     assert _outcome("int main() { x = 1; }", "bad.mc")[2:] == ["bad.mc", 1, 14, 1, 14]

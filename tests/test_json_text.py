@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, analyzed, corpus_names, corpus_pairs
+from conftest import CORPUS, analyzed, corpus_names, corpus_pairs, reference_report_obj
 from minicog import cli
 from minicog.errors import EmptyProgram
 from minicog.ledger import SiMode
@@ -67,7 +67,7 @@ def test_writer_rejects_what_json_rejects(value):
 @pytest.mark.parametrize("mode", list(SiMode))
 @pytest.mark.parametrize("name", corpus_names())
 def test_writer_on_every_fixture_report_with_every_section(name, mode):
-    obj = cli.report_obj(analyzed(name), mode, None, EVERY_SECTION)
+    obj = reference_report_obj(analyzed(name), mode, EVERY_SECTION)
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 

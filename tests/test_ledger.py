@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import analyze_source
+from minicog import analyze_source, cli
 from minicog.granules import BcsKind
 from minicog.ledger import SiMode
 from minicog.scopes import ROLE_TARGET, Occurrences
 
 from conftest import (
     analyzed, corpus_names, fixture_source, granule_region, icn_max_by_name, info_icn,
-    ordinals_of, parents_of, reference_si, scope_kinds, sicn_max, whole,
+    ordinals_of, parents_of, reference_ledger_rows, reference_si, scope_kinds, sicn_max, whole,
 )
 
 
@@ -261,7 +261,7 @@ def test_region_additivity_delta_mode(seed):
 
 
 def test_ledger_dump_schema():
-    rows = analyzed("unit.mc").ledger.dump()
+    rows = reference_ledger_rows(analyzed("unit.mc"))
     assert rows[0].keys() == {
         "ordinal", "variable", "scope", "role", "delta", "icn_after", "sicn_after",
     }
@@ -306,7 +306,9 @@ def test_pipeline_builds_no_per_occurrence_record():
         analysis = analyze_source(fixture_source(name), name)
         for mode in SiMode:
             analysis.report(mode)
-        analysis.ledger.dump()
+        reference_ledger_rows(analysis)
+        for as_json in (True, False):  # what `--emit ledger` writes
+            cli._sections(analysis, {"ledger"}, as_json, 0)
         analyses.append(analysis)
     gained = _live_resolution_objects() - before
     n = len(analyses)
@@ -340,5 +342,5 @@ def test_row_views_read_the_columns(name):
     assert all(led.sicn_before[i] == led.sicn_after[i] - led.delta[i] for i in range(n))
     assert led.entries == range(n)
     assert [(row["ordinal"], row["role"], row["delta"], row["icn_after"], row["sicn_after"])
-            for row in led.dump()] == \
+            for row in reference_ledger_rows(analysis)] == \
         list(zip(range(n), occ.role, led.delta, led.icn_after, led.sicn_after))

@@ -79,3 +79,29 @@ def test_layer_counts_measure_real_results(tracing, name, capsys):
         emitted += emitted.pop()["children"]
     assert count > 0
     assert measure["granules.granules"](decompose(resolution)) == count
+
+
+def test_each_analyzed_file_reaches_the_traced_report_layers_once(monkeypatch, capsys):
+    # the benchmark's corpus run must keep reaching `cli.report_obj` and
+    # `analysis.report`: the sections are written beside the report, not in place of it
+    from minicog import cli
+    from minicog.analysis import Analysis
+    from minicog.ledger import OccurrenceLedger
+
+    calls = {"report_obj": 0, "report": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "report_obj", counted("report_obj", cli.report_obj))
+    monkeypatch.setattr(Analysis, "report", counted("report", Analysis.report))
+    argv = ["analyze", str(CORPUS), "--corpus", "--format", "json",
+            "--emit", "metrics,erm,ledger,granules"]
+    assert cli.main(argv) == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert len(files) == len(corpus_names())
+    assert calls == {"report_obj": len(files), "report": len(files)}
+    assert not hasattr(OccurrenceLedger, "dump")
