@@ -15,8 +15,7 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import Analysis, analyze_source
@@ -33,7 +32,8 @@ EMIT_CHOICES = ("metrics", "erm", "ledger", "granules")
 def _weight_table(path: str) -> WeightTable:
     try:
         return WeightTable.from_file(path)
-    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; a deeply nested file raises RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         raise argparse.ArgumentTypeError(f"bad weight table: {exc}") from exc
 
 
@@ -74,80 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ------------------------------------------------------------------ JSON text
-
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _json_level(depth: int) -> tuple:
-    """The C encoder for a value at indent `depth`, and the newline-and-indent
-    strings of the items (depth + 1) and of the closing bracket (depth).
-
-    With `indent` set, `json.dumps` runs its pure-Python encoder. The C encoder
-    cannot indent, but its item separator can carry the newline and the indent
-    of one level, which is all a container that holds no container needs.
-    """
-    inner = "\n" + "  " * (depth + 1)
-    # markers, default, string encoder, indent, key and item separators,
-    # sort_keys, skipkeys, allow_nan: json.dumps's settings, less its cycle
-    # check (markers), which a report, being a tree, does not need
-    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
-                            ": ", "," + inner, False, False, True)
-    return encode, inner, "\n" + "  " * depth
-
-
-def _write_json(obj, depth: int, out: list[str]) -> None:
-    """Append the text of `obj`, nested `depth` levels deep, to `out`."""
-    encode, inner, outer = _json_level(depth)
-    if not isinstance(obj, _CONTAINERS) or not obj:  # a scalar, {} or []
-        out += encode(obj, depth)
-        return
-    is_dict = isinstance(obj, dict)
-    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
-        # the item separators carry the newlines between items; add the two
-        # after the opening and before the closing bracket
-        text = "".join(encode(obj, depth))
-        out.append(f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}")
-    elif is_dict:
-        sep = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str) and (key is None or isinstance(key, (int, float))):
-                key = json.dumps(key)  # json's text for a non-string key
-            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
-            _write_json(value, depth + 1, out)
-            sep = "," + inner
-        out.append(outer + "}")
-    else:
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _write_json(value, depth + 1, out)
-            sep = "," + inner
-        out.append(outer + "]")
-
-
-def _json_text(obj) -> str:
-    """Exactly the text of `json.dumps(obj, indent=2)`: 2-space indented and
-    ASCII-escaped. A value json cannot encode raises TypeError."""
-    out: list[str] = []
-    _write_json(obj, 0, out)
-    return "".join(out)
-
-
 # ------------------------------------------------------------------ reports
-
-def _span_obj(span) -> dict | None:
-    if span is None:
-        return None
-    return {
-        "file": span.file,
-        "line_start": span.line_start,
-        "col_start": span.col_start,
-        "line_end": span.line_end,
-        "col_end": span.col_end,
-    }
-
 
 def report_obj(analysis: Analysis, mode: SiMode, weights: WeightTable | None) -> dict:
     """A report's head: the metrics, each function's leaf rows and ERM lines,
@@ -190,7 +117,7 @@ def diagnostic_obj(file: str, mode: SiMode, exc: Exception) -> dict:
     return {
         "file": file,
         "si_mode": mode.value,
-        "diagnostics": [{"span": _span_obj(span), "message": str(exc)}],
+        "diagnostics": [{"span": span._asdict() if span else None, "message": str(exc)}],
     }
 
 
@@ -223,20 +150,75 @@ def _report_text(obj: dict, emit: set[str]) -> list[str]:
     return lines
 
 
-# ------------------------------------------------------------------ sections
+# ------------------------------------------------------------------ JSON text
 #
-# `--emit ledger` adds one row per occurrence and `--emit granules` one object
-# per granule: most of a report. They are written from the analysis by fixed
-# templates, one per nesting depth, with no object built per row or granule;
-# the JSON text is that of `_write_json` on the dicts the rows would be.
-
-_KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in BcsKind}
-
+# A report's JSON is the text of `json.dumps(obj, indent=2)` on the dict it
+# would be, nested `depth` levels deep in a corpus payload. The head and the
+# sections are written by fixed templates, one per nesting depth; the small
+# objects (a diagnostic report, the totals, the Weyuker matrix) by `json.dumps`.
 
 @functools.cache
 def _newline(depth: int) -> str:
     """A newline and the indent of an item nested `depth` levels deep."""
     return "\n" + "  " * depth
+
+
+def _indented(obj, depth: int) -> str:
+    """`json.dumps(obj, indent=2)` nested `depth` levels deep. json escapes
+    any newline inside a string, so each newline in its text is its own."""
+    return json.dumps(obj, indent=2).replace("\n", _newline(depth))
+
+
+def _json_array(items: list[str], item: str, closing: str) -> str:
+    """The JSON array of the texts `items`, each after the newline and indent
+    `item`, with its closing bracket after `closing`."""
+    return f"[{item}" + ("," + item).join(items) + f"{closing}]" if items else "[]"
+
+
+@functools.cache
+def _head_level(depth: int) -> tuple[str, str, str, tuple[str, str, str, str]]:
+    """For a report head nested `depth` levels deep: the templates of the
+    head less its closing brace, of a function and of a leaf row, then the
+    newline and indent of the head's keys, of a function, of its keys and of
+    its leaf rows and ERM lines."""
+    key, fn, field, item, row_field = map(_newline, range(depth + 1, depth + 6))
+    head = "{" + key + ("," + key).join((
+        '"file": %s', '"si_mode": %s', '"loc": %d', '"i_l": %d', '"escim": %d',
+        '"efficiency": %s', '"functions": %s', '"diagnostics": []'))
+    function = "{" + field + ("," + field).join((
+        '"name": %s', '"recursive": %s', '"escim": %d', '"granules": %s', '"erm": %s')) + fn + "}"
+    row = "{" + row_field + ("," + row_field).join((
+        '"label": %s', '"kind": %s', '"weight": %d', '"si": %d', '"ancestor_product": %d',
+        '"term": %d')) + item + "}"
+    return head, function, row, (key, fn, field, item)
+
+
+def _report_json(rep: dict, sections: list[str], depth: int) -> str:
+    """A report nested `depth` levels deep: the head that `report_obj` built,
+    then the JSON text of its `sections`, then its closing brace."""
+    head, function, row, (key, fn_item, field, item) = _head_level(depth)
+    quote = encode_basestring_ascii
+    functions = [
+        function % (
+            quote(fn["name"]), "true" if fn["recursive"] else "false", fn["escim"],
+            _json_array([row % (quote(r["label"]), quote(r["kind"]), r["weight"], r["si"],
+                                r["ancestor_product"], r["term"]) for r in fn["granules"]],
+                        item, field),
+            _json_array(list(map(quote, fn["erm"])), item, field))
+        for fn in rep["functions"]
+    ]
+    return (head % (quote(rep["file"]), quote(rep["si_mode"]), rep["loc"], rep["i_l"],
+                    rep["escim"], quote(rep["efficiency"]), _json_array(functions, fn_item, key))
+            + "".join(sections) + _newline(depth) + "}")
+
+
+# ------------------------------------------------------------------ sections
+#
+# `--emit ledger` adds one row per occurrence and `--emit granules` one object
+# per granule: most of a report. They are written from the analysis's columns
+# and granule trees.
+
+_KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in BcsKind}
 
 
 def _row_name(variables: dict, vid: int, member: str | None) -> str:
@@ -259,17 +241,14 @@ def _write_ledger(analysis: Analysis, depth: int, out: list[str]) -> None:
     """Append a report's `"ledger"` section: one row per occurrence."""
     occ, led, variables = analysis.resolution.occurrences, analysis.ledger, analysis.resolution.variables
     key, row = _newline(depth + 1), _newline(depth + 2)
-    if not led.delta:
-        out.append(f',{key}"ledger": []')
-        return
     keys = list(zip(occ.variable, occ.member))
     names = {pair: encode_basestring_ascii(_row_name(variables, *pair)) for pair in set(keys)}
     roles = {role: encode_basestring_ascii(role) for role in set(occ.role)}
-    rows = zip(range(len(keys)), map(names.__getitem__, keys),
-               [variables[vid].scope for vid in occ.variable], map(roles.__getitem__, occ.role),
-               led.delta, led.icn_after, led.sicn_after)
-    out.append(f',{key}"ledger": [{row}' + ("," + row).join(map(_ledger_row(depth).__mod__, rows))
-               + key + "]")
+    rows = list(map(_ledger_row(depth).__mod__, zip(
+        range(len(keys)), map(names.__getitem__, keys),
+        [variables[vid].scope for vid in occ.variable], map(roles.__getitem__, occ.role),
+        led.delta, led.icn_after, led.sicn_after)))
+    out.append(f',{key}"ledger": ' + _json_array(rows, row, key))
 
 
 def _ledger_text(analysis: Analysis, lines: list[str]) -> None:
@@ -311,7 +290,7 @@ def _write_granules(granules, depth: int, out: list[str]) -> None:
         stack.append(_newline(depth) + "]" + closing)
         for i in range(len(items) - 1, -1, -1):
             g = items[i]
-            stmts = f"[{stmt}" + ("," + stmt).join(map(str, g.stmts)) + f"{key}]" if g.stmts else "[]"
+            stmts = _json_array(list(map(str, g.stmts)), stmt, key)
             stack.append((g.children, depth + 2, item + "}"))
             stack.append(("," if i else "[") + item + head % (
                 encode_basestring_ascii(g.label), _KIND_JSON[g.kind], stmts))
@@ -320,15 +299,13 @@ def _write_granules(granules, depth: int, out: list[str]) -> None:
 def _write_granule_trees(analysis: Analysis, depth: int, out: list[str]) -> None:
     """Append a report's `"granule_trees"` section: one tree per function."""
     key, tree, field = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
-    out.append(f',{key}"granule_trees": ')
-    sep = "[" + tree
+    trees = []
     for gt in analysis.granules:
-        out.append(f'{sep}{{{field}"function": {encode_basestring_ascii(gt.function)},'
-                   f'{field}"recursive": {"true" if gt.recursive else "false"},{field}"granules": ')
-        _write_granules(gt.roots, depth + 3, out)
-        out.append(tree + "}")
-        sep = "," + tree
-    out.append(key + "]" if analysis.granules else "[]")
+        text = [f'{{{field}"function": {encode_basestring_ascii(gt.function)},'
+                f'{field}"recursive": {"true" if gt.recursive else "false"},{field}"granules": ']
+        _write_granules(gt.roots, depth + 3, text)
+        trees.append("".join(text) + tree + "}")
+    out.append(f',{key}"granule_trees": ' + _json_array(trees, tree, key))
 
 
 def _granules_text(analysis: Analysis, lines: list[str]) -> None:
@@ -422,20 +399,19 @@ def run_analyze(args) -> int:
         # the writing then neither adds to its peak memory nor makes the
         # collector walk it.
         analysis = None
-        if as_json:
-            out = [sep]
-            _write_json(rep, depth, out)
-            out[-1:] = [*sections, out[-1]]  # the sections go before the report's closing "}"
-            sep = ",\n    "
+        if not as_json:
+            text = "".join(line + "\n" for line in _report_text(rep, emit) + sections)
+        elif rep["diagnostics"]:
+            text = sep + _indented(rep, depth)
         else:
-            out = [line + "\n" for line in _report_text(rep, emit) + sections]
-        write("".join(out))
-        del rep, sections, out
+            text = sep + _report_json(rep, sections, depth)
+        sep = ",\n    "
+        write(text)
+        del rep, sections, text
 
     if args.corpus and as_json:
-        out = ["\n  ]" if totals["files"] else "]", ',\n  "totals": ']
-        _write_json(totals, 1, out)
-        write("".join(out) + "\n}\n")
+        closing = "\n  ]" if totals["files"] else "]"
+        write(f'{closing},\n  "totals": {_indented(totals, 1)}\n}}\n')
     elif as_json:
         write("\n")
     elif args.corpus:
@@ -514,11 +490,8 @@ def run_weyuker(args) -> int:
         where = f"{span}: " if span else ""
         print(f"minicog: corpus fixture does not analyze: {where}{exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(_json_text(_matrix_obj(result)))
-    else:
-        for line in _matrix_text(result):
-            print(line)
+    print(json.dumps(_matrix_obj(result), indent=2) if args.format == "json"
+          else "\n".join(_matrix_text(result)))
     return 0
 
 
@@ -530,9 +503,13 @@ def run_generate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Exact numbers may have any length: lift CPython's limit on int/text
+    # conversion (3.10.7+; older releases have none) for the length of the call.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "analyze":
             code = run_analyze(args)
         elif args.command == "weyuker":
@@ -545,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
         # it at devnull ("Note on SIGPIPE" in the signal module docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
     return code
 
 

@@ -51,6 +51,10 @@ ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
 ASSIGNABLE = (VarRef, GlobalRef, Index, Member)
 LITERAL_KINDS = {"int-literal": "int", "float-literal": "float", "string-literal": "string"}
 END = "end"  # the kind of the sentinel after the last token; its text is ""
+# The most digits an array size may have: CPython's default limit on turning
+# a decimal string into an int. Any size within it converts quickly, and the
+# CLI lifts the limit, so the parser bounds the conversion itself.
+MAX_SIZE_DIGITS = 4300
 
 
 class _Parser:
@@ -149,6 +153,9 @@ class _Parser:
             raise ParseError("duplicate array marker", self.tokens.span(self.pos))
         self.pos += 1
         if self.kinds[self.pos] == "int-literal":
+            if len(self.texts[self.pos]) > MAX_SIZE_DIGITS:
+                raise ParseError(f"array size longer than {MAX_SIZE_DIGITS} digits",
+                                 self.tokens.span(self.pos))
             ty.array_size = int(self.texts[self.pos])
             self.pos += 1
         self.expect("]")

@@ -1,13 +1,17 @@
+import contextlib
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from conftest import CORPUS, REPO, corpus_names, fixture_source, run_cli
+from minicog import analyze_source, cli
 from minicog.generator import generate
+from minicog.ledger import SiMode
 
 
 def test_analyze_example1_json_reports_il_3():
@@ -204,6 +208,76 @@ def test_weights_flag(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"while": 0}))
     assert run_cli("analyze", "corpus/example6.mc", "--weights", str(bad)).returncode == 2
+
+
+@pytest.mark.parametrize("command", [["analyze", "corpus/example1.mc"], ["weyuker", "--count", "2"]])
+def test_deeply_nested_weight_table_is_a_usage_error(tmp_path, command):
+    table = tmp_path / "deep.json"
+    table.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli(*command, "--weights", str(table))
+    assert proc.returncode == 2
+    assert b"bad weight table" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
+# 15,000 calls in one leaf: its weight is 2**15000, so its ESCIM has more
+# digits than the interpreter converts to text by default (4,300)
+LONG_CALLS = ("int f() { return 1; }\nint main() {\n  int x = 0;\n" + "  x = f();\n" * 15_000
+              + "  return x;\n}\n")
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="this Python has no limit on int digits")
+
+
+@contextlib.contextmanager
+def any_digits():
+    """Let the test itself read and print the long numbers it checks."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+def test_exact_numbers_longer_than_the_digit_limit_are_printed(tmp_path, capsys):
+    path = tmp_path / "long_calls.mc"
+    path.write_text(LONG_CALLS)
+    limit = sys.get_int_max_str_digits()
+    outputs = {}
+    for fmt in ("json", "text"):
+        assert cli.main(["analyze", str(path), "--format", fmt]) == 0
+        assert sys.get_int_max_str_digits() == limit  # lifted only for the call
+        outputs[fmt] = capsys.readouterr().out
+    rep = analyze_source(LONG_CALLS, str(path)).report(SiMode.DELTA, None)
+    with any_digits():
+        assert len(str(rep.escim)) > 4300
+        obj = json.loads(outputs["json"])
+        assert (obj["escim"], obj["efficiency"]) == (rep.escim, str(rep.efficiency))
+        assert f"ESCIM {rep.escim}   E {rep.efficiency}\n" in outputs["text"]
+
+
+@needs_digit_limit
+def test_weyuker_over_a_fixture_with_a_number_longer_than_the_digit_limit(tmp_path, capsys):
+    (tmp_path / "long_calls.mc").write_text(LONG_CALLS)
+    argv = ["weyuker", "--corpus", str(tmp_path), "--count", "2", "--format", "json"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\d{4301}", out)
+    with any_digits():
+        assert json.loads(out)["corpus"] == ["long_calls.mc"]
+
+
+def test_array_size_longer_than_the_digit_limit_is_a_diagnostic(tmp_path, capsys):
+    path = tmp_path / "sizes.mc"
+    path.write_text("int a[" + "9" * 5000 + "];\nint main() { return 0; }\n")
+    assert cli.main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        f"{path}\n  error: {path}:1:7: array size longer than 4300 digits\n")
+    path.write_text("int a[" + "9" * 4300 + "];\nint main() { return 0; }\n")
+    assert cli.main(["analyze", str(path)]) == 0
 
 
 def test_corpus_mode_aggregates():

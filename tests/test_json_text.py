@@ -1,5 +1,7 @@
-"""The JSON report writer against its oracle, ``json.dumps(obj, indent=2)``:
-random nested values, then every report shape the CLI prints."""
+"""The CLI's JSON writers against their oracle, ``json.dumps(obj, indent=2)``:
+``_indented`` (a diagnostic report, the totals, the Weyuker matrix) on random
+nested values at every depth, ``_report_json`` on every fixture report, then
+the report shapes the section tests leave out through ``cli.main``."""
 
 import json
 from fractions import Fraction
@@ -8,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, analyzed, corpus_names, corpus_pairs, reference_report_obj
+from conftest import (CORPUS, analyzed, corpus_names, corpus_pairs, reference_analyze_output,
+                      reference_report_obj)
 from minicog import cli
-from minicog.errors import EmptyProgram
 from minicog.ledger import SiMode
 from minicog.weyuker import run_matrix
 
@@ -38,43 +40,65 @@ def _values(depth: int):
     )
 
 
+def _nested(value, text: str, depth: int) -> tuple[str, str]:
+    """`json.dumps(indent=2)` of `value` inside `depth` one-item lists, and the
+    same document with `text` written as the innermost item."""
+    wrapped = value
+    for _ in range(depth):
+        wrapped = [wrapped]
+    opening = "".join("[" + cli._newline(level + 1) for level in range(depth))
+    closing = "".join(cli._newline(level) + "]" for level in reversed(range(depth)))
+    return json.dumps(wrapped, indent=2), opening + text + closing
+
+
 @settings(max_examples=400, deadline=None)
-@given(_values(6))
-@example({})
-@example([])
-@example({"k": {}})
-@example([[]])
-@example([[[[[[1]]]]]])
-@example({"a": [{"b": {"c": [{"d": {"e": [" \U0001f600"]}}]}}]})
-def test_writer_is_json_dumps_indent_2(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+@given(_values(6), st.integers(0, 4))
+@example({}, 0)
+@example([], 2)
+@example({"k": {}}, 1)
+@example([[]], 3)
+@example([[[[[[1]]]]]], 2)
+@example({"a": [{"b": {"c": [{"d": {"e": [" \U0001f600\n"]}}]}}]}, 2)
+def test_writer_is_json_dumps_indent_2(value, depth):
+    expected, written = _nested(value, cli._indented(value, depth), depth)
+    assert written == expected
 
 
 @pytest.mark.parametrize("value", [
     Fraction(1, 2),
-    [Fraction(1, 2)],  # inside a container the C encoder writes whole
-    {"a": [1], "b": Fraction(1, 2)},  # a scalar of a container the writer walks
+    [Fraction(1, 2)],
+    {"a": [1], "b": Fraction(1, 2)},
     {"a": [[Fraction(1, 2)]]},
     {(1, 2): [1]},  # a key json does not take
 ])
 def test_writer_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
         json.dumps(value, indent=2)
-    with pytest.raises(TypeError):
-        cli._json_text(value)
+    for depth in (0, 2):
+        with pytest.raises(TypeError):
+            cli._indented(value, depth)
 
 
 @pytest.mark.parametrize("mode", list(SiMode))
 @pytest.mark.parametrize("name", corpus_names())
 def test_writer_on_every_fixture_report_with_every_section(name, mode):
-    obj = reference_report_obj(analyzed(name), mode, EVERY_SECTION)
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    analysis = analyzed(name)
+    obj = reference_report_obj(analysis, mode, EVERY_SECTION)
+    for depth in (0, 2):  # a single file's report, and one in a corpus payload
+        text = cli._report_json(cli.report_obj(analysis, mode, None),
+                                cli._sections(analysis, EVERY_SECTION, True, depth), depth)
+        expected, written = _nested(obj, text, depth)
+        assert written == expected
 
 
-def test_writer_on_a_diagnostic_without_a_span():
-    obj = cli.diagnostic_obj("empty.mc", SiMode.DELTA, EmptyProgram("no top-level items"))
-    assert obj["diagnostics"][0]["span"] is None
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+def test_writer_on_a_diagnostic_without_a_span(tmp_path, capsys):
+    path = tmp_path / "empty.mc"
+    path.write_text("// no top-level items\n")
+    assert cli.main(["analyze", str(path), "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["diagnostics"][0]["span"] is None
+    assert out == reference_analyze_output([str(path)], "json", SiMode.DELTA, {"metrics"},
+                                           corpus=False)
 
 
 def test_writer_on_a_corpus_payload_with_totals(tmp_path, capsys):
@@ -91,10 +115,13 @@ def test_writer_on_a_corpus_payload_with_totals(tmp_path, capsys):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
-def test_writer_on_a_weyuker_matrix_with_source_text_witnesses():
+def test_writer_on_a_weyuker_matrix_with_source_text_witnesses(capsys):
+    assert cli.main(["weyuker", "--corpus", str(CORPUS), "--seed", "5", "--count", "12",
+                     "--format", "json"]) == 0
+    out = capsys.readouterr().out
     obj = cli._matrix_obj(run_matrix(corpus_pairs(), seed=5, n_generated=12))
     witnesses = [row[m]["witness"] for row in obj["rows"] for m in obj["modes"]
                  if "witness" in row[m]]
     assert any("\n" in w["p"]["text"] for w in witnesses)
     assert any("\n" in w.get("permuted", "") for w in witnesses)
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    assert out == json.dumps(obj, indent=2) + "\n"

@@ -71,6 +71,20 @@ def test_array_declaration_forms_normalize():
     assert [e.text for e in c.init_list] == ["1", "2"]
 
 
+@pytest.mark.parametrize("form", ["int a[{}];", "int[{}] a;"])
+def test_array_size_digits_are_bounded(form):
+    # a size of up to 4,300 digits parses, with or without the interpreter's
+    # own limit on converting digits; one digit more is a diagnostic at the size
+    size = "9" * 4300
+    (decl,) = main_stmts(parse_source("int main() { " + form.format(size) + " }"))
+    assert decl.type.array_size == 10 ** 4300 - 1
+    source = "int main() { " + form.format("0" + size) + " }"
+    with pytest.raises(ParseError, match="array size longer than 4300 digits") as err:
+        parse_source(source)
+    # the span runs from the first digit to the last
+    assert err.value.span[1:] == (1, source.index("0") + 1, 1, source.index("0") + 4301)
+
+
 def test_for_statement_variants():
     parse_source("int main() { for (;;) print(1); }")
     parse_source("int main() { int i; for (i = 0; i < 3; i++) print(i); }")

@@ -27,6 +27,10 @@ EDGE_PROGRAMS = {
     "empty_main.mc": "int main() { }\n",
     # a header-carrying empty leaf is inserted, with `"stmts": []`
     "empty_leaf.mc": "int main() { int x = 1; while (x) { if (x) { } } return x; }\n",
+    # no function at all: `"functions": []` and `"granule_trees": []`
+    "globals_only.mc": "int x = 1; int y = x;\n",
+    # JSON escapes a non-ASCII function name in the head and the granule trees
+    "non_ascii_function.mc": "int fé() { return 1; } int main() { return fé(); }\n",
 }
 
 
@@ -80,6 +84,11 @@ def test_edge_programs_reach_their_edges(edge_files, capsys):
     empty = report("empty_main.mc")
     assert empty["ledger"] == []
     assert empty["granule_trees"] == [{"function": "main", "recursive": False, "granules": []}]
+    globals_only = report("globals_only.mc")
+    assert globals_only["functions"] == [] and globals_only["granule_trees"] == []
+    assert [fn["name"] for fn in report("non_ascii_function.mc")["functions"]] == ["fé", "main"]
+    assert '"name": "f\\u00e9"' in _cli_output(capsys, edge_files / "non_ascii_function.mc",
+                                                 "json", "delta", "metrics")
     granules = [g for gt in report("empty_leaf.mc")["granule_trees"] for g in gt["granules"]]
     for g in granules:  # grows as it goes: every granule, subtrees included
         granules += g["children"]

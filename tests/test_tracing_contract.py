@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -105,3 +107,50 @@ def test_each_analyzed_file_reaches_the_traced_report_layers_once(monkeypatch, c
     assert len(files) == len(corpus_names())
     assert calls == {"report_obj": len(files), "report": len(files)}
     assert not hasattr(OccurrenceLedger, "dump")
+
+
+# A small form of each benchmark workload's call, run from the repository root.
+WORKLOAD_CALLS = {
+    "large_file": ["analyze", "corpus/example1.mc", "--format", "json"],
+    "corpus_batch": ["analyze", "corpus", "--corpus", "--format", "json",
+                     "--emit", "metrics,erm,ledger,granules"],
+    "weyuker_matrix": ["weyuker", "--corpus", "corpus", "--count", "20", "--format", "json"],
+}
+
+# Loads perfbench's tracer and workload list, installs the tracer, runs the
+# CLI call given as its arguments and prints the exit code and the layers of
+# the workload (its first argument) that recorded no call.
+TRACED_CALL = """
+import contextlib, importlib.util, io, json, sys
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, f"perfbench/{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+tracing, workloads = load("tracing"), load("workloads")
+from minicog import cli
+tracer = tracing.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+tracer.uninstall_gc()
+unreached = [layer for layer in workloads.REACHED[sys.argv[1]]
+             if tracer.counts[layer + ".calls"] == 0]
+print(json.dumps({"code": code, "unreached": unreached, "missing": tracer.missing}))
+"""
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CALLS))
+def test_each_workload_reaches_every_layer_the_benchmark_requires(workload):
+    # what the benchmark's traced run checks (`workloads.REACHED`), in a fresh
+    # process per workload so each tracer wraps an untouched minicog; -B keeps
+    # the loaded perfbench files from leaving bytecode beside them
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-B", "-c", TRACED_CALL, workload,
+                           *WORKLOAD_CALLS[workload]],
+                          cwd=REPO, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"code": 0, "unreached": [], "missing": []}
