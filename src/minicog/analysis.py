@@ -8,6 +8,10 @@ function's leaf list and ERM lines (built by ``decompose``) and I(L) (set by
 ``build_ledger``). A report for one (mode, weights) pair is then one SI scan
 per leaf, computed on each call, so the property validator scores each
 program under all three scope-information modes cheaply.
+
+``Analysis.tree`` is an analysis's only reference to the syntax tree, and no
+report reads it: ``minicog analyze`` sets it to None, which frees the tree,
+before it builds a report.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .scopes import Resolution, resolve
 class Analysis:
     file: str
     source: str
-    tree: SyntaxTree
+    tree: SyntaxTree | None  # None once released; nothing in a report reads it
     resolution: Resolution
     ledger: OccurrenceLedger
     granules: list[GranuleTree]
@@ -53,5 +57,5 @@ def analyze_source(source: str, file: str = "<input>") -> Analysis:
     del tokens  # free the tokens before the later stages; they would raise peak memory
     resolution = resolve(tree)
     ledger = build_ledger(resolution)
-    granules = decompose(resolution)
+    granules = decompose(tree, resolution)
     return Analysis(file, source, tree, resolution, ledger, granules, lines)

@@ -3,7 +3,9 @@
 Nodes are dataclasses with ``__slots__``. Positions and node ids are attached
 after construction: the parser stores each node's ``start`` and ``end``
 source offsets and its file's shared ``SourceMap``, and ``SyntaxTree.finalize``
-numbers every node in depth-first source order. The tree keeps no parent
+numbers every node in depth-first source order and lists the nodes in that
+order, so ``tree.nodes[nid]`` is the node numbered ``nid``; the later stages
+name nodes by id and keep no reference to the tree. The tree keeps no parent
 links: no stage reads them (the parser checks string literals as it builds
 calls), and ``child_nodes`` gives them to whoever needs them.
 ``Node.span`` builds a ``SourceSpan`` from the offsets only when it is
@@ -282,18 +284,19 @@ _FIELDS_REVERSED = {cls: names[::-1] for cls, names in NODE_FIELDS.items()}
 
 @dataclass(eq=False)
 class SyntaxTree:
+    """A parsed file: its top-level items and, once finalized, its nodes listed by id."""
     items: list
     file: str = "<input>"
-    nodes: dict[int, Node] = field(default_factory=dict, repr=False)
+    nodes: list[Node] = field(default_factory=list, repr=False)  # indexed by node id
 
     def finalize(self) -> "SyntaxTree":
-        """Assign depth-first node ids, by an explicit stack."""
-        nodes: dict[int, Node] = {}
+        """Assign depth-first node ids and list the nodes by id, by an explicit stack."""
+        nodes: list[Node] = []
         stack = self.items[::-1]
         while stack:
             node = stack.pop()
-            nid = node.nid = len(nodes)
-            nodes[nid] = node
+            node.nid = len(nodes)
+            nodes.append(node)
             # children pushed last to first, so they pop in source order
             for name in _FIELDS_REVERSED[type(node)]:
                 value = getattr(node, name)

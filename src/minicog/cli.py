@@ -387,6 +387,9 @@ def run_analyze(args) -> int:
     for file, source in sources:
         try:
             analysis = analyze_source(source, file)
+            # No report reads the tree, its largest part: it is freed here, so
+            # the peak memory of a file is its analysis at decomposition.
+            analysis.tree = None
             rep = report_obj(analysis, mode, args.weights)
             sections = _sections(analysis, emit, as_json, depth)
         except (AnalysisError, EmptyProgram) as exc:
@@ -395,9 +398,9 @@ def run_analyze(args) -> int:
             totals["analyzed"] += 1
             totals["loc"] += rep["loc"]
             totals["escim"] += rep["escim"]
-        # The analysis, tree included, is freed before the report is written:
-        # the writing then neither adds to its peak memory nor makes the
-        # collector walk it.
+        # The rest of the analysis is freed before the report is written: the
+        # writing then neither adds to its peak memory nor makes the collector
+        # walk it.
         analysis = None
         if not as_json:
             text = "".join(line + "\n" for line in _report_text(rep, emit) + sections)

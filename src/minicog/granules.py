@@ -97,11 +97,12 @@ class Leaf(NamedTuple):
 @dataclass(eq=False)
 class GranuleTree:
     """Decomposition of one function: its top-level granule run, its leaves in
-    pre-order and its ERM lines."""
+    pre-order and its ERM lines. It names statements by node id and keeps no
+    reference to the syntax tree."""
     function: str
     recursive: bool
     roots: list[Granule]
-    tree: SyntaxTree
+    resolution: Resolution           # the resolution the leaf regions index
     leaves: list[Leaf]
     erm: list[str]
 
@@ -192,9 +193,9 @@ def _assign_labels(roots: list[Granule]) -> None:
         stack.extend((child, path + (j,)) for j, child in enumerate(g.children, start=1))
 
 
-def _leaves(roots: list[Granule], resolution: Resolution) -> list[Leaf]:
+def _leaves(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) -> list[Leaf]:
     """The leaves in pre-order, by an explicit stack of (granule, enclosing kinds, parent)."""
-    runs, calls_by_anchor, nodes = resolution.runs, resolution.calls_by_anchor, resolution.tree.nodes
+    runs, calls_by_anchor = resolution.runs, resolution.calls_by_anchor
     out: list[Leaf] = []
     stack: list[tuple[Granule, tuple[BcsKind, ...], Granule | None]] = [
         (root, (), None) for root in reversed(roots)
@@ -266,9 +267,10 @@ def detect_recursion(resolution: Resolution) -> set[str]:
     return recursive
 
 
-def decompose(resolution: Resolution) -> list[GranuleTree]:
-    """Granule hierarchy per function, in source order, with its leaves and ERM lines."""
-    tree = resolution.tree
+def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
+    """Granule hierarchy per function of ``tree``, in source order, with its
+    leaves and ERM lines; ``resolution`` is the tree's. The granule trees
+    keep no reference to ``tree``, so it can be freed once they are built."""
     recursive = detect_recursion(resolution)
     out: list[GranuleTree] = []
     for item in tree.items:
@@ -276,8 +278,8 @@ def decompose(resolution: Resolution) -> list[GranuleTree]:
             continue
         roots = _decompose_run(item.body.stmts)
         _assign_labels(roots)
-        gt = GranuleTree(item.name, item.name in recursive, roots, tree,
-                         _leaves(roots, resolution), [])
+        gt = GranuleTree(item.name, item.name in recursive, roots, resolution,
+                         _leaves(roots, tree.nodes, resolution), [])
         gt.erm = serialize_erm(gt).lines()
         out.append(gt)
     return out

@@ -131,7 +131,10 @@ def tokenize(source: str, file: str = "<input>") -> Tokens:
         kind, text = match.lastgroup, match.group()
         start, end = end, end + len(text)
         if kind == "skip":
-            line += source.count("\n", start, end)
+            # a new int only on a new line: the tokens of one line share theirs
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
             continue
         if kind == "word":
             if text in KEYWORDS:
@@ -154,6 +157,6 @@ def tokenize(source: str, file: str = "<input>") -> Tokens:
         texts.append(text)
         starts.append(start)
         lines.append(line)
-        if kind == "string-literal":  # a backslash-newline continues a string
+        if kind == "string-literal" and "\n" in text:  # a backslash-newline continues a string
             line += text.count("\n")
     return tokens

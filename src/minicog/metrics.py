@@ -115,9 +115,11 @@ def escim(
 ) -> MetricsReport:
     """Evaluate the weighted scope-information measure per function and program.
 
-    Reads the mode-independent data the analysis built once (each tree's
-    leaves and ERM lines, the ledger's I(L)); the reports of one analysis
-    share the ERM line lists.
+    Reads the mode-independent data the analysis built once (each granule
+    tree's leaves and ERM lines, the ledger's I(L)), never the syntax tree;
+    the reports of one analysis share the ERM line lists. A granule tree's
+    leaf regions index its resolution's occurrences, so each must come from
+    the ledger's resolution (InconsistentInput otherwise).
     """
     weights = weights or WeightTable()
     by_kind = weights.by_kind
@@ -125,9 +127,9 @@ def escim(
     functions: list[FunctionMetrics] = []
 
     for gt in granule_trees:
-        if gt.tree is not ledger.resolution.tree:
+        if gt.resolution is not ledger.resolution:
             raise InconsistentInput(
-                f"granule tree for '{gt.function}' does not belong to the ledger's syntax tree"
+                f"granule tree for '{gt.function}' does not belong to the ledger's resolution"
             )
         rows: list[LeafRow] = []
         for leaf in gt.leaves:

@@ -72,7 +72,8 @@ class Occurrences:
 
 @dataclass
 class Resolution:
-    tree: SyntaxTree
+    """What the later stages read of the resolved program. It names statements
+    and occurrences by number and holds no reference to the syntax tree."""
     variables: dict[int, ScopedVariable]
     occurrences: Occurrences
     call_graph: dict[str, set[str]]
@@ -81,8 +82,7 @@ class Resolution:
 
 
 class _Resolver:
-    def __init__(self, tree: SyntaxTree):
-        self.tree = tree
+    def __init__(self) -> None:
         self.scope_vars: dict[int, dict[str, int]] = {}
         self.stack: list[int] = []
         self.variables: dict[int, ScopedVariable] = {}
@@ -277,10 +277,10 @@ class _Resolver:
 
     # ------------------------------------------------------------ driver
 
-    def run(self) -> Resolution:
+    def run(self, tree: SyntaxTree) -> Resolution:
         self.push_scope()
 
-        for item in self.tree.items:
+        for item in tree.items:
             if isinstance(item, ast.RecordDef):
                 self.records[item.name] = item
             elif isinstance(item, ast.FuncDef):
@@ -288,7 +288,7 @@ class _Resolver:
                     raise DuplicateDeclaration(f"function '{item.name}' already defined", item.span)
                 self.call_graph[item.name] = set()
 
-        for item in self.tree.items:
+        for item in tree.items:
             if isinstance(item, ast.RecordDef):
                 for rfield in item.fields:
                     self.check_type(rfield.type)
@@ -307,7 +307,6 @@ class _Resolver:
                 self.current_function = None
 
         return Resolution(
-            tree=self.tree,
             variables=self.variables,
             occurrences=self.occurrences,
             call_graph=self.call_graph,
@@ -318,4 +317,4 @@ class _Resolver:
 
 def resolve(tree: SyntaxTree) -> Resolution:
     """Bind every identifier; raises DuplicateDeclaration or UnresolvedName."""
-    return _Resolver(tree).run()
+    return _Resolver().run(tree)

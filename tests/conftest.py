@@ -162,7 +162,7 @@ def reference_analyze_output(inputs: list[str], fmt: str, mode, emit: set[str],
 def parents_of(tree) -> dict[int, int]:
     """The parent nid of every node but the top-level items, derived from
     ``ast.child_nodes``: the tree itself keeps no parent links."""
-    return {child.nid: nid for nid, node in tree.nodes.items() for child in ast.child_nodes(node)}
+    return {child.nid: nid for nid, node in enumerate(tree.nodes) for child in ast.child_nodes(node)}
 
 
 def reference_occurrences(tree) -> list[tuple[int, int]]:
@@ -178,13 +178,13 @@ def reference_occurrences(tree) -> list[tuple[int, int]]:
     def anchor(nid: int) -> int:
         while not isinstance(tree.nodes[nid], ast.Stmt):
             nid = parents[nid]
-        parent = tree.nodes.get(parents.get(nid, -1))
+        parent = tree.nodes[parents[nid]] if nid in parents else None
         if isinstance(parent, ast.ForStmt) and parent.init is tree.nodes[nid]:
             return parent.nid
         return nid
 
     out: list[tuple[int, int]] = []
-    for nid, node in tree.nodes.items():
+    for nid, node in enumerate(tree.nodes):
         if isinstance(node, ast.Param):
             out += [(nid, parents[nid])] * 2
         elif isinstance(node, ast.DeclStmt):
@@ -195,10 +195,11 @@ def reference_occurrences(tree) -> list[tuple[int, int]]:
     return out
 
 
-def occurrence_nodes(resolution) -> list[int]:
+def occurrence_nodes(tree, resolution) -> list[int]:
     """The node nid of each occurrence, by ordinal, from
-    ``reference_occurrences``; asserts that the resolver recorded as many."""
-    nodes = [nid for nid, _ in reference_occurrences(resolution.tree)]
+    ``reference_occurrences`` over ``tree``; asserts that the resolver
+    recorded as many in ``resolution``."""
+    nodes = [nid for nid, _ in reference_occurrences(tree)]
     assert len(nodes) == len(resolution.occurrences)
     return nodes
 
@@ -210,7 +211,7 @@ def scope_kinds(tree) -> list[str]:
     block shares the function's scope."""
     bodies = {item.body.nid for item in tree.items if isinstance(item, ast.FuncDef)}
     kinds = ["global"]
-    for nid, node in tree.nodes.items():
+    for nid, node in enumerate(tree.nodes):
         if isinstance(node, ast.FuncDef):
             kinds.append("function")
         elif isinstance(node, ast.Block) and nid not in bodies:
@@ -233,9 +234,9 @@ def reference_string_literal_error(source: str, file: str = "<input>"):
     except ParseError as exc:
         return str(exc), exc.span
     parents = parents_of(tree)
-    for nid, node in tree.nodes.items():
+    for nid, node in enumerate(tree.nodes):
         if isinstance(node, ast.Literal) and node.kind == "string":
-            parent = tree.nodes.get(parents.get(nid, -1))
+            parent = tree.nodes[parents[nid]] if nid in parents else None
             if not (isinstance(parent, ast.Call) and parent.callee == "print"):
                 return "string literal only allowed as a print argument", node.span
     return None

@@ -84,10 +84,10 @@ def test_criterion_4_example2_shadowing():
     led = analysis.ledger
     amounts = [v for v in res.variables.values() if v.name == "amount"]
     assert len(amounts) == 3
-    global_amount = next(v for v in amounts if scope_kinds(res.tree)[v.scope] == "global")
+    global_amount = next(v for v in amounts if scope_kinds(analysis.tree)[v.scope] == "global")
     occ = res.occurrences
-    global_refs = [vid for vid, nid in zip(occ.variable, occurrence_nodes(res))
-                   if isinstance(res.tree.nodes[nid], ast.GlobalRef)]
+    global_refs = [vid for vid, nid in zip(occ.variable, occurrence_nodes(analysis.tree, res))
+                   if isinstance(analysis.tree.nodes[nid], ast.GlobalRef)]
     assert global_refs and all(vid == global_amount.vid for vid in global_refs)
     icn_max = icn_max_by_name(led, whole(led))["amount"]
     per_scope = [sicn_max(led, v.vid, whole(led)) for v in amounts]
@@ -185,7 +185,7 @@ def _top_level_statements(analysis):
     main = next(i for i in analysis.tree.items
                 if isinstance(i, ast.FuncDef) and i.name == "main")
     parents = parents_of(analysis.tree)
-    return [{s.nid} | {n for n in analysis.tree.nodes if _inside(parents, n, s.nid)}
+    return [{s.nid} | {n for n in range(len(analysis.tree.nodes)) if _inside(parents, n, s.nid)}
             for s in main.body.stmts]
 
 

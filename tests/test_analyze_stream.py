@@ -7,6 +7,7 @@ import gc
 import os
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,33 @@ def test_an_analysis_and_its_report_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", ["single-file", "broken-fixtures-and-generated"])
+def test_each_report_is_built_after_its_syntax_tree_is_freed(inputs, case, fmt, monkeypatch, capsys):
+    # No report section reads the tree, most of an analysis, so it must be
+    # unreachable, without the cycle collector's help, once report building starts.
+    paths, corpus = inputs[case]
+    trees, freed = [], []
+    analyze, report = cli.analyze_source, cli.report_obj
+
+    def analyze_and_watch(source, file):
+        analysis = analyze(source, file)
+        trees.append(weakref.ref(analysis.tree))
+        return analysis
+
+    def report_after_release(analysis, *args):
+        freed.append(trees[-1]() is None)
+        return report(analysis, *args)
+
+    monkeypatch.setattr(cli, "analyze_source", analyze_and_watch)
+    monkeypatch.setattr(cli, "report_obj", report_after_release)
+    argv = ["analyze", *paths, "--format", fmt, "--emit", "metrics,erm,ledger,granules"]
+    gc.disable()
+    try:
+        cli.main(argv + ["--corpus"] * corpus)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert len(freed) == len(trees) > 0 and all(freed), freed

@@ -120,7 +120,7 @@ def _assert_op_units_match_reference(tree, order, ends) -> None:
     resolution = resolve(tree)
     occurrences = resolution.occurrences
     assert occurrences
-    for occ in zip(occurrence_nodes(resolution), occurrences.role, occurrences.op_unit):
+    for occ in zip(occurrence_nodes(tree, resolution), occurrences.role, occurrences.op_unit):
         node, role, op_unit = occ
         if node in expected:
             assert op_unit == expected[node], occ

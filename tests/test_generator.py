@@ -10,7 +10,7 @@ from conftest import occurrence_nodes
 
 def count_statements(tree) -> int:
     blocks = (ast.Block,)
-    return sum(1 for node in tree.nodes.values()
+    return sum(1 for node in tree.nodes
                if isinstance(node, ast.Stmt) and not isinstance(node, blocks))
 
 
@@ -52,10 +52,10 @@ def test_declarations_carry_operator_free_initializers():
         tree = analysis.tree
         # a declaration's own target occurrence carries its initializer's operator count
         occ = analysis.resolution.occurrences
-        nodes = occurrence_nodes(analysis.resolution)
+        nodes = occurrence_nodes(tree, analysis.resolution)
         declared_ops = {nid: ops for nid, role, ops in zip(nodes, occ.role, occ.op_unit)
                         if role == ROLE_TARGET and isinstance(tree.nodes[nid], ast.DeclStmt)}
-        for node in tree.nodes.values():
+        for node in tree.nodes:
             if isinstance(node, ast.DeclStmt):
                 assert node.init is not None
                 assert declared_ops[node.nid] == 0

@@ -16,7 +16,8 @@ def shape(granule):
 
 
 def test_example6_decomposition():
-    gt = analyzed("example6.mc").granules[0]
+    analysis = analyzed("example6.mc")
+    gt = analysis.granules[0]
     assert [root.kind for root in gt.roots] == [BcsKind.LINEAR, BcsKind.WHILE]
     g1, g2 = gt.roots
     assert g1.label == "G1" and len(g1.stmts) == 6
@@ -24,8 +25,7 @@ def test_example6_decomposition():
     assert [c.kind for c in g2.children] == [BcsKind.LINEAR, BcsKind.IF, BcsKind.LINEAR]
     g22 = g2.children[1]
     assert [shape(c) for c in g22.children] == [("G(2,2,1)", "linear", [])]
-    tree = gt.tree
-    assert isinstance(tree.nodes[g22.children[0].stmts[0]], ast.BreakStmt)
+    assert isinstance(analysis.tree.nodes[g22.children[0].stmts[0]], ast.BreakStmt)
 
 
 def test_single_assignment_is_one_linear_granule():

@@ -19,7 +19,7 @@ from conftest import (
 def var_named(analysis, name, scope_kind=None):
     res = analysis.resolution
     for v in res.variables.values():
-        if v.name == name and (scope_kind is None or scope_kinds(res.tree)[v.scope] == scope_kind):
+        if v.name == name and (scope_kind is None or scope_kinds(analysis.tree)[v.scope] == scope_kind):
             return v
     raise AssertionError(f"no variable {name}")
 
@@ -94,10 +94,10 @@ def test_regional_icn_exceeds_scoped_sum_under_shadowing():
     res = analysis.resolution
     led = analysis.ledger
     parents = parents_of(analysis.tree)
-    block = next(n for n in analysis.tree.nodes.values() if isinstance(n, ast.Block)
+    block = next(n for n in analysis.tree.nodes if isinstance(n, ast.Block)
                  and parents.get(n.nid) is not None
                  and isinstance(analysis.tree.nodes[parents[n.nid]], ast.Block))
-    region = ordinals_of(analysis, {nid for nid in analysis.tree.nodes
+    region = ordinals_of(analysis, {nid for nid in range(len(analysis.tree.nodes))
                                     if _inside(parents, nid, block.nid)})
     icn_total = info_icn(led, region)
     scoped_total = sum(sicn_max(led, v.vid, region) for v in res.variables.values())
@@ -191,7 +191,7 @@ def _windows(analysis, count=8):
             ids = set()
             for s in stmts[start:start + width]:
                 ids.add(s.nid)
-                ids.update(nid for nid in analysis.tree.nodes
+                ids.update(nid for nid in range(len(analysis.tree.nodes))
                            if _inside(parents, nid, s.nid))
             out.append(ordinals_of(analysis, ids))
             if len(out) >= count:
@@ -251,7 +251,7 @@ def test_region_additivity_delta_mode(seed):
         ids = set()
         for s in span:
             ids.add(s.nid)
-            ids.update(nid for nid in analysis.tree.nodes if _inside(parents, nid, s.nid))
+            ids.update(nid for nid in range(len(analysis.tree.nodes)) if _inside(parents, nid, s.nid))
         return ordinals_of(analysis, ids)
 
     both = region_of(stmts)

@@ -51,3 +51,33 @@ def test_absolute_mode_reads_globals_in_function_text_order():
     before = analyze_source(source).escim_value(SiMode.ABSOLUTE)
     after = analyze_source(_functions_reversed(source)).escim_value(SiMode.ABSOLUTE)
     assert (before, after) == (19, 27)
+
+
+def _first_expression_wrapped(source: str) -> str | None:
+    """The program with the first expression statement of `main`'s body
+    wrapped in a block; None if that body has none."""
+    tree = parse_source(source)
+    main = next(item for item in tree.items if isinstance(item, ast.FuncDef) and item.name == "main")
+    stmts = main.body.stmts
+    k = next((k for k, stmt in enumerate(stmts) if isinstance(stmt, ast.ExprStmt)), None)
+    if k is None:
+        return None
+    stmts[k] = ast.Block([stmts[k]])
+    return pretty_print(tree)
+
+
+def test_a_block_around_an_expression_statement_changes_only_loc():
+    """Blocks are transparent: wrapping an expression statement, which
+    declares nothing, in `{ }` changes no ESCIM in any mode, nor I(L). LOC
+    rises by exactly 2, as the printer puts each brace on its own line."""
+    programs = 0
+    for seed in range(300):
+        source = generate(seed)
+        wrapped = _first_expression_wrapped(source)
+        if wrapped is None:
+            continue
+        programs += 1
+        (before, i_l, loc), (after, i_l2, loc2) = (
+            _scores(analyze_source(source)), _scores(analyze_source(wrapped)))
+        assert (after, i_l2, loc2) == (before, i_l, loc + 2), seed
+    assert programs == 234

@@ -54,7 +54,8 @@ def test_child_spans_nest_in_parents(name):
 @pytest.mark.parametrize("name", corpus_names())
 def test_node_ids_unique_and_dense(name):
     tree = analyzed(name).tree
-    assert sorted(tree.nodes) == list(range(len(tree.nodes)))
+    assert sorted(node.nid for node in tree.nodes) == list(range(len(tree.nodes)))
+    assert all(tree.nodes[k].nid == k for k in range(len(tree.nodes)))
 
 
 def test_parse_is_deterministic():

@@ -38,27 +38,28 @@ def test_for_init_shadowing_in_example3():
 
 def test_global_ref_binds_global_despite_shadowing():
     analysis = analyzed("example2.mc")
-    res = analysis.resolution
-    kinds = scope_kinds(res.tree)
+    res, tree = analysis.resolution, analysis.tree
+    kinds = scope_kinds(tree)
     global_amount = next(v for v in res.variables.values() if kinds[v.scope] == "global")
     occ = res.occurrences
-    global_refs = [vid for vid, nid in zip(occ.variable, occurrence_nodes(res))
-                   if isinstance(res.tree.nodes[nid], ast.GlobalRef)]
+    global_refs = [vid for vid, nid in zip(occ.variable, occurrence_nodes(tree, res))
+                   if isinstance(tree.nodes[nid], ast.GlobalRef)]
     assert global_refs and all(vid == global_amount.vid for vid in global_refs)
     # the bare `print(amount)` in the block binds to the innermost amount
     block_amount = next(v for v in res.variables.values() if kinds[v.scope] == "block")
-    plain_reads = [vid for vid, nid, role in zip(occ.variable, occurrence_nodes(res), occ.role)
-                   if isinstance(res.tree.nodes[nid], ast.VarRef) and role == "read"]
+    plain_reads = [vid for vid, nid, role in zip(occ.variable, occurrence_nodes(tree, res), occ.role)
+                   if isinstance(tree.nodes[nid], ast.VarRef) and role == "read"]
     assert plain_reads[-1] == block_amount.vid
 
 
 def test_use_before_inner_declaration_binds_outer():
     # `amount = amount * 2;` precedes the local declaration, so it is global
-    res = analyzed("example2.mc").resolution
+    analysis = analyzed("example2.mc")
+    res, tree = analysis.resolution, analysis.tree
     occ = res.occurrences
-    first_target = next(vid for vid, nid, role in zip(occ.variable, occurrence_nodes(res), occ.role)
-                        if role == ROLE_TARGET and isinstance(res.tree.nodes[nid], ast.VarRef))
-    assert scope_kinds(res.tree)[res.variables[first_target].scope] == "global"
+    first_target = next(vid for vid, nid, role in zip(occ.variable, occurrence_nodes(tree, res), occ.role)
+                        if role == ROLE_TARGET and isinstance(tree.nodes[nid], ast.VarRef))
+    assert scope_kinds(tree)[res.variables[first_target].scope] == "global"
 
 
 def test_duplicate_declaration_rejected():
@@ -95,10 +96,11 @@ def test_each_construct_gives_its_variables_a_scope_of_its_kind():
 
 
 def test_parameters_declared_with_initial_assignment():
-    res = analyzed("recursion.mc").resolution
+    analysis = analyzed("recursion.mc")
+    res, tree = analysis.resolution, analysis.tree
     occ = res.occurrences
-    param_roles = [role for vid, nid, role in zip(occ.variable, occurrence_nodes(res), occ.role)
-                   if res.variables[vid].name == "n" and isinstance(res.tree.nodes[nid], ast.Param)]
+    param_roles = [role for vid, nid, role in zip(occ.variable, occurrence_nodes(tree, res), occ.role)
+                   if res.variables[vid].name == "n" and isinstance(tree.nodes[nid], ast.Param)]
     assert param_roles == [ROLE_DECL, ROLE_TARGET]
 
 
@@ -120,13 +122,14 @@ def test_record_members_resolved_per_member():
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_every_reference_resolves_exactly_once(name):
-    res = analyzed(name).resolution
-    ref_nodes = [nid for nid, node in res.tree.nodes.items()
+    analysis = analyzed(name)
+    res, tree = analysis.resolution, analysis.tree
+    ref_nodes = [nid for nid, node in enumerate(tree.nodes)
                  if isinstance(node, (ast.VarRef, ast.GlobalRef))]
-    occ_nodes = [nid for nid in occurrence_nodes(res)
-                 if isinstance(res.tree.nodes[nid], (ast.VarRef, ast.GlobalRef))]
+    occ_nodes = [nid for nid in occurrence_nodes(tree, res)
+                 if isinstance(tree.nodes[nid], (ast.VarRef, ast.GlobalRef))]
     assert sorted(occ_nodes) == sorted(ref_nodes)
-    _assert_occurrences_name_their_nodes(res)
+    _assert_occurrences_name_their_nodes(tree, res)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -159,7 +162,7 @@ def test_shadowing_does_not_rebind_outer_occurrences():
         out = []
         for vid, role in zip(res.occurrences.variable, res.occurrences.role):
             var = res.variables[vid]
-            out.append((var.name, scope_kinds(res.tree)[var.scope], role))
+            out.append((var.name, scope_kinds(analysis.tree)[var.scope], role))
         return out
 
     base_bindings = binding_names(base)
@@ -175,37 +178,37 @@ def test_generated_programs_resolve_totally(seed):
     from minicog.generator import generate
 
     analysis = analyze_source(generate(seed))
-    res = analysis.resolution
-    ref_nodes = [nid for nid, node in res.tree.nodes.items()
+    res, tree = analysis.resolution, analysis.tree
+    ref_nodes = [nid for nid, node in enumerate(tree.nodes)
                  if isinstance(node, (ast.VarRef, ast.GlobalRef))]
-    occ_nodes = set(occurrence_nodes(res))
+    occ_nodes = set(occurrence_nodes(tree, res))
     assert all(nid in occ_nodes for nid in ref_nodes)
-    _assert_occurrences_name_their_nodes(res)
+    _assert_occurrences_name_their_nodes(tree, res)
 
 
-def _assert_occurrences_name_their_nodes(res):
+def _assert_occurrences_name_their_nodes(tree, res):
     """Each occurrence's variable has the name of the node the tree oracle
     places at its ordinal, and declarations and parameters give their two
     occurrences in the order declaration, initial assignment."""
-    occ, nodes = res.occurrences, occurrence_nodes(res)
+    occ, nodes = res.occurrences, occurrence_nodes(tree, res)
     for i, nid in enumerate(nodes):
-        node = res.tree.nodes[nid]
+        node = tree.nodes[nid]
         assert res.variables[occ.variable[i]].name == node.name, (i, node)
         if isinstance(node, (ast.DeclStmt, ast.Param)):
             assert occ.role[i] == (ROLE_TARGET if i and nodes[i - 1] == nid else ROLE_DECL), (i, node)
 
 
-def _assert_runs_match_reference(res):
+def _assert_runs_match_reference(tree, res):
     """``Resolution.runs`` holds, for each anchor, exactly the ordinals the
     tree oracle anchors there, and the resolver records the oracle's number
     of occurrences."""
-    oracle = reference_occurrences(res.tree)
+    oracle = reference_occurrences(tree)
     assert len(res.occurrences) == len(oracle)
     expected: dict[int, list[int]] = {}
     for i, (_, anchor) in enumerate(oracle):
         expected.setdefault(anchor, []).append(i)
     assert {a: list(run) for a, run in res.runs.items()} == expected
-    _assert_occurrences_name_their_nodes(res)
+    _assert_occurrences_name_their_nodes(tree, res)
 
 
 def test_runs_match_the_tree_on_fixtures_generated_and_composed_programs():
@@ -226,7 +229,7 @@ def test_runs_match_the_tree_on_fixtures_generated_and_composed_programs():
                 pass
     assert composed > 10
     for analysis in analyses:
-        _assert_runs_match_reference(analysis.resolution)
+        _assert_runs_match_reference(analysis.tree, analysis.resolution)
 
 
 def test_resolution_keeps_only_what_a_later_stage_reads():
@@ -235,4 +238,4 @@ def test_resolution_keeps_only_what_a_later_stage_reads():
     from minicog.scopes import Resolution
 
     assert [f.name for f in fields(Resolution)] == [
-        "tree", "variables", "occurrences", "call_graph", "calls_by_anchor", "runs"]
+        "variables", "occurrences", "call_graph", "calls_by_anchor", "runs"]

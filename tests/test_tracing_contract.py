@@ -72,7 +72,7 @@ def test_layer_counts_measure_real_results(tracing, name, capsys):
     assert measure["ledger.entries"](build_ledger(resolution)) == rows
     # the benchmark counts the ledger's rows through ``entries``, the range of their ordinals
     assert build_ledger(resolution).entries == range(rows)
-    assert measure["parser.nodes"](tree) == len(tree.nodes) == max(tree.nodes) + 1
+    assert measure["parser.nodes"](tree) == len(tree.nodes) == tree.nodes[-1].nid + 1
     # the benchmark counts granules by ``GranuleTree.walk``, which is why the walks stay
     emitted = [g for gt in report["granule_trees"] for g in gt["granules"]]
     count = 0
@@ -80,7 +80,7 @@ def test_layer_counts_measure_real_results(tracing, name, capsys):
         count += 1
         emitted += emitted.pop()["children"]
     assert count > 0
-    assert measure["granules.granules"](decompose(resolution)) == count
+    assert measure["granules.granules"](decompose(tree, resolution)) == count
 
 
 def test_each_analyzed_file_reaches_the_traced_report_layers_once(monkeypatch, capsys):

@@ -93,7 +93,7 @@ def test_compose_leaves_its_input_trees_unchanged():
     before = [(fingerprint(t), parents_of(t)) for t in (ptree, qtree)]
     compose(ptree, qtree)
     assert [(fingerprint(t), parents_of(t)) for t in (ptree, qtree)] == before
-    assert all(node.nid == nid for t in (ptree, qtree) for nid, node in t.nodes.items())
+    assert all(node.nid == nid for t in (ptree, qtree) for nid, node in enumerate(t.nodes))
 
 
 # ------------------------------------------------------------------ rename
@@ -187,6 +187,25 @@ def pretty_printed(src):
 @pytest.fixture(scope="module")
 def small_pool():
     return ValidatorPool(corpus_pairs(), seed=0, n_generated=40)
+
+
+def test_composed_and_permuted_programs_count_their_printed_lines(small_pool):
+    # Compositions and permutations are printed, and the printer writes no
+    # comments, so a printed program's LOC is its number of non-blank lines.
+    trees = [parse_source(source, name) for name, source in corpus_pairs()]
+    analyses = []
+    for p in trees:
+        for q in trees:
+            try:
+                analyses.append(compose(p, q))
+            except ComposeError:
+                pass
+    composed = len(analyses)
+    analyses += [permuted for _, permuted in weyuker._permutations(small_pool)]
+    assert composed > 100 and len(analyses) > composed
+    for analysis in analyses:
+        assert analysis.loc == sum(1 for line in analysis.source.splitlines() if line.strip()), \
+            analysis.source
 
 
 def test_p1_witnessed_by_unit_vs_nested_fixture(small_pool):
