@@ -1,11 +1,11 @@
 """Scope-aware cognitive complexity metrics for MiniC programs."""
 
 from .analysis import Analysis, analyze_source
-from .erm import ErmExpression, Fact, parse_erm, render_erm, serialize_erm
+from .erm import serialize_erm
 from .errors import (
     AnalysisError, ComposeError, DuplicateDeclaration, EmptyProgram,
-    ErmSyntaxError, InconsistentInput, InvalidPermutation, LexError,
-    ParseError, RenameCollision, UnresolvedName,
+    InconsistentInput, InvalidPermutation, LexError, ParseError,
+    RenameCollision, UnresolvedName,
 )
 from .granules import BcsKind, Granule, GranuleTree, decompose, detect_recursion
 from .ledger import OccurrenceLedger, SiMode, build_ledger

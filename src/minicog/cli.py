@@ -351,6 +351,19 @@ def _expand_corpus(inputs: list[str]) -> list[str]:
     return [str(p) for p in sorted(set(paths))]
 
 
+def _read_inputs(paths: list) -> list[str] | None:
+    """The text of every file in ``paths`` (names or ``Path``s), or None once
+    one cannot be read (missing, or not UTF-8), after saying so on stderr."""
+    texts = []
+    for path in paths:
+        try:
+            texts.append(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"minicog: cannot read {path}: {exc}", file=sys.stderr)
+            return None
+    return texts
+
+
 def run_analyze(args) -> int:
     emit = set(filter(None, args.emit.split(",")))
     unknown = emit - set(EMIT_CHOICES)
@@ -368,13 +381,10 @@ def run_analyze(args) -> int:
             return 2
         paths = [str(Path(args.inputs[0]))]
 
-    sources: list[tuple[str, str]] = []
-    for path in paths:  # every input is read before any output is written
-        try:
-            sources.append((path, Path(path).read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"minicog: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
+    texts = _read_inputs(paths)  # every input is read before any output is written
+    if texts is None:
+        return 2
+    sources = list(zip(paths, texts))
 
     # Each report is written as soon as it is built and dropped before the next
     # file is analyzed; a corpus adds the {"files": [...]} wrapper and totals.
@@ -478,12 +488,11 @@ def run_weyuker(args) -> int:
         if not root.is_dir():
             print(f"minicog: corpus directory not found: {root}", file=sys.stderr)
             return 2
-        for path in sorted(root.glob("*.mc")):
-            try:
-                corpus.append((path.name, path.read_text(encoding="utf-8")))
-            except (OSError, UnicodeDecodeError) as exc:
-                print(f"minicog: cannot read {path}: {exc}", file=sys.stderr)
-                return 2
+        paths = sorted(root.glob("*.mc"))
+        texts = _read_inputs(paths)
+        if texts is None:
+            return 2
+        corpus = [(path.name, text) for path, text in zip(paths, texts)]
     modes = [SiMode(args.si_mode)] if args.si_mode else None
     try:
         result = run_matrix(corpus, seed=args.seed, n_generated=args.count,

@@ -8,7 +8,6 @@ class AnalysisError(Exception):
 
     def __init__(self, message: str, span=None):
         super().__init__(message)
-        self.message = message
         self.span = span
 
 
@@ -17,9 +16,7 @@ class LexError(AnalysisError):
 
 
 class ParseError(AnalysisError):
-    def __init__(self, message: str, span=None, expected: frozenset[str] = frozenset()):
-        super().__init__(message, span)
-        self.expected = frozenset(expected)
+    pass
 
 
 class DuplicateDeclaration(AnalysisError):
@@ -27,10 +24,6 @@ class DuplicateDeclaration(AnalysisError):
 
 
 class UnresolvedName(AnalysisError):
-    pass
-
-
-class ErmSyntaxError(Exception):
     pass
 
 

@@ -280,6 +280,6 @@ def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
         _assign_labels(roots)
         gt = GranuleTree(item.name, item.name in recursive, roots, resolution,
                          _leaves(roots, tree.nodes, resolution), [])
-        gt.erm = serialize_erm(gt).lines()
+        gt.erm = serialize_erm(gt)
         out.append(gt)
     return out

@@ -48,7 +48,8 @@ _KIND_NAMES = tuple((kind, kind.value) for kind in BcsKind)  # iterating the enu
 
 
 class WeightTable:
-    """Total map from BCS kind to a positive integer weight."""
+    """Total map from BCS kind to a positive integer weight, read through
+    ``by_kind``, which is built once with the table."""
 
     def __init__(self, weights: dict[str, int] | None = None):
         table = dict(DEFAULT_WEIGHTS)
@@ -60,16 +61,7 @@ class WeightTable:
         for kind, weight in table.items():
             if type(weight) is not int or weight < 1:  # bool is an int subclass
                 raise ValueError(f"weight for {kind!r} must be an integer >= 1, got {weight!r}")
-        self._table = table
-        # the table is never changed after this, so its by-kind form is built once
         self.by_kind = {kind: table[name] for kind, name in _KIND_NAMES}
-
-    def __getitem__(self, kind: BcsKind | str) -> int:
-        key = kind.value if isinstance(kind, BcsKind) else kind
-        return self._table[key]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightTable) and self._table == other._table
 
     @classmethod
     def from_file(cls, path) -> "WeightTable":

@@ -79,15 +79,14 @@ class _Parser:
     def expect(self, text: str) -> None:
         pos = self.pos
         if self.texts[pos] != text:
-            raise ParseError(f"expected {text!r}, found {self._found(pos)}", self.tokens.span(pos),
-                             expected=frozenset({text}))
+            raise ParseError(f"expected {text!r}, found {self._found(pos)}", self.tokens.span(pos))
         self.pos = pos + 1
 
     def expect_ident(self) -> str:
         pos = self.pos
         if self.kinds[pos] != "identifier":
-            raise ParseError(f"expected identifier, found {self._found(pos)}", self.tokens.span(pos),
-                             expected=frozenset({"IDENT"}))
+            raise ParseError(f"expected identifier, found {self._found(pos)}",
+                             self.tokens.span(pos))
         self.pos = pos + 1
         return self.texts[pos]
 
@@ -137,10 +136,7 @@ class _Parser:
         start = self.pos
         text = self.texts[start]
         if not (text in TYPE_KEYWORDS or self.kinds[start] == "identifier"):
-            raise ParseError(
-                "expected a type", self.tokens.span(start),
-                expected=frozenset(TYPE_KEYWORDS) | {"IDENT"},
-            )
+            raise ParseError("expected a type", self.tokens.span(start))
         self.pos = start + 1
         ty = TypeRef(text)
         if self.texts[self.pos] == "[":
@@ -206,8 +202,7 @@ class _Parser:
         stmts: list[Stmt] = []
         while self.texts[self.pos] != "}":
             if self.kinds[self.pos] == END:
-                raise ParseError("unterminated block", self.tokens.span(self.pos),
-                                 expected=frozenset({"}"}))
+                raise ParseError("unterminated block", self.tokens.span(self.pos))
             stmts.append(self.parse_stmt())
         self.pos += 1
         return self._spanned(Block(stmts), start)
@@ -316,18 +311,14 @@ class _Parser:
             if texts[astart] == "case":
                 self.pos += 1
                 if self.kinds[self.pos] not in LITERAL_KINDS:
-                    raise ParseError("expected a literal case label", self.tokens.span(self.pos),
-                                     expected=frozenset({"LITERAL"}))
+                    raise ParseError("expected a literal case label", self.tokens.span(self.pos))
                 label = texts[self.pos]
                 self.pos += 1
             elif texts[astart] == "default":
                 self.pos += 1
                 label = None
             else:
-                raise ParseError(
-                    "expected 'case' or 'default'", self.tokens.span(astart),
-                    expected=frozenset({"case", "default"}),
-                )
+                raise ParseError("expected 'case' or 'default'", self.tokens.span(astart))
             self.expect(":")
             body: list[Stmt] = []
             while texts[self.pos] not in ("case", "default", "}"):
@@ -454,10 +445,7 @@ class _Parser:
             return inner
         if kind == END:
             raise ParseError("expected an expression", self.tokens.span(start))
-        raise ParseError(
-            f"unexpected token {text!r}", self.tokens.span(start),
-            expected=frozenset({"IDENT", "LITERAL", "(", "::"}),
-        )
+        raise ParseError(f"unexpected token {text!r}", self.tokens.span(start))
 
 
 def parse(tokens: Tokens) -> SyntaxTree:

@@ -5,7 +5,9 @@ same name in different scopes are distinct (shadowing-aware). Bindings are
 positional: a declaration is visible from its own statement onward, so a use
 before an inner redeclaration still binds to the outer variable. ``::name``
 always binds in the global scope. Functions are visible program-wide so that
-mutually recursive definitions resolve.
+mutually recursive definitions resolve. Labels belong to their function: a
+label is defined once in it, and a ``goto`` names a label of its own function
+(C11 6.8.1 and 6.8.6.1).
 
 A scope only keeps same-named variables distinct, so no scope outlives the
 walk: ``ScopedVariable.scope`` numbers scopes in the order they are entered.
@@ -92,6 +94,8 @@ class _Resolver:
         self.calls_by_anchor: dict[int, int] = {}
         self.runs: dict[int, range] = {}
         self.current_function: str | None = None
+        self.labels: set[str] = set()            # of the current function
+        self.gotos: list[ast.GotoStmt] = []      # of the current function
 
     # ------------------------------------------------------------ scopes
 
@@ -269,8 +273,14 @@ class _Resolver:
         elif isinstance(stmt, ast.ReturnStmt):
             self.walk_unit([stmt.value], stmt.nid)
         elif isinstance(stmt, ast.LabeledStmt):
+            if stmt.label in self.labels:
+                raise DuplicateDeclaration(f"label '{stmt.label}' already defined in this function",
+                                           stmt.span)
+            self.labels.add(stmt.label)
             self.walk_stmt(stmt.stmt)
-        elif isinstance(stmt, (ast.BreakStmt, ast.ContinueStmt, ast.GotoStmt, ast.EmptyStmt)):
+        elif isinstance(stmt, ast.GotoStmt):
+            self.gotos.append(stmt)  # checked once the whole body is walked
+        elif isinstance(stmt, (ast.BreakStmt, ast.ContinueStmt, ast.EmptyStmt)):
             pass
         else:
             raise TypeError(f"unexpected statement {type(stmt).__name__}")
@@ -303,6 +313,11 @@ class _Resolver:
                     self.record([(vid, None, ROLE_DECL), (vid, None, ROLE_TARGET)], item.nid, 0)
                 for inner in item.body.stmts:
                     self.walk_stmt(inner)
+                for goto in self.gotos:
+                    if goto.label not in self.labels:
+                        raise UnresolvedName(f"no label '{goto.label}' in function '{item.name}'",
+                                             goto.span)
+                self.labels, self.gotos = set(), []
                 self.pop_scope()
                 self.current_function = None
 
@@ -316,5 +331,6 @@ class _Resolver:
 
 
 def resolve(tree: SyntaxTree) -> Resolution:
-    """Bind every identifier; raises DuplicateDeclaration or UnresolvedName."""
+    """Bind every identifier and check every label; raises
+    DuplicateDeclaration or UnresolvedName."""
     return _Resolver().run(tree)

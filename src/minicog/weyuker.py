@@ -381,44 +381,44 @@ def _first_hits(modes: list[SiMode], candidates: Iterable, hit: Callable,
     return {mode: found[mode] if mode in found else default(mode) for mode in modes}
 
 
-def check_property(prop: str, pool: ValidatorPool, modes: list[SiMode] | None = None) -> Verdicts:
-    """Verdicts of one property for each mode (default: every mode the pool scores)."""
-    return _CHECKERS[prop](prop, pool, modes or pool.modes)
+def check_property(prop: str, pool: ValidatorPool) -> Verdicts:
+    """Verdicts of one property for each mode the pool scores."""
+    return _CHECKERS[prop](prop, pool)
 
 
-def _check_p1(prop, pool, modes):
+def _check_p1(prop, pool):
     def hit(j, mode):
         base, value = pool.esc(0, mode), pool.esc(j, mode)
         if value != base:
             return PropertyVerdict("witnessed", _witness(pool, p=0, q=j, values=[base, value]))
-    return _first_hits(modes, range(1, len(pool)), hit)
+    return _first_hits(pool.modes, range(1, len(pool)), hit)
 
 
-def _check_p2(prop, pool, modes):
+def _check_p2(prop, pool):
     def hit(i, mode):
         if pool.esc(i, mode) < 0:
             witness = _witness(pool, p=i, value=pool.esc(i, mode))
             return PropertyVerdict("refuted", witness, note=_NOTE_P2)
-    return _first_hits(modes, range(len(pool)), hit,
+    return _first_hits(pool.modes, range(len(pool)), hit,
                        lambda mode: PropertyVerdict("holds-on-sample", note=_NOTE_P2))
 
 
-def _check_p3(prop, pool, modes):
-    first_with_value: dict[SiMode, dict[int, int]] = {mode: {} for mode in modes}
+def _check_p3(prop, pool):
+    first_with_value: dict[SiMode, dict[int, int]] = {mode: {} for mode in pool.modes}
 
     def hit(j, mode):
         value = pool.esc(j, mode)
         i = first_with_value[mode].setdefault(value, j)
         if i != j and pool.fp(i) != pool.fp(j):
             return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, value=value))
-    return _first_hits(modes, range(len(pool)), hit)
+    return _first_hits(pool.modes, range(len(pool)), hit)
 
 
-def _check_p4(prop, pool, modes):
+def _check_p4(prop, pool):
     names = [entry.name for entry in pool.entries]
     if "sum_loop.mc" not in names or "sum_formula.mc" not in names:
         note = "equivalent-pair fixtures not present in the corpus"
-        return {mode: PropertyVerdict("no-witness-found", note=note) for mode in modes}
+        return {mode: PropertyVerdict("no-witness-found", note=note) for mode in pool.modes}
     i, j = names.index("sum_loop.mc"), names.index("sum_formula.mc")
     note = (
         "the loop and closed-form summation fixtures compute the same function by "
@@ -430,7 +430,7 @@ def _check_p4(prop, pool, modes):
         if vi == vj:
             return PropertyVerdict("no-witness-found", note=note)
         return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, values=[vi, vj]), note=note)
-    return {mode: judge(mode) for mode in modes}
+    return {mode: judge(mode) for mode in pool.modes}
 
 
 def _compositions(pool: ValidatorPool):
@@ -441,7 +441,7 @@ def _compositions(pool: ValidatorPool):
             yield i, j, *combined
 
 
-def _check_p5(prop, pool, modes):
+def _check_p5(prop, pool):
     def hit(candidate, mode):
         i, j, text, escim = candidate
         vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), escim[mode]
@@ -454,7 +454,7 @@ def _check_p5(prop, pool, modes):
         checked = sum(1 for _ in _compositions(pool))
         return PropertyVerdict("holds-on-sample", note=f"{checked} composition pairs checked, "
                                f"{len(pool.pairs()) - checked} skipped (composition conflicts)")
-    return _first_hits(modes, _compositions(pool), hit, holds)
+    return _first_hits(pool.modes, _compositions(pool), hit, holds)
 
 
 def _equal_value_pairs(pool: ValidatorPool, mode: SiMode, cap: int) -> list[tuple[int, int]]:
@@ -471,7 +471,7 @@ def _equal_value_pairs(pool: ValidatorPool, mode: SiMode, cap: int) -> list[tupl
     return pairs
 
 
-def _check_p6(prop, pool, modes):
+def _check_p6(prop, pool):
     # The pairs P, Q differ per mode, so each mode walks its own; compositions are cached.
     after = prop == "6a"  # |P;R| vs |Q;R| if True, else |R;P| vs |R;Q|
 
@@ -489,7 +489,7 @@ def _check_p6(prop, pool, modes):
                     witness = _witness(pool, p=i, q=j, r=r, values=values)
                     return PropertyVerdict("witnessed", witness, note=note)
         return PropertyVerdict("no-witness-found", note=note)
-    return {mode: judge(mode) for mode in modes}
+    return {mode: judge(mode) for mode in pool.modes}
 
 
 def _permutations(pool: ValidatorPool):
@@ -519,21 +519,21 @@ def _permutations(pool: ValidatorPool):
                 yield i, permuted
 
 
-def _check_p7(prop, pool, modes):
+def _check_p7(prop, pool):
     def hit(candidate, mode):
         i, permuted = candidate
         before, after = pool.esc(i, mode), permuted.escim_value(mode, pool.weights)
         if after != before:
             witness = _witness(pool, p=i, permuted=permuted.source, values=[before, after])
             return PropertyVerdict("witnessed", witness)
-    return _first_hits(modes, _permutations(pool), hit)
+    return _first_hits(pool.modes, _permutations(pool), hit)
 
 
 def _rename_map(names: list[str]) -> dict[str, str]:
     return {name: f"ren{k}" for k, name in enumerate(names)}
 
 
-def _check_p8(prop, pool, modes):
+def _check_p8(prop, pool):
     renamings = ((i, analyze_source(rename(entry.source, _rename_map(entry.names)), "<renamed>"))
                  for i, entry in enumerate(pool.entries[:200]))
 
@@ -546,17 +546,17 @@ def _check_p8(prop, pool, modes):
             values = {key: [b, a] for key, b, a in zip(("escim", "i_l", "loc"), before, after)}
             witness = _witness(pool, p=i, renamed=renamed.source, values=values)
             return PropertyVerdict("refuted", witness)
-    return _first_hits(modes, renamings, hit, lambda mode: PropertyVerdict("holds-on-sample"))
+    return _first_hits(pool.modes, renamings, hit, lambda mode: PropertyVerdict("holds-on-sample"))
 
 
-def _check_p9(prop, pool, modes):
+def _check_p9(prop, pool):
     def hit(candidate, mode):
         i, j, _, escim = candidate
         vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), escim[mode]
         if vi + vj <= vpq:
             values = {"p": vi, "q": vj, "pq": vpq}
             return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, values=values))
-    return _first_hits(modes, _compositions(pool), hit)
+    return _first_hits(pool.modes, _compositions(pool), hit)
 
 
 _CHECKERS = {  # in matrix row order

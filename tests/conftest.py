@@ -318,3 +318,53 @@ def reference_si(ledger, region, mode) -> int:
             before = [ledger.sicn_after[i] for i in range(region.start) if variable[i] == vid]
             total += max(values) - (before[-1] if before else 0)
     return total
+
+
+def granule_shape(granules) -> tuple:
+    """Each granule as (label, arm starts, the shapes of its children)."""
+    return tuple((g.label, tuple(g.arm_starts), granule_shape(g.children)) for g in granules)
+
+
+def shape_from_erm(lines: list[str], leaf_labels: list[str]) -> tuple:
+    """The granule tree, in ``granule_shape``'s form, rebuilt from a function's
+    ERM lines and the labels of its leaf rows alone. Each ``P > C`` starts an
+    arm of P at C and each ``A -> B`` puts B after A; the one granule that no
+    line places is the first root. With no line, there is one root leaf or
+    none, and only the leaf labels tell which."""
+    arms: dict[str, list[str]] = {}
+    after: dict[str, str] = {}
+    placed: set[str] = set()
+    labels = list(leaf_labels)
+    for line in lines:
+        left, rel, right = line.split(" ")
+        assert right not in placed, line
+        placed.add(right)
+        if rel == "->":
+            assert left not in after, line
+            after[left] = right
+        else:
+            assert rel == ">", line
+            arms.setdefault(left, []).append(right)
+        labels += [left, right]
+    firsts = [label for label in dict.fromkeys(labels) if label not in placed]
+    assert len(firsts) <= 1, firsts
+
+    def run(first: str) -> list[str]:
+        out = [first]
+        while out[-1] in after:
+            out.append(after[out[-1]])
+        return out
+
+    def shape(run_labels: list[str]) -> tuple:
+        out = []
+        for label in run_labels:
+            children: list[str] = []
+            starts = []
+            for first in arms.get(label, ()):
+                starts.append(len(children))
+                children += run(first)
+            assert (label in leaf_labels) == (not children), label
+            out.append((label, tuple(starts), shape(children)))
+        return tuple(out)
+
+    return shape(run(firsts[0])) if firsts else ()

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from minicog import analyze_source, parse_erm, render_erm, serialize_erm
+from minicog import analyze_source, serialize_erm
 from minicog import ast
 from minicog.generator import generate
 from minicog.granules import BcsKind
@@ -13,8 +13,9 @@ from minicog.ledger import SiMode
 from minicog.weyuker import rename, run_matrix
 
 from conftest import (
-    CORPUS, analyzed, corpus_pairs, fixture_source, granule_region, icn_max_by_name, info_icn,
-    occurrence_nodes, ordinals_of, parents_of, run_cli, scope_kinds, sicn_max, whole,
+    CORPUS, analyzed, corpus_pairs, fixture_source, granule_region, granule_shape,
+    icn_max_by_name, info_icn, occurrence_nodes, ordinals_of, parents_of, run_cli, scope_kinds,
+    shape_from_erm, sicn_max, whole,
 )
 
 MODES = (SiMode.DELTA, SiMode.MINMAX, SiMode.ABSOLUTE)
@@ -59,8 +60,7 @@ def test_criterion_2_unit_normalization():
 def test_criterion_3_example6_decomposition():
     analysis = analyzed("example6.mc")
     gt = analysis.granules[0]
-    expr = serialize_erm(gt)
-    facts = [str(f) for f in expr.facts]
+    facts = serialize_erm(gt)
     assert facts == [
         "G1 -> G2",
         "G2 > G(2,1)",
@@ -70,10 +70,13 @@ def test_criterion_3_example6_decomposition():
     ]
     break_leaf = gt.roots[1].children[1].children[0]
     assert isinstance(analysis.tree.nodes[break_leaf.stmts[0]], ast.BreakStmt)
-    assert parse_erm(render_erm(expr)).facts == expr.facts
+    report = analysis.report()
+    leaf_labels = [row.label for row in report.functions[0].leaves]
+    assert shape_from_erm(report.functions[0].erm, leaf_labels) == granule_shape(gt.roots)
     sidecar = json.loads((CORPUS / "example6.expected.json").read_text())
-    assert analysis.report().escim == 14 == sidecar["escim"]
-    ok("3", "granule relations match, ERM round-trips, ESCIM=14 equals the sidecar")
+    assert report.escim == 14 == sidecar["escim"]
+    ok("3", "granule relations match, ERM lines and leaf labels rebuild the tree, "
+            "ESCIM=14 equals the sidecar")
 
 
 # ------------------------------------------------------------ criterion 4

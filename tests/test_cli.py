@@ -64,6 +64,21 @@ def test_analysis_diagnostics_exit_1(tmp_path):
     assert diag["span"]["line_start"] == 1
 
 
+@pytest.mark.parametrize("source, message", [
+    ("int main() { int i = 0; top: i++; top: i++; goto nowhere; }",
+     "label 'top' already defined in this function"),
+    ("int main() { int i = 0; top: i++; goto nowhere; }", "no label 'nowhere' in function 'main'"),
+])
+def test_label_errors_exit_1(tmp_path, source, message):
+    bad = tmp_path / "labels.mc"
+    bad.write_text(source)
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == message
+    assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, 35)
+
+
 def test_input_ending_inside_a_switch_body_is_a_diagnostic(tmp_path):
     bad = tmp_path / "bad.mc"
     bad.write_text("int main() { int x = 1; switch (x) {")

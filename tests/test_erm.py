@@ -2,15 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import ErmSyntaxError, analyze_source, parse_erm, render_erm, serialize_erm
-from minicog.erm import Fact
+from minicog import analyze_source, serialize_erm
 
-from conftest import analyzed, corpus_names
+from conftest import analyzed, corpus_names, granule_shape, shape_from_erm
 
 
 def test_example4_fact_list():
     gt = analyzed("example4.mc").granules[0]
-    assert [str(f) for f in serialize_erm(gt).facts] == [
+    assert serialize_erm(gt) == gt.erm == [
         "G1 -> G2",
         "G1 > G(1,1)",
         "G(1,1) -> G(1,2)",
@@ -22,7 +21,7 @@ def test_example4_fact_list():
 
 def test_example6_fact_list():
     gt = analyzed("example6.mc").granules[0]
-    assert [str(f) for f in serialize_erm(gt).facts] == [
+    assert serialize_erm(gt) == [
         "G1 -> G2",
         "G2 > G(2,1)",
         "G(2,1) -> G(2,2)",
@@ -32,43 +31,44 @@ def test_example6_fact_list():
 
 
 def test_single_granule_has_empty_fact_list():
-    gt = analyzed("unit.mc").granules[0]
-    expr = serialize_erm(gt)
-    assert expr.facts == []
-    assert render_erm(expr) == ""
-    assert parse_erm("").facts == []
+    analysis = analyzed("unit.mc")
+    gt = analysis.granules[0]
+    assert serialize_erm(gt) == gt.erm == []
+    assert analysis.report().functions[0].erm == []
 
 
-def test_parse_single_sequence_fact():
-    assert parse_erm("G1 -> G2").facts == [Fact("G1", "->", "G2")]
+def _assert_lines_and_leaf_labels_determine_trees(analysis):
+    """Each function's ERM lines and leaf-row labels, as its report holds
+    them, rebuild its granule tree."""
+    functions = analysis.report().functions
+    assert len(functions) == len(analysis.granules)
+    for fn, gt in zip(functions, analysis.granules):
+        leaf_labels = [row.label for row in fn.leaves]
+        assert shape_from_erm(fn.erm, leaf_labels) == granule_shape(gt.roots)
 
 
-def test_parse_include_and_parenthesized_labels():
-    expr = parse_erm("G1 > G(1,2)\nG(2) -> G3\n")
-    assert expr.facts == [Fact("G1", ">", "G(1,2)"), Fact("G2", "->", "G3")]
-
-
-@pytest.mark.parametrize("bad", ["G1 <> G2", "G1 ->", "H1 -> G2", "G1 > G(1,)", "G1 G2"])
-def test_malformed_facts_rejected(bad):
-    with pytest.raises(ErmSyntaxError):
-        parse_erm(bad)
+def test_no_granule_and_single_leaf_share_the_empty_fact_list():
+    """The lines alone do not tell an empty body from a single leaf; the
+    leaf labels do."""
+    empty = analyze_source("int main() { }")
+    single = analyzed("unit.mc")
+    assert empty.granules[0].erm == single.granules[0].erm == []
+    assert empty.granules[0].roots == [] and [g.label for g in single.granules[0].roots] == ["G1"]
+    for analysis in (empty, single):
+        _assert_lines_and_leaf_labels_determine_trees(analysis)
 
 
 @pytest.mark.parametrize("name", corpus_names())
-def test_roundtrip_is_identity_on_corpus(name):
-    for gt in analyzed(name).granules:
-        expr = serialize_erm(gt)
-        assert parse_erm(render_erm(expr)).facts == expr.facts
+def test_lines_and_leaf_labels_determine_the_tree_on_corpus(name):
+    _assert_lines_and_leaf_labels_determine_trees(analyzed(name))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_roundtrip_is_identity_on_generated(seed):
+def test_lines_and_leaf_labels_determine_the_tree_on_generated(seed):
     from minicog.generator import generate
 
-    for gt in analyze_source(generate(seed)).granules:
-        expr = serialize_erm(gt)
-        assert parse_erm(render_erm(expr)).facts == expr.facts
+    _assert_lines_and_leaf_labels_determine_trees(analyze_source(generate(seed)))
 
 
 def test_if_with_else_emits_one_include_per_arm():
@@ -76,6 +76,5 @@ def test_if_with_else_emits_one_include_per_arm():
         "int main() { int a = 1; if (a > 0) a = 2; else a = 3; }"
     ).granules
     if_granule = gts[0].roots[1]
-    facts = [str(f) for f in serialize_erm(gts[0]).facts]
-    assert facts == ["G1 -> G2", "G2 > G(2,1)", "G2 > G(2,2)"]
+    assert serialize_erm(gts[0]) == ["G1 -> G2", "G2 > G(2,1)", "G2 > G(2,2)"]
     assert if_granule.arm_starts == [0, 1]

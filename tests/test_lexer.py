@@ -90,7 +90,7 @@ LEX_ERRORS = {
 def test_lex_errors_carry_spans(bad):
     with pytest.raises(LexError) as err:
         tokenize(bad)
-    assert (err.value.message, span_tuple(err.value.span)) == LEX_ERRORS[bad]
+    assert (str(err.value), span_tuple(err.value.span)) == LEX_ERRORS[bad]
 
 
 @pytest.mark.parametrize("source, expected", [

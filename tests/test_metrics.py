@@ -108,7 +108,8 @@ def test_weight_table_by_kind_is_built_once():
     map rather than building its own from the names."""
     table = WeightTable({"while": 4})
     by_kind = table.by_kind
-    assert by_kind == {kind: table[kind] for kind in BcsKind}
+    by_name = {kind.value: weight for kind, weight in by_kind.items()}
+    assert by_name == {**DEFAULT_WEIGHTS, "while": 4}
     assert by_kind[BcsKind.WHILE] == 4 and by_kind[BcsKind.IF] == DEFAULT_WEIGHTS["if"]
     analysis = analyzed("example6.mc")
     assert analysis.escim_value(SiMode.DELTA, table) == 2 + 1 * 4 + 0 + 3 * 4
@@ -121,7 +122,7 @@ def test_weight_table_from_file(tmp_path):
     path = tmp_path / "weights.json"
     path.write_text(json.dumps({"while": 4}))
     table = WeightTable.from_file(path)
-    assert table["while"] == 4 and table["if"] == 2
+    assert table.by_kind[BcsKind.WHILE] == 4 and table.by_kind[BcsKind.IF] == 2
     analysis = analyzed("example6.mc")
     assert analysis.escim_value(SiMode.DELTA, table) == 2 + 1 * 4 + 0 + 3 * 4
 
@@ -183,7 +184,7 @@ def _reference_escim(analysis, weights, mode):
     from minicog.erm import serialize_erm
     from minicog.granules import BcsKind
 
-    led = analysis.ledger
+    led, by_kind = analysis.ledger, weights.by_kind
     functions = []
     for gt in analysis.granules:
         rows = []
@@ -196,19 +197,19 @@ def _reference_escim(analysis, weights, mode):
                 si = reference_si(led, ordinals_of(analysis, region), mode)
                 calls = sum(led.resolution.calls_by_anchor.get(nid, 0) for nid in region)
                 gotos = sum(1 for nid in g.stmts if isinstance(analysis.tree.nodes[nid], ast.GotoStmt))
-                weight = weights[BcsKind.LINEAR] * weights[BcsKind.CALL] ** calls \
-                    * weights[BcsKind.GOTO] ** gotos
+                weight = by_kind[BcsKind.LINEAR] * by_kind[BcsKind.CALL] ** calls \
+                    * by_kind[BcsKind.GOTO] ** gotos
                 rows.append((g.label, g.kind.value, weight, si, product, si * weight * product))
                 return
             for child in g.children:
-                visit(child, product * weights[g.kind], g)
+                visit(child, product * by_kind[g.kind], g)
 
         for root in gt.roots:
             visit(root, 1, None)
         total = sum(row[5] for row in rows)
         if gt.recursive:
-            total *= weights[BcsKind.RECURSION]
-        functions.append((gt.function, gt.recursive, total, rows, serialize_erm(gt).lines()))
+            total *= by_kind[BcsKind.RECURSION]
+        functions.append((gt.function, gt.recursive, total, rows, serialize_erm(gt)))
     return functions, sum(f[2] for f in functions), info_icn(led, whole(led))
 
 

@@ -191,9 +191,13 @@ def test_assignment_is_right_associative_and_parentheses_add_no_node():
 
 
 def test_parse_error_reports_expected_set():
+    """The expected set and the token found are in the message, and the span
+    is the token found."""
     with pytest.raises(ParseError) as err:
         parse_source("int main() { a = 1 }")
-    assert ";" in err.value.expected
+    assert str(err.value) == "expected ';', found '}'"
+    span = err.value.span
+    assert (span.line_start, span.col_start, span.line_end, span.col_end) == (1, 20, 1, 20)
 
 
 _TOKEN_POOL = sorted(KEYWORDS) + list(OPERATORS) + list(PUNCTUATION) + [

@@ -78,6 +78,32 @@ def test_undeclared_name_rejected():
         resolve(parse_source("int main() { unknown(1); }"))
 
 
+def _span(exc) -> tuple[int, int, int, int]:
+    span = exc.span
+    return span.line_start, span.col_start, span.line_end, span.col_end
+
+
+def test_repeated_label_is_a_duplicate_declaration():
+    source = "int main() {\n int i = 0;\n top: i++;\n top: i++;\n}"
+    with pytest.raises(DuplicateDeclaration, match="label 'top' already defined") as err:
+        resolve(parse_source(source))
+    assert _span(err.value) == (4, 2, 4, 10)  # the second labeled statement
+
+
+def test_goto_to_a_missing_label_is_unresolved():
+    with pytest.raises(UnresolvedName, match="no label 'nowhere' in function 'main'") as err:
+        resolve(parse_source("int main() { int i = 0; top: i++; goto nowhere; }"))
+    assert _span(err.value) == (1, 35, 1, 47)  # the goto statement
+    # a label of another function is not a target
+    with pytest.raises(UnresolvedName, match="no label 'out'"):
+        resolve(parse_source("int f() { out: return 1; }\nint main() { goto out; }"))
+
+
+def test_labels_are_per_function_and_gotos_go_either_way():
+    resolve(parse_source("int f() { top: return 1; }\nint main() { top: ; goto top; }"))
+    resolve(parse_source("int main() { int i = 0; goto end; back: i++; goto back; end: ; }"))
+
+
 def test_each_construct_gives_its_variables_a_scope_of_its_kind():
     tree = parse_source(
         "int g; int main(int p) { int f; { int b; } for (int i = 0; i < 2; i++) { int c; a: ; }"

@@ -57,6 +57,9 @@ def test_compose_conflicts():
     with pytest.raises(ComposeError):
         compose(parse_source("int main() { }"),
                 parse_source("int helper() { return 1; }"))  # q lacks an entry function
+    labeled = parse_source("int main() { int i = 0; top: i++; if (i < 3) goto top; }")
+    with pytest.raises(ComposeError, match="composition does not resolve: label 'top'"):
+        compose(labeled, labeled)  # P;P defines P's label twice in one `main`
 
 
 def test_compose_is_associative_on_corpus():
