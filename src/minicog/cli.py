@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -153,20 +154,16 @@ def _report_text(obj: dict, emit: set[str]) -> list[str]:
 # ------------------------------------------------------------------ JSON text
 #
 # A report's JSON is the text of `json.dumps(obj, indent=2)` on the dict it
-# would be, nested `depth` levels deep in a corpus payload. The head and the
-# sections are written by fixed templates, one per nesting depth; the small
-# objects (a diagnostic report, the totals, the Weyuker matrix) by `json.dumps`.
+# would be, nested `depth` levels deep in a corpus payload. Reports, their
+# sections, diagnostic reports and the totals are written by fixed templates,
+# one per nesting depth: with `indent` set, `json.dumps` runs the pure-Python
+# encoder, whose closures make a reference cycle on every call. Only the
+# Weyuker matrix, one object per command, goes through `json.dumps`.
 
 @functools.cache
 def _newline(depth: int) -> str:
     """A newline and the indent of an item nested `depth` levels deep."""
     return "\n" + "  " * depth
-
-
-def _indented(obj, depth: int) -> str:
-    """`json.dumps(obj, indent=2)` nested `depth` levels deep. json escapes
-    any newline inside a string, so each newline in its text is its own."""
-    return json.dumps(obj, indent=2).replace("\n", _newline(depth))
 
 
 def _json_array(items: list[str], item: str, closing: str) -> str:
@@ -191,6 +188,28 @@ def _head_level(depth: int) -> tuple[str, str, str, tuple[str, str, str, str]]:
         '"label": %s', '"kind": %s', '"weight": %d', '"si": %d', '"ancestor_product": %d',
         '"term": %d')) + item + "}"
     return head, function, row, (key, fn, field, item)
+
+
+@functools.cache
+def _diagnostic_level(depth: int) -> tuple[str, str]:
+    """The templates of a diagnostic report nested `depth` levels deep, with one
+    diagnostic (quoted file, quoted SI mode, span, quoted message), and of a span."""
+    key, diag, field, at = map(_newline, range(depth + 1, depth + 5))
+    span = "{" + at + ("," + at).join(('"file": %s', '"line_start": %d', '"col_start": %d',
+                                       '"line_end": %d', '"col_end": %d')) + field + "}"
+    return ("{" + key + ("," + key).join(('"file": %s', '"si_mode": %s', '"diagnostics": ['))
+            + diag + "{" + field + '"span": %s,' + field + '"message": %s' + diag + "}"
+            + key + "]" + _newline(depth) + "}", span)
+
+
+def _diagnostic_json(rep: dict, depth: int) -> str:
+    """A report that `diagnostic_obj` built, nested `depth` levels deep."""
+    report, span = _diagnostic_level(depth)
+    quote, (diag,) = encode_basestring_ascii, rep["diagnostics"]
+    at = diag["span"]
+    where = "null" if at is None else span % (
+        quote(at["file"]), at["line_start"], at["col_start"], at["line_end"], at["col_end"])
+    return report % (quote(rep["file"]), quote(rep["si_mode"]), where, quote(diag["message"]))
 
 
 def _report_json(rep: dict, sections: list[str], depth: int) -> str:
@@ -415,7 +434,7 @@ def run_analyze(args) -> int:
         if not as_json:
             text = "".join(line + "\n" for line in _report_text(rep, emit) + sections)
         elif rep["diagnostics"]:
-            text = sep + _indented(rep, depth)
+            text = sep + _diagnostic_json(rep, depth)
         else:
             text = sep + _report_json(rep, sections, depth)
         sep = ",\n    "
@@ -424,7 +443,8 @@ def run_analyze(args) -> int:
 
     if args.corpus and as_json:
         closing = "\n  ]" if totals["files"] else "]"
-        write(f'{closing},\n  "totals": {_indented(totals, 1)}\n}}\n')
+        write(f'{closing},\n  "totals": {{\n    "files": {totals["files"]},\n    "analyzed": '
+              f'{totals["analyzed"]},\n    "loc": {totals["loc"]},\n    "escim": {totals["escim"]}\n  }}\n}}\n')
     elif as_json:
         write("\n")
     elif args.corpus:
@@ -520,6 +540,10 @@ def main(argv: list[str] | None = None) -> int:
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digits is not None:
         sys.set_int_max_str_digits(0)
+    # No analysis, report or matrix makes a reference cycle, so the cycle
+    # collector would only scan: it is off for the call, and left as found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         if args.command == "analyze":
@@ -537,6 +561,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if digits is not None:
             sys.set_int_max_str_digits(digits)
+        if collecting:
+            gc.enable()
     return code
 
 

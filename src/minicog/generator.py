@@ -42,26 +42,13 @@ class _Gen:
 
     def take(self) -> bool:
         """Reserve one statement slot against the program-wide bound."""
-        if self.remaining <= 0:
-            return False
         self.remaining -= 1
-        return True
+        return self.remaining >= 0
 
     # ------------------------------------------------------------ scope helpers
 
-    def push(self) -> None:
-        self.scopes.append(set())
-
-    def pop(self) -> None:
-        self.scopes.pop()
-
     def visible(self) -> list[str]:
-        seen: list[str] = []
-        for scope in self.scopes:
-            for name in sorted(scope):
-                if name not in seen:
-                    seen.append(name)
-        return seen
+        return list(dict.fromkeys(name for scope in self.scopes for name in sorted(scope)))
 
     def fresh_name(self) -> str | None:
         current = self.scopes[-1]
@@ -166,14 +153,14 @@ class _Gen:
         if kind == "for":
             if not self.take():  # the init declaration is a statement too
                 return self.decl()
-            self.push()
+            self.scopes.append(set())
             name = self.fresh_name() or "i"
             self.scopes[-1].add(name)
             init = ast.DeclStmt(ast.TypeRef("int"), name, init=self.literal())
             cond = ast.Binary(self.rng.choice(("<", "<=")), ast.VarRef(name), self.literal())
             update = ast.Increment(ast.VarRef(name))
             body = self.block(depth + 1, True)
-            self.pop()
+            self.scopes.pop()
             return ast.ForStmt(init, cond, update, body)
         if kind == "block":
             return self.block(depth + 1, in_loop)
@@ -196,13 +183,13 @@ class _Gen:
         return None
 
     def block(self, depth: int, in_loop: bool) -> ast.Block:
-        self.push()
+        self.scopes.append(set())
         stmts: list[ast.Stmt] = []
         for _ in range(self.rng.randint(1, 3)):
             stmt = self.stmt(depth, in_loop)
             if stmt is not None:
                 stmts.append(stmt)
-        self.pop()
+        self.scopes.pop()
         return ast.Block(stmts)
 
     # ------------------------------------------------------------ program
@@ -213,7 +200,7 @@ class _Gen:
         name = f"f{index}"
         arity = self.rng.randint(0, 2)
         self.helpers[name] = arity
-        self.push()
+        self.scopes.append(set())
         params = []
         for i in range(arity):
             pname = f"p{i}"
@@ -234,11 +221,11 @@ class _Gen:
             args = [self.expr(1) for _ in range(arity)]
             ret = ast.Binary("+", ret, ast.Call(name, args))
         stmts.append(ast.ReturnStmt(ret))
-        self.pop()
+        self.scopes.pop()
         return ast.FuncDef(ast.TypeRef("int"), name, params, ast.Block(stmts))
 
     def program(self) -> ast.SyntaxTree:
-        self.push()  # global scope
+        self.scopes.append(set())  # global scope
         items: list = []
         for i in range(self.rng.randint(0, MAX_GLOBALS)):
             if not self.take():
@@ -250,7 +237,7 @@ class _Gen:
             fn = self.helper(0)
             if fn is not None:
                 items.append(fn)
-        self.push()  # main scope
+        self.scopes.append(set())  # main scope
         stmts: list[ast.Stmt] = []
         if self.take():
             first = self.decl()
@@ -260,8 +247,8 @@ class _Gen:
             stmt = self.stmt(0, False)
             if stmt is not None:
                 stmts.append(stmt)
-        self.pop()
-        self.pop()
+        self.scopes.pop()
+        self.scopes.pop()
         items.append(ast.FuncDef(ast.TypeRef("int"), "main", [], ast.Block(stmts)))
         return ast.SyntaxTree(items)
 

@@ -109,15 +109,15 @@ class Tokens:
         self.source_map = source_map
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.starts)  # not `kinds`: the parser appends a sentinel to it
 
     def span(self, i: int) -> SourceSpan:
         """The span of token ``i``; past the last token, the end of input:
         the point where the last token ends, or 1:1 when there is none."""
-        if i < len(self.kinds):
+        if i < len(self):
             start = self.starts[i]
             return self.source_map.span(start, start + len(self.texts[i]))
-        point = self.span(len(self.kinds) - 1)[3:] if self.kinds else (1, 1)
+        point = self.span(len(self) - 1)[3:] if self.starts else (1, 1)
         return SourceSpan(self.source_map.file, *point, *point)
 
 

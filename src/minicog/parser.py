@@ -27,11 +27,11 @@ keeps each string literal it makes until a ``print`` call takes it as an
 argument, and once the whole file has parsed (so a syntax error anywhere is
 reported first) the earliest one left is the error.
 
-The parser reads the lexer's parallel ``kinds`` and ``texts`` lists by token
-index, with one end sentinel so that no lookahead needs a bounds check. Each
-node stores its start and end source offsets and the file's shared
-``SourceMap``; a ``SourceSpan`` is built only for a diagnostic, from the
-offending token's index.
+The parser reads the lexer's ``kinds`` and ``texts`` lists by token index,
+with an end sentinel on them while it runs, so no lookahead needs a bounds
+check. Each node stores its start and end source offsets and the file's
+shared ``SourceMap``; a ``SourceSpan`` is built only for a diagnostic, from
+the offending token's index.
 """
 
 from __future__ import annotations
@@ -60,11 +60,8 @@ MAX_SIZE_DIGITS = 4300
 class _Parser:
     def __init__(self, tokens: Tokens):
         self.tokens = tokens
-        # One sentinel after the last token, matching no text or kind the
-        # parser looks for, so every lookahead is a plain list lookup. None
-        # reaches past it: each lookahead follows a match on a real token.
-        self.kinds = tokens.kinds + [END]
-        self.texts = tokens.texts + [""]
+        self.kinds = tokens.kinds  # the lists themselves: see `parse_program`
+        self.texts = tokens.texts
         self.starts = tokens.starts
         self.source_map = tokens.source_map
         self.pos = 0
@@ -101,9 +98,17 @@ class _Parser:
     # ------------------------------------------------------------ items
 
     def parse_program(self) -> SyntaxTree:
-        items = []
-        while self.kinds[self.pos] != END:
-            items.append(self.parse_item())
+        # An end sentinel, matching no text or kind the parser looks for, makes
+        # each lookahead a plain list lookup; none reaches past it, as each
+        # follows a match on a real token. It is on the token lists while this runs.
+        self.kinds.append(END)
+        self.texts.append("")
+        try:
+            items = []
+            while self.kinds[self.pos] != END:
+                items.append(self.parse_item())
+        finally:
+            del self.kinds[-1], self.texts[-1]
         return SyntaxTree(items, file=self.source_map.file)
 
     def parse_item(self):

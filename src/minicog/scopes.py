@@ -104,9 +104,6 @@ class _Resolver:
         self.scope_vars[sid] = {}
         self.stack.append(sid)
 
-    def pop_scope(self) -> None:
-        self.stack.pop()
-
     def declare(self, name: str, type_name: str, node: ast.Node) -> int:
         sid = self.stack[-1]
         if name in self.scope_vars[sid]:
@@ -241,7 +238,7 @@ class _Resolver:
             self.push_scope()
             for inner in stmt.stmts:
                 self.walk_stmt(inner)
-            self.pop_scope()
+            self.stack.pop()
         elif isinstance(stmt, ast.IfStmt):
             self.walk_unit([stmt.cond], stmt.nid)
             self.walk_stmt(stmt.then)
@@ -262,14 +259,14 @@ class _Resolver:
             self.walk_unit([stmt.cond], stmt.nid)
             self.walk_unit([stmt.update], stmt.nid)
             self.walk_stmt(stmt.body)
-            self.pop_scope()
+            self.stack.pop()
         elif isinstance(stmt, ast.SwitchStmt):
             self.walk_unit([stmt.scrutinee], stmt.nid)
             self.push_scope()
             for arm in stmt.arms:
                 for inner in arm.body:
                     self.walk_stmt(inner)
-            self.pop_scope()
+            self.stack.pop()
         elif isinstance(stmt, ast.ReturnStmt):
             self.walk_unit([stmt.value], stmt.nid)
         elif isinstance(stmt, ast.LabeledStmt):
@@ -318,7 +315,7 @@ class _Resolver:
                         raise UnresolvedName(f"no label '{goto.label}' in function '{item.name}'",
                                              goto.span)
                 self.labels, self.gotos = set(), []
-                self.pop_scope()
+                self.stack.pop()
                 self.current_function = None
 
         return Resolution(

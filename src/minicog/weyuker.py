@@ -251,24 +251,13 @@ def permute(p: str, order: list[int]) -> Analysis:
     tree = parse_source(p, "<permute>")
     slots, _ = _collect_slots(_entry_func(tree))
     if sorted(order) != list(range(len(slots))):
-        raise InvalidPermutation(
-            f"order must be a permutation of 0..{len(slots) - 1}"
-        )
-
-    def get(ref: tuple) -> ast.Stmt:
-        if ref[0] == "list":
-            return ref[1][ref[2]]
-        return getattr(ref[1], ref[2])
-
-    def put(ref: tuple, stmt: ast.Stmt) -> None:
-        if ref[0] == "list":
-            ref[1][ref[2]] = stmt
+        raise InvalidPermutation(f"order must be a permutation of 0..{len(slots) - 1}")
+    originals = [owner[key] if how == "list" else getattr(owner, key) for how, owner, key in slots]
+    for (how, owner, key), k in zip(slots, order):
+        if how == "list":
+            owner[key] = originals[k]
         else:
-            setattr(ref[1], ref[2], stmt)
-
-    originals = [get(ref) for ref in slots]
-    for k, ref in enumerate(slots):
-        put(ref, originals[order[k]])
+            setattr(owner, key, originals[k])
     text = pretty_print(tree)
     try:
         return analyze_source(text, "<permuted>")
@@ -565,13 +554,8 @@ _CHECKERS = {  # in matrix row order
 }
 
 
-def run_matrix(
-    corpus: list[tuple[str, str]],
-    seed: int = 0,
-    n_generated: int = 100,
-    modes: list[SiMode] | None = None,
-    weights: WeightTable | None = None,
-) -> MatrixResult:
+def run_matrix(corpus: list[tuple[str, str]], seed: int = 0, n_generated: int = 100,
+               modes: list[SiMode] | None = None, weights: WeightTable | None = None) -> MatrixResult:
     """Check every property under each mode (default: all three) over one shared pool."""
     pool = ValidatorPool(corpus, seed, n_generated, weights, modes)
     return MatrixResult(

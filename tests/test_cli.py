@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -417,3 +418,134 @@ def test_weyuker_single_mode_cells_equal_that_column_of_the_full_matrix(mode):
     single = json.loads(run_cli(*args, "--si-mode", mode).stdout)
     assert single["modes"] == [mode]
     assert single["rows"] == [{"property": row["property"], mode: row[mode]} for row in full["rows"]]
+
+
+# ------------------------------------------------ the cycle collector
+#
+# `cli.main` runs each command with the cycle collector off: reference
+# counting must free everything a command makes, or its cyclic garbage grows
+# with the input until the command ends.
+
+EVERY_SECTION = ",".join(cli.EMIT_CHOICES)
+
+
+def _cyclic_garbage(argv: list[str]) -> int:
+    """The objects the cycle collector finds after one in-process
+    `cli.main(argv)` with the collector off, its output discarded."""
+    gc.collect()
+    gc.disable()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            cli.main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory) -> dict[str, tuple[str, str]]:
+    """A small and a large value of each input the cases below vary."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    folders = {}
+    for n in (2, 40):
+        for kind in ("corpus", "unreadable"):
+            folder = folders[kind, n] = root / f"{kind}_{n}"
+            folder.mkdir()
+            for seed in range(n):
+                text = generate(seed)
+                if seed % 5 == 0:  # one file in five does not parse
+                    cut = text.index(";", len(text) // 2)
+                    text = text[:cut] + text[cut + 1:]
+                (folder / f"gen_{seed:02d}.mc").write_text(text)
+        # sorted last, so every other file is read before the run exits 2
+        (folders["unreadable", n] / "zz.mc").write_bytes(b"\xff\n")
+    sizes = sorted(range(40), key=lambda seed: len(generate(seed)))
+    return {
+        "corpus": (str(folders["corpus", 2]), str(folders["corpus", 40])),
+        "unreadable": (str(folders["unreadable", 2]), str(folders["unreadable", 40])),
+        "count": ("10", "60"),
+        "seed": (str(sizes[0]), str(sizes[-1])),  # the shortest and the longest program
+    }
+
+
+@pytest.mark.parametrize("command", [
+    "analyze {corpus} --corpus --format json --emit " + EVERY_SECTION,
+    "analyze {corpus} --corpus --format text --emit " + EVERY_SECTION,
+    "analyze {unreadable} --corpus --format json",
+    "weyuker --corpus corpus --count {count} --format json",
+    "weyuker --corpus corpus --count {count} --format text",
+    "generate --seed {seed}",
+], ids=["corpus-json", "corpus-text", "unreadable-input", "weyuker-json", "weyuker-text",
+        "generate"])
+def test_no_cli_path_makes_cyclic_garbage_that_grows_with_its_inputs(cli_inputs, command,
+                                                                      monkeypatch):
+    monkeypatch.chdir(REPO)
+    small, large = ([part.format(**{key: pair[i] for key, pair in cli_inputs.items()})
+                     for part in command.split()] for i in (0, 1))
+    _cyclic_garbage(small)  # warm the caches, so neither measured run pays for them
+    assert _cyclic_garbage(large) == _cyclic_garbage(small)
+
+
+def test_a_corpus_with_diagnostics_leaves_the_cyclic_garbage_of_one_file(cli_inputs):
+    # what any command leaves, argparse's own, and nothing per report
+    one_file = ["analyze", str(CORPUS / "example1.mc"), "--format", "json"]
+    _cyclic_garbage(one_file)
+    corpus = ["analyze", cli_inputs["corpus"][1], "--corpus", "--format", "json",
+              "--emit", EVERY_SECTION]
+    assert _cyclic_garbage(corpus) == _cyclic_garbage(one_file)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+    def fileno(self) -> int:  # `cli.main` points it at devnull
+        return self.fd
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case, code, analyzed", [
+    ("report", 0, 1), ("diagnostic", 1, 1), ("unreadable", 2, 0), ("usage", 2, 0),
+    ("closed-stdout", 2, 1),
+])
+def test_main_runs_without_the_collector_and_restores_its_state(case, code, analyzed, enabled,
+                                                                tmp_path, monkeypatch):
+    (tmp_path / "broken.mc").write_text("int main() { int x = 1 }\n")
+    argv = {
+        "report": ["analyze", str(CORPUS / "example1.mc")],
+        "diagnostic": ["analyze", str(tmp_path / "broken.mc")],
+        "unreadable": ["analyze", str(tmp_path / "missing.mc")],
+        "usage": ["analyze", "--no-such-flag"],
+        "closed-stdout": ["analyze", str(CORPUS / "example1.mc"), "--format", "json"],
+    }[case]
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    if case == "closed-stdout":
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+    seen = []
+    analyze = cli.analyze_source
+
+    def analyze_and_watch(source, file):
+        seen.append(gc.isenabled())
+        return analyze(source, file)
+
+    monkeypatch.setattr(cli, "analyze_source", analyze_and_watch)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            exit_code = cli.main(argv)
+        except SystemExit as exc:  # argparse ends a usage error so
+            exit_code = exc.code
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+        os.close(fd)
+    assert (exit_code, after, seen) == (code, enabled, [False] * analyzed)

@@ -1,7 +1,7 @@
 """The CLI's JSON writers against their oracle, ``json.dumps(obj, indent=2)``:
-``_indented`` (a diagnostic report, the totals, the Weyuker matrix) on random
-nested values at every depth, ``_report_json`` on every fixture report, then
-the report shapes the section tests leave out through ``cli.main``."""
+``_diagnostic_json`` on random diagnostic reports at every depth,
+``_report_json`` on every fixture report, then the report shapes the section
+tests leave out (the totals, the Weyuker matrix) through ``cli.main``."""
 
 import json
 from fractions import Fraction
@@ -13,31 +13,19 @@ from hypothesis import strategies as st
 from conftest import (CORPUS, analyzed, corpus_names, corpus_pairs, reference_analyze_output,
                       reference_report_obj)
 from minicog import cli
+from minicog.errors import AnalysisError, EmptyProgram
 from minicog.ledger import SiMode
+from minicog.lexer import SourceSpan
 from minicog.weyuker import run_matrix
 
 EVERY_SECTION = set(cli.EMIT_CHOICES)
 
 # non-ASCII, control characters, quote, backslash, U+2028 and an astral character
-_AWKWARD = st.sampled_from(["é", "ß", "\x00", "\x1f", "\n", "\t", '"', "\\", " ", "\U0001f600"])
+_AWKWARD = st.sampled_from(["é", "ß", "\x00", "\x1f", "\n", "\t", '"', "\\", "\u2028", "\U0001f600"])
 _TEXT = st.text(st.one_of(st.characters(), _AWKWARD), max_size=6)
-_KEYS = st.one_of(_TEXT, st.integers(-5, 5), st.none(), st.booleans())
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), _TEXT, st.floats(),
-    st.integers(), st.sampled_from([-(10 ** 40), 10 ** 40, -1, 0]),
-)
-
-
-def _values(depth: int):
-    if depth == 0:
-        return _SCALARS
-    inner = _values(depth - 1)
-    return st.one_of(
-        _SCALARS,
-        st.lists(inner, max_size=3),
-        st.lists(inner, max_size=2).map(tuple),
-        st.dictionaries(_KEYS, inner, max_size=3),
-    )
+_SPANS = st.builds(SourceSpan, _TEXT, *[st.integers(0, 10 ** 12)] * 4)
+_ERRORS = st.one_of(st.builds(AnalysisError, _TEXT, st.one_of(st.none(), _SPANS)),
+                    st.builds(EmptyProgram, _TEXT))
 
 
 def _nested(value, text: str, depth: int) -> tuple[str, str]:
@@ -52,15 +40,13 @@ def _nested(value, text: str, depth: int) -> tuple[str, str]:
 
 
 @settings(max_examples=400, deadline=None)
-@given(_values(6), st.integers(0, 4))
-@example({}, 0)
-@example([], 2)
-@example({"k": {}}, 1)
-@example([[]], 3)
-@example([[[[[[1]]]]]], 2)
-@example({"a": [{"b": {"c": [{"d": {"e": [" \U0001f600\n"]}}]}}]}, 2)
-def test_writer_is_json_dumps_indent_2(value, depth):
-    expected, written = _nested(value, cli._indented(value, depth), depth)
+@given(_TEXT, st.sampled_from(list(SiMode)), _ERRORS, st.integers(0, 4))
+@example("", SiMode.DELTA, EmptyProgram("no countable lines of code"), 0)
+@example("a.mc", SiMode.ABSOLUTE, AnalysisError("", SourceSpan("", 0, 0, 0, 0)), 2)
+@example("\U0001f600\n", SiMode.MINMAX, AnalysisError("\"\\", SourceSpan("é", 1, 2, 3, 4)), 4)
+def test_writer_is_json_dumps_indent_2(file, mode, error, depth):
+    rep = cli.diagnostic_obj(file, mode, error)
+    expected, written = _nested(rep, cli._diagnostic_json(rep, depth), depth)
     assert written == expected
 
 
@@ -72,11 +58,17 @@ def test_writer_is_json_dumps_indent_2(value, depth):
     {(1, 2): [1]},  # a key json does not take
 ])
 def test_writer_rejects_what_json_rejects(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2)
-    for depth in (0, 2):
+    # in each text slot of a diagnostic report: its file, its span's file and its message
+    reps = [cli.diagnostic_obj(value, SiMode.DELTA, EmptyProgram("m")),
+            cli.diagnostic_obj("f", SiMode.DELTA, AnalysisError("m", SourceSpan(value, 1, 1, 1, 1))),
+            cli.diagnostic_obj("f", SiMode.DELTA, EmptyProgram("m"))]
+    reps[2]["diagnostics"][0]["message"] = value
+    for rep in reps:
         with pytest.raises(TypeError):
-            cli._indented(value, depth)
+            json.dumps(rep, indent=2)
+        for depth in (0, 2):
+            with pytest.raises(TypeError):
+                cli._diagnostic_json(rep, depth)
 
 
 @pytest.mark.parametrize("mode", list(SiMode))

@@ -3,7 +3,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from minicog import AnalysisError, EmptyProgram, ParseError, analyze_source, parse_source, tokenize
-from minicog import ast
+from minicog import ast, parse
 from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION
 
 from conftest import (
@@ -291,3 +291,24 @@ def test_string_literal_rule_matches_reference_on_spliced_programs():
             kind = "allowed" if outcome is None else "misplaced" if outcome[0] == _MISPLACED else "syntax"
             seen[kind] += 1
     assert min(seen.values()) > 0, seen
+
+
+
+@pytest.mark.parametrize("source, where", [
+    ("int main() { return 0; }", None),
+    ("int main() { x = ; }", "<input>:1:18"),       # a syntax error mid-file
+    ("int main() { return 0;", "<input>:1:22"),     # one at end of input
+    ('int main() { print(1); } int y = "s";', "<input>:1:34"),  # found after the parse
+    ("", None),
+])
+def test_parse_leaves_the_token_lists_as_the_lexer_made_them(source, where):
+    # the end sentinel goes on the token lists themselves, only while parsing runs
+    tokens = tokenize(source)
+    made = (list(tokens.kinds), list(tokens.texts), len(tokens))
+    try:
+        parse(tokens)
+        found = None
+    except ParseError as exc:
+        found = str(exc.span)
+    assert found == where
+    assert (tokens.kinds, tokens.texts, len(tokens)) == made
