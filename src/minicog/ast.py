@@ -12,10 +12,13 @@ calls), and ``child_nodes`` gives them to whoever needs them.
 read, which on the success path nothing does. Structural equality (ignoring
 positions and ids) goes through ``fingerprint``.
 
-Tree walks are table-driven: ``NODE_FIELDS`` holds each node class's field
-names (without the bookkeeping fields of ``Node``), read from the dataclass
-fields once at import, and ``child_nodes``, ``fingerprint`` and ``finalize``
-look them up there.
+Tree walks are table-driven, from tables read from the dataclass fields once
+at import: ``NODE_FIELDS`` holds each node class's field names (without the
+bookkeeping fields of ``Node``), which ``fingerprint`` reads, and
+``CHILD_FIELDS`` the node-holding ones, which ``child_nodes`` and
+``finalize`` read, so they skip the fields that hold scalars. Every concrete
+node class subclasses ``Node``, ``Expr`` or ``Stmt`` directly, and those
+three are never instantiated, so a walk may dispatch on ``node.__class__``.
 ``finalize`` and ``fingerprint`` walk with an explicit stack, so they take
 trees of any depth, such as a long ``x + ... + x`` chain, which the parser
 builds as deep as it is long; a fingerprint is a flat tuple, so comparing two
@@ -272,14 +275,38 @@ _BOOKKEEPING = frozenset(f.name for f in fields(Node))
 
 
 # Field names of every node class, without the bookkeeping fields of `Node`,
-# in declaration (source) order. The only reflection over dataclass fields in
-# the package.
+# in declaration (source) order. With `CHILD_FIELDS`, the only reflection over
+# dataclass fields in the package.
 NODE_FIELDS: dict[type, tuple[str, ...]] = {
     cls: tuple(f.name for f in fields(cls) if f.name not in _BOOKKEEPING)
     for cls in globals().values()
     if isinstance(cls, type) and issubclass(cls, Node)
 }
 _FIELDS_REVERSED = {cls: names[::-1] for cls, names in NODE_FIELDS.items()}
+_NODE_CLASSES = {cls.__name__ for cls in NODE_FIELDS}
+
+
+def _child_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    """The fields of ``cls`` that hold nodes, in source order, each with
+    whether it holds a list of them, read from the annotation strings (this
+    module's annotations are not evaluated): ``C``, ``list[C]``,
+    ``Optional[C]`` or ``Optional[list[C]]`` for a node class ``C``."""
+    out = []
+    for f in fields(cls):
+        annotation = f.type
+        if annotation.startswith("Optional["):
+            annotation = annotation[len("Optional["):-1]
+        is_list = annotation.startswith("list[")
+        if is_list:
+            annotation = annotation[len("list["):-1]
+        if f.name not in _BOOKKEEPING and annotation in _NODE_CLASSES:
+            out.append((f.name, is_list))
+    return tuple(out)
+
+
+# Each node class's node-holding fields (see `_child_fields`), in source order.
+CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {cls: _child_fields(cls) for cls in NODE_FIELDS}
+_CHILDREN_REVERSED = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
 
 
 @dataclass(eq=False)
@@ -298,12 +325,14 @@ class SyntaxTree:
             node.nid = len(nodes)
             nodes.append(node)
             # children pushed last to first, so they pop in source order
-            for name in _FIELDS_REVERSED[type(node)]:
+            for name, is_list in _CHILDREN_REVERSED[node.__class__]:
                 value = getattr(node, name)
-                if isinstance(value, Node):
+                if value is None:
+                    continue
+                if is_list:
+                    stack += value[::-1]
+                else:
                     stack.append(value)
-                elif isinstance(value, list):
-                    stack += [v for v in reversed(value) if isinstance(v, Node)]
         self.nodes = nodes
         return self
 
@@ -311,12 +340,14 @@ class SyntaxTree:
 def child_nodes(node: Node) -> list[Node]:
     """Children in source order."""
     out: list[Node] = []
-    for name in NODE_FIELDS[type(node)]:
+    for name, is_list in CHILD_FIELDS[node.__class__]:
         value = getattr(node, name)
-        if isinstance(value, Node):
+        if value is None:
+            continue
+        if is_list:
+            out += value
+        else:
             out.append(value)
-        elif isinstance(value, list):
-            out.extend(v for v in value if isinstance(v, Node))
     return out
 
 

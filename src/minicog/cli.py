@@ -360,11 +360,13 @@ def _sections(analysis: Analysis, emit: set[str], as_json: bool, depth: int) -> 
 # ------------------------------------------------------------------ analyze
 
 def _expand_corpus(inputs: list[str]) -> list[str]:
+    """The files of a corpus, each once, sorted: the inputs that are files and
+    the `*.mc` files of those that are directories."""
     paths: list[Path] = []
     for raw in inputs:
         p = Path(raw)
         if p.is_dir():
-            paths.extend(sorted(p.glob("*.mc")))
+            paths.extend(p.glob("*.mc"))
         else:
             paths.append(p)
     return [str(p) for p in sorted(set(paths))]

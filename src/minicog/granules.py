@@ -47,10 +47,12 @@ class BcsKind(str, Enum):
     RECURSION = "recursion"
 
 
-SIMPLE_STMTS = (
+# Statement classes are tested by exact class: each subclasses `Stmt` directly.
+SIMPLE_STMTS = frozenset({
     ast.DeclStmt, ast.ExprStmt, ast.ReturnStmt, ast.BreakStmt,
     ast.ContinueStmt, ast.GotoStmt, ast.EmptyStmt,
-)
+})
+_KIND_VALUE = {kind: kind.value for kind in BcsKind}  # read without the enum's descriptor
 _STRUCTURED_KIND = {
     ast.IfStmt: BcsKind.IF,
     ast.SwitchStmt: BcsKind.CASE,
@@ -115,9 +117,9 @@ def _flatten(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
     units: list[ast.Stmt] = []
     for stmt in stmts:
         inner = stmt
-        while isinstance(inner, ast.LabeledStmt):
+        while inner.__class__ is ast.LabeledStmt:
             inner = inner.stmt
-        if isinstance(inner, ast.Block):
+        if inner.__class__ is ast.Block:
             units.extend(_flatten(inner.stmts))
         else:
             units.append(inner)
@@ -127,7 +129,7 @@ def _flatten(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
 def _body_list(stmt: ast.Stmt | None) -> list[ast.Stmt]:
     if stmt is None:
         return []
-    return stmt.stmts if isinstance(stmt, ast.Block) else [stmt]
+    return stmt.stmts if stmt.__class__ is ast.Block else [stmt]
 
 
 def _empty_leaf() -> Granule:
@@ -144,7 +146,7 @@ def _decompose_run(stmts: list[ast.Stmt]) -> list[Granule]:
             run.clear()
 
     for unit in _flatten(stmts):
-        if isinstance(unit, SIMPLE_STMTS):
+        if unit.__class__ in SIMPLE_STMTS:
             run.append(unit.nid)
             continue
         flush()
@@ -154,13 +156,13 @@ def _decompose_run(stmts: list[ast.Stmt]) -> list[Granule]:
 
 
 def _structured(stmt: ast.Stmt) -> Granule:
-    kind = _STRUCTURED_KIND[type(stmt)]
+    kind = _STRUCTURED_KIND[stmt.__class__]
     g = Granule(label="", kind=kind, stmts=(stmt.nid,))
-    if isinstance(stmt, ast.IfStmt):
+    if kind is BcsKind.IF:
         arms = [_body_list(stmt.then)]
         if stmt.orelse is not None:
             arms.append(_body_list(stmt.orelse))
-    elif isinstance(stmt, ast.SwitchStmt):
+    elif kind is BcsKind.CASE:
         arms = [list(arm.body) for arm in stmt.arms] or [[]]
     else:
         arms = [_body_list(stmt.body)]
@@ -185,12 +187,18 @@ def _structured(stmt: ast.Stmt) -> Granule:
 
 def _assign_labels(roots: list[Granule]) -> None:
     """Label each granule by its path of 1-based sibling positions, by an
-    explicit stack (a recursive closure would leave a reference cycle)."""
-    stack = [(root, (i,)) for i, root in enumerate(roots, start=1)]
+    explicit stack (a recursive closure would leave a reference cycle) of
+    (granule, its path as text)."""
+    stack = []
+    for i, root in enumerate(roots, start=1):
+        root.label = f"G{i}"
+        stack.append((root, str(i)))
     while stack:
         g, path = stack.pop()
-        g.label = f"G{path[0]}" if len(path) == 1 else "G(" + ",".join(map(str, path)) + ")"
-        stack.extend((child, path + (j,)) for j, child in enumerate(g.children, start=1))
+        for j, child in enumerate(g.children, start=1):
+            child_path = f"{path},{j}"
+            child.label = f"G({child_path})"
+            stack.append((child, child_path))
 
 
 def _leaves(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) -> list[Leaf]:
@@ -209,13 +217,17 @@ def _leaves(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution)
         anchors = g.stmts
         if parent is not None and parent.header_carrier() is g:
             anchors += parent.stmts
-        spans = [runs[nid] for nid in anchors if nid in runs] or [range(0)]
-        region = range(min([r.start for r in spans]), max([r.stop for r in spans]))
-        out.append(Leaf(
-            g.label, g.kind.value, region, enclosing,
-            sum([calls_by_anchor.get(nid, 0) for nid in anchors]),
-            sum([isinstance(nodes[nid], ast.GotoStmt) for nid in g.stmts]),
-        ))
+        region = range(0)  # from the lowest start to the highest stop of the anchors' runs
+        calls = 0
+        for nid in anchors:
+            run = runs.get(nid)
+            if run is not None:
+                region = range(min(region.start, run.start), max(region.stop, run.stop)) if region else run
+            calls += calls_by_anchor.get(nid, 0)
+        gotos = 0
+        for nid in g.stmts:
+            gotos += nodes[nid].__class__ is ast.GotoStmt
+        out.append(Leaf(g.label, _KIND_VALUE[g.kind], region, enclosing, calls, gotos))
     return out
 
 

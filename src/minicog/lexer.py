@@ -1,8 +1,8 @@
 """Tokenizer for MiniC source text.
 
 Comments (``//`` and ``/* */``) and whitespace produce no tokens; everything
-else becomes exactly one token. One master regular expression, tried at each
-position in turn, picks the token.
+else becomes exactly one token. One master regular expression, matched at each
+position in turn, picks the token together with the spaces before it.
 
 ``tokenize`` returns a ``Tokens``: parallel lists of each token's kind, text,
 start offset and start line, and no object per token. Tokens and tree nodes
@@ -39,20 +39,26 @@ OPERATORS = (
 # `::` must precede `:`.
 PUNCTUATION = ("::", ";", ",", "(", ")", "{", "}", "[", "]", ":", ".")
 
-# Alternatives are tried in order. `unclosed` precedes `operator` so that an
-# unclosed comment is not lexed as `/`. `\w` is `str.isalnum()` or `_`, and
-# `\d` is `str.isdecimal()`, so `²` matches `word`, not `number`.
+# Each match is the spaces, tabs and CRs before a token on its line, then one
+# alternative, tried in order, the most frequent first. `skip` yields no
+# token: a newline and the blank space after it, a comment, or the end of the
+# input (empty, so that trailing spaces need no token). Two orders matter, as
+# the other alternatives start on disjoint characters: `string` before
+# `unclosed`, and `unclosed` before `operator` (an unclosed comment is not
+# `/`). `\w` is `str.isalnum()` or `_`, and `\d` is `str.isdecimal()`: a
+# `word` starts on a `\w` that is not a `\d`, so `²` starts a word (which
+# `tokenize` rejects) and `٣` a number.
 _TOKEN = re.compile(
-    r"""
-      (?P<skip>[ \t\r\n]+ | //[^\n]* | /\*[\s\S]*?\*/)
+    r"""[ \t\r]*(?:
+      (?P<skip>\n[ \t\r\n]* | //[^\n]* | /\*[\s\S]*?\*/ | \Z)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<punctuation>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
+    | (?P<number>\d+(?:\.\d+)?)
     | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
     | (?P<unclosed>/\*[\s\S]* | "(?:[^"\\\n]|\\[\s\S])*\\?)
-    | (?P<number>\d+(?:\.\d+)?)
-    | (?P<word>\w+)
     | (?P<operator>""" + "|".join(map(re.escape, OPERATORS)) + r""")
-    | (?P<punctuation>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
     | (?P<illegal>[\s\S])
-    """,
+    )""",
     re.VERBOSE,
 )
 
@@ -126,20 +132,19 @@ def tokenize(source: str, file: str = "<input>") -> Tokens:
     tokens = Tokens(SourceMap(file, source))
     kinds, texts, starts, lines = tokens.kinds, tokens.texts, tokens.starts, tokens.lines
     line = 1
-    end = 0
     for match in _TOKEN.finditer(source):
-        kind, text = match.lastgroup, match.group()
-        start, end = end, end + len(text)
+        kind = match.lastgroup
+        text = match.group(kind)
         if kind == "skip":
             # a new int only on a new line: the tokens of one line share theirs
-            newlines = source.count("\n", start, end)
-            if newlines:
-                line += newlines
+            if "\n" in text:
+                line += text.count("\n")
             continue
+        start = match.start(kind)
         if kind == "word":
             if text in KEYWORDS:
                 kind = "keyword"
-            # `\w+` also matches from a non-decimal digit such as `²` or `½`.
+            # a word may start with a non-decimal digit such as `²` or `½`
             elif text[0].isalpha() or text[0] == "_":
                 kind = "identifier"
             else:
@@ -150,7 +155,7 @@ def tokenize(source: str, file: str = "<input>") -> Tokens:
             kind = "string-literal"
         if kind == "unclosed":
             what = "block comment" if text.startswith("/*") else "string literal"
-            raise LexError(f"unterminated {what}", tokens.source_map.span(start, end))
+            raise LexError(f"unterminated {what}", tokens.source_map.span(start, match.end()))
         if kind == "illegal":
             raise LexError(f"illegal character {text[0]!r}", tokens.source_map.span(start, start + 1))
         kinds.append(kind)

@@ -12,9 +12,9 @@ Grammar (informal):
                 | "goto" IDENT ";" | IDENT ":" stmt | block | ";"
     expr       := binary (("=" | "+=" | "-=" | "*=" | "/=" | "%=") expr)?
     binary     := unary (BINOP unary)*
-    unary      := ("!" | "-") unary | postfix
-    postfix    := primary ("[" expr "]" | "." IDENT | "++" | "--" | "(" args ")")*
-    primary    := LITERAL | IDENT | "::" IDENT | "(" expr ")"
+    unary      := ("!" | "-") unary | operand ("[" expr "]" | "." IDENT | "++" | "--" | "(" args ")")*
+    operand    := IDENT | primary
+    primary    := LITERAL | "::" IDENT | "(" expr ")"
 
 Assignment is right-associative. Each BINOP is left-associative at its level
 of ``ast.BINARY_PRECEDENCE``, loosest first: ``||``; ``&&``; ``==`` ``!=``;
@@ -49,6 +49,9 @@ from .lexer import Tokens, tokenize
 TYPE_KEYWORDS = ("int", "float", "bool")
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
 ASSIGNABLE = (VarRef, GlobalRef, Index, Member)
+# the texts that start a statement other than a declaration, an expression or a label
+STMT_KEYWORDS = frozenset({"{", ";", "if", "switch", "while", "do", "for",
+                           "return", "break", "continue", "goto"})
 LITERAL_KINDS = {"int-literal": "int", "float-literal": "float", "string-literal": "string"}
 END = "end"  # the kind of the sentinel after the last token; its text is ""
 # The most digits an array size may have: CPython's default limit on turning
@@ -231,6 +234,15 @@ class _Parser:
     def parse_stmt(self) -> Stmt:
         start = self.pos
         text = self.texts[start]
+        if text not in STMT_KEYWORDS:  # most statements: one lookup, not eleven comparisons
+            kind = self.kinds[start]
+            if kind == END:
+                raise ParseError("expected a statement", self.tokens.span(start))
+            if kind == "identifier" and self.texts[start + 1] == ":":
+                self.pos += 2
+                inner = self.parse_stmt()
+                return self._spanned(LabeledStmt(text, inner), start)
+            return self.parse_decl_or_expr_stmt()
         if text == "{":
             return self.parse_block()
         if text == ";":
@@ -280,19 +292,10 @@ class _Parser:
             self.pos += 1
             self.expect(";")
             return self._spanned(ContinueStmt(), start)
-        if text == "goto":
-            self.pos += 1
-            label = self.expect_ident()
-            self.expect(";")
-            return self._spanned(GotoStmt(label), start)
-        kind = self.kinds[start]
-        if kind == END:
-            raise ParseError("expected a statement", self.tokens.span(start))
-        if kind == "identifier" and self.texts[start + 1] == ":":
-            self.pos += 2
-            inner = self.parse_stmt()
-            return self._spanned(LabeledStmt(text, inner), start)
-        return self.parse_decl_or_expr_stmt()
+        self.pos += 1  # the keyword left is `goto`
+        label = self.expect_ident()
+        self.expect(";")
+        return self._spanned(GotoStmt(label), start)
 
     def parse_decl_or_expr_stmt(self) -> Stmt:
         start = self.pos
@@ -376,19 +379,22 @@ class _Parser:
             lhs = self._spanned(Binary(op, lhs, rhs), start)
 
     def parse_unary(self) -> Expr:
+        """A prefix operator and its operand, or an operand and its postfix
+        operators. A name, the most common operand, is read here, not by
+        ``parse_primary``: two calls fewer per name."""
         start = self.pos
-        op = self.texts[start]
-        if op == "!" or op == "-":
+        texts = self.texts
+        text = texts[start]
+        if text == "!" or text == "-":
             self.pos = start + 1
             operand = self.parse_unary()
-            return self._spanned(Unary(op, operand), start)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        start = self.pos
-        expr = self.parse_primary()
-        texts = self.texts
-        while True:
+            return self._spanned(Unary(text, operand), start)
+        if self.kinds[start] == "identifier":
+            self.pos = start + 1
+            expr = self._spanned(VarRef(text), start)
+        else:
+            expr = self.parse_primary()
+        while True:  # the postfix operators
             pos = self.pos
             text = texts[pos]
             if text == "[":
@@ -425,11 +431,9 @@ class _Parser:
                 return expr
 
     def parse_primary(self) -> Expr:
+        """An operand other than a name: a literal, ``::`` name or parenthesized expression."""
         start = self.pos
         kind, text = self.kinds[start], self.texts[start]
-        if kind == "identifier":
-            self.pos = start + 1
-            return self._spanned(VarRef(text), start)
         if kind in LITERAL_KINDS:
             self.pos = start + 1
             literal = self._spanned(Literal(LITERAL_KINDS[kind], text), start)

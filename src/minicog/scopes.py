@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 from . import ast
 from .ast import SyntaxTree
+# the classes `walk_unit` dispatches on, as globals of this module: a load each, not two
+from .ast import Assign, Binary, Call, CompoundAssign, Decrement, Increment, Literal, Unary, VarRef
 from .errors import DuplicateDeclaration, UnresolvedName
 
 BUILTINS = frozenset({"print", "read"})
@@ -44,7 +46,7 @@ ROLE_DECL = "declaration"
 ROLE_TARGET = "assignment-target"
 ROLE_READ = "read"
 
-_NAMES = (ast.VarRef, ast.GlobalRef, ast.Member, ast.Index)  # resolved by `_target_root`
+_NAMES = (ast.GlobalRef, ast.Member, ast.Index)  # resolved by `_target_root`; a VarRef by `lookup`
 
 
 @dataclass(frozen=True)
@@ -134,21 +136,27 @@ class _Resolver:
 
     # ------------------------------------------------------------ occurrences
 
-    def record(self, found: list[tuple], anchor: int, ops: int) -> None:
-        """Append the (variable, member, role) occurrences in ``found``
-        to the columns, all anchored at ``anchor`` and carrying ``ops``, and
-        add them to the anchor's run."""
-        if not found:
-            return
+    def record(self, vid: int, roles: tuple[str, ...], anchor: int) -> None:
+        """Append a declared variable's own occurrences, one per role in
+        ``roles``, anchored at ``anchor`` and carrying no operators."""
         occ = self.occurrences
         first = len(occ.variable)
-        for vid, member, role in found:
+        for role in roles:
             occ.variable.append(vid)
-            occ.member.append(member)
+            occ.member.append(None)
             occ.role.append(role)
-        occ.op_unit += [ops] * len(found)
+        self.close_run(first, anchor, 0)
+
+    def close_run(self, first: int, anchor: int, ops: int) -> None:
+        """Give the occurrences appended since ordinal ``first`` the operator
+        count ``ops``, and add them to the run of ``anchor``."""
+        occ = self.occurrences
+        stop = len(occ.variable)
+        if stop == first:
+            return
+        occ.op_unit += [ops] * (stop - first)
         run = self.runs.get(anchor)
-        self.runs[anchor] = range(first if run is None else run.start, first + len(found))
+        self.runs[anchor] = range(first if run is None else run.start, stop)
 
     def _target_root(self, expr: ast.Expr) -> tuple[int, str | None, list[ast.Expr]]:
         """Resolve an lvalue to (vid, member, read subexpressions)."""
@@ -156,18 +164,19 @@ class _Resolver:
         member: str | None = None
         node = expr
         while True:
-            if isinstance(node, ast.Index):
+            cls = node.__class__
+            if cls is ast.Index:
                 reads.append(node.index)
                 node = node.base
-            elif isinstance(node, ast.Member):
+            elif cls is ast.Member:
                 if member is not None:
                     raise UnresolvedName("nested member access is not supported", node.span)
                 member = node.member
                 node = node.obj
-            elif isinstance(node, ast.VarRef):
+            elif cls is ast.VarRef:
                 vid = self.lookup(node)
                 break
-            elif isinstance(node, ast.GlobalRef):
+            elif cls is ast.GlobalRef:
                 vid = self.lookup_global(node)
                 break
             else:
@@ -178,36 +187,40 @@ class _Resolver:
                 raise UnresolvedName(f"'{member}' is not a member of '{var.name}'", expr.span)
         return vid, member, reads
 
-    def walk_unit(self, exprs: list[ast.Expr | None], anchor: int,
-                  found: list[tuple] | None = None) -> None:
+    def walk_unit(self, exprs: list[ast.Expr | None], anchor: int, declared: int | None = None) -> None:
         """Walk one counting unit once, in pre-order by an explicit stack:
         bind its names, record its calls and count its operators (an absent
-        clause is None and adds nothing). Then record its occurrences, all
-        carrying that count; ``found`` holds any that go first (a declared
-        variable's own target occurrence)."""
-        found = found or []
+        clause is None and adds nothing). Its occurrences are appended to the
+        columns as they are found and then all given that count; a declared
+        variable's own target occurrence, ``declared``, goes first.
+
+        The walk dispatches on each node's exact class, most frequent first:
+        every concrete node class subclasses ``Expr`` directly."""
+        occ = self.occurrences
+        variable, member_of, role_of = occ.variable, occ.member, occ.role
+        first = len(variable)
+        if declared is not None:
+            variable.append(declared)
+            member_of.append(None)
+            role_of.append(ROLE_TARGET)
         ops = 0
         stack = [(expr, ROLE_READ) for expr in reversed(exprs)]
         while stack:
             expr, role = stack.pop()
-            if isinstance(expr, _NAMES):
-                vid, member, reads = self._target_root(expr)
-                found.append((vid, member, role))
-                # reads were collected outer-first, so they pop inner-first
-                stack += [(sub, ROLE_READ) for sub in reads]
-            elif isinstance(expr, ast.Binary):
+            cls = expr.__class__
+            if cls is VarRef:
+                variable.append(self.lookup(expr))
+                member_of.append(None)
+                role_of.append(role)
+            elif cls is Binary:
                 ops += 1
                 stack += [(expr.rhs, ROLE_READ), (expr.lhs, ROLE_READ)]
-            elif isinstance(expr, (ast.Assign, ast.CompoundAssign)):
-                ops += isinstance(expr, ast.CompoundAssign)  # the plain `=` is no operator
+            elif cls is Literal or expr is None:
+                pass
+            elif cls is Assign or cls is CompoundAssign:
+                ops += cls is CompoundAssign  # the plain `=` is no operator
                 stack += [(expr.value, ROLE_READ), (expr.target, ROLE_TARGET)]
-            elif isinstance(expr, (ast.Increment, ast.Decrement)):
-                ops += 1
-                stack.append((expr.target, ROLE_TARGET))
-            elif isinstance(expr, ast.Unary):
-                ops += 1
-                stack.append((expr.operand, ROLE_READ))
-            elif isinstance(expr, ast.Call):
+            elif cls is Call:
                 if expr.callee not in BUILTINS:
                     if expr.callee not in self.call_graph:
                         raise UnresolvedName(f"unknown function '{expr.callee}'", expr.span)
@@ -215,72 +228,89 @@ class _Resolver:
                         self.call_graph[self.current_function].add(expr.callee)
                     self.calls_by_anchor[anchor] = self.calls_by_anchor.get(anchor, 0) + 1
                 stack += [(arg, ROLE_READ) for arg in reversed(expr.args)]
-            elif not (isinstance(expr, ast.Literal) or expr is None):
-                raise TypeError(f"unexpected expression {type(expr).__name__}")
-        self.record(found, anchor, ops)
+            elif cls is Increment or cls is Decrement:
+                ops += 1
+                stack.append((expr.target, ROLE_TARGET))
+            elif cls is Unary:
+                ops += 1
+                stack.append((expr.operand, ROLE_READ))
+            elif cls in _NAMES:
+                vid, member, reads = self._target_root(expr)
+                variable.append(vid)
+                member_of.append(member)
+                role_of.append(role)
+                # reads were collected outer-first, so they pop inner-first
+                stack += [(sub, ROLE_READ) for sub in reads]
+            else:
+                raise TypeError(f"unexpected expression {cls.__name__}")
+        self.close_run(first, anchor, ops)
 
     # ------------------------------------------------------------ statements
 
     def walk_decl(self, decl: ast.DeclStmt, anchor: int) -> None:
         self.check_type(decl.type)
         vid = self.declare(decl.name, decl.type.name, decl)
-        self.record([(vid, None, ROLE_DECL)], anchor, 0)
+        self.record(vid, (ROLE_DECL,), anchor)
         exprs = decl.init_list if decl.init is None else [decl.init]
         if exprs is not None:
-            self.walk_unit(exprs, anchor, [(vid, None, ROLE_TARGET)])
+            self.walk_unit(exprs, anchor, vid)
 
     def walk_stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.DeclStmt):
-            self.walk_decl(stmt, stmt.nid)
-        elif isinstance(stmt, ast.ExprStmt):
+        """Walk a statement, dispatching on its exact class, most frequent
+        first: every concrete statement class subclasses ``Stmt`` directly."""
+        cls = stmt.__class__
+        if cls is ast.ExprStmt:
             self.walk_unit([stmt.expr], stmt.nid)
-        elif isinstance(stmt, ast.Block):
+        elif cls is ast.Block:
             self.push_scope()
             for inner in stmt.stmts:
                 self.walk_stmt(inner)
             self.stack.pop()
-        elif isinstance(stmt, ast.IfStmt):
+        elif cls is ast.DeclStmt:
+            self.walk_decl(stmt, stmt.nid)
+        elif cls is ast.IfStmt:
             self.walk_unit([stmt.cond], stmt.nid)
             self.walk_stmt(stmt.then)
             if stmt.orelse is not None:
                 self.walk_stmt(stmt.orelse)
-        elif isinstance(stmt, ast.WhileStmt):
-            self.walk_unit([stmt.cond], stmt.nid)
-            self.walk_stmt(stmt.body)
-        elif isinstance(stmt, ast.DoWhileStmt):
-            self.walk_stmt(stmt.body)
-            self.walk_unit([stmt.cond], stmt.nid)
-        elif isinstance(stmt, ast.ForStmt):
+        elif cls is ast.ForStmt:
             self.push_scope()
-            if isinstance(stmt.init, ast.DeclStmt):
-                self.walk_decl(stmt.init, stmt.nid)
-            elif isinstance(stmt.init, ast.ExprStmt):
-                self.walk_unit([stmt.init.expr], stmt.nid)
+            init = stmt.init
+            if init.__class__ is ast.DeclStmt:
+                self.walk_decl(init, stmt.nid)
+            elif init.__class__ is ast.ExprStmt:
+                self.walk_unit([init.expr], stmt.nid)
             self.walk_unit([stmt.cond], stmt.nid)
             self.walk_unit([stmt.update], stmt.nid)
             self.walk_stmt(stmt.body)
             self.stack.pop()
-        elif isinstance(stmt, ast.SwitchStmt):
+        elif cls is ast.WhileStmt:
+            self.walk_unit([stmt.cond], stmt.nid)
+            self.walk_stmt(stmt.body)
+        elif cls is ast.SwitchStmt:
             self.walk_unit([stmt.scrutinee], stmt.nid)
             self.push_scope()
             for arm in stmt.arms:
                 for inner in arm.body:
                     self.walk_stmt(inner)
             self.stack.pop()
-        elif isinstance(stmt, ast.ReturnStmt):
+        elif cls is ast.DoWhileStmt:
+            self.walk_stmt(stmt.body)
+            self.walk_unit([stmt.cond], stmt.nid)
+        elif cls is ast.ReturnStmt:
             self.walk_unit([stmt.value], stmt.nid)
-        elif isinstance(stmt, ast.LabeledStmt):
+        elif cls is ast.LabeledStmt:
             if stmt.label in self.labels:
                 raise DuplicateDeclaration(f"label '{stmt.label}' already defined in this function",
                                            stmt.span)
             self.labels.add(stmt.label)
             self.walk_stmt(stmt.stmt)
-        elif isinstance(stmt, ast.GotoStmt):
+        elif cls is ast.GotoStmt:
             self.gotos.append(stmt)  # checked once the whole body is walked
-        elif isinstance(stmt, (ast.BreakStmt, ast.ContinueStmt, ast.EmptyStmt)):
+        elif cls is ast.BreakStmt or cls is ast.ContinueStmt or cls is ast.EmptyStmt:
             pass
         else:
-            raise TypeError(f"unexpected statement {type(stmt).__name__}")
+            raise TypeError(f"unexpected statement {cls.__name__}")
 
     # ------------------------------------------------------------ driver
 
@@ -307,7 +337,7 @@ class _Resolver:
                 for param in item.params:
                     self.check_type(param.type)
                     vid = self.declare(param.name, param.type.name, param)
-                    self.record([(vid, None, ROLE_DECL), (vid, None, ROLE_TARGET)], item.nid, 0)
+                    self.record(vid, (ROLE_DECL, ROLE_TARGET), item.nid)
                 for inner in item.body.stmts:
                     self.walk_stmt(inner)
                 for goto in self.gotos:

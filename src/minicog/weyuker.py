@@ -217,7 +217,7 @@ def _collect_slots(entry: ast.FuncDef):
             for idx, stmt in reversed(list(enumerate(entry.body.stmts)))]
     while todo:
         stmt, ref, in_loop, top = todo.pop()
-        if isinstance(stmt, SIMPLE_STMTS):
+        if stmt.__class__ in SIMPLE_STMTS:
             infos.append(SlotInfo(len(slots), in_loop, top, isinstance(stmt, ast.DeclStmt),
                                   _has_delta(stmt)))
             slots.append(ref)

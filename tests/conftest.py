@@ -157,6 +157,93 @@ def reference_analyze_output(inputs: list[str], fmt: str, mode, emit: set[str],
     return "".join(line + "\n" for line in lines)
 
 
+# ------------------------------------------------ the full grammar
+
+# One program that holds every concrete node class: a record with member
+# reads and writes, an array with a `{...}` initializer and compound-assigned
+# subscripts, `::` over a shadowed global, a forward and a backward `goto`,
+# `switch` fallthrough, `do`, `for` and `continue`, unary `!` and `-`, calls,
+# every literal kind and `float`/`bool` declarations. No fixture or generated
+# program has records, members, labels, `goto` or an empty statement.
+FULL_GRAMMAR = """\
+struct Point {
+    int x;
+    int y;
+};
+
+int total = 0;
+float scale = 1.5;
+bool ready = true;
+
+int sum(int[] a, int n) {
+    int s = 0;
+    int i = 0;
+    do {
+        s += a[i];
+        i++;
+    } while (i < n);
+    return s;
+}
+
+int main() {
+    Point p;
+    p.x = 3;
+    p.y = p.x * 2;
+    int a[4] = {1, 2, 3, 4};
+    a[0] += p.y;
+    a[p.x - 1] -= 1;
+    int total = ::total + 1;
+    ::total = total;
+    int k = 0;
+    goto check;
+top:
+    k++;
+check:
+    if (k < 3) goto top;
+    for (int j = 0; j < 4; j++) {
+        if (a[j] % 2 == 0) continue;
+        total = total + a[j];
+    }
+    switch (k) {
+        case 1:
+            total--;
+        case 3:
+            total *= 2;
+            break;
+        default:
+            ;
+    }
+    while (!ready) {
+        ready = !ready;
+    }
+    float f = -scale;
+    bool done = false;
+    print("total", total);
+    print(sum(a, 4));
+    return total;
+}
+"""
+
+
+def reference_finalize(tree) -> list:
+    """The nodes of ``tree`` in depth-first source order, found by reflection:
+    every field of every node is read, and a value is a child if it is a
+    ``Node`` or a list element that is one (the numbering walk before the
+    child tables)."""
+    nodes: list = []
+    stack = tree.items[::-1]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        for name in reversed(ast.NODE_FIELDS[type(node)]):
+            value = getattr(node, name)
+            if isinstance(value, ast.Node):
+                stack.append(value)
+            elif isinstance(value, list):
+                stack += [v for v in reversed(value) if isinstance(v, ast.Node)]
+    return nodes
+
+
 # ------------------------------------------------ reference tree queries
 
 def parents_of(tree) -> dict[int, int]:

@@ -3,14 +3,18 @@ resolver's operator counts, against recursive reference walks that reflect
 over ``dataclasses.fields``."""
 
 import dataclasses
+import typing
 
 import pytest
 
 from minicog import ast, parse_source
+from minicog.errors import ComposeError
 from minicog.generator import generate
 from minicog.scopes import ROLE_TARGET, resolve
+from minicog.weyuker import ValidatorPool, _permutations, compose
 
-from conftest import corpus_names, fixture_source, occurrence_nodes, parents_of
+from conftest import (FULL_GRAMMAR, corpus_names, corpus_pairs, fixture_source, occurrence_nodes,
+                      parents_of, reference_finalize)
 
 
 def _node_classes() -> set[type]:
@@ -179,3 +183,70 @@ def test_walks_match_reference_on_every_kind_of_counting_unit():
 def test_walks_match_reference_on_generated_programs():
     for seed in range(300):
         _assert_walks_match_reference(generate(seed))
+
+
+# ------------------------------------------------ the child tables
+
+def _holds_nodes(hint) -> bool:
+    """Whether a field's evaluated type hint can hold a node."""
+    if isinstance(hint, type):
+        return issubclass(hint, ast.Node)
+    return any(_holds_nodes(arg) for arg in typing.get_args(hint))
+
+
+def _holds_list(hint) -> bool:
+    return typing.get_origin(hint) is list or any(_holds_list(arg) for arg in typing.get_args(hint))
+
+
+def test_child_table_is_every_node_holding_field_of_the_annotations():
+    """Each class's child table lists exactly its fields whose evaluated type
+    hint can hold a node, in declaration order, flagging the lists: a node
+    field added later with an annotation the table does not read fails here."""
+    for cls in _node_classes():
+        hints = typing.get_type_hints(cls, vars(ast))
+        expected = tuple((name, _holds_list(hints[name])) for name in _field_names(cls)
+                         if _holds_nodes(hints[name]))
+        assert ast.CHILD_FIELDS[cls] == expected, cls.__name__
+    assert ast.CHILD_FIELDS[ast.DeclStmt] == (("type", False), ("init", False), ("init_list", True))
+    assert ast.CHILD_FIELDS[ast.VarRef] == ()
+
+
+def test_full_grammar_program_holds_every_concrete_node_class():
+    tree = parse_source(FULL_GRAMMAR)
+    abstract = {ast.Node, ast.Expr, ast.Stmt}
+    assert {type(node) for node in tree.nodes} == set(ast.NODE_FIELDS) - abstract
+    assert {node.kind for node in tree.nodes if type(node) is ast.Literal} == \
+        {"int", "float", "string", "bool"}
+    assert {node.name for node in tree.nodes if type(node) is ast.TypeRef} >= {"float", "bool", "Point"}
+
+
+def _assert_numbering_is_reflective(tree) -> None:
+    order = reference_finalize(tree)
+    assert len(tree.nodes) == len(order)
+    assert all(node is ref and node.nid == nid for nid, (node, ref) in enumerate(zip(tree.nodes, order)))
+    assert all(ast.child_nodes(node) == _children(node) for node in order)
+
+
+def test_numbering_matches_the_reflective_walk_on_fixtures_generated_and_full_grammar():
+    sources = [fixture_source(name) for name in corpus_names()]
+    sources += [generate(seed) for seed in range(200)] + [FULL_GRAMMAR]
+    for source in sources:
+        _assert_numbering_is_reflective(parse_source(source))
+
+
+def test_numbering_matches_the_reflective_walk_on_compositions_and_permutations():
+    pool = ValidatorPool(corpus_pairs(), n_generated=20 - len(corpus_names()))
+    assert len(pool) == 20
+    composed = 0
+    for p in pool.entries:
+        for q in pool.entries:
+            try:
+                _assert_numbering_is_reflective(compose(p.tree, q.tree).tree)
+                composed += 1
+            except ComposeError:
+                pass
+    permuted = 0
+    for _, analysis in _permutations(pool):
+        _assert_numbering_is_reflective(analysis.tree)
+        permuted += 1
+    assert composed > 200 and permuted > 10, (composed, permuted)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, REPO, corpus_names, fixture_source, run_cli
+from conftest import CORPUS, FULL_GRAMMAR, REPO, corpus_names, fixture_source, run_cli
 from minicog import analyze_source, cli
 from minicog.generator import generate
 from minicog.ledger import SiMode
@@ -329,6 +329,20 @@ def test_corpus_report_bytes_with_every_section_are_pinned(tmp_path, fmt, digest
                    "--format", fmt, cwd=tmp_path)
     assert proc.returncode == 1  # the five broken files end in diagnostics
     assert b"Traceback" not in proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "a116babecf870a57f365ed6820d94bc10f11149b0f1eaa8bcd90adcc2facbd76"),
+    ("text", "cb7262734387a75d623a14627b930fed1cc26fed0da843773687d0bdf80eef9d"),
+])
+def test_full_grammar_report_bytes_with_every_section_are_pinned(tmp_path, fmt, digest):
+    # Pins the branches no fixture or generated program reaches: records and
+    # members, labels and `goto`, the empty statement, float and bool types.
+    (tmp_path / "full_grammar.mc").write_text(FULL_GRAMMAR, encoding="utf-8")
+    proc = run_cli("analyze", "full_grammar.mc", "--emit", "metrics,erm,ledger,granules",
+                   "--format", fmt, cwd=tmp_path)
+    assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (CORPUS, analyzed, corpus_names, corpus_pairs, reference_analyze_output,
-                      reference_report_obj)
-from minicog import cli
+from conftest import (CORPUS, FULL_GRAMMAR, analyzed, corpus_names, corpus_pairs, fixture_source,
+                      reference_analyze_output, reference_report_obj)
+from minicog import analyze_source, cli
 from minicog.errors import AnalysisError, EmptyProgram
+from minicog.generator import generate
 from minicog.ledger import SiMode
 from minicog.lexer import SourceSpan
 from minicog.weyuker import run_matrix
@@ -117,3 +118,59 @@ def test_writer_on_a_weyuker_matrix_with_source_text_witnesses(capsys):
     assert any("\n" in w["p"]["text"] for w in witnesses)
     assert any("\n" in w.get("permuted", "") for w in witnesses)
     assert out == json.dumps(obj, indent=2) + "\n"
+
+
+# ------------------------------------------------ the `%d` slots
+#
+# A `%d` slot writes any real number truncated: `'%d' % Fraction(1, 2)` is
+# `0`, `'%d' % 1.5` is `1` and `'%d' % True` is `1`, where `json.dumps`
+# raises, writes `1.5` or writes `true`. So every value the templates write
+# through one must be exactly an `int`.
+
+def _report_int_slots(analysis, mode) -> list:
+    """What the report templates write through `%d`: the head's `loc`, `i_l`
+    and `escim`, each function's `escim`, each leaf row's numbers, and each
+    ledger row's scope, delta, ICN and SICN."""
+    rep = cli.report_obj(analysis, mode, None)
+    values = [rep["loc"], rep["i_l"], rep["escim"]]
+    for fn in rep["functions"]:
+        values.append(fn["escim"])
+        for row in fn["granules"]:
+            values += [row["weight"], row["si"], row["ancestor_product"], row["term"]]
+    led, variables = analysis.ledger, analysis.resolution.variables
+    values += [variables[vid].scope for vid in analysis.resolution.occurrences.variable]
+    return values + led.delta + led.icn_after + led.sicn_after
+
+
+def _broken(text: str) -> list[str]:
+    """``text`` with a lexical, two syntax and a name error: a `$` put in, one
+    `;` or the last `}` cut, and an assignment to an undeclared name put in."""
+    cut = text.index(";", len(text) // 2)
+    brace = text.rindex("}")
+    return [text[:cut] + "$" + text[cut:], text[:cut] + text[cut + 1:],
+            text[:brace] + text[brace + 1:], text[:cut + 1] + " zz_undeclared = 1;" + text[cut + 1:]]
+
+
+def test_every_value_written_through_a_d_slot_is_an_int():
+    sources = [fixture_source(name) for name in corpus_names()]
+    sources += [generate(seed) for seed in range(100)] + [FULL_GRAMMAR]
+    checked = 0
+    for source in sources:
+        analysis = analyze_source(source)
+        for mode in SiMode:
+            values = _report_int_slots(analysis, mode)
+            assert all(type(v) is int for v in values), [v for v in values if type(v) is not int]
+            checked += len(values)
+    spans = 0
+    for source in sources:
+        for text in _broken(source):
+            try:
+                analyze_source(text)
+            except (AnalysisError, EmptyProgram) as exc:
+                for mode in SiMode:
+                    span = cli.diagnostic_obj("f", mode, exc)["diagnostics"][0]["span"]
+                    if span is not None:
+                        slots = [span[k] for k in ("line_start", "col_start", "line_end", "col_end")]
+                        assert all(type(v) is int for v in slots), slots
+                        spans += 1
+    assert checked > 40_000 and spans > 1000, (checked, spans)

@@ -1,8 +1,11 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minicog import LexError, tokenize
+from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION, SourceMap
 from minicog.generator import generate
 
 from conftest import corpus_names, fixture_source
@@ -171,3 +174,95 @@ def test_tokens_are_source_slices_or_lex_error(source):
         end = line_offsets[span.line_end - 1] + span.col_end
         assert source[begin:end] == text
         assert (toks.starts[i], toks.lines[i]) == (begin, span.line_start)
+
+
+# ------------------------------------------------ the token pattern against the one-token-per-match lexer
+#
+# The lexer before its alternatives were put in frequency order and the
+# spaces before a token became part of its match: one alternative per match,
+# a whitespace run being a match of its own, `number` before `word`. Kept as
+# the oracle of `tokenize`.
+
+_ONE_PER_MATCH = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n]+ | //[^\n]* | /\*[\s\S]*?\*/)
+    | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<unclosed>/\*[\s\S]* | "(?:[^"\\\n]|\\[\s\S])*\\?)
+    | (?P<number>\d+(?:\.\d+)?)
+    | (?P<word>\w+)
+    | (?P<operator>""" + "|".join(map(re.escape, OPERATORS)) + r""")
+    | (?P<punctuation>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
+    | (?P<illegal>[\s\S])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(source: str):
+    """(kinds, texts, starts, lines) of ``source``, or the LexError's (message, span)."""
+    source_map = SourceMap("<input>", source)
+    kinds, texts, starts, lines = [], [], [], []
+    line, end = 1, 0
+    for match in _ONE_PER_MATCH.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        start, end = end, end + len(text)
+        if kind == "skip":
+            line += source.count("\n", start, end)
+            continue
+        if kind == "word":
+            if text in KEYWORDS:
+                kind = "keyword"
+            elif text[0].isalpha() or text[0] == "_":
+                kind = "identifier"
+            else:
+                kind = "illegal"
+        elif kind == "number":
+            kind = "float-literal" if "." in text else "int-literal"
+        elif kind == "string":
+            kind = "string-literal"
+        if kind == "unclosed":
+            what = "block comment" if text.startswith("/*") else "string literal"
+            return f"unterminated {what}", source_map.span(start, end)
+        if kind == "illegal":
+            return f"illegal character {text[0]!r}", source_map.span(start, start + 1)
+        kinds.append(kind)
+        texts.append(text)
+        starts.append(start)
+        lines.append(line)
+        line += text.count("\n") if kind == "string-literal" else 0
+    return kinds, texts, starts, lines
+
+
+def _lexed(source: str):
+    try:
+        toks = tokenize(source)
+    except LexError as err:
+        return str(err), err.span
+    return toks.kinds, toks.texts, toks.starts, toks.lines
+
+
+# MiniC's characters; keywords, names, numbers and digits followed by letters;
+# comments, strings and backslash-newlines, closed and unclosed; and
+# non-ASCII letters, digits and numerics.
+_DIFFERENTIAL_PIECES = [
+    *"azAZ_09+-*/%<>=!&|;,(){}[]:.\"\\ \t\r\n@$",
+    "int", "while", "x1", "_y", "12", "12.5", "3.", "7abc", "0x1F", "1e5",
+    "//", "// c\n", "/*", "*/", "/* c */", "/* a\nb */", "\"s\"", "\"a\\\"b\"", "\"a\\\nb\"",
+    "\\\n", "  ", "\t\t", "\r\n", "\n\n",
+    "é", "²", "½", "٣", "x²", "٣x", "\xa0", " ", "\f",
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(_DIFFERENTIAL_PIECES), max_size=30).map("".join))
+def test_tokenize_matches_the_one_token_per_match_lexer(source):
+    assert _lexed(source) == _reference_tokenize(source)
+
+
+@pytest.mark.parametrize("source", [
+    *(pytest.param(fixture_source(name), id=name) for name in corpus_names()),
+    *(pytest.param(generate(seed), id=f"generate-{seed}") for seed in range(20)),
+    "", " ", "x ", "x  \t\r", "\n", "a\n", "  /* open", "x ²", "  @", "\"a\\\n  b\"  c",
+])
+def test_tokenize_matches_the_one_token_per_match_lexer_on_programs(source):
+    assert _lexed(source) == _reference_tokenize(source)
