@@ -29,12 +29,9 @@ def serialize_erm(gt: GranuleTree) -> list[str]:
     """The ERM lines of one function's granule tree, in pre-order."""
     lines: list[str] = []
     _chain(lines, gt.roots, [0])
-    stack = gt.roots[::-1]  # pre-order by an explicit stack
-    while stack:
-        g = stack.pop()
+    for g in gt.walk():
         if g.children:
             for start in g.arm_starts:
                 lines.append(f"{g.label} > {g.children[start].label}")
             _chain(lines, g.children, g.arm_starts)
-            stack.extend(reversed(g.children))
     return lines

@@ -10,6 +10,13 @@ carried by one designated child leaf: the first for head-tested structures,
 the last for do-while. An empty leaf is inserted when that position is not
 already a leaf.
 
+No walk here recurses on statement depth. ``_level`` scans one statement
+list, seeing through blocks and labels by an explicit stack, into leaves and
+structured granules whose children are not built yet; ``_build`` then walks
+each function's granules once in pre-order, by an explicit stack, building
+children level by level, labelling and emitting the leaf rows. So any nesting
+the parser accepts decomposes, and ``walk`` is a stack too.
+
 A leaf's region is one range of occurrence ordinals, from the lowest start
 to the highest stop of its anchors' runs (``Resolution.runs``), with no gap:
 the resolver walks statements in source order, so the simple statements of a
@@ -80,10 +87,8 @@ class Granule:
         do-while, whose condition follows its body; the first otherwise."""
         return self.children[-1] if self.kind is BcsKind.DO_WHILE else self.children[0]
 
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    def walk(self) -> Iterator["Granule"]:
+        return _preorder([self])
 
 
 class Leaf(NamedTuple):
@@ -108,111 +113,85 @@ class GranuleTree:
     leaves: list[Leaf]
     erm: list[str]
 
-    def walk(self):
-        for root in self.roots:
-            yield from root.walk()
+    def walk(self) -> Iterator[Granule]:
+        return _preorder(self.roots[::-1])
 
 
-def _flatten(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
-    units: list[ast.Stmt] = []
-    for stmt in stmts:
-        inner = stmt
-        while inner.__class__ is ast.LabeledStmt:
-            inner = inner.stmt
-        if inner.__class__ is ast.Block:
-            units.extend(_flatten(inner.stmts))
-        else:
-            units.append(inner)
-    return units
+def _preorder(stack: list[Granule]) -> Iterator[Granule]:
+    """The granules of ``stack`` (the next one last) and their descendants, in
+    pre-order, by the explicit stack."""
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += g.children[::-1]
 
 
-def _body_list(stmt: ast.Stmt | None) -> list[ast.Stmt]:
-    if stmt is None:
-        return []
-    return stmt.stmts if stmt.__class__ is ast.Block else [stmt]
+def _leaf(stmts: tuple[int, ...] = ()) -> Granule:
+    return Granule(label="", kind=BcsKind.LINEAR, stmts=stmts)
 
 
-def _empty_leaf() -> Granule:
-    return Granule(label="", kind=BcsKind.LINEAR, stmts=())
-
-
-def _decompose_run(stmts: list[ast.Stmt]) -> list[Granule]:
+def _level(stmts: list[ast.Stmt]) -> list[Granule]:
+    """One level of granules: a leaf per maximal run of simple statements and a
+    structured granule, its children not built yet, per other statement. Blocks
+    and labels are seen through by an explicit stack."""
     granules: list[Granule] = []
     run: list[int] = []
-
-    def flush() -> None:
-        if run:
-            granules.append(Granule(label="", kind=BcsKind.LINEAR, stmts=tuple(run)))
-            run.clear()
-
-    for unit in _flatten(stmts):
-        if unit.__class__ in SIMPLE_STMTS:
-            run.append(unit.nid)
-            continue
-        flush()
-        granules.append(_structured(unit))
-    flush()
+    todo = stmts[::-1]  # the next statement is last
+    while todo:
+        stmt = todo.pop()
+        cls = stmt.__class__
+        if cls in SIMPLE_STMTS:
+            run.append(stmt.nid)
+        elif cls is ast.Block:
+            todo += stmt.stmts[::-1]
+        elif cls is ast.LabeledStmt:
+            todo.append(stmt.stmt)
+        else:
+            if run:
+                granules.append(_leaf(tuple(run)))
+                run = []
+            granules.append(Granule(label="", kind=_STRUCTURED_KIND[cls], stmts=(stmt.nid,)))
+    if run:
+        granules.append(_leaf(tuple(run)))
     return granules
 
 
-def _structured(stmt: ast.Stmt) -> Granule:
-    kind = _STRUCTURED_KIND[stmt.__class__]
-    g = Granule(label="", kind=kind, stmts=(stmt.nid,))
-    if kind is BcsKind.IF:
-        arms = [_body_list(stmt.then)]
-        if stmt.orelse is not None:
-            arms.append(_body_list(stmt.orelse))
-    elif kind is BcsKind.CASE:
-        arms = [list(arm.body) for arm in stmt.arms] or [[]]
-    else:
-        arms = [_body_list(stmt.body)]
-
-    arm_lists = [_decompose_run(arm) or [_empty_leaf()] for arm in arms]
-    # The header-carrying position must be a leaf.
-    if kind is BcsKind.DO_WHILE:
-        if not arm_lists[-1][-1].is_leaf:
-            arm_lists[-1].append(_empty_leaf())
-    elif not arm_lists[0][0].is_leaf:
-        arm_lists[0].insert(0, _empty_leaf())
-
-    children: list[Granule] = []
-    starts: list[int] = []
-    for arm in arm_lists:
-        starts.append(len(children))
-        children.extend(arm)
-    g.children = children
-    g.arm_starts = starts
-    return g
-
-
-def _assign_labels(roots: list[Granule]) -> None:
-    """Label each granule by its path of 1-based sibling positions, by an
-    explicit stack (a recursive closure would leave a reference cycle) of
-    (granule, its path as text)."""
-    stack = []
-    for i, root in enumerate(roots, start=1):
-        root.label = f"G{i}"
-        stack.append((root, str(i)))
-    while stack:
-        g, path = stack.pop()
-        for j, child in enumerate(g.children, start=1):
-            child_path = f"{path},{j}"
-            child.label = f"G({child_path})"
-            stack.append((child, child_path))
-
-
-def _leaves(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) -> list[Leaf]:
-    """The leaves in pre-order, by an explicit stack of (granule, enclosing kinds, parent)."""
+def _build(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) -> list[Leaf]:
+    """Complete the granules under ``roots`` in one pre-order walk, by an
+    explicit stack of (granule, its path, enclosing kinds, parent): build each
+    structured granule's children, label each granule by its path of 1-based
+    sibling positions, and return the leaves in pre-order."""
     runs, calls_by_anchor = resolution.runs, resolution.calls_by_anchor
     out: list[Leaf] = []
-    stack: list[tuple[Granule, tuple[BcsKind, ...], Granule | None]] = [
-        (root, (), None) for root in reversed(roots)
+    stack: list[tuple[Granule, str, tuple[BcsKind, ...], Granule | None]] = [
+        (root, str(i), (), None) for i, root in reversed(list(enumerate(roots, start=1)))
     ]
     while stack:
-        g, enclosing, parent = stack.pop()
-        if g.children:
-            inner = enclosing + (g.kind,)
-            stack.extend((child, inner, g) for child in reversed(g.children))
+        g, path, enclosing, parent = stack.pop()
+        g.label = f"G{path}" if parent is None else f"G({path})"
+        kind = g.kind
+        if kind is not BcsKind.LINEAR:
+            stmt = nodes[g.stmts[0]]
+            if kind is BcsKind.IF:
+                arms = [[stmt.then]] if stmt.orelse is None else [[stmt.then], [stmt.orelse]]
+            elif kind is BcsKind.CASE:
+                arms = [arm.body for arm in stmt.arms] or [[]]
+            else:
+                arms = [[stmt.body]]
+            arm_lists = [_level(arm) or [_leaf()] for arm in arms]
+            # The header-carrying position must be a leaf.
+            if kind is BcsKind.DO_WHILE:
+                if arm_lists[-1][-1].kind is not BcsKind.LINEAR:
+                    arm_lists[-1].append(_leaf())
+            elif arm_lists[0][0].kind is not BcsKind.LINEAR:
+                arm_lists[0].insert(0, _leaf())
+            g.children, g.arm_starts = [], []
+            for arm in arm_lists:
+                g.arm_starts.append(len(g.children))
+                g.children += arm
+            inner = enclosing + (kind,)
+            stack.extend((child, f"{path},{j}", inner, g)
+                         for j, child in reversed(list(enumerate(g.children, start=1))))
             continue
         anchors = g.stmts
         if parent is not None and parent.header_carrier() is g:
@@ -286,12 +265,11 @@ def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
     recursive = detect_recursion(resolution)
     out: list[GranuleTree] = []
     for item in tree.items:
-        if not isinstance(item, ast.FuncDef):
+        if item.__class__ is not ast.FuncDef:
             continue
-        roots = _decompose_run(item.body.stmts)
-        _assign_labels(roots)
+        roots = _level(item.body.stmts)
         gt = GranuleTree(item.name, item.name in recursive, roots, resolution,
-                         _leaves(roots, tree.nodes, resolution), [])
+                         _build(roots, tree.nodes, resolution), [])
         gt.erm = serialize_erm(gt)
         out.append(gt)
     return out

@@ -76,7 +76,7 @@ class MatrixResult:
 
 def _entry_func(tree: ast.SyntaxTree) -> ast.FuncDef:
     for item in tree.items:
-        if isinstance(item, ast.FuncDef) and item.name == "main":
+        if item.__class__ is ast.FuncDef and item.name == "main":
             return item
     raise ComposeError("no entry function 'main'")
 
@@ -90,7 +90,7 @@ def _unify_decls(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
     declared: dict[str, ast.TypeRef] = {}
     out: list[ast.Stmt] = []
     for stmt in stmts:
-        if isinstance(stmt, ast.DeclStmt):
+        if stmt.__class__ is ast.DeclStmt:
             prior = declared.get(stmt.name)
             if prior is None:
                 declared[stmt.name] = stmt.type
@@ -118,24 +118,24 @@ def compose(ptree: ast.SyntaxTree, qtree: ast.SyntaxTree) -> Analysis:
         raise ComposeError("entry functions disagree on return type")
 
     items: list = [item for item in ptree.items if item is not pmain]
-    seen_records = {item.name for item in items if isinstance(item, ast.RecordDef)}
-    seen_funcs = {item.name for item in items if isinstance(item, ast.FuncDef)}
-    seen_globals = {item.name: item for item in items if isinstance(item, ast.DeclStmt)}
+    seen_records = {item.name for item in items if item.__class__ is ast.RecordDef}
+    seen_funcs = {item.name for item in items if item.__class__ is ast.FuncDef}
+    seen_globals = {item.name: item for item in items if item.__class__ is ast.DeclStmt}
 
     for item in qtree.items:
         if item is qmain:
             continue
-        if isinstance(item, ast.RecordDef):
+        if item.__class__ is ast.RecordDef:
             if item.name in seen_records:
                 raise ComposeError(f"duplicate definition of struct '{item.name}'")
             seen_records.add(item.name)
             items.append(item)
-        elif isinstance(item, ast.FuncDef):
+        elif item.__class__ is ast.FuncDef:
             if item.name in seen_funcs:
                 raise ComposeError(f"duplicate definition of function '{item.name}'")
             seen_funcs.add(item.name)
             items.append(item)
-        elif isinstance(item, ast.DeclStmt):
+        elif item.__class__ is ast.DeclStmt:
             prior = seen_globals.get(item.name)
             if prior is None:
                 seen_globals[item.name] = item
@@ -192,15 +192,19 @@ class SlotInfo:
     has_delta: bool  # contains an assignment-like expression
 
 
+# the expressions that store a value, tested by exact class (see `minicog.ast`)
+_DELTA_EXPRS = frozenset({ast.Assign, ast.CompoundAssign, ast.Increment, ast.Decrement})
+
+
 def _has_delta(stmt: ast.Stmt) -> bool:
-    if isinstance(stmt, ast.DeclStmt):
+    if stmt.__class__ is ast.DeclStmt:
         return stmt.init is not None or stmt.init_list is not None
-    if not isinstance(stmt, ast.ExprStmt):
+    if stmt.__class__ is not ast.ExprStmt:
         return False
     todo = [stmt.expr]  # an explicit stack, so a chain of any length is searched
     while todo:
         node = todo.pop()
-        if isinstance(node, (ast.Assign, ast.CompoundAssign, ast.Increment, ast.Decrement)):
+        if node.__class__ in _DELTA_EXPRS:
             return True
         todo.extend(ast.child_nodes(node))
     return False
@@ -218,19 +222,20 @@ def _collect_slots(entry: ast.FuncDef):
     while todo:
         stmt, ref, in_loop, top = todo.pop()
         if stmt.__class__ in SIMPLE_STMTS:
-            infos.append(SlotInfo(len(slots), in_loop, top, isinstance(stmt, ast.DeclStmt),
+            infos.append(SlotInfo(len(slots), in_loop, top, stmt.__class__ is ast.DeclStmt,
                                   _has_delta(stmt)))
             slots.append(ref)
             continue
         inner: list[tuple] = []  # its sub-statements in source order; labeled ones stay anchored
-        if isinstance(stmt, ast.Block):
+        cls = stmt.__class__
+        if cls is ast.Block:
             inner = [(sub, ("list", stmt.stmts, idx), in_loop) for idx, sub in enumerate(stmt.stmts)]
-        elif isinstance(stmt, ast.IfStmt):
+        elif cls is ast.IfStmt:
             inner = [(getattr(stmt, attr), ("attr", stmt, attr), in_loop)
                      for attr in ("then", "orelse") if getattr(stmt, attr) is not None]
-        elif isinstance(stmt, (ast.WhileStmt, ast.DoWhileStmt, ast.ForStmt)):
+        elif cls is ast.WhileStmt or cls is ast.DoWhileStmt or cls is ast.ForStmt:
             inner = [(stmt.body, ("attr", stmt, "body"), True)]
-        elif isinstance(stmt, ast.SwitchStmt):
+        elif cls is ast.SwitchStmt:
             inner = [(sub, ("list", arm.body, idx), in_loop)
                      for arm in stmt.arms for idx, sub in enumerate(arm.body)]
         todo.extend((sub, where, loop, False) for sub, where, loop in reversed(inner))

@@ -161,6 +161,25 @@ def test_closed_stdout_during_a_corpus_run_exits_2_without_traceback():
     assert b"BrokenPipeError" not in stderr
 
 
+# A ladder of `else if` arms nests an `IfStmt` per arm, and so do braceless
+# `if`s; in both, the innermost `if` is the 600th and its leaf is labelled by
+# the path below (a braceless `if`'s header leaf comes before its inner `if`).
+DEEP_STATEMENTS = {
+    "else-if-ladder": ("int main() { int x = 1; if (x) x = 0; "
+                       + " ".join(f"else if (x) x = {i};" for i in range(1, 600)) + " }\n"),
+    "braceless-ifs": "int main() { int x = 1; " + "if (x) " * 600 + "x = 1; }\n",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("shape", sorted(DEEP_STATEMENTS))
+def test_six_hundred_nested_statements_decompose(tmp_path, capsys, shape, fmt):
+    path = tmp_path / "deep.mc"
+    path.write_text(DEEP_STATEMENTS[shape])
+    assert cli.main(["analyze", str(path), "--emit", "erm,granules", "--format", fmt]) == 0
+    assert "G(2" + ",2" * 599 + ",1)" in capsys.readouterr().out
+
+
 def test_corpus_file_that_is_not_utf8_exits_2_before_any_output(tmp_path):
     # the unreadable file sorts last: every other file is read, none analyzed or written
     for name in corpus_names()[:3]:

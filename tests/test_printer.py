@@ -1,12 +1,14 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import parse_source, pretty_print
+from minicog import ast, parse_source, pretty_print
 from minicog.ast import fingerprint
 from minicog.generator import generate
 
-from conftest import corpus_names, fixture_source
+from conftest import CORPUS, FULL_GRAMMAR, corpus_names, fixture_source
 
 SWITCH_FIXTURE = """int main()
 {
@@ -52,6 +54,7 @@ def test_switch_fixture_roundtrip():
         "struct P { int x; };\nint main() { P p; p.x = 1; print(p.x); }",
         "int main() { int k[3]; k[1] = 2; k[1] += k[1]; }",
         "int main() { lab: goto lab; }",
+        FULL_GRAMMAR,
     ],
 )
 def test_construct_roundtrip(source):
@@ -94,3 +97,59 @@ def test_fingerprint_tells_structures_apart(left, right):
         return parse_source("int main() { int x = 1; " + body + " }")
     assert fingerprint(tree(left)) == fingerprint(tree(left))
     assert fingerprint(tree(left)) != fingerprint(tree(right))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_printed_bytes_are_pinned():
+    # records, labels, `goto`, `::` and `{…}` lists, and every fixture
+    assert _sha256(pretty_print(parse_source(FULL_GRAMMAR))) == (
+        "70e8bb56fe4e506609277e1d1d164498024519acd1c27d2cedccdefe289d703a")
+    fixtures = "".join(pretty_print(parse_source(path.read_text()))
+                       for path in sorted(CORPUS.glob("*.mc")))
+    assert _sha256(fixtures) == "fcced992b09f81bd04113fd464478c684f3f9a8e04015ef465cdb47b66061041"
+
+
+@pytest.mark.parametrize("source, printed", [
+    ("- -a", "-(-a)"),
+    ("-(-(-a))", "-(-(-a))"),
+    ("-!-a", "-!-a"),
+    ("!-(-a)", "!-(-a)"),
+    ("- -a[- -1]", "-(-a[-(-1)])"),
+    ("-(a = 1)", "-(a = 1)"),
+])
+def test_unary_minus_never_prints_a_decrement(source, printed):
+    text = pretty_print(parse_source("int main() { " + source + "; }"))
+    assert text == "int main()\n{\n    " + printed + ";\n}\n"
+
+
+def test_array_markers_print_where_the_parser_reads_them():
+    source = ("struct R { int[3] xs; };\n"
+              "int[] f(int[] a, bool[2] b) { int c[2] = {1, 2}; float d[] = {0.5}; return a; }\n")
+    text = pretty_print(parse_source(source))
+    assert "    int[3] xs;\n" in text
+    assert "int[] f(int[] a, bool[2] b)\n" in text
+    assert "    int c[2] = {1, 2};\n    float d[] = {0.5};\n" in text
+    assert roundtrips(source)
+
+
+def test_empty_program_prints_one_newline():
+    assert pretty_print(ast.SyntaxTree([])) == "\n"
+
+
+def test_five_thousand_nested_statements_print_indented():
+    # each `while` has a block body, so statements nest 5,000 deep
+    depth = 2_500
+    stmt = ast.ExprStmt(ast.Assign(ast.VarRef("x"), ast.Literal("int", "1")))
+    for _ in range(depth):
+        stmt = ast.WhileStmt(ast.VarRef("x"), ast.Block([stmt]))
+    main = ast.FuncDef(ast.TypeRef("int"), "main", [], ast.Block([stmt]))
+    lines = ["int main()", "{"]
+    for level in range(1, depth + 1):
+        lines += ["    " * level + "while (x)", "    " * level + "{"]
+    lines.append("    " * (depth + 1) + "x = 1;")
+    lines += ["    " * level + "}" for level in range(depth, 0, -1)]
+    lines.append("}")
+    assert pretty_print(ast.SyntaxTree([main])) == "\n".join(lines) + "\n"
