@@ -24,7 +24,7 @@ from .errors import AnalysisError, EmptyProgram
 from .generator import generate
 from .granules import BcsKind
 from .ledger import SiMode
-from .metrics import WeightTable
+from .metrics import MetricsReport, WeightTable
 from .weyuker import MatrixResult, run_matrix
 
 EMIT_CHOICES = ("metrics", "erm", "ledger", "granules")
@@ -77,75 +77,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ------------------------------------------------------------------ reports
 
-def report_obj(analysis: Analysis, mode: SiMode, weights: WeightTable | None) -> dict:
-    """A report's head: the metrics, each function's leaf rows and ERM lines,
-    and the (empty) diagnostics. The ledger and granule sections are written
-    after it, straight from the analysis (see "sections" below)."""
-    rep = analysis.report(mode, weights)
-    return {
-        "file": analysis.file,
-        "si_mode": mode.value,
-        "loc": rep.loc,
-        "i_l": rep.i_l,
-        "escim": rep.escim,
-        "efficiency": str(rep.efficiency),
-        "functions": [
-            {
-                "name": fn.name,
-                "recursive": fn.recursive,
-                "escim": fn.escim,
-                "granules": [
-                    {
-                        "label": row.label,
-                        "kind": row.kind,
-                        "weight": row.weight,
-                        "si": row.si,
-                        "ancestor_product": row.ancestor_product,
-                        "term": row.term,
-                    }
-                    for row in fn.leaves
-                ],
-                "erm": list(fn.erm),
-            }
-            for fn in rep.functions
-        ],
-        "diagnostics": [],
-    }
+def report_obj(analysis: Analysis, mode: SiMode, weights: WeightTable | None) -> MetricsReport:
+    """A report's head: the metrics, each function's leaf rows and ERM lines.
+    The ledger and granule sections are written after it, straight from the
+    analysis (see "sections" below). It is `analysis.report`, kept as the one
+    call per analyzed file at which the benchmark's trace and the tests see
+    report building start."""
+    return analysis.report(mode, weights)
 
 
-def diagnostic_obj(file: str, mode: SiMode, exc: Exception) -> dict:
-    span = getattr(exc, "span", None)
-    return {
-        "file": file,
-        "si_mode": mode.value,
-        "diagnostics": [{"span": span._asdict() if span else None, "message": str(exc)}],
-    }
-
-
-def _report_text(obj: dict, emit: set[str]) -> list[str]:
-    lines = [obj["file"]]
-    if obj.get("diagnostics"):
-        for diag in obj["diagnostics"]:
-            span = diag["span"]
-            where = f"{span['file']}:{span['line_start']}:{span['col_start']}: " if span else ""
-            lines.append(f"  error: {where}{diag['message']}")
-        return lines
-    lines.append(
-        f"  si-mode {obj['si_mode']}   loc {obj['loc']}   I(L) {obj['i_l']}   "
-        f"ESCIM {obj['escim']}   E {obj['efficiency']}"
-    )
-    for fn in obj["functions"]:
-        flag = "  (recursive)" if fn["recursive"] else ""
-        lines.append(f"  function {fn['name']}   ESCIM {fn['escim']}{flag}")
-        for row in fn["granules"]:
+def _report_text(file: str, mode: SiMode, rep: MetricsReport, emit: set[str]) -> list[str]:
+    lines = [file, f"  si-mode {mode.value}   loc {rep.loc}   I(L) {rep.i_l}   "
+                   f"ESCIM {rep.escim}   E {rep.efficiency}"]
+    for fn in rep.functions:
+        flag = "  (recursive)" if fn.recursive else ""
+        lines.append(f"  function {fn.name}   ESCIM {fn.escim}{flag}")
+        for row in fn.leaves:
             lines.append(
-                f"    {row['label']:<12} {row['kind']:<8} w={row['weight']} si={row['si']} "
-                f"anc={row['ancestor_product']} term={row['term']}"
+                f"    {row.label:<12} {row.kind:<8} w={row.weight} si={row.si} "
+                f"anc={row.ancestor_product} term={row.term}"
             )
         if "erm" in emit:
-            if fn["erm"]:
+            if fn.erm:
                 lines.append("    erm:")
-                lines.extend(f"      {fact}" for fact in fn["erm"])
+                lines.extend(f"      {fact}" for fact in fn.erm)
             else:
                 lines.append("    erm: (none)")
     return lines
@@ -154,11 +109,12 @@ def _report_text(obj: dict, emit: set[str]) -> list[str]:
 # ------------------------------------------------------------------ JSON text
 #
 # A report's JSON is the text of `json.dumps(obj, indent=2)` on the dict it
-# would be, nested `depth` levels deep in a corpus payload. Reports, their
-# sections, diagnostic reports and the totals are written by fixed templates,
-# one per nesting depth: with `indent` set, `json.dumps` runs the pure-Python
-# encoder, whose closures make a reference cycle on every call. Only the
-# Weyuker matrix, one object per command, goes through `json.dumps`.
+# would be, nested `depth` levels deep in a corpus payload. Every object of a
+# report, a diagnostic report or the totals is written by a template from
+# `_object`, and every array by `_json_array`: with `indent` set, `json.dumps`
+# runs the pure-Python encoder, whose closures make a reference cycle on every
+# call. Only the Weyuker matrix, one object per command, goes through
+# `json.dumps`.
 
 @functools.cache
 def _newline(depth: int) -> str:
@@ -166,69 +122,55 @@ def _newline(depth: int) -> str:
     return "\n" + "  " * depth
 
 
-def _json_array(items: list[str], item: str, closing: str) -> str:
-    """The JSON array of the texts `items`, each after the newline and indent
-    `item`, with its closing bracket after `closing`."""
-    return f"[{item}" + ("," + item).join(items) + f"{closing}]" if items else "[]"
-
-
 @functools.cache
-def _head_level(depth: int) -> tuple[str, str, str, tuple[str, str, str, str]]:
-    """For a report head nested `depth` levels deep: the templates of the
-    head less its closing brace, of a function and of a leaf row, then the
-    newline and indent of the head's keys, of a function, of its keys and of
-    its leaf rows and ERM lines."""
-    key, fn, field, item, row_field = map(_newline, range(depth + 1, depth + 6))
-    head = "{" + key + ("," + key).join((
-        '"file": %s', '"si_mode": %s', '"loc": %d', '"i_l": %d', '"escim": %d',
-        '"efficiency": %s', '"functions": %s', '"diagnostics": []'))
-    function = "{" + field + ("," + field).join((
-        '"name": %s', '"recursive": %s', '"escim": %d', '"granules": %s', '"erm": %s')) + fn + "}"
-    row = "{" + row_field + ("," + row_field).join((
-        '"label": %s', '"kind": %s', '"weight": %d', '"si": %d', '"ancestor_product": %d',
-        '"term": %d')) + item + "}"
-    return head, function, row, (key, fn, field, item)
+def _object(depth: int, *fields: str) -> str:
+    """The template of an object nested `depth` levels deep whose items are
+    `fields`, each a quoted key, a colon and the `%` slot of its value."""
+    key = _newline(depth + 1)
+    return "{" + key + ("," + key).join(fields) + _newline(depth) + "}"
 
 
-@functools.cache
-def _diagnostic_level(depth: int) -> tuple[str, str]:
-    """The templates of a diagnostic report nested `depth` levels deep, with one
-    diagnostic (quoted file, quoted SI mode, span, quoted message), and of a span."""
-    key, diag, field, at = map(_newline, range(depth + 1, depth + 5))
-    span = "{" + at + ("," + at).join(('"file": %s', '"line_start": %d', '"col_start": %d',
-                                       '"line_end": %d', '"col_end": %d')) + field + "}"
-    return ("{" + key + ("," + key).join(('"file": %s', '"si_mode": %s', '"diagnostics": ['))
-            + diag + "{" + field + '"span": %s,' + field + '"message": %s' + diag + "}"
-            + key + "]" + _newline(depth) + "}", span)
+def _json_array(items: list[str], depth: int) -> str:
+    """The array of the JSON texts `items`, nested `depth` levels deep."""
+    if not items:
+        return "[]"
+    item = _newline(depth + 1)
+    return "[" + item + ("," + item).join(items) + _newline(depth) + "]"
 
 
-def _diagnostic_json(rep: dict, depth: int) -> str:
-    """A report that `diagnostic_obj` built, nested `depth` levels deep."""
-    report, span = _diagnostic_level(depth)
-    quote, (diag,) = encode_basestring_ascii, rep["diagnostics"]
-    at = diag["span"]
-    where = "null" if at is None else span % (
-        quote(at["file"]), at["line_start"], at["col_start"], at["line_end"], at["col_end"])
-    return report % (quote(rep["file"]), quote(rep["si_mode"]), where, quote(diag["message"]))
+def _diagnostic_json(file: str, mode: SiMode, exc: Exception, depth: int) -> str:
+    """The report of a file that does not analyze, nested `depth` levels deep:
+    its one diagnostic, with the span if `exc` has one."""
+    quote, span = encode_basestring_ascii, getattr(exc, "span", None)
+    where = "null" if span is None else _object(
+        depth + 3, '"file": %s', '"line_start": %d', '"col_start": %d', '"line_end": %d',
+        '"col_end": %d') % (quote(span.file), *span[1:])
+    diagnostic = _object(depth + 2, '"span": %s', '"message": %s') % (where, quote(str(exc)))
+    return _object(depth, '"file": %s', '"si_mode": %s', '"diagnostics": %s') % (
+        quote(file), quote(mode.value), _json_array([diagnostic], depth + 1))
 
 
-def _report_json(rep: dict, sections: list[str], depth: int) -> str:
-    """A report nested `depth` levels deep: the head that `report_obj` built,
-    then the JSON text of its `sections`, then its closing brace."""
-    head, function, row, (key, fn_item, field, item) = _head_level(depth)
+def _report_json(file: str, mode: SiMode, rep: MetricsReport, sections: list[str],
+                 depth: int) -> str:
+    """A report nested `depth` levels deep: its head, written from `rep`,
+    with the JSON text of its `sections` after the empty diagnostics."""
     quote = encode_basestring_ascii
+    function = _object(depth + 2, '"name": %s', '"recursive": %s', '"escim": %d',
+                       '"granules": %s', '"erm": %s')
+    row = _object(depth + 4, '"label": %s', '"kind": %s', '"weight": %d', '"si": %d',
+                  '"ancestor_product": %d', '"term": %d')
     functions = [
         function % (
-            quote(fn["name"]), "true" if fn["recursive"] else "false", fn["escim"],
-            _json_array([row % (quote(r["label"]), quote(r["kind"]), r["weight"], r["si"],
-                                r["ancestor_product"], r["term"]) for r in fn["granules"]],
-                        item, field),
-            _json_array(list(map(quote, fn["erm"])), item, field))
-        for fn in rep["functions"]
+            quote(fn.name), "true" if fn.recursive else "false", fn.escim,
+            _json_array([row % (quote(r.label), quote(r.kind), *r[2:]) for r in fn.leaves],
+                        depth + 3),
+            _json_array(list(map(quote, fn.erm)), depth + 3))
+        for fn in rep.functions
     ]
-    return (head % (quote(rep["file"]), quote(rep["si_mode"]), rep["loc"], rep["i_l"],
-                    rep["escim"], quote(rep["efficiency"]), _json_array(functions, fn_item, key))
-            + "".join(sections) + _newline(depth) + "}")
+    head = _object(depth, '"file": %s', '"si_mode": %s', '"loc": %d', '"i_l": %d',
+                   '"escim": %d', '"efficiency": %s', '"functions": %s', '"diagnostics": []%s')
+    return head % (quote(file), quote(mode.value), rep.loc, rep.i_l, rep.escim,
+                   quote(str(rep.efficiency)), _json_array(functions, depth + 1), "".join(sections))
 
 
 # ------------------------------------------------------------------ sections
@@ -246,28 +188,19 @@ def _row_name(variables: dict, vid: int, member: str | None) -> str:
     return name if member is None else f"{name}.{member}"
 
 
-@functools.cache
-def _ledger_row(depth: int) -> str:
-    """The template of a ledger row in a report nested `depth` levels deep:
-    ordinal, quoted variable, scope, quoted role, delta, icn_after, sicn_after."""
-    field = _newline(depth + 3)
-    slots = ('"ordinal": %d', '"variable": %s', '"scope": %d', '"role": %s',
-             '"delta": %d', '"icn_after": %d', '"sicn_after": %d')
-    return "{" + field + ("," + field).join(slots) + _newline(depth + 2) + "}"
-
-
 def _write_ledger(analysis: Analysis, depth: int, out: list[str]) -> None:
     """Append a report's `"ledger"` section: one row per occurrence."""
     occ, led, variables = analysis.resolution.occurrences, analysis.ledger, analysis.resolution.variables
-    key, row = _newline(depth + 1), _newline(depth + 2)
     keys = list(zip(occ.variable, occ.member))
     names = {pair: encode_basestring_ascii(_row_name(variables, *pair)) for pair in set(keys)}
     roles = {role: encode_basestring_ascii(role) for role in set(occ.role)}
-    rows = list(map(_ledger_row(depth).__mod__, zip(
+    row = _object(depth + 2, '"ordinal": %d', '"variable": %s', '"scope": %d', '"role": %s',
+                  '"delta": %d', '"icn_after": %d', '"sicn_after": %d')
+    rows = list(map(row.__mod__, zip(
         range(len(keys)), map(names.__getitem__, keys),
         [variables[vid].scope for vid in occ.variable], map(roles.__getitem__, occ.role),
         led.delta, led.icn_after, led.sicn_after)))
-    out.append(f',{key}"ledger": ' + _json_array(rows, row, key))
+    out.append(f',{_newline(depth + 1)}"ledger": ' + _json_array(rows, depth + 1))
 
 
 def _ledger_text(analysis: Analysis, lines: list[str]) -> None:
@@ -280,21 +213,11 @@ def _ledger_text(analysis: Analysis, lines: list[str]) -> None:
                      f"scope={variables[vid].scope} {role:<17} delta={delta} icn={icn} sicn={sicn}")
 
 
-@functools.cache
-def _granule_level(depth: int) -> tuple[str, str, str, str]:
-    """For a list of granules nested `depth` levels deep: the newline and
-    indent of its items, of their keys and of the ids in their stmts, and the
-    template of an item up to its list of children (quoted label, quoted
-    kind, stmts)."""
-    item, key, stmt = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
-    head = "{" + key + ("," + key).join(f'"{n}": %s' for n in ("label", "kind", "stmts"))
-    return item, key, stmt, head + f',{key}"children": '
-
-
 def _write_granules(granules, depth: int, out: list[str]) -> None:
     """Append the text of the list `granules` nested `depth` levels deep. The
     walk is an explicit stack of texts and of (granules, depth, closing text)
-    lists still to write."""
+    lists still to write. An item's text is its template split at the slot of
+    its children: the head before, its closing brace after."""
     stack: list = [(granules, depth, "")]
     while stack:
         top = stack.pop()
@@ -305,26 +228,28 @@ def _write_granules(granules, depth: int, out: list[str]) -> None:
         if not items:
             out.append("[]" + closing)
             continue
-        item, key, stmt, head = _granule_level(depth)
+        head, tail = _object(depth + 1, '"label": %s', '"kind": %s', '"stmts": %s',
+                             '"children": %s').rsplit("%s", 1)
+        item = _newline(depth + 1)
         stack.append(_newline(depth) + "]" + closing)
         for i in range(len(items) - 1, -1, -1):
             g = items[i]
-            stmts = _json_array(list(map(str, g.stmts)), stmt, key)
-            stack.append((g.children, depth + 2, item + "}"))
+            stmts = _json_array(list(map(str, g.stmts)), depth + 2)
+            stack.append((g.children, depth + 2, tail))
             stack.append(("," if i else "[") + item + head % (
                 encode_basestring_ascii(g.label), _KIND_JSON[g.kind], stmts))
 
 
 def _write_granule_trees(analysis: Analysis, depth: int, out: list[str]) -> None:
     """Append a report's `"granule_trees"` section: one tree per function."""
-    key, tree, field = _newline(depth + 1), _newline(depth + 2), _newline(depth + 3)
+    tree = _object(depth + 2, '"function": %s', '"recursive": %s', '"granules": %s')
     trees = []
     for gt in analysis.granules:
-        text = [f'{{{field}"function": {encode_basestring_ascii(gt.function)},'
-                f'{field}"recursive": {"true" if gt.recursive else "false"},{field}"granules": ']
-        _write_granules(gt.roots, depth + 3, text)
-        trees.append("".join(text) + tree + "}")
-    out.append(f',{key}"granule_trees": ' + _json_array(trees, tree, key))
+        granules: list[str] = []
+        _write_granules(gt.roots, depth + 3, granules)
+        trees.append(tree % (encode_basestring_ascii(gt.function),
+                             "true" if gt.recursive else "false", "".join(granules)))
+    out.append(f',{_newline(depth + 1)}"granule_trees": ' + _json_array(trees, depth + 1))
 
 
 def _granules_text(analysis: Analysis, lines: list[str]) -> None:
@@ -424,29 +349,26 @@ def run_analyze(args) -> int:
             rep = report_obj(analysis, mode, args.weights)
             sections = _sections(analysis, emit, as_json, depth)
         except (AnalysisError, EmptyProgram) as exc:
-            rep, sections = diagnostic_obj(file, mode, exc), []
+            where = f"{exc.span}: " if getattr(exc, "span", None) else ""  # file:line:col
+            write(sep + _diagnostic_json(file, mode, exc, depth) if as_json
+                  else f"{file}\n  error: {where}{exc}\n")
         else:
             totals["analyzed"] += 1
-            totals["loc"] += rep["loc"]
-            totals["escim"] += rep["escim"]
-        # The rest of the analysis is freed before the report is written: the
-        # writing then neither adds to its peak memory nor makes the collector
-        # walk it.
-        analysis = None
-        if not as_json:
-            text = "".join(line + "\n" for line in _report_text(rep, emit) + sections)
-        elif rep["diagnostics"]:
-            text = sep + _diagnostic_json(rep, depth)
-        else:
-            text = sep + _report_json(rep, sections, depth)
+            totals["loc"] += rep.loc
+            totals["escim"] += rep.escim
+            # The rest of the analysis is freed before the report is written:
+            # the writing then neither adds to its peak memory nor makes the
+            # collector walk it.
+            analysis = None
+            write(sep + _report_json(file, mode, rep, sections, depth) if as_json else
+                  "".join(line + "\n" for line in _report_text(file, mode, rep, emit) + sections))
+            del rep, sections
         sep = ",\n    "
-        write(text)
-        del rep, sections, text
 
     if args.corpus and as_json:
         closing = "\n  ]" if totals["files"] else "]"
-        write(f'{closing},\n  "totals": {{\n    "files": {totals["files"]},\n    "analyzed": '
-              f'{totals["analyzed"]},\n    "loc": {totals["loc"]},\n    "escim": {totals["escim"]}\n  }}\n}}\n')
+        write(f'{closing},\n  "totals": ' + _object(1, *(f'"{key}": %d' for key in totals))
+              % tuple(totals.values()) + "\n}\n")
     elif as_json:
         write("\n")
     elif args.corpus:

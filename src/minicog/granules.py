@@ -78,10 +78,6 @@ class Granule:
     children: Sequence["Granule"] = ()
     arm_starts: Sequence[int] = ()        # child index where each arm begins
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def header_carrier(self) -> "Granule":
         """The child leaf that carries the header occurrences: the last for a
         do-while, whose condition follows its body; the first otherwise."""

@@ -7,7 +7,8 @@ before an inner redeclaration still binds to the outer variable. ``::name``
 always binds in the global scope. Functions are visible program-wide so that
 mutually recursive definitions resolve. Labels belong to their function: a
 label is defined once in it, and a ``goto`` names a label of its own function
-(C11 6.8.1 and 6.8.6.1).
+(C11 6.8.1 and 6.8.6.1). A struct is defined once, and a field name is
+declared once in its struct (6.7.2.3p1 and 6.7p3).
 
 A scope only keeps same-named variables distinct, so no scope outlives the
 walk: ``ScopedVariable.scope`` numbers scopes in the order they are entered.
@@ -319,6 +320,15 @@ class _Resolver:
 
         for item in tree.items:
             if isinstance(item, ast.RecordDef):
+                if item.name in self.records:
+                    raise DuplicateDeclaration(f"struct '{item.name}' already defined", item.span)
+                field_names: set[str] = set()
+                for rfield in item.fields:
+                    if rfield.name in field_names:
+                        raise DuplicateDeclaration(
+                            f"field '{rfield.name}' already declared in struct '{item.name}'",
+                            rfield.span)
+                    field_names.add(rfield.name)
                 self.records[item.name] = item
             elif isinstance(item, ast.FuncDef):
                 if item.name in self.call_graph:

@@ -85,10 +85,45 @@ def reference_granule_obj(granule) -> dict:
     }
 
 
+def reference_head_obj(analysis, mode) -> dict:
+    """A report's head as one object: the metrics, each function's leaf rows
+    and ERM lines, and the (empty) diagnostics."""
+    rep = analysis.report(mode, None)
+    return {
+        "file": analysis.file,
+        "si_mode": mode.value,
+        "loc": rep.loc,
+        "i_l": rep.i_l,
+        "escim": rep.escim,
+        "efficiency": str(rep.efficiency),
+        "functions": [
+            {
+                "name": fn.name,
+                "recursive": fn.recursive,
+                "escim": fn.escim,
+                "granules": [row._asdict() for row in fn.leaves],
+                "erm": list(fn.erm),
+            }
+            for fn in rep.functions
+        ],
+        "diagnostics": [],
+    }
+
+
+def reference_diagnostic_obj(file: str, mode, exc: Exception) -> dict:
+    """The report of a file that does not analyze, as one object."""
+    span = getattr(exc, "span", None)
+    return {
+        "file": file,
+        "si_mode": mode.value,
+        "diagnostics": [{"span": span._asdict() if span else None, "message": str(exc)}],
+    }
+
+
 def reference_report_obj(analysis, mode, emit: set[str]) -> dict:
-    """A whole report as one object: the CLI's head, then the sections built
-    as dicts from the oracles above."""
-    out = cli.report_obj(analysis, mode, None)
+    """A whole report as one object: the head, then the sections built as
+    dicts from the oracles above."""
+    out = reference_head_obj(analysis, mode)
     if "ledger" in emit:
         out["ledger"] = reference_ledger_rows(analysis)
     if "granules" in emit:
@@ -101,9 +136,34 @@ def reference_report_obj(analysis, mode, emit: set[str]) -> dict:
 
 
 def reference_report_text(obj: dict, emit: set[str]) -> list[str]:
-    """A report's text lines: the CLI's head lines, then the ledger and granule
-    sections printed from the objects of ``reference_report_obj``."""
-    lines = cli._report_text(obj, emit)
+    """A report's text lines, printed from the objects of
+    ``reference_report_obj`` or ``reference_diagnostic_obj``: the head, then
+    the ledger and granule sections."""
+    lines = [obj["file"]]
+    if obj.get("diagnostics"):
+        for diag in obj["diagnostics"]:
+            span = diag["span"]
+            where = f"{span['file']}:{span['line_start']}:{span['col_start']}: " if span else ""
+            lines.append(f"  error: {where}{diag['message']}")
+        return lines
+    lines.append(
+        f"  si-mode {obj['si_mode']}   loc {obj['loc']}   I(L) {obj['i_l']}   "
+        f"ESCIM {obj['escim']}   E {obj['efficiency']}"
+    )
+    for fn in obj["functions"]:
+        flag = "  (recursive)" if fn["recursive"] else ""
+        lines.append(f"  function {fn['name']}   ESCIM {fn['escim']}{flag}")
+        for row in fn["granules"]:
+            lines.append(
+                f"    {row['label']:<12} {row['kind']:<8} w={row['weight']} si={row['si']} "
+                f"anc={row['ancestor_product']} term={row['term']}"
+            )
+        if "erm" in emit:
+            if fn["erm"]:
+                lines.append("    erm:")
+                lines.extend(f"      {fact}" for fact in fn["erm"])
+            else:
+                lines.append("    erm: (none)")
     if "ledger" in emit and "ledger" in obj:
         lines.append("  ledger:")
         for row in obj["ledger"]:
@@ -136,7 +196,7 @@ def reference_analyze_output(inputs: list[str], fmt: str, mode, emit: set[str],
             analysis = analyze_source(Path(path).read_text(encoding="utf-8"), path)
             reports.append(reference_report_obj(analysis, mode, emit))
         except (AnalysisError, EmptyProgram) as exc:
-            reports.append(cli.diagnostic_obj(path, mode, exc))
+            reports.append(reference_diagnostic_obj(path, mode, exc))
     if not corpus:
         rep = reports[0]
         if fmt == "json":

@@ -255,7 +255,7 @@ def test_criterion_8d_nesting_amplification_100():
         if main_metrics is None:
             continue
         gt = next(g for g in analysis.granules if g.function == "main")
-        top_leaves = {g.label: g for g in gt.roots if g.is_leaf}
+        top_leaves = {g.label: g for g in gt.roots if not g.children}
         for row in main_metrics.leaves:
             leaf = top_leaves.get(row.label)
             if leaf is None or row.si == 0 or row.ancestor_product != 1:

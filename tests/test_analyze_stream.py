@@ -121,8 +121,8 @@ def test_an_analysis_and_its_report_leave_no_reference_cycles():
         for name in corpus_names():
             analysis = analyze_source(fixture_source(name), name)
             rep = cli.report_obj(analysis, SiMode.DELTA, None)
-            cli._report_text(rep, every) + cli._sections(analysis, every, False, 0)
-            cli._report_json(rep, cli._sections(analysis, every, True, 0), 0)
+            cli._report_text(name, SiMode.DELTA, rep, every) + cli._sections(analysis, every, False, 0)
+            cli._report_json(name, SiMode.DELTA, rep, cli._sections(analysis, every, True, 0), 0)
         del analysis, rep
         assert gc.collect() == 0
     finally:

@@ -80,6 +80,24 @@ def test_label_errors_exit_1(tmp_path, source, message):
     assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, 35)
 
 
+@pytest.mark.parametrize("source, message, col", [
+    # C11 6.7.2.3p1: a struct's content is defined at most once
+    ("struct P { int a; }; struct P { int b; }; int main() { P p; p.b = 1; print(p.b); }",
+     "struct 'P' already defined", 22),
+    # C11 6.7p3: one declaration of a field name per struct
+    ("struct P { int a; int a; }; int main() { P p; p.a = 1; }",
+     "field 'a' already declared in struct 'P'", 19),
+])
+def test_duplicate_record_definitions_exit_1(tmp_path, source, message, col):
+    bad = tmp_path / "records.mc"
+    bad.write_text(source)
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == message
+    assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
+
+
 def test_input_ending_inside_a_switch_body_is_a_diagnostic(tmp_path):
     bad = tmp_path / "bad.mc"
     bad.write_text("int main() { int x = 1; switch (x) {")

@@ -53,7 +53,7 @@ def test_do_while_header_attaches_to_trailing_leaf():
     do = gts[0].roots[1]
     assert do.kind == BcsKind.DO_WHILE
     assert do.header_carrier() is do.children[-1]
-    assert do.children[-1].is_leaf
+    assert not do.children[-1].children
 
 
 # ------------------------------------------------------------- recursion
@@ -131,7 +131,7 @@ def test_recursion_fixture_flagged():
 def test_leaves_are_linear(name):
     for gt in analyzed(name).granules:
         for g in gt.walk():
-            if g.is_leaf:
+            if not g.children:
                 assert g.kind == BcsKind.LINEAR
 
 
@@ -177,14 +177,14 @@ def test_generated_decomposition_invariants(seed):
 
     for gt in analyze_source(generate(seed)).granules:
         for g in gt.walk():
-            if g.is_leaf:
+            if not g.children:
                 assert g.kind == BcsKind.LINEAR
             else:
                 assert g.children
                 assert g.arm_starts[0] == 0
                 assert all(0 <= s < len(g.children) for s in g.arm_starts)
                 carrier = g.header_carrier()
-                assert carrier.is_leaf
+                assert not carrier.children
 
 
 # ------------------------------------------------------------- leaf regions
@@ -194,7 +194,7 @@ def _assert_leaf_regions_are_their_anchors(analysis):
     and carried header, and those are consecutive (``ordinals_of`` asserts it)."""
     for gt in analysis.granules:
         headers = {id(g.header_carrier()): g.stmts for g in gt.walk() if g.children}
-        leaves = [g for g in gt.walk() if g.is_leaf]
+        leaves = [g for g in gt.walk() if not g.children]
         assert [g.label for g in leaves] == [leaf.label for leaf in gt.leaves]
         for g, leaf in zip(leaves, gt.leaves):
             anchors = g.stmts + headers.get(id(g), ())

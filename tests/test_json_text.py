@@ -1,7 +1,8 @@
 """The CLI's JSON writers against their oracle, ``json.dumps(obj, indent=2)``:
-``_diagnostic_json`` on random diagnostic reports at every depth,
-``_report_json`` on every fixture report, then the report shapes the section
-tests leave out (the totals, the Weyuker matrix) through ``cli.main``."""
+``_diagnostic_json`` on random diagnostics and ``_report_json`` on every
+fixture report, both at every depth up to 4, then the report shapes the
+section tests leave out (the totals, the Weyuker matrix) through
+``cli.main``."""
 
 import json
 from fractions import Fraction
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CORPUS, FULL_GRAMMAR, analyzed, corpus_names, corpus_pairs, fixture_source,
-                      reference_analyze_output, reference_report_obj)
+                      reference_analyze_output, reference_diagnostic_obj, reference_report_obj)
 from minicog import analyze_source, cli
 from minicog.errors import AnalysisError, EmptyProgram
 from minicog.generator import generate
@@ -46,8 +47,8 @@ def _nested(value, text: str, depth: int) -> tuple[str, str]:
 @example("a.mc", SiMode.ABSOLUTE, AnalysisError("", SourceSpan("", 0, 0, 0, 0)), 2)
 @example("\U0001f600\n", SiMode.MINMAX, AnalysisError("\"\\", SourceSpan("é", 1, 2, 3, 4)), 4)
 def test_writer_is_json_dumps_indent_2(file, mode, error, depth):
-    rep = cli.diagnostic_obj(file, mode, error)
-    expected, written = _nested(rep, cli._diagnostic_json(rep, depth), depth)
+    rep = reference_diagnostic_obj(file, mode, error)
+    expected, written = _nested(rep, cli._diagnostic_json(file, mode, error, depth), depth)
     assert written == expected
 
 
@@ -59,17 +60,15 @@ def test_writer_is_json_dumps_indent_2(file, mode, error, depth):
     {(1, 2): [1]},  # a key json does not take
 ])
 def test_writer_rejects_what_json_rejects(value):
-    # in each text slot of a diagnostic report: its file, its span's file and its message
-    reps = [cli.diagnostic_obj(value, SiMode.DELTA, EmptyProgram("m")),
-            cli.diagnostic_obj("f", SiMode.DELTA, AnalysisError("m", SourceSpan(value, 1, 1, 1, 1))),
-            cli.diagnostic_obj("f", SiMode.DELTA, EmptyProgram("m"))]
-    reps[2]["diagnostics"][0]["message"] = value
-    for rep in reps:
+    # in each text slot of a diagnostic report but its message, which is
+    # always `str(exc)`: its file and its span's file
+    cases = [(value, EmptyProgram("m")), ("f", AnalysisError("m", SourceSpan(value, 1, 1, 1, 1)))]
+    for file, exc in cases:
         with pytest.raises(TypeError):
-            json.dumps(rep, indent=2)
+            json.dumps(reference_diagnostic_obj(file, SiMode.DELTA, exc), indent=2)
         for depth in (0, 2):
             with pytest.raises(TypeError):
-                cli._diagnostic_json(rep, depth)
+                cli._diagnostic_json(file, SiMode.DELTA, exc, depth)
 
 
 @pytest.mark.parametrize("mode", list(SiMode))
@@ -77,8 +76,8 @@ def test_writer_rejects_what_json_rejects(value):
 def test_writer_on_every_fixture_report_with_every_section(name, mode):
     analysis = analyzed(name)
     obj = reference_report_obj(analysis, mode, EVERY_SECTION)
-    for depth in (0, 2):  # a single file's report, and one in a corpus payload
-        text = cli._report_json(cli.report_obj(analysis, mode, None),
+    for depth in range(5):  # a single file's report is at depth 0, one in a corpus payload at 2
+        text = cli._report_json(analysis.file, mode, cli.report_obj(analysis, mode, None),
                                 cli._sections(analysis, EVERY_SECTION, True, depth), depth)
         expected, written = _nested(obj, text, depth)
         assert written == expected
@@ -132,11 +131,11 @@ def _report_int_slots(analysis, mode) -> list:
     and `escim`, each function's `escim`, each leaf row's numbers, and each
     ledger row's scope, delta, ICN and SICN."""
     rep = cli.report_obj(analysis, mode, None)
-    values = [rep["loc"], rep["i_l"], rep["escim"]]
-    for fn in rep["functions"]:
-        values.append(fn["escim"])
-        for row in fn["granules"]:
-            values += [row["weight"], row["si"], row["ancestor_product"], row["term"]]
+    values = [rep.loc, rep.i_l, rep.escim]
+    for fn in rep.functions:
+        values.append(fn.escim)
+        for row in fn.leaves:
+            values += [row.weight, row.si, row.ancestor_product, row.term]
     led, variables = analysis.ledger, analysis.resolution.variables
     values += [variables[vid].scope for vid in analysis.resolution.occurrences.variable]
     return values + led.delta + led.icn_after + led.sicn_after
@@ -161,16 +160,16 @@ def test_every_value_written_through_a_d_slot_is_an_int():
             values = _report_int_slots(analysis, mode)
             assert all(type(v) is int for v in values), [v for v in values if type(v) is not int]
             checked += len(values)
+    broken = [text for source in sources for text in _broken(source)]
     spans = 0
-    for source in sources:
-        for text in _broken(source):
-            try:
-                analyze_source(text)
-            except (AnalysisError, EmptyProgram) as exc:
-                for mode in SiMode:
-                    span = cli.diagnostic_obj("f", mode, exc)["diagnostics"][0]["span"]
-                    if span is not None:
-                        slots = [span[k] for k in ("line_start", "col_start", "line_end", "col_end")]
-                        assert all(type(v) is int for v in slots), slots
-                        spans += 1
-    assert checked > 40_000 and spans > 1000, (checked, spans)
+    for text in broken:
+        try:
+            analyze_source(text)
+        except (AnalysisError, EmptyProgram) as exc:
+            span = getattr(exc, "span", None)
+            if span is not None:
+                slots = [span.line_start, span.col_start, span.line_end, span.col_end]
+                assert all(type(v) is int for v in slots), slots
+                spans += 1
+    # every broken text ends in a diagnostic with a span
+    assert checked > 40_000 and spans == len(broken) > 400, (checked, spans, len(broken))

@@ -190,7 +190,7 @@ def _reference_escim(analysis, weights, mode):
         rows = []
 
         def visit(g, product, parent):
-            if g.is_leaf:
+            if not g.children:
                 region = set(g.stmts)
                 if parent is not None and parent.header_carrier() is g:
                     region.add(parent.stmts[0])
