@@ -83,9 +83,6 @@ class Granule:
         do-while, whose condition follows its body; the first otherwise."""
         return self.children[-1] if self.kind is BcsKind.DO_WHILE else self.children[0]
 
-    def walk(self) -> Iterator["Granule"]:
-        return _preorder([self])
-
 
 class Leaf(NamedTuple):
     """What ESCIM reads of one leaf granule."""
@@ -110,16 +107,12 @@ class GranuleTree:
     erm: list[str]
 
     def walk(self) -> Iterator[Granule]:
-        return _preorder(self.roots[::-1])
-
-
-def _preorder(stack: list[Granule]) -> Iterator[Granule]:
-    """The granules of ``stack`` (the next one last) and their descendants, in
-    pre-order, by the explicit stack."""
-    while stack:
-        g = stack.pop()
-        yield g
-        stack += g.children[::-1]
+        """Every granule, in pre-order, by an explicit stack."""
+        stack = self.roots[::-1]  # the next one last
+        while stack:
+            g = stack.pop()
+            yield g
+            stack += g.children[::-1]
 
 
 def _leaf(stmts: tuple[int, ...] = ()) -> Granule:

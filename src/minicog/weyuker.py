@@ -9,17 +9,21 @@ across nesting levels; structured statements stay anchored).
 ``compose`` takes two parsed trees, ``permute`` program text. Both analyze
 the program text they build to validate it, and return that ``Analysis``;
 its ``source`` holds the new text, so callers never analyze it a second
-time. ``rename`` returns the new text.
+time. ``rename`` returns the new text. ``compose`` itself rejects parameters
+on ``main``, differing return types, differing global types and an aggregate
+initializer it cannot unify; a repeated struct, function or label is
+rejected when the composed text is resolved.
 
 The classical nine properties are checked over a pool of corpus programs
 plus seeded generated programs, each analyzed and scored once. The pool keeps
 each program's text, tree and scores, and each composition's text and scores;
-no analysis outlives its scoring. A checker scores every
-scope-information mode in one walk over its candidates (P6, whose candidates
-differ per mode, walks each mode's list once), so each transformed program is
-built and analyzed once. Existential properties report witnessed /
-no-witness-found; universal ones report holds-on-sample / refuted. Verdicts
-are data, never test failures.
+no analysis outlives its scoring. Each checker yields candidates, and one
+loop (``_verdicts``) decides every verdict from the property's quantifier:
+universal properties hold on the sample or are refuted, existential ones are
+witnessed or have no witness found. It scores every mode in one walk (P6,
+whose candidates differ per mode, walks each mode's own), so each
+transformed program is built and analyzed once. Verdicts are data, never
+test failures.
 """
 
 from __future__ import annotations
@@ -118,24 +122,9 @@ def compose(ptree: ast.SyntaxTree, qtree: ast.SyntaxTree) -> Analysis:
         raise ComposeError("entry functions disagree on return type")
 
     items: list = [item for item in ptree.items if item is not pmain]
-    seen_records = {item.name for item in items if item.__class__ is ast.RecordDef}
-    seen_funcs = {item.name for item in items if item.__class__ is ast.FuncDef}
     seen_globals = {item.name: item for item in items if item.__class__ is ast.DeclStmt}
-
     for item in qtree.items:
-        if item is qmain:
-            continue
-        if item.__class__ is ast.RecordDef:
-            if item.name in seen_records:
-                raise ComposeError(f"duplicate definition of struct '{item.name}'")
-            seen_records.add(item.name)
-            items.append(item)
-        elif item.__class__ is ast.FuncDef:
-            if item.name in seen_funcs:
-                raise ComposeError(f"duplicate definition of function '{item.name}'")
-            seen_funcs.add(item.name)
-            items.append(item)
-        elif item.__class__ is ast.DeclStmt:
+        if item.__class__ is ast.DeclStmt:
             prior = seen_globals.get(item.name)
             if prior is None:
                 seen_globals[item.name] = item
@@ -144,6 +133,8 @@ def compose(ptree: ast.SyntaxTree, qtree: ast.SyntaxTree) -> Analysis:
                 raise ComposeError(f"conflicting declarations of global '{item.name}'")
             # duplicate global: the earlier definition stands; the later
             # initializer is static data, not a body statement, and is dropped
+        elif item is not qmain:  # a repeated struct or function fails to resolve below
+            items.append(item)
 
     merged = _unify_decls(list(pmain.body.stmts) + list(qmain.body.stmts))
     items.append(ast.FuncDef(pmain.ret_type, "main", [], ast.Block(merged)))
@@ -347,6 +338,8 @@ class ValidatorPool:
 
 Verdicts = dict[SiMode, PropertyVerdict]
 
+_UNIVERSAL = frozenset({"2", "5", "8"})  # the rest are existential
+
 
 def _witness(pool: ValidatorPool, **parts) -> dict:
     """Witness data; the programs in roles p, q and r are given by pool index."""
@@ -354,25 +347,31 @@ def _witness(pool: ValidatorPool, **parts) -> dict:
             if role in ("p", "q", "r") else v for role, v in parts.items()}
 
 
-def _no_witness(mode: SiMode) -> PropertyVerdict:
-    return PropertyVerdict("no-witness-found")
-
-
-def _first_hits(modes: list[SiMode], candidates: Iterable, hit: Callable,
-                default: Callable[[SiMode], PropertyVerdict] = _no_witness) -> Verdicts:
-    """Walk the candidates once, in order. Each mode gets the verdict of the
-    first candidate that ``hit(candidate, mode)`` returns one for, and
-    ``default(mode)`` if none does. The walk stops once every mode has one."""
-    found = {}
+def _verdicts(prop: str, modes: list[SiMode], candidates: Iterable, hit: Callable,
+              note: str | None = None, tally: str | None = None) -> Verdicts:
+    """Walk the candidates once, in order; a None candidate is counted as skipped.
+    Each mode is decided by the first candidate ``hit(candidate, mode)`` returns a
+    witness for, and the walk stops once every mode is. Verdicts carry ``note``,
+    or if given, undecided ones ``tally`` filled with the counts checked and skipped."""
+    hit_status, open_status = (("refuted", "holds-on-sample") if prop in _UNIVERSAL
+                               else ("witnessed", "no-witness-found"))
+    witnesses = {}
+    walked = skipped = 0
     for candidate in candidates:
+        walked += 1
+        if candidate is None:
+            skipped += 1
+            continue
         for mode in modes:
-            if mode not in found:
-                verdict = hit(candidate, mode)
-                if verdict is not None:
-                    found[mode] = verdict
-        if len(found) == len(modes):
+            if mode not in witnesses:
+                witness = hit(candidate, mode)
+                if witness is not None:
+                    witnesses[mode] = witness
+        if len(witnesses) == len(modes):
             break
-    return {mode: found[mode] if mode in found else default(mode) for mode in modes}
+    open_note = note if tally is None else tally.format(walked - skipped, skipped)
+    return {mode: PropertyVerdict(hit_status, witnesses[mode], note) if mode in witnesses
+            else PropertyVerdict(open_status, note=open_note) for mode in modes}
 
 
 def check_property(prop: str, pool: ValidatorPool) -> Verdicts:
@@ -384,17 +383,15 @@ def _check_p1(prop, pool):
     def hit(j, mode):
         base, value = pool.esc(0, mode), pool.esc(j, mode)
         if value != base:
-            return PropertyVerdict("witnessed", _witness(pool, p=0, q=j, values=[base, value]))
-    return _first_hits(pool.modes, range(1, len(pool)), hit)
+            return _witness(pool, p=0, q=j, values=[base, value])
+    return _verdicts(prop, pool.modes, range(1, len(pool)), hit)
 
 
 def _check_p2(prop, pool):
     def hit(i, mode):
         if pool.esc(i, mode) < 0:
-            witness = _witness(pool, p=i, value=pool.esc(i, mode))
-            return PropertyVerdict("refuted", witness, note=_NOTE_P2)
-    return _first_hits(pool.modes, range(len(pool)), hit,
-                       lambda mode: PropertyVerdict("holds-on-sample", note=_NOTE_P2))
+            return _witness(pool, p=i, value=pool.esc(i, mode))
+    return _verdicts(prop, pool.modes, range(len(pool)), hit, _NOTE_P2)
 
 
 def _check_p3(prop, pool):
@@ -404,35 +401,33 @@ def _check_p3(prop, pool):
         value = pool.esc(j, mode)
         i = first_with_value[mode].setdefault(value, j)
         if i != j and pool.fp(i) != pool.fp(j):
-            return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, value=value))
-    return _first_hits(pool.modes, range(len(pool)), hit)
+            return _witness(pool, p=i, q=j, value=value)
+    return _verdicts(prop, pool.modes, range(len(pool)), hit)
 
 
 def _check_p4(prop, pool):
     names = [entry.name for entry in pool.entries]
     if "sum_loop.mc" not in names or "sum_formula.mc" not in names:
         note = "equivalent-pair fixtures not present in the corpus"
-        return {mode: PropertyVerdict("no-witness-found", note=note) for mode in pool.modes}
-    i, j = names.index("sum_loop.mc"), names.index("sum_formula.mc")
+        return _verdicts(prop, pool.modes, [], None, note)
     note = (
         "the loop and closed-form summation fixtures compute the same function by "
         "construction; equivalence is asserted by the fixture pair, not proven."
     )
 
-    def judge(mode):
-        vi, vj = pool.esc(i, mode), pool.esc(j, mode)
-        if vi == vj:
-            return PropertyVerdict("no-witness-found", note=note)
-        return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, values=[vi, vj]), note=note)
-    return {mode: judge(mode) for mode in pool.modes}
+    def hit(pair, mode):
+        vi, vj = pool.esc(pair[0], mode), pool.esc(pair[1], mode)
+        if vi != vj:
+            return _witness(pool, p=pair[0], q=pair[1], values=[vi, vj])
+    pair = names.index("sum_loop.mc"), names.index("sum_formula.mc")
+    return _verdicts(prop, pool.modes, [pair], hit, note)
 
 
 def _compositions(pool: ValidatorPool):
-    """(i, j, text of P;Q, its ESCIM per mode) for each pool pair that composes, in order."""
+    """(i, j, text of P;Q, its ESCIM per mode) per pool pair, in order; None if no P;Q."""
     for i, j in pool.pairs():
         combined = pool.composed(i, j)
-        if combined is not None:
-            yield i, j, *combined
+        yield None if combined is None else (i, j, *combined)
 
 
 def _check_p5(prop, pool):
@@ -440,15 +435,9 @@ def _check_p5(prop, pool):
         i, j, text, escim = candidate
         vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), escim[mode]
         if vpq < vi or vpq < vj:
-            values = {"p": vi, "q": vj, "pq": vpq}
-            witness = _witness(pool, p=i, q=j, values=values, composed=text)
-            return PropertyVerdict("refuted", witness)
-
-    def holds(mode):  # an open mode saw every pair, so each composition is cached
-        checked = sum(1 for _ in _compositions(pool))
-        return PropertyVerdict("holds-on-sample", note=f"{checked} composition pairs checked, "
-                               f"{len(pool.pairs()) - checked} skipped (composition conflicts)")
-    return _first_hits(pool.modes, _compositions(pool), hit, holds)
+            return _witness(pool, p=i, q=j, values={"p": vi, "q": vj, "pq": vpq}, composed=text)
+    return _verdicts(prop, pool.modes, _compositions(pool), hit,
+                     tally="{} composition pairs checked, {} skipped (composition conflicts)")
 
 
 def _equal_value_pairs(pool: ValidatorPool, mode: SiMode, cap: int) -> list[tuple[int, int]]:
@@ -465,25 +454,25 @@ def _equal_value_pairs(pool: ValidatorPool, mode: SiMode, cap: int) -> list[tupl
     return pairs
 
 
-def _check_p6(prop, pool):
-    # The pairs P, Q differ per mode, so each mode walks its own; compositions are cached.
-    after = prop == "6a"  # |P;R| vs |Q;R| if True, else |R;P| vs |R;Q|
+def _triples(pool: ValidatorPool, mode: SiMode, after: bool):
+    """(i, j, r, and the ESCIM of P;R and Q;R, or of R;P and R;Q if not ``after``) for
+    each P, Q of equal value in ``mode``; None where either does not compose."""
+    for i, j in _equal_value_pairs(pool, mode, cap=30):
+        for r in range(min(len(pool), 12)):
+            left = pool.composed(i, r) if after else pool.composed(r, i)
+            right = pool.composed(j, r) if after else pool.composed(r, j)
+            yield None if left is None or right is None else (i, j, r, left[1], right[1])
 
-    def judge(mode):
-        note = None if mode is SiMode.ABSOLUTE else _NOTE_P6_BASELINE
-        for i, j in _equal_value_pairs(pool, mode, cap=30):
-            for r in range(min(len(pool), 12)):
-                left = pool.composed(i, r) if after else pool.composed(r, i)
-                right = pool.composed(j, r) if after else pool.composed(r, j)
-                if left is None or right is None:
-                    continue
-                lv, rv = left[1][mode], right[1][mode]
-                if lv != rv:
-                    values = {"equal": pool.esc(i, mode), "left": lv, "right": rv}
-                    witness = _witness(pool, p=i, q=j, r=r, values=values)
-                    return PropertyVerdict("witnessed", witness, note=note)
-        return PropertyVerdict("no-witness-found", note=note)
-    return {mode: judge(mode) for mode in pool.modes}
+
+def _check_p6(prop, pool):
+    def hit(triple, mode):
+        i, j, r, left, right = triple
+        if left[mode] != right[mode]:
+            values = {"equal": pool.esc(i, mode), "left": left[mode], "right": right[mode]}
+            return _witness(pool, p=i, q=j, r=r, values=values)
+    return {mode: _verdicts(prop, [mode], _triples(pool, mode, prop == "6a"), hit,
+                            None if mode is SiMode.ABSOLUTE else _NOTE_P6_BASELINE)[mode]
+            for mode in pool.modes}
 
 
 def _permutations(pool: ValidatorPool):
@@ -518,9 +507,8 @@ def _check_p7(prop, pool):
         i, permuted = candidate
         before, after = pool.esc(i, mode), permuted.escim_value(mode, pool.weights)
         if after != before:
-            witness = _witness(pool, p=i, permuted=permuted.source, values=[before, after])
-            return PropertyVerdict("witnessed", witness)
-    return _first_hits(pool.modes, _permutations(pool), hit)
+            return _witness(pool, p=i, permuted=permuted.source, values=[before, after])
+    return _verdicts(prop, pool.modes, _permutations(pool), hit)
 
 
 def _rename_map(names: list[str]) -> dict[str, str]:
@@ -538,9 +526,8 @@ def _check_p8(prop, pool):
         after = (renamed.escim_value(mode, pool.weights), renamed.ledger.i_l, renamed.loc)
         if before + (entry.si_program[mode],) != after + (renamed.si_program(mode),):
             values = {key: [b, a] for key, b, a in zip(("escim", "i_l", "loc"), before, after)}
-            witness = _witness(pool, p=i, renamed=renamed.source, values=values)
-            return PropertyVerdict("refuted", witness)
-    return _first_hits(pool.modes, renamings, hit, lambda mode: PropertyVerdict("holds-on-sample"))
+            return _witness(pool, p=i, renamed=renamed.source, values=values)
+    return _verdicts(prop, pool.modes, renamings, hit)
 
 
 def _check_p9(prop, pool):
@@ -548,9 +535,8 @@ def _check_p9(prop, pool):
         i, j, _, escim = candidate
         vi, vj, vpq = pool.esc(i, mode), pool.esc(j, mode), escim[mode]
         if vi + vj <= vpq:
-            values = {"p": vi, "q": vj, "pq": vpq}
-            return PropertyVerdict("witnessed", _witness(pool, p=i, q=j, values=values))
-    return _first_hits(pool.modes, _compositions(pool), hit)
+            return _witness(pool, p=i, q=j, values={"p": vi, "q": vj, "pq": vpq})
+    return _verdicts(prop, pool.modes, _compositions(pool), hit)
 
 
 _CHECKERS = {  # in matrix row order

@@ -413,10 +413,19 @@ def ordinals_of(analysis, anchors) -> range:
     return region
 
 
+def subtree(granule):
+    """The granule and every granule below it, in pre-order."""
+    stack = [granule]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += g.children[::-1]
+
+
 def granule_region(analysis, granule) -> range:
     """The range spanning a granule's leaves: the ordinals of every statement
     it covers, its own header included."""
-    return ordinals_of(analysis, {nid for g in granule.walk() for nid in g.stmts})
+    return ordinals_of(analysis, {nid for g in subtree(granule) for nid in g.stmts})
 
 
 def whole(ledger) -> range:

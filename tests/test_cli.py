@@ -6,11 +6,12 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import CORPUS, FULL_GRAMMAR, REPO, corpus_names, fixture_source, run_cli
-from minicog import analyze_source, cli
+from minicog import ComposeError, analyze_source, cli
 from minicog.generator import generate
 from minicog.ledger import SiMode
 
@@ -52,6 +53,22 @@ def test_unknown_flag_exits_2():
 def test_unknown_emit_section_exits_2():
     proc = run_cli("analyze", "corpus/unit.mc", "--emit", "metrics,nonsense")
     assert proc.returncode == 2
+    assert b"unknown emit sections: ['nonsense']" in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_two_inputs_without_corpus_flag_exit_2():
+    proc = run_cli("analyze", "corpus/unit.mc", "corpus/example1.mc")
+    assert proc.returncode == 2
+    assert b"analyze expects exactly one input file" in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_weyuker_missing_corpus_directory_exits_2():
+    proc = run_cli("weyuker", "--corpus", "nowhere")
+    assert proc.returncode == 2
+    assert b"corpus directory not found: nowhere" in proc.stderr
+    assert proc.stdout == b""
 
 
 def test_analysis_diagnostics_exit_1(tmp_path):
@@ -96,6 +113,14 @@ def test_duplicate_record_definitions_exit_1(tmp_path, source, message, col):
     diag = json.loads(proc.stdout)["diagnostics"][0]
     assert diag["message"] == message
     assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
+
+
+def test_nested_member_access_exits_1(tmp_path):
+    (tmp_path / "nested.mc").write_text("struct P { int a; };\nint main() { P p; p.a.b = 1; }\n")
+    proc = run_cli("analyze", "nested.mc", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert b"nested.mc:2:19: nested member access is not supported" in proc.stdout
+    assert b"Traceback" not in proc.stderr
 
 
 def test_input_ending_inside_a_switch_body_is_a_diagnostic(tmp_path):
@@ -411,6 +436,39 @@ def test_weyuker_text_and_json_shapes():
         "2d4774d29d5c0fdfd5b796921086d4865ba88a16563c7e609043967de582d060"
     assert hashlib.sha256(text.stdout).hexdigest() == \
         "a48c8ba12bb434cc2f66b34ed7e6f96c46cb73c6720dc12e7b2316f6571dfc20"
+
+
+def test_benchmark_matrix_bytes_and_transformation_counts(monkeypatch, capsys):
+    # the benchmark's weyuker workload, in-process: its pinned seed-0 digest, the
+    # text form's, and how many programs the checks compose, rename and permute
+    from minicog import weyuker
+
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(weyuker, name)
+
+        def call(*args):
+            calls[name] += 1
+            try:
+                return real(*args)
+            except ComposeError:
+                calls["ComposeError"] += 1
+                raise
+        monkeypatch.setattr(weyuker, name, call)
+
+    for name in ("compose", "rename", "permute"):
+        counted(name)
+    monkeypatch.chdir(REPO)
+    pinned = json.loads((REPO / "perfbench" / "digests.json").read_text())["sha256"]
+    argv = ["weyuker", "--corpus", "corpus", "--seed", "0", "--count", "500", "--format"]
+    assert cli.main(argv + ["json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned["weyuker_matrix"]
+    assert calls == {"compose": 313, "ComposeError": 19, "rename": 200, "permute": 6}
+    assert cli.main(argv + ["text"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "f714fe407ff8ddded131dfcd490155a0aa60cd8eaa1b9e016dd6c26b495ae123"
 
 
 @pytest.mark.parametrize("source, where", [

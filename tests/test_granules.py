@@ -8,7 +8,7 @@ from minicog import analyze_source, detect_recursion, parse_source, resolve
 from minicog import ast
 from minicog.granules import BcsKind
 
-from conftest import analyzed, corpus_names, ordinals_of
+from conftest import analyzed, corpus_names, ordinals_of, subtree
 
 
 def shape(granule):
@@ -137,7 +137,7 @@ def test_leaves_are_linear(name):
 
 def _covered(granule) -> set[int]:
     """The statement ids a granule covers: its own and those of every granule below it."""
-    return {nid for g in granule.walk() for nid in g.stmts}
+    return {nid for g in subtree(granule) for nid in g.stmts}
 
 
 @pytest.mark.parametrize("name", corpus_names())

@@ -135,6 +135,15 @@ def test_array_markers_print_where_the_parser_reads_them():
     assert roundtrips(source)
 
 
+def test_local_record_arrays_and_an_assigning_for_init_print_and_roundtrip():
+    source = ("struct P { int a; };\n"
+              "int main() { int i; P[3] ps; P[] qs; for (i = 0; i < 3; i++) ps[i].a = i; }\n")
+    text = pretty_print(parse_source(source))
+    assert "    P ps[3];\n    P qs[];\n" in text
+    assert "    for (i = 0; i < 3; i++)\n" in text
+    assert roundtrips(source)
+
+
 def test_empty_program_prints_one_newline():
     assert pretty_print(ast.SyntaxTree([])) == "\n"
 

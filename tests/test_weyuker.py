@@ -1,10 +1,12 @@
 import gc
+import hashlib
+import json
 from collections import Counter
 
 import pytest
 
 from minicog import (
-    Analysis, ComposeError, InvalidPermutation, RenameCollision, analyze_source, parse_source,
+    Analysis, ComposeError, InvalidPermutation, RenameCollision, analyze_source, cli, parse_source,
 )
 from minicog.ast import fingerprint
 from minicog import weyuker
@@ -60,6 +62,35 @@ def test_compose_conflicts():
     labeled = parse_source("int main() { int i = 0; top: i++; if (i < 3) goto top; }")
     with pytest.raises(ComposeError, match="composition does not resolve: label 'top'"):
         compose(labeled, labeled)  # P;P defines P's label twice in one `main`
+
+
+@pytest.mark.parametrize("p, q, message", [
+    ("int main(int a) { }", "int main() { }", "entry functions must not take parameters"),
+    ("int main() { }", "int main(int a) { }", "entry functions must not take parameters"),
+    ("int main() { }", "float main() { }", "entry functions disagree on return type"),
+    ("int g;\nint main() { }", "float g;\nint main() { }", "conflicting declarations of global 'g'"),
+    ("int main() { int k[2] = {1, 2}; }", "int main() { int k[2] = {3, 4}; }",
+     "cannot unify aggregate initializer of 'k'"),
+    # a repeated struct or function is left to the resolver
+    ("struct S { int a; };\nint main() { }", "struct S { int a; };\nint main() { }",
+     "composition does not resolve: struct 'S' already defined"),
+    ("int f() { return 1; }\nint main() { }", "int f() { return 1; }\nint main() { }",
+     "composition does not resolve: function 'f' already defined"),
+], ids=["p-main-params", "q-main-params", "return-types", "global-types", "aggregate-init",
+        "repeated-struct", "repeated-function"])
+def test_compose_conflict_messages(p, q, message):
+    with pytest.raises(ComposeError) as info:
+        compose(parse_source(p), parse_source(q))
+    assert str(info.value) == message
+
+
+def test_compose_carries_a_struct_of_q_into_p_then_q():
+    p = "int main() { int a = 1; }"
+    q = "struct S { int x; };\nint main() { S s; s.x = 2; print(s.x); }"
+    combined = compose(parse_source(p), parse_source(q))
+    assert combined.source.startswith("struct S\n{\n    int x;\n};\n")
+    assert combined.escim_value() == \
+        analyze_source(p).escim_value() + analyze_source(q).escim_value()
 
 
 def test_compose_is_associative_on_corpus():
@@ -260,6 +291,65 @@ def test_p9_absolute_inequality_and_disjoint_equality():
     val = lambda src: analyze_source(src).escim_value(SiMode.ABSOLUTE)
     assert compose(parse_source(p), parse_source(r)).escim_value(SiMode.ABSOLUTE) >= val(p) + val(r)
     assert compose(parse_source(p), parse_source(q)).escim_value(SiMode.ABSOLUTE) == val(p) + val(q)
+
+
+@pytest.fixture(scope="module")
+def planted_matrix():
+    """Rows 2, 5 and 8 over a pool whose scores are overwritten so that each
+    universal property is refuted, in one mode or in all."""
+    corpus = corpus_pairs()[:4]
+    pool = ValidatorPool(corpus, seed=0, n_generated=3)
+    pool.entries[5].escim[SiMode.DELTA] = -1  # P2: gen-1 measures below zero
+    pool.composed(1, 3)[1][SiMode.MINMAX] = 14  # P5: below example4.mc's 15
+    pool.entries[2].i_l += 1  # P8: example3.mc's I(L) no longer survives a renaming
+    return weyuker.MatrixResult(seed=0, generated=3, corpus=[name for name, _ in corpus],
+                                modes=pool.modes,
+                                verdicts={prop: check_property(prop, pool) for prop in "258"})
+
+
+def test_planted_scores_refute_p2_p5_and_p8(planted_matrix):
+    p2, p5, p8 = (planted_matrix.verdicts[prop] for prop in "258")
+    assert [p2[mode].status for mode in SiMode] == ["refuted", "holds-on-sample", "holds-on-sample"]
+    assert p2[SiMode.DELTA].witness["p"]["name"] == "gen-1"
+    assert p2[SiMode.DELTA].witness["value"] == -1
+    assert all(p2[mode].note == weyuker._NOTE_P2 for mode in SiMode)
+
+    assert [p5[mode].status for mode in SiMode] == ["holds-on-sample", "refuted", "holds-on-sample"]
+    refuted = p5[SiMode.MINMAX]
+    assert (refuted.witness["p"]["name"], refuted.witness["q"]["name"]) == \
+        ("example2.mc", "example4.mc")
+    assert refuted.witness["values"] == {"p": 6, "q": 15, "pq": 14}
+    assert refuted.note is None
+    for mode in (SiMode.DELTA, SiMode.ABSOLUTE):  # 18 pairs: (2, 2), (4, 5) and (5, 6) conflict
+        assert p5[mode].note == "15 composition pairs checked, 3 skipped (composition conflicts)"
+
+    for mode in SiMode:
+        assert p8[mode].status == "refuted"
+        assert p8[mode].witness["p"]["name"] == "example3.mc"
+        assert p8[mode].witness["values"]["i_l"] == [39, 38]
+
+
+def test_p5_lists_the_pairs_once_and_counts_its_skips_in_that_walk(monkeypatch):
+    pool = ValidatorPool(corpus_pairs()[:4], seed=0, n_generated=3)
+    listed = []
+    real_pairs = pool.pairs
+    monkeypatch.setattr(pool, "pairs", lambda: listed.append(1) or real_pairs())
+    verdicts = check_property("5", pool)
+    assert len(listed) == 1
+    for mode in SiMode:
+        assert verdicts[mode].status == "holds-on-sample"
+        assert verdicts[mode].note == \
+            "15 composition pairs checked, 3 skipped (composition conflicts)"
+
+
+def test_refuted_matrix_bytes_are_pinned(planted_matrix):
+    obj = json.dumps(cli._matrix_obj(planted_matrix), indent=2)
+    text = "\n".join(cli._matrix_text(planted_matrix))
+    assert "refuted" in obj and "refuted" in text
+    assert hashlib.sha256(obj.encode()).hexdigest() == \
+        "faaeeae694b8a31ba02c985f52631de7e9e36fe3f0b80570ee124f4beed13005"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "c731f81d910473d90e4fe40a9f39a01facb5ccefbbee835aa93600fb5b8fa65c"
 
 
 def test_empty_pool_yields_no_witnesses():
