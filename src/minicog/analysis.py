@@ -29,7 +29,6 @@ from .scopes import Resolution, resolve
 
 @dataclass
 class Analysis:
-    file: str
     source: str
     tree: SyntaxTree | None  # None once released; nothing in a report reads it
     resolution: Resolution
@@ -58,4 +57,4 @@ def analyze_source(source: str, file: str = "<input>") -> Analysis:
     resolution = resolve(tree)
     ledger = build_ledger(resolution)
     granules = decompose(tree, resolution)
-    return Analysis(file, source, tree, resolution, ledger, granules, lines)
+    return Analysis(source, tree, resolution, ledger, granules, lines)

@@ -2,15 +2,16 @@
 
 Nodes are dataclasses with ``__slots__``. Positions and node ids are attached
 after construction: the parser stores each node's ``start`` and ``end``
-source offsets and its file's shared ``SourceMap``, and ``SyntaxTree.finalize``
-numbers every node in depth-first source order and lists the nodes in that
-order, so ``tree.nodes[nid]`` is the node numbered ``nid``; the later stages
-name nodes by id and keep no reference to the tree. The tree keeps no parent
-links: no stage reads them (the parser checks string literals as it builds
-calls), and ``child_nodes`` gives them to whoever needs them.
-``Node.span`` builds a ``SourceSpan`` from the offsets only when it is
-read, which on the success path nothing does. Structural equality (ignoring
-positions and ids) goes through ``fingerprint``.
+source offsets, and ``SyntaxTree.finalize`` numbers every node in depth-first
+source order and lists the nodes in that order, so ``tree.nodes[nid]`` is the
+node numbered ``nid``; the later stages name nodes by id and keep no
+reference to the tree. A node holds nothing else of its position: the tree
+holds its file's ``SourceMap`` once, and ``tree.span(node)`` builds a node's
+``SourceSpan`` from the offsets only when it is asked for, which on the
+success path nothing does. The tree keeps no parent links: no stage reads
+them (the parser checks string literals as it builds calls), and
+``child_nodes`` gives them to whoever needs them. Structural equality
+(ignoring positions and ids) goes through ``fingerprint``.
 
 Tree walks are table-driven, from tables read from the dataclass fields once
 at import: ``NODE_FIELDS`` holds each node class's field names (without the
@@ -38,16 +39,7 @@ class Node:
     # source offsets of the node's first character and one past its last
     start: int = field(default=0, init=False, repr=False)
     end: int = field(default=0, init=False, repr=False)
-    source_map: Optional[SourceMap] = field(default=None, init=False, repr=False)
     nid: int = field(default=-1, init=False, repr=False)
-
-    @property
-    def span(self) -> Optional[SourceSpan]:
-        """The node's source span, built on each read; None for a node the
-        parser did not make."""
-        if self.source_map is None:
-            return None
-        return self.source_map.span(self.start, self.end)
 
 
 # ---------------------------------------------------------------- types
@@ -311,10 +303,15 @@ _CHILDREN_REVERSED = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
 
 @dataclass(eq=False)
 class SyntaxTree:
-    """A parsed file: its top-level items and, once finalized, its nodes listed by id."""
+    """A file's top-level items, its source map (None for a tree the parser
+    did not make) and, once finalized, its nodes listed by id."""
     items: list
-    file: str = "<input>"
+    source_map: Optional[SourceMap] = field(default=None, repr=False)
     nodes: list[Node] = field(default_factory=list, repr=False)  # indexed by node id
+
+    def span(self, node: Node) -> Optional[SourceSpan]:
+        """The source span of one of the tree's nodes, built on each call."""
+        return None if self.source_map is None else self.source_map.span(node.start, node.end)
 
     def finalize(self) -> "SyntaxTree":
         """Assign depth-first node ids and list the nodes by id, by an explicit stack."""

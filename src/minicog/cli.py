@@ -22,7 +22,6 @@ from pathlib import Path
 from .analysis import Analysis, analyze_source
 from .errors import AnalysisError, EmptyProgram
 from .generator import generate
-from .granules import BcsKind
 from .ledger import SiMode
 from .metrics import MetricsReport, WeightTable
 from .weyuker import MatrixResult, run_matrix
@@ -179,9 +178,6 @@ def _report_json(file: str, mode: SiMode, rep: MetricsReport, sections: list[str
 # per granule: most of a report. They are written from the analysis's columns
 # and granule trees.
 
-_KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in BcsKind}
-
-
 def _row_name(variables: dict, vid: int, member: str | None) -> str:
     """What a ledger row shows as its variable: the name, or `name.member`."""
     name = variables[vid].name
@@ -237,7 +233,7 @@ def _write_granules(granules, depth: int, out: list[str]) -> None:
             stmts = _json_array(list(map(str, g.stmts)), depth + 2)
             stack.append((g.children, depth + 2, tail))
             stack.append(("," if i else "[") + item + head % (
-                encode_basestring_ascii(g.label), _KIND_JSON[g.kind], stmts))
+                encode_basestring_ascii(g.label), encode_basestring_ascii(g.kind), stmts))
 
 
 def _write_granule_trees(analysis: Analysis, depth: int, out: list[str]) -> None:
@@ -260,7 +256,7 @@ def _granules_text(analysis: Analysis, lines: list[str]) -> None:
         while stack:
             g, depth = stack.pop()
             # stmts print as a list, `[3]`, as the report's JSON has them
-            lines.append("    " + "  " * depth + f"{g.label} [{g.kind.value}] stmts={list(g.stmts)}")
+            lines.append("    " + "  " * depth + f"{g.label} [{g.kind}] stmts={list(g.stmts)}")
             stack.extend((child, depth + 1) for child in reversed(g.children))
 
 

@@ -27,13 +27,14 @@ child leaf, and a do-while condition just after its last one.
 Decomposition also prepares what ESCIM reads of each function, none of which
 depends on the SI mode or the weights: the leaf list (``Leaf``: label,
 region, enclosing structured kinds, call and goto counts) and the ERM lines.
-Scoring a mode is then one SI scan per leaf (``minicog.metrics.escim``).
+Scoring a mode is then one SI scan per leaf (``minicog.metrics.escim``). A
+kind is a plain string, a ``BcsKind`` constant: granules, leaves, the weight
+table and the reports all hold the same string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, NamedTuple, Sequence
 
 from . import ast
@@ -42,7 +43,9 @@ from .erm import serialize_erm
 from .scopes import Resolution
 
 
-class BcsKind(str, Enum):
+class BcsKind:
+    """The kinds of basic control structure: the strings that name them in
+    weight tables, leaf rows and granule reports."""
     LINEAR = "linear"
     GOTO = "goto"
     IF = "if"
@@ -59,7 +62,6 @@ SIMPLE_STMTS = frozenset({
     ast.DeclStmt, ast.ExprStmt, ast.ReturnStmt, ast.BreakStmt,
     ast.ContinueStmt, ast.GotoStmt, ast.EmptyStmt,
 })
-_KIND_VALUE = {kind: kind.value for kind in BcsKind}  # read without the enum's descriptor
 _STRUCTURED_KIND = {
     ast.IfStmt: BcsKind.IF,
     ast.SwitchStmt: BcsKind.CASE,
@@ -72,7 +74,7 @@ _STRUCTURED_KIND = {
 @dataclass(eq=False, slots=True)
 class Granule:
     label: str
-    kind: BcsKind
+    kind: str                             # a BcsKind
     stmts: tuple[int, ...]                # leaf: covered statement ids; structured: (own id,)
     # a leaf keeps the shared empty tuples: there are many leaves, and they are alive with the report
     children: Sequence["Granule"] = ()
@@ -81,15 +83,15 @@ class Granule:
     def header_carrier(self) -> "Granule":
         """The child leaf that carries the header occurrences: the last for a
         do-while, whose condition follows its body; the first otherwise."""
-        return self.children[-1] if self.kind is BcsKind.DO_WHILE else self.children[0]
+        return self.children[-1] if self.kind == BcsKind.DO_WHILE else self.children[0]
 
 
 class Leaf(NamedTuple):
     """What ESCIM reads of one leaf granule."""
     label: str
-    kind: str                        # the BcsKind value
+    kind: str                        # a BcsKind
     region: range                    # ordinals of its occurrences, carried header included
-    enclosing: tuple[BcsKind, ...]   # kinds of the structured granules around it, outermost first
+    enclosing: tuple[str, ...]       # kinds of the structured granules around it, outermost first
     calls: int                       # user-function calls anchored in the leaf or its header
     gotos: int                       # goto statements among the leaf's statements
 
@@ -152,27 +154,27 @@ def _build(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) 
     sibling positions, and return the leaves in pre-order."""
     runs, calls_by_anchor = resolution.runs, resolution.calls_by_anchor
     out: list[Leaf] = []
-    stack: list[tuple[Granule, str, tuple[BcsKind, ...], Granule | None]] = [
+    stack: list[tuple[Granule, str, tuple[str, ...], Granule | None]] = [
         (root, str(i), (), None) for i, root in reversed(list(enumerate(roots, start=1)))
     ]
     while stack:
         g, path, enclosing, parent = stack.pop()
         g.label = f"G{path}" if parent is None else f"G({path})"
         kind = g.kind
-        if kind is not BcsKind.LINEAR:
+        if kind != BcsKind.LINEAR:
             stmt = nodes[g.stmts[0]]
-            if kind is BcsKind.IF:
+            if kind == BcsKind.IF:
                 arms = [[stmt.then]] if stmt.orelse is None else [[stmt.then], [stmt.orelse]]
-            elif kind is BcsKind.CASE:
+            elif kind == BcsKind.CASE:
                 arms = [arm.body for arm in stmt.arms] or [[]]
             else:
                 arms = [[stmt.body]]
             arm_lists = [_level(arm) or [_leaf()] for arm in arms]
             # The header-carrying position must be a leaf.
-            if kind is BcsKind.DO_WHILE:
-                if arm_lists[-1][-1].kind is not BcsKind.LINEAR:
+            if kind == BcsKind.DO_WHILE:
+                if arm_lists[-1][-1].kind != BcsKind.LINEAR:
                     arm_lists[-1].append(_leaf())
-            elif arm_lists[0][0].kind is not BcsKind.LINEAR:
+            elif arm_lists[0][0].kind != BcsKind.LINEAR:
                 arm_lists[0].insert(0, _leaf())
             g.children, g.arm_starts = [], []
             for arm in arm_lists:
@@ -195,7 +197,7 @@ def _build(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) 
         gotos = 0
         for nid in g.stmts:
             gotos += nodes[nid].__class__ is ast.GotoStmt
-        out.append(Leaf(g.label, _KIND_VALUE[g.kind], region, enclosing, calls, gotos))
+        out.append(Leaf(g.label, g.kind, region, enclosing, calls, gotos))
     return out
 
 

@@ -13,15 +13,15 @@ current values, which is what region minima/maxima are taken over.
 
 The ledger is stored as int columns beside the resolver's occurrence columns
 (``minicog.scopes.Occurrences``), indexed by the same ordinal: ``delta``,
-``icn_after``, ``sicn_after`` and ``sicn_before`` (``sicn_after`` less
-``delta``). The columns are the only way to read the ledger; ``entries`` is
-the range of its ordinals.
+``icn_after`` and ``sicn_after``. A value before an occurrence is not stored:
+it is ``sicn_after`` less ``delta``. The columns are the only way to read the
+ledger; ``entries`` is the range of its ordinals.
 
 A region is one range of occurrence ordinals (see ``minicog.granules``), so
 scoring it scans that range of the columns. Every delta is at least zero, so
 a variable's SICN never falls along the stream. Inside a region, then, its
-first occurrence holds its lowest value (and, in ``sicn_before``, its value
-just before the region), and its last occurrence holds its highest value.
+first occurrence holds its lowest value (and, less its delta, its value just
+before the region), and its last occurrence holds its highest value.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class OccurrenceLedger:
     delta: list[int]
     icn_after: list[int]
     sicn_after: list[int]
-    sicn_before: list[int]
     i_l: int  # I(L) of the whole program, read off the final name counts
 
     @property
@@ -57,8 +56,9 @@ class OccurrenceLedger:
         of occurrence ordinals (a leaf's ``Leaf.region``).
 
         One scan of the region keeps each variable's highest value (from its
-        last occurrence) and, but in absolute mode, its lowest (from its
-        first occurrence; in delta mode, the value before the region).
+        last occurrence) and, but in absolute mode, its first occurrence,
+        which holds its lowest value; in delta mode, that value less the
+        occurrence's delta, the value before the region.
         """
         variable, after = self.resolution.occurrences.variable, self.sicn_after
         high: dict[int, int] = {}
@@ -66,12 +66,12 @@ class OccurrenceLedger:
             for i in anchors:
                 high[variable[i]] = after[i]
             return sum(high.values())
-        lows = self.sicn_before if mode is SiMode.DELTA else after
+        delta = self.delta if mode is SiMode.DELTA else None
         low: dict[int, int] = {}
         for i in anchors:
             vid = variable[i]
             if vid not in low:
-                low[vid] = lows[i]
+                low[vid] = after[i] if delta is None else after[i] - delta[i]
             high[vid] = after[i]
         return sum(high.values()) - sum(low.values())
 
@@ -86,21 +86,17 @@ def build_ledger(resolution: Resolution) -> OccurrenceLedger:
     delta: list[int] = []
     icn_after: list[int] = []
     sicn_after: list[int] = []
-    sicn_before: list[int] = []
     occ = resolution.occurrences
     for vid, role, ops in zip(occ.variable, occ.role, occ.op_unit):
         name = name_of[vid]
-        before = var_count[vid]
         if role == ROLE_TARGET:
             step = 1 + ops
             name_count[name] += step
-            var_count[vid] = before + step
+            var_count[vid] += step
         else:
             step = 0
         delta.append(step)
         icn_after.append(name_count[name])
         sicn_after.append(var_count[vid])
-        sicn_before.append(before)
     # A name's ICN only grows, so its highest value is its final count.
-    return OccurrenceLedger(resolution, delta, icn_after, sicn_after, sicn_before,
-                            i_l=sum(name_count))
+    return OccurrenceLedger(resolution, delta, icn_after, sicn_after, i_l=sum(name_count))

@@ -44,12 +44,9 @@ DEFAULT_WEIGHTS: dict[str, int] = {
 }
 
 
-_KIND_NAMES = tuple((kind, kind.value) for kind in BcsKind)  # iterating the enum is slow
-
-
 class WeightTable:
-    """Total map from BCS kind to a positive integer weight, read through
-    ``by_kind``, which is built once with the table."""
+    """Total map from BCS kind to a positive integer weight: ``by_kind``,
+    the validated dict, keyed by the kinds' names."""
 
     def __init__(self, weights: dict[str, int] | None = None):
         table = dict(DEFAULT_WEIGHTS)
@@ -61,7 +58,7 @@ class WeightTable:
         for kind, weight in table.items():
             if type(weight) is not int or weight < 1:  # bool is an int subclass
                 raise ValueError(f"weight for {kind!r} must be an integer >= 1, got {weight!r}")
-        self.by_kind = {kind: table[name] for kind, name in _KIND_NAMES}
+        self.by_kind = table
 
     @classmethod
     def from_file(cls, path) -> "WeightTable":

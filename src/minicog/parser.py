@@ -29,9 +29,9 @@ reported first) the earliest one left is the error.
 
 The parser reads the lexer's ``kinds`` and ``texts`` lists by token index,
 with an end sentinel on them while it runs, so no lookahead needs a bounds
-check. Each node stores its start and end source offsets and the file's
-shared ``SourceMap``; a ``SourceSpan`` is built only for a diagnostic, from
-the offending token's index.
+check. Each node stores its start and end source offsets, and the tree the
+file's ``SourceMap``; a ``SourceSpan`` is built only for a diagnostic, from
+the offending token's index or node.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class _Parser:
         self.kinds = tokens.kinds  # the lists themselves: see `parse_program`
         self.texts = tokens.texts
         self.starts = tokens.starts
-        self.source_map = tokens.source_map
         self.pos = 0
         # string literals not (yet) a direct argument of print, in source order
         self.strings: dict[Literal, None] = {}
@@ -95,7 +94,6 @@ class _Parser:
         last = self.pos - 1
         node.start = self.starts[start_idx]
         node.end = self.starts[last] + len(self.texts[last])
-        node.source_map = self.source_map
         return node
 
     # ------------------------------------------------------------ items
@@ -112,7 +110,7 @@ class _Parser:
                 items.append(self.parse_item())
         finally:
             del self.kinds[-1], self.texts[-1]
-        return SyntaxTree(items, file=self.source_map.file)
+        return SyntaxTree(items, self.tokens.source_map)
 
     def parse_item(self):
         if self.texts[self.pos] == "struct":
@@ -462,7 +460,7 @@ def parse(tokens: Tokens) -> SyntaxTree:
     parser = _Parser(tokens)
     tree = parser.parse_program()
     for literal in parser.strings:  # the earliest misplaced string literal, if any
-        raise ParseError("string literal only allowed as a print argument", literal.span)
+        raise ParseError("string literal only allowed as a print argument", tree.span(literal))
     return tree.finalize()
 
 

@@ -8,7 +8,8 @@ always binds in the global scope. Functions are visible program-wide so that
 mutually recursive definitions resolve. Labels belong to their function: a
 label is defined once in it, and a ``goto`` names a label of its own function
 (C11 6.8.1 and 6.8.6.1). A struct is defined once, and a field name is
-declared once in its struct (6.7.2.3p1 and 6.7p3).
+declared once in its struct (6.7.2.3p1 and 6.7p3). A global variable and a
+function do not share a name (6.7p4).
 
 A scope only keeps same-named variables distinct, so no scope outlives the
 walk: ``ScopedVariable.scope`` numbers scopes in the order they are entered.
@@ -34,12 +35,14 @@ do-while condition after it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import ast
 from .ast import SyntaxTree
 # the classes `walk_unit` dispatches on, as globals of this module: a load each, not two
 from .ast import Assign, Binary, Call, CompoundAssign, Decrement, Increment, Literal, Unary, VarRef
 from .errors import DuplicateDeclaration, UnresolvedName
+from .lexer import SourceSpan
 
 BUILTINS = frozenset({"print", "read"})
 
@@ -87,7 +90,8 @@ class Resolution:
 
 
 class _Resolver:
-    def __init__(self) -> None:
+    def __init__(self, span: Callable[[ast.Node], SourceSpan | None]) -> None:
+        self.span = span  # the tree's `SyntaxTree.span`, for a diagnostic
         self.scope_vars: dict[int, dict[str, int]] = {}
         self.stack: list[int] = []
         self.variables: dict[int, ScopedVariable] = {}
@@ -110,7 +114,7 @@ class _Resolver:
     def declare(self, name: str, type_name: str, node: ast.Node) -> int:
         sid = self.stack[-1]
         if name in self.scope_vars[sid]:
-            raise DuplicateDeclaration(f"'{name}' already declared in this scope", node.span)
+            raise DuplicateDeclaration(f"'{name}' already declared in this scope", self.span(node))
         is_record = type_name in self.records
         members = tuple(f.name for f in self.records[type_name].fields) if is_record else ()
         vid = len(self.variables)
@@ -123,17 +127,17 @@ class _Resolver:
             vid = self.scope_vars[sid].get(node.name)
             if vid is not None:
                 return vid
-        raise UnresolvedName(f"undeclared name '{node.name}'", node.span)
+        raise UnresolvedName(f"undeclared name '{node.name}'", self.span(node))
 
     def lookup_global(self, node: ast.GlobalRef) -> int:
         vid = self.scope_vars[0].get(node.name)
         if vid is None:
-            raise UnresolvedName(f"no global named '{node.name}'", node.span)
+            raise UnresolvedName(f"no global named '{node.name}'", self.span(node))
         return vid
 
     def check_type(self, ty: ast.TypeRef) -> None:
         if ty.name not in ("int", "float", "bool") and ty.name not in self.records:
-            raise UnresolvedName(f"unknown type '{ty.name}'", ty.span)
+            raise UnresolvedName(f"unknown type '{ty.name}'", self.span(ty))
 
     # ------------------------------------------------------------ occurrences
 
@@ -171,7 +175,7 @@ class _Resolver:
                 node = node.base
             elif cls is ast.Member:
                 if member is not None:
-                    raise UnresolvedName("nested member access is not supported", node.span)
+                    raise UnresolvedName("nested member access is not supported", self.span(node))
                 member = node.member
                 node = node.obj
             elif cls is ast.VarRef:
@@ -181,11 +185,11 @@ class _Resolver:
                 vid = self.lookup_global(node)
                 break
             else:
-                raise UnresolvedName("invalid assignment target", node.span)
+                raise UnresolvedName("invalid assignment target", self.span(node))
         if member is not None:
             var = self.variables[vid]
             if not var.is_record or member not in var.members:
-                raise UnresolvedName(f"'{member}' is not a member of '{var.name}'", expr.span)
+                raise UnresolvedName(f"'{member}' is not a member of '{var.name}'", self.span(expr))
         return vid, member, reads
 
     def walk_unit(self, exprs: list[ast.Expr | None], anchor: int, declared: int | None = None) -> None:
@@ -224,7 +228,7 @@ class _Resolver:
             elif cls is Call:
                 if expr.callee not in BUILTINS:
                     if expr.callee not in self.call_graph:
-                        raise UnresolvedName(f"unknown function '{expr.callee}'", expr.span)
+                        raise UnresolvedName(f"unknown function '{expr.callee}'", self.span(expr))
                     if self.current_function is not None:
                         self.call_graph[self.current_function].add(expr.callee)
                     self.calls_by_anchor[anchor] = self.calls_by_anchor.get(anchor, 0) + 1
@@ -303,7 +307,7 @@ class _Resolver:
         elif cls is ast.LabeledStmt:
             if stmt.label in self.labels:
                 raise DuplicateDeclaration(f"label '{stmt.label}' already defined in this function",
-                                           stmt.span)
+                                           self.span(stmt))
             self.labels.add(stmt.label)
             self.walk_stmt(stmt.stmt)
         elif cls is ast.GotoStmt:
@@ -321,18 +325,18 @@ class _Resolver:
         for item in tree.items:
             if isinstance(item, ast.RecordDef):
                 if item.name in self.records:
-                    raise DuplicateDeclaration(f"struct '{item.name}' already defined", item.span)
+                    raise DuplicateDeclaration(f"struct '{item.name}' already defined", self.span(item))
                 field_names: set[str] = set()
                 for rfield in item.fields:
                     if rfield.name in field_names:
                         raise DuplicateDeclaration(
                             f"field '{rfield.name}' already declared in struct '{item.name}'",
-                            rfield.span)
+                            self.span(rfield))
                     field_names.add(rfield.name)
                 self.records[item.name] = item
             elif isinstance(item, ast.FuncDef):
                 if item.name in self.call_graph:
-                    raise DuplicateDeclaration(f"function '{item.name}' already defined", item.span)
+                    raise DuplicateDeclaration(f"function '{item.name}' already defined", self.span(item))
                 self.call_graph[item.name] = set()
 
         for item in tree.items:
@@ -340,6 +344,9 @@ class _Resolver:
                 for rfield in item.fields:
                     self.check_type(rfield.type)
             elif isinstance(item, ast.DeclStmt):
+                if item.name in self.call_graph:
+                    raise DuplicateDeclaration(f"'{item.name}' is declared as both a global "
+                                               "variable and a function", self.span(item))
                 self.walk_decl(item, item.nid)
             elif isinstance(item, ast.FuncDef):
                 self.current_function = item.name
@@ -353,7 +360,7 @@ class _Resolver:
                 for goto in self.gotos:
                     if goto.label not in self.labels:
                         raise UnresolvedName(f"no label '{goto.label}' in function '{item.name}'",
-                                             goto.span)
+                                             self.span(goto))
                 self.labels, self.gotos = set(), []
                 self.stack.pop()
                 self.current_function = None
@@ -370,4 +377,4 @@ class _Resolver:
 def resolve(tree: SyntaxTree) -> Resolution:
     """Bind every identifier and check every label; raises
     DuplicateDeclaration or UnresolvedName."""
-    return _Resolver().run(tree)
+    return _Resolver(tree.span).run(tree)

@@ -138,7 +138,7 @@ def compose(ptree: ast.SyntaxTree, qtree: ast.SyntaxTree) -> Analysis:
 
     merged = _unify_decls(list(pmain.body.stmts) + list(qmain.body.stmts))
     items.append(ast.FuncDef(pmain.ret_type, "main", [], ast.Block(merged)))
-    text = pretty_print(ast.SyntaxTree(items, file="<composed>"))
+    text = pretty_print(ast.SyntaxTree(items))
     try:
         return analyze_source(text, "<composed>")
     except AnalysisError as exc:
@@ -476,8 +476,9 @@ def _check_p6(prop, pool):
 
 
 def _permutations(pool: ValidatorPool):
-    """(i, analysis of program i permuted) for each valid swap of a loop-body
-    assignment with a top-level statement, in the first 80 programs with both."""
+    """(i, analysis of program i permuted) for each swap of a loop-body
+    assignment with a top-level statement, in the first 80 programs with both;
+    None for a swap that breaks declaration-before-use."""
     examined = 0
     for i, entry in enumerate(pool.entries):
         if examined >= 80:
@@ -496,10 +497,9 @@ def _permutations(pool: ValidatorPool):
                 order = list(range(len(infos)))
                 order[a], order[b] = order[b], order[a]
                 try:
-                    permuted = permute(entry.source, order)
+                    yield i, permute(entry.source, order)
                 except InvalidPermutation:
-                    continue
-                yield i, permuted
+                    yield None
 
 
 def _check_p7(prop, pool):

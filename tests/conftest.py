@@ -79,18 +79,18 @@ def reference_granule_obj(granule) -> dict:
     """One granule of the report's ``"granule_trees"`` section as an object."""
     return {
         "label": granule.label,
-        "kind": granule.kind.value,
+        "kind": granule.kind,
         "stmts": list(granule.stmts),
         "children": [reference_granule_obj(c) for c in granule.children],
     }
 
 
-def reference_head_obj(analysis, mode) -> dict:
+def reference_head_obj(file: str, analysis, mode) -> dict:
     """A report's head as one object: the metrics, each function's leaf rows
     and ERM lines, and the (empty) diagnostics."""
     rep = analysis.report(mode, None)
     return {
-        "file": analysis.file,
+        "file": file,
         "si_mode": mode.value,
         "loc": rep.loc,
         "i_l": rep.i_l,
@@ -120,10 +120,10 @@ def reference_diagnostic_obj(file: str, mode, exc: Exception) -> dict:
     }
 
 
-def reference_report_obj(analysis, mode, emit: set[str]) -> dict:
+def reference_report_obj(file: str, analysis, mode, emit: set[str]) -> dict:
     """A whole report as one object: the head, then the sections built as
     dicts from the oracles above."""
-    out = reference_head_obj(analysis, mode)
+    out = reference_head_obj(file, analysis, mode)
     if "ledger" in emit:
         out["ledger"] = reference_ledger_rows(analysis)
     if "granules" in emit:
@@ -194,7 +194,7 @@ def reference_analyze_output(inputs: list[str], fmt: str, mode, emit: set[str],
     for path in paths:
         try:
             analysis = analyze_source(Path(path).read_text(encoding="utf-8"), path)
-            reports.append(reference_report_obj(analysis, mode, emit))
+            reports.append(reference_report_obj(path, analysis, mode, emit))
         except (AnalysisError, EmptyProgram) as exc:
             reports.append(reference_diagnostic_obj(path, mode, exc))
     if not corpus:
@@ -385,7 +385,7 @@ def reference_string_literal_error(source: str, file: str = "<input>"):
         if isinstance(node, ast.Literal) and node.kind == "string":
             parent = tree.nodes[parents[nid]] if nid in parents else None
             if not (isinstance(parent, ast.Call) and parent.callee == "print"):
-                return "string literal only allowed as a print argument", node.span
+                return "string literal only allowed as a print argument", tree.span(node)
     return None
 
 

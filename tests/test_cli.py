@@ -1,9 +1,11 @@
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -112,6 +114,21 @@ def test_duplicate_record_definitions_exit_1(tmp_path, source, message, col):
     assert proc.returncode == 1
     diag = json.loads(proc.stdout)["diagnostics"][0]
     assert diag["message"] == message
+    assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
+
+
+@pytest.mark.parametrize("source, col", [
+    ("int f; int f() { return 1; } int main() { f(); }", 1),
+    ("int f() { return 1; } int main() { f(); } int f = 2;", 43),
+], ids=["global-first", "function-first"])
+def test_global_variable_and_function_of_one_name_exit_1(tmp_path, source, col):
+    # C11 6.7p4: in either order, the diagnostic is at the global's declaration
+    bad = tmp_path / "names.mc"
+    bad.write_text(source)
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == "'f' is declared as both a global variable and a function"
     assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
 
 
@@ -469,6 +486,34 @@ def test_benchmark_matrix_bytes_and_transformation_counts(monkeypatch, capsys):
     assert cli.main(argv + ["text"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "f714fe407ff8ddded131dfcd490155a0aa60cd8eaa1b9e016dd6c26b495ae123"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # perfbench's workload builders, loaded by path: `perfbench/` is not a package
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up while building Workload
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", ["large_file", "corpus_batch"])
+def test_benchmark_analyze_bytes(workloads, name, tmp_path, monkeypatch, capsys):
+    # the benchmark's two analyze workloads at seed 0, in-process: their inputs
+    # built as the harness builds them, under the same relative paths
+    shutil.copytree(REPO / "corpus", tmp_path / "corpus")
+    work = tmp_path / ".perfbench_work"
+    work.mkdir()
+    monkeypatch.chdir(tmp_path)
+    workload = workloads.BUILDERS[name](tmp_path, work, 0, 1.0)
+    assert cli.main(workload.argv) == workload.expected_exit
+    pinned = json.loads((REPO / "perfbench" / "digests.json").read_text())["sha256"]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned[name]
 
 
 @pytest.mark.parametrize("source, where", [

@@ -75,9 +75,9 @@ def test_writer_rejects_what_json_rejects(value):
 @pytest.mark.parametrize("name", corpus_names())
 def test_writer_on_every_fixture_report_with_every_section(name, mode):
     analysis = analyzed(name)
-    obj = reference_report_obj(analysis, mode, EVERY_SECTION)
+    obj = reference_report_obj(f"corpus/{name}", analysis, mode, EVERY_SECTION)
     for depth in range(5):  # a single file's report is at depth 0, one in a corpus payload at 2
-        text = cli._report_json(analysis.file, mode, cli.report_obj(analysis, mode, None),
+        text = cli._report_json(f"corpus/{name}", mode, cli.report_obj(analysis, mode, None),
                                 cli._sections(analysis, EVERY_SECTION, True, depth), depth)
         expected, written = _nested(obj, text, depth)
         assert written == expected

@@ -321,8 +321,7 @@ def test_pipeline_builds_no_per_occurrence_record():
     for analysis in analyses:
         occ, led = analysis.resolution.occurrences, analysis.ledger
         assert led.entries == range(len(occ))
-        for column in (occ.variable, occ.op_unit,
-                       led.delta, led.icn_after, led.sicn_after, led.sicn_before):
+        for column in (occ.variable, occ.op_unit, led.delta, led.icn_after, led.sicn_after):
             assert type(column) is list and all(type(v) is int for v in column)
         assert all(type(v) is str for v in occ.role)
         assert all(v is None or type(v) is str for v in occ.member)
@@ -337,9 +336,8 @@ def test_row_views_read_the_columns(name):
     occ, led = analysis.resolution.occurrences, analysis.ledger
     n = len(occ)
     for column in (occ.variable, occ.member, occ.role, occ.op_unit,
-                   led.delta, led.icn_after, led.sicn_after, led.sicn_before):
+                   led.delta, led.icn_after, led.sicn_after):
         assert len(column) == n
-    assert all(led.sicn_before[i] == led.sicn_after[i] - led.delta[i] for i in range(n))
     assert led.entries == range(n)
     assert [(row["ordinal"], row["role"], row["delta"], row["icn_after"], row["sicn_after"])
             for row in reference_ledger_rows(analysis)] == \

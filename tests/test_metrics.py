@@ -92,7 +92,7 @@ def test_coding_efficiency(e, lines, expected):
 
 def test_weight_table_defaults_and_validation():
     table = WeightTable()
-    assert {kind.value: weight for kind, weight in table.by_kind.items()} == DEFAULT_WEIGHTS
+    assert table.by_kind == DEFAULT_WEIGHTS
     with pytest.raises(ValueError):
         WeightTable({"linear": 0})
     with pytest.raises(ValueError):
@@ -104,12 +104,11 @@ def test_weight_table_defaults_and_validation():
 
 
 def test_weight_table_by_kind_is_built_once():
-    """The kind-keyed weights are built with the table, and scoring reads that
-    map rather than building its own from the names."""
+    """The kind-keyed weights are the validated table, built with it, and
+    scoring reads that map rather than building its own from the names."""
     table = WeightTable({"while": 4})
     by_kind = table.by_kind
-    by_name = {kind.value: weight for kind, weight in by_kind.items()}
-    assert by_name == {**DEFAULT_WEIGHTS, "while": 4}
+    assert by_kind == {**DEFAULT_WEIGHTS, "while": 4}
     assert by_kind[BcsKind.WHILE] == 4 and by_kind[BcsKind.IF] == DEFAULT_WEIGHTS["if"]
     analysis = analyzed("example6.mc")
     assert analysis.escim_value(SiMode.DELTA, table) == 2 + 1 * 4 + 0 + 3 * 4
@@ -199,7 +198,7 @@ def _reference_escim(analysis, weights, mode):
                 gotos = sum(1 for nid in g.stmts if isinstance(analysis.tree.nodes[nid], ast.GotoStmt))
                 weight = by_kind[BcsKind.LINEAR] * by_kind[BcsKind.CALL] ** calls \
                     * by_kind[BcsKind.GOTO] ** gotos
-                rows.append((g.label, g.kind.value, weight, si, product, si * weight * product))
+                rows.append((g.label, g.kind, weight, si, product, si * weight * product))
                 return
             for child in g.children:
                 visit(child, product * by_kind[g.kind], g)

@@ -45,10 +45,9 @@ def test_child_spans_nest_in_parents(name):
     tree = analyzed(name).tree
     for nid, parent_id in parents_of(tree).items():
         child, parent = tree.nodes[nid], tree.nodes[parent_id]
-        if child.span is None or parent.span is None:
-            continue
-        assert (parent.span.line_start, parent.span.col_start) <= (child.span.line_start, child.span.col_start)
-        assert (child.span.line_end, child.span.col_end) <= (parent.span.line_end, parent.span.col_end)
+        cspan, pspan = tree.span(child), tree.span(parent)
+        assert (pspan.line_start, pspan.col_start) <= (cspan.line_start, cspan.col_start)
+        assert (cspan.line_end, cspan.col_end) <= (pspan.line_end, pspan.col_end)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -149,18 +148,20 @@ EXPR_PREFIX = "int main() { "
 
 
 def parse_expr_stmt(text):
-    return main_stmts(parse_source(f"{EXPR_PREFIX}{text}; }}"))[0].expr
+    """The tree of a `main` holding the expression statement ``text``, and its expression."""
+    tree = parse_source(f"{EXPR_PREFIX}{text}; }}")
+    return tree, main_stmts(tree)[0].expr
 
 
-def span_of(node):
-    return (node.span.line_start, node.span.col_start, node.span.line_end, node.span.col_end)
+def span_of(tree, node):
+    return tree.span(node)[1:]  # (line_start, col_start, line_end, col_end)
 
 
 @pytest.mark.parametrize("op2", BINARY_LEVELS)
 @pytest.mark.parametrize("op1", BINARY_LEVELS)
 def test_binary_operators_nest_by_c_precedence(op1, op2):
     text = f"a {op1} b {op2} c"
-    expr = parse_expr_stmt(text)
+    tree, expr = parse_expr_stmt(text)
 
     def col(name):
         return len(EXPR_PREFIX) + text.index(name) + 1
@@ -169,17 +170,17 @@ def test_binary_operators_nest_by_c_precedence(op1, op2):
         inner = expr.lhs
         assert (expr.op, inner.op) == (op2, op1)
         assert [inner.lhs.name, inner.rhs.name, expr.rhs.name] == ["a", "b", "c"]
-        assert span_of(inner) == (1, col("a"), 1, col("b"))
+        assert span_of(tree, inner) == (1, col("a"), 1, col("b"))
     else:
         inner = expr.rhs
         assert (expr.op, inner.op) == (op1, op2)
         assert [expr.lhs.name, inner.lhs.name, inner.rhs.name] == ["a", "b", "c"]
-        assert span_of(inner) == (1, col("b"), 1, col("c"))
-    assert span_of(expr) == (1, col("a"), 1, col("c"))
+        assert span_of(tree, inner) == (1, col("b"), 1, col("c"))
+    assert span_of(tree, expr) == (1, col("a"), 1, col("c"))
 
 
 def test_assignment_is_right_associative_and_parentheses_add_no_node():
-    expr = parse_expr_stmt("a = b += c")
+    _, expr = parse_expr_stmt("a = b += c")
     assert isinstance(expr, ast.Assign) and isinstance(expr.value, ast.CompoundAssign)
     assert (expr.target.name, expr.value.op, expr.value.target.name, expr.value.value.name) == \
         ("a", "+=", "b", "c")
@@ -187,7 +188,7 @@ def test_assignment_is_right_associative_and_parentheses_add_no_node():
     wrapped = parse_source("int main() { x = (a + b); }")
     assert ast.fingerprint(plain) == ast.fingerprint(wrapped)
     assert len(plain.nodes) == len(wrapped.nodes)
-    assert span_of(main_stmts(wrapped)[0].expr.value) == (1, 19, 1, 23)
+    assert span_of(wrapped, main_stmts(wrapped)[0].expr.value) == (1, 19, 1, 23)
 
 
 def test_parse_error_reports_expected_set():

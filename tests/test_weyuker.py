@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from minicog import (
-    Analysis, ComposeError, InvalidPermutation, RenameCollision, analyze_source, cli, parse_source,
+    Analysis, ComposeError, EmptyProgram, InvalidPermutation, RenameCollision, analyze_source, cli,
+    parse_source,
 )
 from minicog.ast import fingerprint
 from minicog import weyuker
@@ -198,6 +199,31 @@ def test_order_must_be_a_permutation():
         permute("int main() { int a; a = 1; }", [0, 0])
 
 
+# a loop-body assignment reads the loop's own `k`: moved to the top level, it breaks
+SWAPS = "int main() { int s = 0; int i = 0; while (i < 3) { int k = i; s = s + k; i++; } s = 1; }\n"
+
+
+def test_a_swap_that_breaks_declaration_before_use_is_a_skipped_candidate():
+    pool = ValidatorPool([("swaps.mc", SWAPS)], n_generated=0)
+    skipped, (i, permuted) = weyuker._permutations(pool)
+    assert skipped is None  # `s = s + k` and `s = 1` traded places
+    assert i == 0 and "    }\n    i++;\n}\n" in permuted.source
+
+
+def test_permutations_pass_over_a_fixture_without_main():
+    pool = ValidatorPool([("lib.mc", "int f() { return 1; }\n"), ("swaps.mc", SWAPS)], n_generated=0)
+    candidates = list(weyuker._permutations(pool))
+    assert [c if c is None else c[0] for c in candidates] == [None, 1]
+
+
+def test_pool_names_the_fixture_that_holds_no_code():
+    # the one diagnostic without a span is re-raised with the fixture's name
+    corpus = [("unit.mc", fixture_source("unit.mc")), ("empty.mc", "// only a comment\n")]
+    with pytest.raises(EmptyProgram) as err:
+        ValidatorPool(corpus, n_generated=0)
+    assert str(err.value).startswith("empty.mc: ")
+
+
 def test_permute_preserves_statement_multiset():
     src = fixture_source("sum_loop.mc")
     infos = permutable_slots(src)
@@ -235,7 +261,8 @@ def test_composed_and_permuted_programs_count_their_printed_lines(small_pool):
             except ComposeError:
                 pass
     composed = len(analyses)
-    analyses += [permuted for _, permuted in weyuker._permutations(small_pool)]
+    analyses += [candidate[1] for candidate in weyuker._permutations(small_pool)
+                 if candidate is not None]
     assert composed > 100 and len(analyses) > composed
     for analysis in analyses:
         assert analysis.loc == sum(1 for line in analysis.source.splitlines() if line.strip()), \
