@@ -1,21 +1,21 @@
 """Syntax tree for MiniC.
 
-Nodes are dataclasses with ``__slots__``. Positions and node ids are attached
-after construction: the parser stores each node's ``start`` and ``end``
-source offsets, and ``SyntaxTree.finalize`` numbers every node in depth-first
-source order and lists the nodes in that order, so ``tree.nodes[nid]`` is the
-node numbered ``nid``; the later stages name nodes by id and keep no
-reference to the tree. A node holds nothing else of its position: the tree
-holds its file's ``SourceMap`` once, and ``tree.span(node)`` builds a node's
-``SourceSpan`` from the offsets only when it is asked for, which on the
-success path nothing does. The tree keeps no parent links: no stage reads
-them (the parser checks string literals as it builds calls), and
-``child_nodes`` gives them to whoever needs them. Structural equality
-(ignoring positions and ids) goes through ``fingerprint``.
+Nodes are dataclasses with ``__slots__``. A node's id is attached after
+construction: ``SyntaxTree.finalize`` numbers every node in depth-first source
+order and lists the nodes in that order, so ``tree.nodes[nid]`` is the node
+numbered ``nid``; the later stages name nodes by id and keep no reference to
+the tree. A node stores nothing else but its fields: no source offsets, as
+nothing on the success path reads where a node sits in the text. The tree
+holds its file's ``SourceMap`` and the index of each top-level item's first
+token, and ``tree.span(node)`` builds a node's ``SourceSpan`` by re-parsing
+the one item that holds the node (``parser.node_span``). The tree keeps no
+parent links: no stage reads them (the parser checks string literals as it
+builds calls), and ``child_nodes`` gives them to whoever needs them.
+Structural equality (ignoring ids) goes through ``fingerprint``.
 
 Tree walks are table-driven, from tables read from the dataclass fields once
 at import: ``NODE_FIELDS`` holds each node class's field names (without the
-bookkeeping fields of ``Node``), which ``fingerprint`` reads, and
+bookkeeping field of ``Node``), which ``fingerprint`` reads, and
 ``CHILD_FIELDS`` the node-holding ones, which ``child_nodes`` and
 ``finalize`` read, so they skip the fields that hold scalars. Every concrete
 node class subclasses ``Node``, ``Expr`` or ``Stmt`` directly, and those
@@ -28,6 +28,7 @@ does not recurse either.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -36,9 +37,6 @@ from .lexer import SourceMap, SourceSpan
 
 @dataclass(eq=False, slots=True)
 class Node:
-    # source offsets of the node's first character and one past its last
-    start: int = field(default=0, init=False, repr=False)
-    end: int = field(default=0, init=False, repr=False)
     nid: int = field(default=-1, init=False, repr=False)
 
 
@@ -303,15 +301,20 @@ _CHILDREN_REVERSED = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
 
 @dataclass(eq=False)
 class SyntaxTree:
-    """A file's top-level items, its source map (None for a tree the parser
-    did not make) and, once finalized, its nodes listed by id."""
+    """A file's top-level items, its source map and the index of each item's
+    first token (None and empty for a tree the parser did not make) and, once
+    finalized, its nodes listed by id."""
     items: list
     source_map: Optional[SourceMap] = field(default=None, repr=False)
+    # C ints, not a list: int objects kept past the parse would pin the allocator's arenas
+    item_tokens: array = field(default_factory=lambda: array("l"), repr=False)
     nodes: list[Node] = field(default_factory=list, repr=False)  # indexed by node id
 
     def span(self, node: Node) -> Optional[SourceSpan]:
-        """The source span of one of the tree's nodes, built on each call."""
-        return None if self.source_map is None else self.source_map.span(node.start, node.end)
+        """The source span of one of the finalized tree's nodes, built by
+        re-parsing the item that holds it (``parser.node_span``)."""
+        from .parser import node_span  # the parser imports this module
+        return node_span(self, node)
 
     def finalize(self) -> "SyntaxTree":
         """Assign depth-first node ids and list the nodes by id, by an explicit stack."""
@@ -349,7 +352,7 @@ def child_nodes(node: Node) -> list[Node]:
 
 
 def fingerprint(node) -> tuple:
-    """Structural identity of a node/tree, ignoring positions and node ids.
+    """Structural identity of a node/tree, ignoring node ids.
 
     A flat tuple in pre-order: each node's class, then its fields in
     ``NODE_FIELDS`` order, a list field as its length followed by its

@@ -5,15 +5,17 @@ else becomes exactly one token. One master regular expression, matched at each
 position in turn, picks the token together with the spaces before it.
 
 ``tokenize`` returns a ``Tokens``: parallel lists of each token's kind, text,
-start offset and start line, and no object per token. Tokens and tree nodes
-carry source offsets; a ``SourceMap`` turns offsets into a 1-based
-``SourceSpan`` only when a diagnostic (or a test) reads one. This module is
-the only place that builds a ``SourceSpan``.
+start offset and start line, and no object per token. A word's text is
+interned, so a name repeated across a file is stored once. Tokens carry
+source offsets (tree nodes do not); a ``SourceMap`` turns offsets into a
+1-based ``SourceSpan`` only when a diagnostic (or a test) reads one. This
+module is the only place that builds a ``SourceSpan``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .errors import LexError
@@ -77,7 +79,7 @@ class SourceSpan(NamedTuple):
 class SourceMap:
     """A file's name and text; turns source offsets into a ``SourceSpan``.
 
-    Tokens and tree nodes share one map per file. Lines and columns are
+    Tokens and the syntax tree share one map per file. Lines and columns are
     counted from the text only when a span is asked for.
     """
 
@@ -142,6 +144,7 @@ def tokenize(source: str, file: str = "<input>") -> Tokens:
             continue
         start = match.start(kind)
         if kind == "word":
+            text = sys.intern(text)
             if text in KEYWORDS:
                 kind = "keyword"
             # a word may start with a non-decimal digit such as `²` or `½`

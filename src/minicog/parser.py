@@ -23,18 +23,22 @@ of ``ast.BINARY_PRECEDENCE``, loosest first: ``||``; ``&&``; ``==`` ``!=``;
 The array marker is accepted both on the type (``int[] a``) and after the
 name (``int a[10]``); both normalize to the same TypeRef. String literals
 are only legal as direct arguments of the builtin ``print``: the parser
-keeps each string literal it makes until a ``print`` call takes it as an
-argument, and once the whole file has parsed (so a syntax error anywhere is
-reported first) the earliest one left is the error.
+keeps each string literal it makes, with its token index, until a ``print``
+call takes it as an argument, and once the whole file has parsed (so a
+syntax error anywhere is reported first) the earliest one left is the error.
 
 The parser reads the lexer's ``kinds`` and ``texts`` lists by token index,
 with an end sentinel on them while it runs, so no lookahead needs a bounds
-check. Each node stores its start and end source offsets, and the tree the
-file's ``SourceMap``; a ``SourceSpan`` is built only for a diagnostic, from
-the offending token's index or node.
+check. Nodes store no source position. A syntax error's ``SourceSpan`` is
+built from the offending token's index. A node's span, which only a
+resolution diagnostic (or a test) asks for, comes from ``node_span``: it
+re-tokenizes the file and re-parses the one top-level item that holds the
+node, with a parser that records each node's first and last token index.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .ast import (
     Assign, Binary, Block, BreakStmt, Call, CaseArm, CompoundAssign, ContinueStmt,
@@ -44,7 +48,7 @@ from .ast import (
     Unary, VarRef, WhileStmt, BINARY_PRECEDENCE,
 )
 from .errors import ParseError
-from .lexer import Tokens, tokenize
+from .lexer import SourceSpan, Tokens, tokenize
 
 TYPE_KEYWORDS = ("int", "float", "bool")
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
@@ -61,14 +65,15 @@ MAX_SIZE_DIGITS = 4300
 
 
 class _Parser:
-    def __init__(self, tokens: Tokens):
+    def __init__(self, tokens: Tokens, spans: dict[Node, tuple[int, int]] | None = None):
         self.tokens = tokens
         self.kinds = tokens.kinds  # the lists themselves: see `parse_program`
         self.texts = tokens.texts
-        self.starts = tokens.starts
+        self.spans = spans  # node -> (first, last) token index, when kept: see `node_span`
         self.pos = 0
-        # string literals not (yet) a direct argument of print, in source order
-        self.strings: dict[Literal, None] = {}
+        # string literals not (yet) a direct argument of print, in source
+        # order, each with its token index
+        self.strings: dict[Literal, int] = {}
 
     # ------------------------------------------------------------ plumbing
 
@@ -90,10 +95,10 @@ class _Parser:
         return self.texts[pos]
 
     def _spanned(self, node: Node, start_idx: int) -> Node:
-        """Give ``node`` the offsets from token ``start_idx`` to the last one read."""
-        last = self.pos - 1
-        node.start = self.starts[start_idx]
-        node.end = self.starts[last] + len(self.texts[last])
+        """Record that ``node`` runs from token ``start_idx`` to the last one
+        read, if this parser keeps spans; the node itself stores nothing."""
+        if self.spans is not None:
+            self.spans[node] = (start_idx, self.pos - 1)
         return node
 
     # ------------------------------------------------------------ items
@@ -104,13 +109,14 @@ class _Parser:
         # follows a match on a real token. It is on the token lists while this runs.
         self.kinds.append(END)
         self.texts.append("")
+        tree = SyntaxTree([], self.tokens.source_map)
         try:
-            items = []
             while self.kinds[self.pos] != END:
-                items.append(self.parse_item())
+                tree.item_tokens.append(self.pos)
+                tree.items.append(self.parse_item())
         finally:
             del self.kinds[-1], self.texts[-1]
-        return SyntaxTree(items, self.tokens.source_map)
+        return tree
 
     def parse_item(self):
         if self.texts[self.pos] == "struct":
@@ -436,7 +442,7 @@ class _Parser:
             self.pos = start + 1
             literal = self._spanned(Literal(LITERAL_KINDS[kind], text), start)
             if kind == "string-literal":
-                self.strings[literal] = None
+                self.strings[literal] = start
             return literal
         if text == "true" or text == "false":
             self.pos = start + 1
@@ -459,9 +465,37 @@ def parse(tokens: Tokens) -> SyntaxTree:
     """Parse a file's tokens into a finalized SyntaxTree."""
     parser = _Parser(tokens)
     tree = parser.parse_program()
-    for literal in parser.strings:  # the earliest misplaced string literal, if any
-        raise ParseError("string literal only allowed as a print argument", tree.span(literal))
+    for index in parser.strings.values():  # the earliest misplaced string literal, if any
+        raise ParseError("string literal only allowed as a print argument", tokens.span(index))
     return tree.finalize()
+
+
+def node_span(tree: SyntaxTree, node: Node) -> SourceSpan | None:
+    """The source span of a node of the finalized ``tree``, or None for a
+    tree with no source map.
+
+    Nodes store no offsets, so this re-tokenizes the file's text and
+    re-parses only the top-level item that holds the node (the items number
+    their nodes in consecutive blocks), keeping each node's first and last
+    token. Called from ``resolve``, which ``analyze_source`` calls as it
+    calls ``parse``, it enters ``parse_item`` at the stack depth at which
+    ``parse_program`` did, so the re-parse reaches every nesting that the
+    first parse did.
+    """
+    source_map = tree.source_map
+    if source_map is None:
+        return None
+    k = bisect_right(tree.items, node.nid, key=lambda item: item.nid) - 1
+    tokens = tokenize(source_map.source, source_map.file)
+    spans: dict[Node, tuple[int, int]] = {}
+    parser = _Parser(tokens, spans)
+    parser.kinds.append(END)  # the sentinel of `parse_program`; these tokens are discarded
+    parser.texts.append("")
+    parser.pos = tree.item_tokens[k]
+    item = parser.parse_item()
+    first, last = spans[SyntaxTree([item]).finalize().nodes[node.nid - tree.items[k].nid]]
+    start = tokens.starts[first]
+    return source_map.span(start, tokens.starts[last] + len(tokens.texts[last]))
 
 
 def parse_source(source: str, file: str = "<input>") -> SyntaxTree:

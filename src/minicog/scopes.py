@@ -9,7 +9,12 @@ mutually recursive definitions resolve. Labels belong to their function: a
 label is defined once in it, and a ``goto`` names a label of its own function
 (C11 6.8.1 and 6.8.6.1). A struct is defined once, and a field name is
 declared once in its struct (6.7.2.3p1 and 6.7p3). A global variable and a
-function do not share a name (6.7p4).
+function do not share a name (6.7p4). No two case labels of one switch have
+the same value, and a switch has at most one default (6.8.4.2p3).
+
+A diagnostic is raised with the node it is about. Nodes store no source
+offsets, so ``resolve`` builds its span only once the walk has unwound, by
+re-parsing the top-level item that holds the node (``parser.node_span``).
 
 A scope only keeps same-named variables distinct, so no scope outlives the
 walk: ``ScopedVariable.scope`` numbers scopes in the order they are entered.
@@ -35,14 +40,13 @@ do-while condition after it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import ast
 from .ast import SyntaxTree
 # the classes `walk_unit` dispatches on, as globals of this module: a load each, not two
 from .ast import Assign, Binary, Call, CompoundAssign, Decrement, Increment, Literal, Unary, VarRef
 from .errors import DuplicateDeclaration, UnresolvedName
-from .lexer import SourceSpan
+from .parser import node_span
 
 BUILTINS = frozenset({"print", "read"})
 
@@ -89,9 +93,22 @@ class Resolution:
     runs: dict[int, range]  # anchor -> its occurrence ordinals; anchors with none are absent
 
 
+def _case_value(label: str | None) -> str | None:
+    """What makes a case label distinct: an int literal's value, written as
+    ASCII digits without leading zeros (the lexer reads the decimal digits of
+    every script), and any other literal's text."""
+    if label is None or not label.isdecimal():
+        return label
+    return "".join(str(int(digit)) for digit in label).lstrip("0") or "0"
+
+
+class _NodeError(Exception):
+    """A diagnostic the walk found, before it has a span: its error class,
+    its message and the node it is about."""
+
+
 class _Resolver:
-    def __init__(self, span: Callable[[ast.Node], SourceSpan | None]) -> None:
-        self.span = span  # the tree's `SyntaxTree.span`, for a diagnostic
+    def __init__(self) -> None:
         self.scope_vars: dict[int, dict[str, int]] = {}
         self.stack: list[int] = []
         self.variables: dict[int, ScopedVariable] = {}
@@ -114,7 +131,7 @@ class _Resolver:
     def declare(self, name: str, type_name: str, node: ast.Node) -> int:
         sid = self.stack[-1]
         if name in self.scope_vars[sid]:
-            raise DuplicateDeclaration(f"'{name}' already declared in this scope", self.span(node))
+            raise _NodeError(DuplicateDeclaration, f"'{name}' already declared in this scope", node)
         is_record = type_name in self.records
         members = tuple(f.name for f in self.records[type_name].fields) if is_record else ()
         vid = len(self.variables)
@@ -127,17 +144,17 @@ class _Resolver:
             vid = self.scope_vars[sid].get(node.name)
             if vid is not None:
                 return vid
-        raise UnresolvedName(f"undeclared name '{node.name}'", self.span(node))
+        raise _NodeError(UnresolvedName, f"undeclared name '{node.name}'", node)
 
     def lookup_global(self, node: ast.GlobalRef) -> int:
         vid = self.scope_vars[0].get(node.name)
         if vid is None:
-            raise UnresolvedName(f"no global named '{node.name}'", self.span(node))
+            raise _NodeError(UnresolvedName, f"no global named '{node.name}'", node)
         return vid
 
     def check_type(self, ty: ast.TypeRef) -> None:
         if ty.name not in ("int", "float", "bool") and ty.name not in self.records:
-            raise UnresolvedName(f"unknown type '{ty.name}'", self.span(ty))
+            raise _NodeError(UnresolvedName, f"unknown type '{ty.name}'", ty)
 
     # ------------------------------------------------------------ occurrences
 
@@ -175,7 +192,7 @@ class _Resolver:
                 node = node.base
             elif cls is ast.Member:
                 if member is not None:
-                    raise UnresolvedName("nested member access is not supported", self.span(node))
+                    raise _NodeError(UnresolvedName, "nested member access is not supported", node)
                 member = node.member
                 node = node.obj
             elif cls is ast.VarRef:
@@ -185,11 +202,11 @@ class _Resolver:
                 vid = self.lookup_global(node)
                 break
             else:
-                raise UnresolvedName("invalid assignment target", self.span(node))
+                raise _NodeError(UnresolvedName, "invalid assignment target", node)
         if member is not None:
             var = self.variables[vid]
             if not var.is_record or member not in var.members:
-                raise UnresolvedName(f"'{member}' is not a member of '{var.name}'", self.span(expr))
+                raise _NodeError(UnresolvedName, f"'{member}' is not a member of '{var.name}'", expr)
         return vid, member, reads
 
     def walk_unit(self, exprs: list[ast.Expr | None], anchor: int, declared: int | None = None) -> None:
@@ -228,7 +245,7 @@ class _Resolver:
             elif cls is Call:
                 if expr.callee not in BUILTINS:
                     if expr.callee not in self.call_graph:
-                        raise UnresolvedName(f"unknown function '{expr.callee}'", self.span(expr))
+                        raise _NodeError(UnresolvedName, f"unknown function '{expr.callee}'", expr)
                     if self.current_function is not None:
                         self.call_graph[self.current_function].add(expr.callee)
                     self.calls_by_anchor[anchor] = self.calls_by_anchor.get(anchor, 0) + 1
@@ -295,7 +312,14 @@ class _Resolver:
         elif cls is ast.SwitchStmt:
             self.walk_unit([stmt.scrutinee], stmt.nid)
             self.push_scope()
+            labels: set[str | None] = set()  # the arms' `_case_value`s so far; None is `default`
             for arm in stmt.arms:
+                value = _case_value(arm.label)
+                if value in labels:
+                    what = ("multiple 'default' labels" if value is None
+                            else f"duplicate case value {arm.label}")
+                    raise _NodeError(DuplicateDeclaration, f"{what} in this switch", arm)
+                labels.add(value)
                 for inner in arm.body:
                     self.walk_stmt(inner)
             self.stack.pop()
@@ -306,8 +330,8 @@ class _Resolver:
             self.walk_unit([stmt.value], stmt.nid)
         elif cls is ast.LabeledStmt:
             if stmt.label in self.labels:
-                raise DuplicateDeclaration(f"label '{stmt.label}' already defined in this function",
-                                           self.span(stmt))
+                raise _NodeError(DuplicateDeclaration,
+                                 f"label '{stmt.label}' already defined in this function", stmt)
             self.labels.add(stmt.label)
             self.walk_stmt(stmt.stmt)
         elif cls is ast.GotoStmt:
@@ -325,18 +349,18 @@ class _Resolver:
         for item in tree.items:
             if isinstance(item, ast.RecordDef):
                 if item.name in self.records:
-                    raise DuplicateDeclaration(f"struct '{item.name}' already defined", self.span(item))
+                    raise _NodeError(DuplicateDeclaration, f"struct '{item.name}' already defined", item)
                 field_names: set[str] = set()
                 for rfield in item.fields:
                     if rfield.name in field_names:
-                        raise DuplicateDeclaration(
-                            f"field '{rfield.name}' already declared in struct '{item.name}'",
-                            self.span(rfield))
+                        raise _NodeError(
+                            DuplicateDeclaration,
+                            f"field '{rfield.name}' already declared in struct '{item.name}'", rfield)
                     field_names.add(rfield.name)
                 self.records[item.name] = item
             elif isinstance(item, ast.FuncDef):
                 if item.name in self.call_graph:
-                    raise DuplicateDeclaration(f"function '{item.name}' already defined", self.span(item))
+                    raise _NodeError(DuplicateDeclaration, f"function '{item.name}' already defined", item)
                 self.call_graph[item.name] = set()
 
         for item in tree.items:
@@ -345,8 +369,8 @@ class _Resolver:
                     self.check_type(rfield.type)
             elif isinstance(item, ast.DeclStmt):
                 if item.name in self.call_graph:
-                    raise DuplicateDeclaration(f"'{item.name}' is declared as both a global "
-                                               "variable and a function", self.span(item))
+                    raise _NodeError(DuplicateDeclaration, f"'{item.name}' is declared as both a global "
+                                     "variable and a function", item)
                 self.walk_decl(item, item.nid)
             elif isinstance(item, ast.FuncDef):
                 self.current_function = item.name
@@ -359,8 +383,8 @@ class _Resolver:
                     self.walk_stmt(inner)
                 for goto in self.gotos:
                     if goto.label not in self.labels:
-                        raise UnresolvedName(f"no label '{goto.label}' in function '{item.name}'",
-                                             self.span(goto))
+                        raise _NodeError(UnresolvedName,
+                                         f"no label '{goto.label}' in function '{item.name}'", goto)
                 self.labels, self.gotos = set(), []
                 self.stack.pop()
                 self.current_function = None
@@ -376,5 +400,11 @@ class _Resolver:
 
 def resolve(tree: SyntaxTree) -> Resolution:
     """Bind every identifier and check every label; raises
-    DuplicateDeclaration or UnresolvedName."""
-    return _Resolver(tree.span).run(tree)
+    DuplicateDeclaration or UnresolvedName with the span of the node it is
+    about. The span is built once the walk has unwound, by re-parsing, so
+    that the re-parse starts no deeper on the stack than the first parse."""
+    try:
+        return _Resolver().run(tree)
+    except _NodeError as err:
+        cls, message, node = err.args
+    raise cls(message, node_span(tree, node))

@@ -100,6 +100,24 @@ def test_label_errors_exit_1(tmp_path, source, message):
 
 
 @pytest.mark.parametrize("source, message, col", [
+    # C11 6.8.4.2p3: no two case constants of one switch have the same value
+    ("int main() { int x = 1; switch (x) { case 1: x = 2; case 01: x = 3; } }",
+     "duplicate case value 01 in this switch", 53),
+    # ...and at most one default label
+    ("int main() { int x = 1; switch (x) { default: x = 2; case 1: break; default: x = 3; } }",
+     "multiple 'default' labels in this switch", 69),
+], ids=["case", "default"])
+def test_repeated_switch_labels_exit_1(tmp_path, source, message, col):
+    bad = tmp_path / "switch.mc"
+    bad.write_text(source)
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == message
+    assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
+
+
+@pytest.mark.parametrize("source, message, col", [
     # C11 6.7.2.3p1: a struct's content is defined at most once
     ("struct P { int a; }; struct P { int b; }; int main() { P p; p.b = 1; print(p.b); }",
      "struct 'P' already defined", 22),
@@ -191,6 +209,34 @@ def test_ten_thousand_term_chain_analyzes(tmp_path, statement):
     assert proc.returncode == 0
     assert b"Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["diagnostics"] == []
+
+
+# One program per nesting limit in README, at that limit, with an undeclared
+# `y` innermost: (text before the nesting's line, the nesting, the expected
+# span of `y`). The diagnostic must point at `y`, not end in a traceback.
+_MAIN = "int main() { int x = 0;\n"
+_CALLEE = "int f(int a) { return a; }\nint main() { int x = 0;\nint a[1];\n"
+NESTING_LIMITS = {
+    "parentheses": (_MAIN, "x = " + "(" * 245 + "y" + ")" * 245 + ";", "2:250"),
+    "initializer-parentheses": ("int main() {\n", "int x = " + "(" * 244 + "y" + ")" * 244 + ";",
+                                "2:253"),
+    "calls": (_CALLEE, "x = " + "f(" * 326 + "y" + ")" * 326 + ";", "4:657"),
+    "subscripts": (_CALLEE, "x = " + "a[" * 326 + "y" + "]" * 326 + ";", "4:657"),
+    "blocks": (_MAIN, "if (x) {" * 326 + "y = 1;" + "}" * 326, "2:2609"),
+    "braceless-ifs": (_MAIN, "if (x) " * 979 + "y = 1;", "2:6854"),
+    "else-if-ladder": (_MAIN, "if (x) x = 0; " + "else if (x) x = 0; " * 977 + "else if (x) y = 1;",
+                       "2:18590"),
+}
+
+
+@pytest.mark.parametrize("shape", NESTING_LIMITS)
+def test_undeclared_name_at_each_nesting_limit_has_its_span(tmp_path, shape):
+    head, nesting, where = NESTING_LIMITS[shape]
+    (tmp_path / "deep.mc").write_text(head + nesting + "\n}\n")
+    proc = run_cli("analyze", "deep.mc", cwd=tmp_path)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == f"deep.mc\n  error: deep.mc:{where}: undeclared name 'y'\n".encode()
 
 
 def _run_with_closed_stdout(*args: str) -> tuple[int, bytes]:

@@ -1,13 +1,18 @@
+import dataclasses
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from minicog import AnalysisError, EmptyProgram, ParseError, analyze_source, parse_source, tokenize
 from minicog import ast, parse
+from minicog.generator import generate
 from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION
 
 from conftest import (
-    analyzed, corpus_names, fixture_source, parents_of, reference_string_literal_error,
+    FULL_GRAMMAR, analyzed, corpus_names, fixture_source, parents_of, reference_string_literal_error,
 )
 
 
@@ -48,6 +53,46 @@ def test_child_spans_nest_in_parents(name):
         cspan, pspan = tree.span(child), tree.span(parent)
         assert (pspan.line_start, pspan.col_start) <= (cspan.line_start, cspan.col_start)
         assert (cspan.line_end, cspan.col_end) <= (pspan.line_end, pspan.col_end)
+
+
+def test_a_leaf_spans_exactly_its_own_text():
+    # spans come from re-parsing the item that holds the node
+    tree = parse_source(FULL_GRAMMAR)
+    lines = FULL_GRAMMAR.split("\n")
+    leaves = [node for node in tree.nodes if isinstance(node, (ast.VarRef, ast.Literal))]
+    assert len(leaves) > 50
+    for node in leaves:
+        span = tree.span(node)
+        assert span.line_start == span.line_end
+        text = lines[span.line_start - 1][span.col_start - 1:span.col_end]
+        assert text == (node.name if isinstance(node, ast.VarRef) else node.text)
+
+
+def test_a_tree_the_parser_did_not_make_has_no_spans():
+    tree = ast.SyntaxTree([ast.RecordDef("P", [])]).finalize()
+    assert tree.span(tree.nodes[0]) is None
+
+
+def test_nodes_store_only_their_id():
+    assert [f.name for f in dataclasses.fields(ast.Node)] == ["nid"]
+
+
+def test_a_parsed_tree_holds_under_150_bytes_a_node():
+    # what stays allocated once the tokens are dropped: the nodes, their
+    # lists and their interned names, and no source offsets
+    source = "\n".join(generate(seed) for seed in range(60))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tokens = tokenize(source)
+        tree = parse(tokens)
+        del tokens
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tree.nodes) > 4000
+    assert held / len(tree.nodes) < 150, (held, len(tree.nodes))
 
 
 @pytest.mark.parametrize("name", corpus_names())

@@ -162,3 +162,14 @@ def test_five_thousand_nested_statements_print_indented():
     lines += ["    " * level + "}" for level in range(depth, 0, -1)]
     lines.append("}")
     assert pretty_print(ast.SyntaxTree([main])) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tree, message", [
+    (ast.SyntaxTree([ast.Param(ast.TypeRef("int"), "p")]), "unprintable Param"),
+    (ast.SyntaxTree([ast.FuncDef(ast.TypeRef("int"), "main", [],
+                                 ast.Block([ast.ExprStmt(ast.TypeRef("int"))]))]),
+     "unprintable expression TypeRef"),
+], ids=["item", "expression"])
+def test_a_node_out_of_place_is_a_type_error(tree, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        pretty_print(tree)

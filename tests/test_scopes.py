@@ -90,6 +90,41 @@ def test_repeated_label_is_a_duplicate_declaration():
     assert _span(err.value) == (4, 2, 4, 10)  # the second labeled statement
 
 
+@pytest.mark.parametrize("source, message, where", [
+    ("struct P { int a; };\nstruct P { int b; };\nint main() { return 0; }",
+     "struct 'P' already defined", (2, 1, 2, 20)),
+    ("struct P {\n int a;\n int a;\n};\nint main() { return 0; }",
+     "field 'a' already declared in struct 'P'", (3, 2, 3, 7)),
+], ids=["struct", "field"])
+def test_repeated_struct_or_field_is_a_duplicate_declaration(source, message, where):
+    with pytest.raises(DuplicateDeclaration) as err:
+        resolve(parse_source(source))
+    assert str(err.value) == message
+    assert _span(err.value) == where  # the repeated definition or field
+
+
+@pytest.mark.parametrize("arms, message, where", [
+    ("case 1: x = 2; case 01: x = 3;", "duplicate case value 01 in this switch", (3, 30, 3, 44)),
+    ("case 3: x = 2; case \u0663: x = 3;", "duplicate case value \u0663 in this switch", (3, 30, 3, 43)),
+    ('case "a": break; case "a": break;', 'duplicate case value "a" in this switch', (3, 32, 3, 47)),
+    ("default: x = 2; case 1: break; default: break;",
+     "multiple 'default' labels in this switch", (3, 46, 3, 60)),
+], ids=["int-value", "unicode-digit", "string", "default"])
+def test_repeated_switch_label_is_a_duplicate_declaration(arms, message, where):
+    source = f"int main() {{\n int x = 1;\n switch (x) {{ {arms} }}\n}}"
+    with pytest.raises(DuplicateDeclaration) as err:
+        resolve(parse_source(source))
+    assert str(err.value) == message
+    assert _span(err.value) == where  # the later arm, to the end of its body
+
+
+def test_switch_labels_are_distinct_per_switch_and_by_literal_text_otherwise():
+    # a nested switch has labels of its own; only int literals compare by value
+    resolve(parse_source("int main() { int x = 1; switch (x) { case 1: switch (x) { case 1: break; "
+                         "default: break; } default: break; case 1.0: break; case 1.00: break; "
+                         'case "1": break; } }'))
+
+
 def test_goto_to_a_missing_label_is_unresolved():
     with pytest.raises(UnresolvedName, match="no label 'nowhere' in function 'main'") as err:
         resolve(parse_source("int main() { int i = 0; top: i++; goto nowhere; }"))

@@ -216,6 +216,14 @@ def test_permutations_pass_over_a_fixture_without_main():
     assert [c if c is None else c[0] for c in candidates] == [None, 1]
 
 
+def test_permutations_examine_the_first_80_programs_with_both_slots():
+    pool = ValidatorPool([(f"swaps{k}.mc", SWAPS) for k in range(81)], n_generated=0)
+    candidates = list(weyuker._permutations(pool))
+    # each examined program yields its skipped swap and its valid one
+    assert candidates.count(None) == 80
+    assert [c[0] for c in candidates if c is not None] == list(range(80))
+
+
 def test_pool_names_the_fixture_that_holds_no_code():
     # the one diagnostic without a span is re-raised with the fixture's name
     corpus = [("unit.mc", fixture_source("unit.mc")), ("empty.mc", "// only a comment\n")]
