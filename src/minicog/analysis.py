@@ -42,9 +42,6 @@ class Analysis:
         rep.efficiency = coding_efficiency(rep.escim, rep.loc)
         return rep
 
-    def escim_value(self, mode: SiMode = SiMode.DELTA, weights: WeightTable | None = None) -> int:
-        return self.report(mode, weights).escim
-
     def si_program(self, mode: SiMode = SiMode.DELTA) -> int:
         return self.ledger.si(self.ledger.entries, mode)
 

@@ -6,11 +6,11 @@ order and lists the nodes in that order, so ``tree.nodes[nid]`` is the node
 numbered ``nid``; the later stages name nodes by id and keep no reference to
 the tree. A node stores nothing else but its fields: no source offsets, as
 nothing on the success path reads where a node sits in the text. The tree
-holds its file's ``SourceMap`` and the index of each top-level item's first
-token, and ``tree.span(node)`` builds a node's ``SourceSpan`` by re-parsing
-the one item that holds the node (``parser.node_span``). The tree keeps no
-parent links: no stage reads them (the parser checks string literals as it
-builds calls), and ``child_nodes`` gives them to whoever needs them.
+holds its file's ``SourceMap``, from which ``parser.node_span`` builds a
+node's span for a diagnostic by re-parsing the file up to the node's
+top-level item. The tree keeps no parent links: no stage reads them (the
+parser checks string literals as it builds calls), and ``child_nodes``
+gives them to whoever needs them.
 Structural equality (ignoring ids) goes through ``fingerprint``.
 
 Tree walks are table-driven, from tables read from the dataclass fields once
@@ -28,11 +28,10 @@ does not recurse either.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .lexer import SourceMap, SourceSpan
+from .lexer import SourceMap
 
 
 @dataclass(eq=False, slots=True)
@@ -167,7 +166,7 @@ class IfStmt(Stmt):
 
 @dataclass(eq=False, slots=True)
 class CaseArm(Node):
-    label: Optional[str]  # literal text, None for `default`
+    label: Optional[str]  # int literal text, None for `default`
     body: list[Stmt] = field(default_factory=list)
 
 
@@ -301,20 +300,11 @@ _CHILDREN_REVERSED = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
 
 @dataclass(eq=False)
 class SyntaxTree:
-    """A file's top-level items, its source map and the index of each item's
-    first token (None and empty for a tree the parser did not make) and, once
-    finalized, its nodes listed by id."""
+    """A file's top-level items, its source map (None for a tree the parser
+    did not make) and, once finalized, its nodes listed by id."""
     items: list
     source_map: Optional[SourceMap] = field(default=None, repr=False)
-    # C ints, not a list: int objects kept past the parse would pin the allocator's arenas
-    item_tokens: array = field(default_factory=lambda: array("l"), repr=False)
     nodes: list[Node] = field(default_factory=list, repr=False)  # indexed by node id
-
-    def span(self, node: Node) -> Optional[SourceSpan]:
-        """The source span of one of the finalized tree's nodes, built by
-        re-parsing the item that holds it (``parser.node_span``)."""
-        from .parser import node_span  # the parser imports this module
-        return node_span(self, node)
 
     def finalize(self) -> "SyntaxTree":
         """Assign depth-first node ids and list the nodes by id, by an explicit stack."""

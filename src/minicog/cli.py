@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import Analysis, analyze_source
-from .errors import AnalysisError, EmptyProgram
+from .errors import AnalysisError
 from .generator import generate
 from .ledger import SiMode
 from .metrics import MetricsReport, WeightTable
@@ -137,10 +137,10 @@ def _json_array(items: list[str], depth: int) -> str:
     return "[" + item + ("," + item).join(items) + _newline(depth) + "]"
 
 
-def _diagnostic_json(file: str, mode: SiMode, exc: Exception, depth: int) -> str:
+def _diagnostic_json(file: str, mode: SiMode, exc: AnalysisError, depth: int) -> str:
     """The report of a file that does not analyze, nested `depth` levels deep:
     its one diagnostic, with the span if `exc` has one."""
-    quote, span = encode_basestring_ascii, getattr(exc, "span", None)
+    quote, span = encode_basestring_ascii, exc.span
     where = "null" if span is None else _object(
         depth + 3, '"file": %s', '"line_start": %d', '"col_start": %d', '"line_end": %d',
         '"col_end": %d') % (quote(span.file), *span[1:])
@@ -344,8 +344,8 @@ def run_analyze(args) -> int:
             analysis.tree = None
             rep = report_obj(analysis, mode, args.weights)
             sections = _sections(analysis, emit, as_json, depth)
-        except (AnalysisError, EmptyProgram) as exc:
-            where = f"{exc.span}: " if getattr(exc, "span", None) else ""  # file:line:col
+        except AnalysisError as exc:
+            where = f"{exc.span}: " if exc.span else ""  # file:line:col
             write(sep + _diagnostic_json(file, mode, exc, depth) if as_json
                   else f"{file}\n  error: {where}{exc}\n")
         else:
@@ -437,9 +437,8 @@ def run_weyuker(args) -> int:
     try:
         result = run_matrix(corpus, seed=args.seed, n_generated=args.count,
                             modes=modes, weights=args.weights)
-    except (AnalysisError, EmptyProgram) as exc:
-        span = getattr(exc, "span", None)
-        where = f"{span}: " if span else ""
+    except AnalysisError as exc:
+        where = f"{exc.span}: " if exc.span else ""
         print(f"minicog: corpus fixture does not analyze: {where}{exc}", file=sys.stderr)
         return 1
     print(json.dumps(_matrix_obj(result), indent=2) if args.format == "json"

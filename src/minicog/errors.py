@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class AnalysisError(Exception):
-    """Base for diagnostics that carry a source span."""
+    """Base for diagnostics, each with its source span if it has one."""
 
     def __init__(self, message: str, span=None):
         super().__init__(message)
@@ -27,6 +27,10 @@ class UnresolvedName(AnalysisError):
     pass
 
 
+class EmptyProgram(AnalysisError):
+    """A file with no line of code: the one diagnostic without a span."""
+
+
 class ComposeError(Exception):
     pass
 
@@ -36,10 +40,6 @@ class RenameCollision(Exception):
 
 
 class InvalidPermutation(Exception):
-    pass
-
-
-class EmptyProgram(Exception):
     pass
 
 

@@ -31,9 +31,9 @@ The parser reads the lexer's ``kinds`` and ``texts`` lists by token index,
 with an end sentinel on them while it runs, so no lookahead needs a bounds
 check. Nodes store no source position. A syntax error's ``SourceSpan`` is
 built from the offending token's index. A node's span, which only a
-resolution diagnostic (or a test) asks for, comes from ``node_span``: it
-re-tokenizes the file and re-parses the one top-level item that holds the
-node, with a parser that records each node's first and last token index.
+resolution diagnostic asks for, comes from ``node_span``: it re-tokenizes
+the file and re-parses it up to the top-level item that holds the node,
+recording each node's first and last token index in that item alone.
 """
 
 from __future__ import annotations
@@ -65,11 +65,11 @@ MAX_SIZE_DIGITS = 4300
 
 
 class _Parser:
-    def __init__(self, tokens: Tokens, spans: dict[Node, tuple[int, int]] | None = None):
+    def __init__(self, tokens: Tokens):
         self.tokens = tokens
         self.kinds = tokens.kinds  # the lists themselves: see `parse_program`
         self.texts = tokens.texts
-        self.spans = spans  # node -> (first, last) token index, when kept: see `node_span`
+        self.spans: dict[Node, tuple[int, int]] | None = None  # (first, last) token: see `node_span`
         self.pos = 0
         # string literals not (yet) a direct argument of print, in source
         # order, each with its token index
@@ -112,7 +112,6 @@ class _Parser:
         tree = SyntaxTree([], self.tokens.source_map)
         try:
             while self.kinds[self.pos] != END:
-                tree.item_tokens.append(self.pos)
                 tree.items.append(self.parse_item())
         finally:
             del self.kinds[-1], self.texts[-1]
@@ -322,8 +321,10 @@ class _Parser:
             astart = self.pos
             if texts[astart] == "case":
                 self.pos += 1
-                if self.kinds[self.pos] not in LITERAL_KINDS:
-                    raise ParseError("expected a literal case label", self.tokens.span(self.pos))
+                kind = self.kinds[self.pos]
+                if kind != "int-literal":  # C11 6.8.4.2p3: an integer constant
+                    raise ParseError("a case label must be an integer" if kind in LITERAL_KINDS
+                                     else "expected a literal case label", self.tokens.span(self.pos))
                 label = texts[self.pos]
                 self.pos += 1
             elif texts[astart] == "default":
@@ -475,25 +476,27 @@ def node_span(tree: SyntaxTree, node: Node) -> SourceSpan | None:
     tree with no source map.
 
     Nodes store no offsets, so this re-tokenizes the file's text and
-    re-parses only the top-level item that holds the node (the items number
-    their nodes in consecutive blocks), keeping each node's first and last
-    token. Called from ``resolve``, which ``analyze_source`` calls as it
-    calls ``parse``, it enters ``parse_item`` at the stack depth at which
-    ``parse_program`` did, so the re-parse reaches every nesting that the
-    first parse did.
+    re-parses its top-level items up to the one that holds the node (the
+    items number their nodes in consecutive blocks), keeping each node's
+    first and last token in that item alone. Called from ``resolve``, which
+    ``analyze_source`` calls as it calls ``parse``, it enters ``parse_item``
+    at the stack depth at which ``parse_program`` did, so the re-parse
+    reaches every nesting that the first parse did.
     """
     source_map = tree.source_map
     if source_map is None:
         return None
     k = bisect_right(tree.items, node.nid, key=lambda item: item.nid) - 1
     tokens = tokenize(source_map.source, source_map.file)
-    spans: dict[Node, tuple[int, int]] = {}
-    parser = _Parser(tokens, spans)
+    parser = _Parser(tokens)
     parser.kinds.append(END)  # the sentinel of `parse_program`; these tokens are discarded
     parser.texts.append("")
-    parser.pos = tree.item_tokens[k]
-    item = parser.parse_item()
-    first, last = spans[SyntaxTree([item]).finalize().nodes[node.nid - tree.items[k].nid]]
+    items = []
+    for _ in range(k):  # not a comprehension: before CPython 3.12 that is one frame deeper
+        items.append(parser.parse_item())
+    parser.spans = {}
+    items.append(parser.parse_item())
+    first, last = parser.spans[SyntaxTree(items).finalize().nodes[node.nid]]
     start = tokens.starts[first]
     return source_map.span(start, tokens.starts[last] + len(tokens.texts[last]))
 

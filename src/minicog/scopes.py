@@ -10,11 +10,13 @@ label is defined once in it, and a ``goto`` names a label of its own function
 (C11 6.8.1 and 6.8.6.1). A struct is defined once, and a field name is
 declared once in its struct (6.7.2.3p1 and 6.7p3). A global variable and a
 function do not share a name (6.7p4). No two case labels of one switch have
-the same value, and a switch has at most one default (6.8.4.2p3).
+the same value, and a switch has at most one default (6.8.4.2p3). A call
+passes its function as many arguments as it has parameters (6.5.2.2p2).
 
 A diagnostic is raised with the node it is about. Nodes store no source
 offsets, so ``resolve`` builds its span only once the walk has unwound, by
-re-parsing the top-level item that holds the node (``parser.node_span``).
+re-parsing the file up to the top-level item that holds the node
+(``parser.node_span``).
 
 A scope only keeps same-named variables distinct, so no scope outlives the
 walk: ``ScopedVariable.scope`` numbers scopes in the order they are entered.
@@ -94,11 +96,11 @@ class Resolution:
 
 
 def _case_value(label: str | None) -> str | None:
-    """What makes a case label distinct: an int literal's value, written as
+    """What makes a case label distinct: its int literal's value, written as
     ASCII digits without leading zeros (the lexer reads the decimal digits of
-    every script), and any other literal's text."""
-    if label is None or not label.isdecimal():
-        return label
+    every script), or None for ``default``."""
+    if label is None:
+        return None
     return "".join(str(int(digit)) for digit in label).lstrip("0") or "0"
 
 
@@ -115,6 +117,7 @@ class _Resolver:
         self.occurrences = Occurrences()
         self.records: dict[str, ast.RecordDef] = {}
         self.call_graph: dict[str, set[str]] = {}
+        self.arity: dict[str, int] = {}          # each function's parameter count
         self.calls_by_anchor: dict[int, int] = {}
         self.runs: dict[int, range] = {}
         self.current_function: str | None = None
@@ -244,8 +247,12 @@ class _Resolver:
                 stack += [(expr.value, ROLE_READ), (expr.target, ROLE_TARGET)]
             elif cls is Call:
                 if expr.callee not in BUILTINS:
-                    if expr.callee not in self.call_graph:
+                    arity = self.arity.get(expr.callee)
+                    if arity is None:
                         raise _NodeError(UnresolvedName, f"unknown function '{expr.callee}'", expr)
+                    if arity != len(expr.args):
+                        raise _NodeError(UnresolvedName, f"function '{expr.callee}' takes {arity} "
+                                         f"argument{'s' * (arity != 1)}, {len(expr.args)} given", expr)
                     if self.current_function is not None:
                         self.call_graph[self.current_function].add(expr.callee)
                     self.calls_by_anchor[anchor] = self.calls_by_anchor.get(anchor, 0) + 1
@@ -362,6 +369,7 @@ class _Resolver:
                 if item.name in self.call_graph:
                     raise _NodeError(DuplicateDeclaration, f"function '{item.name}' already defined", item)
                 self.call_graph[item.name] = set()
+                self.arity[item.name] = len(item.params)
 
         for item in tree.items:
             if isinstance(item, ast.RecordDef):

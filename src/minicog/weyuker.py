@@ -306,7 +306,7 @@ class ValidatorPool:
         return len(self.entries)
 
     def _escim(self, analysis: Analysis) -> dict[SiMode, int]:
-        return {mode: analysis.escim_value(mode, self.weights) for mode in self.modes}
+        return {mode: analysis.report(mode, self.weights).escim for mode in self.modes}
 
     def esc(self, i: int, mode: SiMode) -> int:
         return self.entries[i].escim[mode]
@@ -505,7 +505,7 @@ def _permutations(pool: ValidatorPool):
 def _check_p7(prop, pool):
     def hit(candidate, mode):
         i, permuted = candidate
-        before, after = pool.esc(i, mode), permuted.escim_value(mode, pool.weights)
+        before, after = pool.esc(i, mode), permuted.report(mode, pool.weights).escim
         if after != before:
             return _witness(pool, p=i, permuted=permuted.source, values=[before, after])
     return _verdicts(prop, pool.modes, _permutations(pool), hit)
@@ -523,7 +523,7 @@ def _check_p8(prop, pool):
         i, renamed = candidate
         entry = pool.entries[i]
         before = (entry.escim[mode], entry.i_l, entry.loc)
-        after = (renamed.escim_value(mode, pool.weights), renamed.ledger.i_l, renamed.loc)
+        after = (renamed.report(mode, pool.weights).escim, renamed.ledger.i_l, renamed.loc)
         if before + (entry.si_program[mode],) != after + (renamed.si_program(mode),):
             values = {key: [b, a] for key, b, a in zip(("escim", "i_l", "loc"), before, after)}
             return _witness(pool, p=i, renamed=renamed.source, values=values)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from minicog import ParseError, analyze_source, ast, cli, tokenize
-from minicog.errors import AnalysisError, EmptyProgram
-from minicog.parser import _Parser
+from minicog.errors import AnalysisError
+from minicog.parser import _Parser, node_span
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus"
@@ -110,9 +110,9 @@ def reference_head_obj(file: str, analysis, mode) -> dict:
     }
 
 
-def reference_diagnostic_obj(file: str, mode, exc: Exception) -> dict:
+def reference_diagnostic_obj(file: str, mode, exc: AnalysisError) -> dict:
     """The report of a file that does not analyze, as one object."""
-    span = getattr(exc, "span", None)
+    span = exc.span
     return {
         "file": file,
         "si_mode": mode.value,
@@ -195,7 +195,7 @@ def reference_analyze_output(inputs: list[str], fmt: str, mode, emit: set[str],
         try:
             analysis = analyze_source(Path(path).read_text(encoding="utf-8"), path)
             reports.append(reference_report_obj(path, analysis, mode, emit))
-        except (AnalysisError, EmptyProgram) as exc:
+        except AnalysisError as exc:
             reports.append(reference_diagnostic_obj(path, mode, exc))
     if not corpus:
         rep = reports[0]
@@ -385,7 +385,7 @@ def reference_string_literal_error(source: str, file: str = "<input>"):
         if isinstance(node, ast.Literal) and node.kind == "string":
             parent = tree.nodes[parents[nid]] if nid in parents else None
             if not (isinstance(parent, ast.Call) and parent.callee == "print"):
-                return "string literal only allowed as a print argument", tree.span(node)
+                return "string literal only allowed as a print argument", node_span(tree, node)
     return None
 
 

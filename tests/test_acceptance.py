@@ -50,7 +50,7 @@ def test_criterion_1_example1_reproduction():
 
 def test_criterion_2_unit_normalization():
     analysis = analyzed("unit.mc")
-    values = {mode.value: analysis.escim_value(mode) for mode in MODES}
+    values = {mode.value: analysis.report(mode).escim for mode in MODES}
     assert values == {"delta": 1, "minmax": 1, "absolute": 1}
     ok("2", f"unit program measures 1 in every mode: {values}")
 
@@ -168,7 +168,7 @@ def test_criterion_8a_rename_invariance_200():
                        | set(analysis.resolution.call_graph))
         renamed = analyze_source(rename(analysis.source, {n: f"ren{i}" for i, n in enumerate(names)}))
         for mode in MODES:
-            assert renamed.escim_value(mode) == analysis.escim_value(mode), seed
+            assert renamed.report(mode).escim == analysis.report(mode).escim, seed
             assert renamed.si_program(mode) == analysis.si_program(mode), seed
         assert renamed.report().i_l == analysis.report().i_l
         assert renamed.report().loc == analysis.report().loc

@@ -117,6 +117,22 @@ def test_repeated_switch_labels_exit_1(tmp_path, source, message, col):
     assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
 
 
+@pytest.mark.parametrize("label, message", [
+    # C11 6.8.4.2p3: a case label is an integer constant expression
+    ("1.5", "a case label must be an integer"),
+    ('"a"', "a case label must be an integer"),
+    ("x", "expected a literal case label"),
+], ids=["float", "string", "name"])
+def test_case_label_that_is_not_an_integer_exits_1(tmp_path, label, message):
+    bad = tmp_path / "switch.mc"
+    bad.write_text(f"int main() {{ int x = 1; switch (x) {{ case {label}: break; }} }}")
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == message
+    assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, 43)
+
+
 @pytest.mark.parametrize("source, message, col", [
     # C11 6.7.2.3p1: a struct's content is defined at most once
     ("struct P { int a; }; struct P { int b; }; int main() { P p; p.b = 1; print(p.b); }",
@@ -150,12 +166,52 @@ def test_global_variable_and_function_of_one_name_exit_1(tmp_path, source, col):
     assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
 
 
+@pytest.mark.parametrize("call, message, col", [
+    ("f(1, 2, 3)", "function 'f' takes 2 arguments, 3 given", 46),
+    ("g()", "function 'g' takes 1 argument, 0 given", 46),
+], ids=["too-many", "too-few"])
+def test_call_with_the_wrong_argument_count_exits_1(tmp_path, call, message, col):
+    # C11 6.5.2.2p2: as many arguments as the function has parameters
+    bad = tmp_path / "call.mc"
+    bad.write_text("int f(int a, int b) { return a; } int g(int a) { return a; }\n"
+                   f"int main() {{ int x = 1; x = f(x, 2) + g(x) + {call}; print(x, 2); x = read(); }}")
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == message
+    assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (2, col)
+
+
 def test_nested_member_access_exits_1(tmp_path):
     (tmp_path / "nested.mc").write_text("struct P { int a; };\nint main() { P p; p.a.b = 1; }\n")
     proc = run_cli("analyze", "nested.mc", cwd=tmp_path)
     assert proc.returncode == 1
     assert b"nested.mc:2:19: nested member access is not supported" in proc.stdout
     assert b"Traceback" not in proc.stderr
+
+
+_EMPTY_JSON = ('{\n  "file": "empty.mc",\n  "si_mode": "delta",\n  "diagnostics": [\n    {\n'
+               '      "span": null,\n      "message": "no countable lines of code"\n    }\n  ]\n}\n')
+_EMPTY_IN_CORPUS_JSON = (
+    '{\n  "files": [\n    {\n      "file": "empty.mc",\n      "si_mode": "delta",\n'
+    '      "diagnostics": [\n        {\n          "span": null,\n'
+    '          "message": "no countable lines of code"\n        }\n      ]\n    }\n  ],\n'
+    '  "totals": {\n    "files": 1,\n    "analyzed": 0,\n    "loc": 0,\n    "escim": 0\n  }\n}\n')
+
+
+@pytest.mark.parametrize("args, expected", [
+    ([], "empty.mc\n  error: no countable lines of code\n"),
+    (["--corpus"], "empty.mc\n  error: no countable lines of code\n"
+                   "totals   files 1   analyzed 0   loc 0   ESCIM 0\n"),
+    (["--format", "json"], _EMPTY_JSON),
+    (["--corpus", "--format", "json"], _EMPTY_IN_CORPUS_JSON),
+], ids=["text", "corpus-text", "json", "corpus-json"])
+def test_empty_file_diagnostic_bytes(tmp_path, monkeypatch, capsys, args, expected):
+    # the one diagnostic without a span: no location in the text, a null span in JSON
+    (tmp_path / "empty.mc").write_text("")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "empty.mc", *args]) == 1
+    assert capsys.readouterr().out == expected
 
 
 def test_input_ending_inside_a_switch_body_is_a_diagnostic(tmp_path):
@@ -237,6 +293,19 @@ def test_undeclared_name_at_each_nesting_limit_has_its_span(tmp_path, shape):
     assert b"Traceback" not in proc.stderr
     assert proc.returncode == 1
     assert proc.stdout == f"deep.mc\n  error: deep.mc:{where}: undeclared name 'y'\n".encode()
+
+
+@pytest.mark.parametrize("nesting", ["if (x) {" * 326 + "x = 1;" + "}" * 326,
+                                     "if (x) " * 979 + "x = 1;"], ids=["blocks", "braceless-ifs"])
+def test_undeclared_name_after_an_item_at_a_nesting_limit_has_its_span(tmp_path, nesting):
+    # the span's re-parse passes over the items before the node's, and the
+    # first of them nests to README's limit: braceless ifs leave no spare frame
+    deep = "int f(int x) {\n" + nesting + "\nreturn x;\n}\n"
+    (tmp_path / "deep.mc").write_text(deep + "int g() { return 1; }\nint main() { y = 1; }\n")
+    proc = run_cli("analyze", "deep.mc", cwd=tmp_path)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == b"deep.mc\n  error: deep.mc:6:14: undeclared name 'y'\n"
 
 
 def _run_with_closed_stdout(*args: str) -> tuple[int, bytes]:

@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 
-from minicog import AnalysisError, EmptyProgram, analyze_source, cli, lexer
+from minicog import AnalysisError, analyze_source, cli, lexer
 from minicog.cli import report_obj
 from minicog.generator import generate
 from minicog.ledger import SiMode
@@ -39,9 +39,8 @@ def _outcome(source: str, file: str):
     """None for a report, else [exception class, message, five span fields]."""
     try:
         analyze_source(source, file)
-    except (AnalysisError, EmptyProgram) as exc:
-        span = getattr(exc, "span", None)
-        return [type(exc).__name__, str(exc), *(span if span is not None else [None] * 5)]
+    except AnalysisError as exc:
+        return [type(exc).__name__, str(exc), *(exc.span or [None] * 5)]
     return None
 
 

@@ -165,8 +165,8 @@ def test_every_value_written_through_a_d_slot_is_an_int():
     for text in broken:
         try:
             analyze_source(text)
-        except (AnalysisError, EmptyProgram) as exc:
-            span = getattr(exc, "span", None)
+        except AnalysisError as exc:
+            span = exc.span
             if span is not None:
                 slots = [span.line_start, span.col_start, span.line_end, span.col_end]
                 assert all(type(v) is int for v in slots), slots

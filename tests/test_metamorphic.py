@@ -14,7 +14,7 @@ SEEDS = st.integers(0, 10 ** 6)
 
 
 def _scores(analysis) -> tuple:
-    return ({mode: analysis.escim_value(mode) for mode in SiMode},
+    return ({mode: analysis.report(mode).escim for mode in SiMode},
             analysis.ledger.i_l, analysis.loc)
 
 
@@ -55,8 +55,8 @@ def test_function_order_leaves_delta_minmax_il_and_loc_unchanged():
 def test_absolute_mode_reads_globals_in_function_text_order():
     # generate(8) assigns the global g0 in main and reads it in f0
     source = generate(8)
-    before = analyze_source(source).escim_value(SiMode.ABSOLUTE)
-    after = analyze_source(_functions_reversed(source)).escim_value(SiMode.ABSOLUTE)
+    before = analyze_source(source).report(SiMode.ABSOLUTE).escim
+    after = analyze_source(_functions_reversed(source)).report(SiMode.ABSOLUTE).escim
     assert (before, after) == (19, 27)
 
 
@@ -144,8 +144,8 @@ def test_absolute_mode_under_an_added_read_as_observed():
         if printed is None:
             continue
         programs += 1
-        absolute_changed += (analyze_source(printed).escim_value(SiMode.ABSOLUTE)
-                             != analyze_source(source).escim_value(SiMode.ABSOLUTE))
+        absolute_changed += (analyze_source(printed).report(SiMode.ABSOLUTE).escim
+                             != analyze_source(source).report(SiMode.ABSOLUTE).escim)
     assert (programs, absolute_changed) == (180, 0)
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from minicog import (
-    EmptyProgram, InconsistentInput, analyze_source, coding_efficiency, escim, loc, tokenize,
+    AnalysisError, EmptyProgram, InconsistentInput, analyze_source, coding_efficiency, escim, loc,
+    tokenize,
 )
 from minicog.granules import BcsKind
 from minicog.ledger import SiMode
@@ -16,13 +17,13 @@ from conftest import analyzed, corpus_names, fixture_source, info_icn, ordinals_
 def test_unit_program_measures_one_in_every_mode():
     analysis = analyzed("unit.mc")
     for mode in SiMode:
-        assert analysis.escim_value(mode) == 1
+        assert analysis.report(mode).escim == 1
 
 
 def test_empty_function_measures_zero():
     analysis = analyze_source("int main() { }")
     for mode in SiMode:
-        assert analysis.escim_value(mode) == 0
+        assert analysis.report(mode).escim == 0
 
 
 def test_example6_default_delta_value():
@@ -55,6 +56,12 @@ def test_loc_examples():
     assert loc(tokenize(fixture_source("unit.mc"))) == 3
     with pytest.raises(EmptyProgram):
         analyze_source("// nothing\n/* still\nnothing */\n\n")
+
+
+def test_an_empty_program_is_an_analysis_error_without_a_span():
+    with pytest.raises(AnalysisError) as err:
+        analyze_source("")
+    assert type(err.value) is EmptyProgram and err.value.span is None
 
 
 def test_loc_counts_code_sharing_a_line_with_comments():
@@ -111,10 +118,10 @@ def test_weight_table_by_kind_is_built_once():
     assert by_kind == {**DEFAULT_WEIGHTS, "while": 4}
     assert by_kind[BcsKind.WHILE] == 4 and by_kind[BcsKind.IF] == DEFAULT_WEIGHTS["if"]
     analysis = analyzed("example6.mc")
-    assert analysis.escim_value(SiMode.DELTA, table) == 2 + 1 * 4 + 0 + 3 * 4
+    assert analysis.report(SiMode.DELTA, table).escim == 2 + 1 * 4 + 0 + 3 * 4
     assert table.by_kind is by_kind
     table.by_kind = {**by_kind, BcsKind.WHILE: 5}
-    assert analysis.escim_value(SiMode.DELTA, table) == 2 + 1 * 5 + 0 + 3 * 5
+    assert analysis.report(SiMode.DELTA, table).escim == 2 + 1 * 5 + 0 + 3 * 5
 
 
 def test_weight_table_from_file(tmp_path):
@@ -123,7 +130,7 @@ def test_weight_table_from_file(tmp_path):
     table = WeightTable.from_file(path)
     assert table.by_kind[BcsKind.WHILE] == 4 and table.by_kind[BcsKind.IF] == 2
     analysis = analyzed("example6.mc")
-    assert analysis.escim_value(SiMode.DELTA, table) == 2 + 1 * 4 + 0 + 3 * 4
+    assert analysis.report(SiMode.DELTA, table).escim == 2 + 1 * 4 + 0 + 3 * 4
 
 
 @pytest.mark.parametrize("kind", sorted(DEFAULT_WEIGHTS))
@@ -133,14 +140,14 @@ def test_weight_monotonicity(kind):
     for name in ("example3.mc", "example6.mc", "recursion.mc", "sum_loop.mc"):
         analysis = analyzed(name)
         for mode in SiMode:
-            assert analysis.escim_value(mode, bumped) >= analysis.escim_value(mode, base)
+            assert analysis.report(mode, bumped).escim >= analysis.report(mode, base).escim
 
 
 def test_goto_weight_scales_leaves_containing_gotos():
     src = "int main() { int a = 1; lab: a = a + 1; goto lab; }"
     analysis = analyze_source(src)
-    assert analysis.escim_value() == 3
-    assert analysis.escim_value(SiMode.DELTA, WeightTable({"goto": 2})) == 6
+    assert analysis.report().escim == 3
+    assert analysis.report(SiMode.DELTA, WeightTable({"goto": 2})).escim == 6
 
 
 # ----------------------------------------------------------------- misc
@@ -161,7 +168,7 @@ def test_program_escim_sums_functions():
 def test_nonnegative_everywhere(name):
     analysis = analyzed(name)
     for mode in SiMode:
-        assert analysis.escim_value(mode) >= 0
+        assert analysis.report(mode).escim >= 0
 
 
 def test_delta_additivity_for_disjoint_programs():
@@ -171,7 +178,7 @@ def test_delta_additivity_for_disjoint_programs():
     from minicog.weyuker import compose
 
     combined = compose(parse_source(fixture_source("p6_p.mc")), parse_source(fixture_source("p6_q.mc")))
-    assert combined.escim_value() == p.escim_value() + q.escim_value() == 2
+    assert combined.report().escim == p.report().escim + q.report().escim == 2
 
 
 # ----------------------------------------------------------------- shared work

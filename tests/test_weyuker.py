@@ -26,10 +26,10 @@ def test_compose_disjoint_variables_adds():
     p = "int main() { int a; a = 1; }"
     q = "int main() { int b; b = 2; }"
     combined = compose(parse_source(p), parse_source(q))
-    assert combined.escim_value() == 2
+    assert combined.report().escim == 2
     assert "int a;" in combined.source and "int b;" in combined.source
     for mode in SiMode:
-        assert analyze_source(combined.source).escim_value(mode) == combined.escim_value(mode)
+        assert analyze_source(combined.source).report(mode).escim == combined.report(mode).escim
 
 
 def test_compose_unifies_duplicate_declaration():
@@ -90,8 +90,8 @@ def test_compose_carries_a_struct_of_q_into_p_then_q():
     q = "struct S { int x; };\nint main() { S s; s.x = 2; print(s.x); }"
     combined = compose(parse_source(p), parse_source(q))
     assert combined.source.startswith("struct S\n{\n    int x;\n};\n")
-    assert combined.escim_value() == \
-        analyze_source(p).escim_value() + analyze_source(q).escim_value()
+    assert combined.report().escim == \
+        analyze_source(p).report().escim + analyze_source(q).report().escim
 
 
 def test_compose_is_associative_on_corpus():
@@ -118,8 +118,8 @@ def test_compose_duplicate_global_keeps_first_definition():
     q = "int g = 9;\nint main() { print(g); }"
     combined = compose(parse_source(p), parse_source(q))
     assert combined.source.count("int g") == 1
-    assert combined.escim_value() == \
-        analyze_source(p).escim_value() + analyze_source(q).escim_value()
+    assert combined.report().escim == \
+        analyze_source(p).report().escim + analyze_source(q).report().escim
 
 
 def test_compose_leaves_its_input_trees_unchanged():
@@ -139,7 +139,7 @@ def test_rename_preserves_all_metrics():
     a, b = analyze_source(p), analyze_source(renamed)
     assert icn_max_by_name(b.ledger, whole(b.ledger)) == {"x": 1, "y": 2}
     for mode in SiMode:
-        assert a.escim_value(mode) == b.escim_value(mode)
+        assert a.report(mode).escim == b.report(mode).escim
         assert a.si_program(mode) == b.si_program(mode)
     assert a.report().loc == b.report().loc
     assert a.report().i_l == b.report().i_l
@@ -174,7 +174,7 @@ def test_swapping_independent_assignments_keeps_delta_si():
     order = list(range(len(infos)))
     order[2], order[3] = order[3], order[2]
     a, b = analyze_source(src), permute(src, order)
-    assert a.escim_value(SiMode.DELTA) == b.escim_value(SiMode.DELTA)
+    assert a.report(SiMode.DELTA).escim == b.report(SiMode.DELTA).escim
     assert a.si_program(SiMode.DELTA) == b.si_program(SiMode.DELTA)
 
 
@@ -186,7 +186,7 @@ def test_moving_assignment_between_nesting_levels_changes_value():
     order = list(range(len(infos)))
     order[loop_slot], order[top_slot] = order[top_slot], order[loop_slot]
     moved = permute(src, order)
-    assert moved.escim_value() != analyze_source(src).escim_value()
+    assert moved.report().escim != analyze_source(src).report().escim
 
 
 def test_use_before_declaration_is_invalid():
@@ -323,9 +323,9 @@ def test_p9_absolute_inequality_and_disjoint_equality():
     p = fixture_source("p6_p.mc")   # assigns v
     r = fixture_source("p6_r.mc")   # reads and reassigns v
     q = fixture_source("p6_q.mc")   # disjoint from p
-    val = lambda src: analyze_source(src).escim_value(SiMode.ABSOLUTE)
-    assert compose(parse_source(p), parse_source(r)).escim_value(SiMode.ABSOLUTE) >= val(p) + val(r)
-    assert compose(parse_source(p), parse_source(q)).escim_value(SiMode.ABSOLUTE) == val(p) + val(q)
+    val = lambda src: analyze_source(src).report(SiMode.ABSOLUTE).escim
+    assert compose(parse_source(p), parse_source(r)).report(SiMode.ABSOLUTE).escim >= val(p) + val(r)
+    assert compose(parse_source(p), parse_source(q)).report(SiMode.ABSOLUTE).escim == val(p) + val(q)
 
 
 @pytest.fixture(scope="module")
