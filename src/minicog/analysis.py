@@ -16,8 +16,6 @@ before it builds a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ast import SyntaxTree
 from .granules import GranuleTree, decompose
 from .ledger import OccurrenceLedger, SiMode, build_ledger
@@ -27,14 +25,17 @@ from .parser import parse
 from .scopes import Resolution, resolve
 
 
-@dataclass
 class Analysis:
-    source: str
-    tree: SyntaxTree | None  # None once released; nothing in a report reads it
-    resolution: Resolution
-    ledger: OccurrenceLedger
-    granules: list[GranuleTree]
-    loc: int
+    __slots__ = ("source", "tree", "resolution", "ledger", "granules", "loc")
+
+    def __init__(self, source: str, tree: SyntaxTree | None, resolution: Resolution,
+                 ledger: OccurrenceLedger, granules: list[GranuleTree], loc: int) -> None:
+        self.source = source
+        self.tree = tree  # None once released; nothing in a report reads it
+        self.resolution = resolution
+        self.ledger = ledger
+        self.granules = granules
+        self.loc = loc
 
     def report(self, mode: SiMode = SiMode.DELTA, weights: WeightTable | None = None) -> MetricsReport:
         rep = escim(self.granules, self.ledger, weights, mode)

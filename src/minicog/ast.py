@@ -1,106 +1,84 @@
 """Syntax tree for MiniC.
 
-Nodes are dataclasses with ``__slots__``. A node's id is attached after
-construction: ``SyntaxTree.finalize`` numbers every node in depth-first source
-order and lists the nodes in that order, so ``tree.nodes[nid]`` is the node
-numbered ``nid``; the later stages name nodes by id and keep no reference to
-the tree. A node stores nothing else but its fields: no source offsets, as
-nothing on the success path reads where a node sits in the text. The tree
-holds its file's ``SourceMap``, from which ``parser.node_span`` builds a
-node's span for a diagnostic by re-parsing the file up to the node's
-top-level item. The tree keeps no parent links: no stage reads them (the
-parser checks string literals as it builds calls), and ``child_nodes``
-gives them to whoever needs them.
+The node classes are declared in one table, a line each, by ``_node``: the
+class name, its base, its ``__init__`` parameters and its node-holding
+fields. Each class has ``__slots__`` and identity equality. A node's id is
+attached after construction: ``SyntaxTree.finalize`` numbers every node in
+depth-first source order and lists the nodes in that order, so
+``tree.nodes[nid]`` is the node numbered ``nid``; the later stages name nodes
+by id and keep no reference to the tree. A node stores nothing else but its
+fields: no source offsets, as nothing on the success path reads where a node
+sits in the text. The tree holds its file's ``SourceMap``, from which
+``parser.node_span`` builds a node's span for a diagnostic by re-parsing the
+file up to the node's top-level item. The tree keeps no parent links: no
+stage reads them (the parser checks string literals as it builds calls), and
+``child_nodes`` gives them to whoever needs them.
 Structural equality (ignoring ids) goes through ``fingerprint``.
 
-Tree walks are table-driven, from tables read from the dataclass fields once
-at import: ``NODE_FIELDS`` holds each node class's field names (without the
-bookkeeping field of ``Node``), which ``fingerprint`` reads, and
-``CHILD_FIELDS`` the node-holding ones, which ``child_nodes`` and
-``finalize`` read, so they skip the fields that hold scalars. Every concrete
-node class subclasses ``Node``, ``Expr`` or ``Stmt`` directly, and those
-three are never instantiated, so a walk may dispatch on ``node.__class__``.
-``finalize`` and ``fingerprint`` walk with an explicit stack, so they take
-trees of any depth, such as a long ``x + ... + x`` chain, which the parser
-builds as deep as it is long; a fingerprint is a flat tuple, so comparing two
-does not recurse either.
+Tree walks are table-driven, from the tables the declarations fill:
+``NODE_FIELDS`` holds each node class's field names (without ``nid``), which
+``fingerprint`` reads, and ``CHILD_FIELDS`` the node-holding ones, which
+``child_nodes`` and ``finalize`` read, so they skip the fields that hold
+scalars. Every concrete node class subclasses ``Node``, ``Expr`` or ``Stmt``
+directly, and those three are never instantiated, so a walk may dispatch on
+``node.__class__``. ``finalize`` and ``fingerprint`` walk with an explicit
+stack, so they take trees of any depth, such as a long ``x + ... + x`` chain,
+which the parser builds as deep as it is long; a fingerprint is a flat tuple,
+so comparing two does not recurse either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
-
 from .lexer import SourceMap
 
 
-@dataclass(eq=False, slots=True)
 class Node:
-    nid: int = field(default=-1, init=False, repr=False)
+    __slots__ = ("nid",)
 
+
+# Each node class's field names, in declaration (source) order, and its
+# node-holding fields in the same order, each with whether it holds a list of
+# nodes. `_node` fills both as it declares each class.
+NODE_FIELDS: dict[type, tuple[str, ...]] = {Node: ()}
+CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {Node: ()}
+
+
+def _node(name: str, base: type, params: str = "", children: str = "") -> type:
+    """Declare a node class. ``params`` is its ``__init__`` parameter list,
+    defaults included, and ``children`` its node-holding fields, ``[]``
+    marking one that holds a list of nodes. The ``__init__`` is compiled from
+    source, as ``dataclasses`` does: it sets ``nid`` to -1, then each field by
+    a plain assignment."""
+    fields = tuple(p.partition("=")[0].strip() for p in params.split(",") if p.strip())
+    namespace: dict = {}
+    exec(f"def __init__(self, {params}):\n    self.nid = -1\n"
+         + "".join(f"    self.{f} = {f}\n" for f in fields), namespace)
+    cls = type(name, (base,), {"__slots__": fields, "__init__": namespace["__init__"]})
+    NODE_FIELDS[cls] = fields
+    CHILD_FIELDS[cls] = tuple((c.removesuffix("[]"), c.endswith("[]")) for c in children.split(", ") if c)
+    return cls
+
+
+# The node classes, one a line: name, base, `__init__` parameters, child fields.
 
 # ---------------------------------------------------------------- types
-
-@dataclass(eq=False, slots=True)
-class TypeRef(Node):
-    name: str  # int | float | bool | record name
-    is_array: bool = False
-    array_size: Optional[int] = None
-
+# `name` is int | float | bool | a record name
+TypeRef = _node("TypeRef", Node, "name, is_array=False, array_size=None")
 
 # ---------------------------------------------------------------- expressions
-
-@dataclass(eq=False, slots=True)
-class Expr(Node):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class Literal(Expr):
-    kind: str  # int | float | string | bool
-    text: str
-
-
-@dataclass(eq=False, slots=True)
-class VarRef(Expr):
-    name: str
-
-
-@dataclass(eq=False, slots=True)
-class GlobalRef(Expr):
-    name: str
-
-
-@dataclass(eq=False, slots=True)
-class Member(Expr):
-    obj: Expr
-    member: str
-
-
-@dataclass(eq=False, slots=True)
-class Index(Expr):
-    base: Expr
-    index: Expr
-
-
-@dataclass(eq=False, slots=True)
-class Call(Expr):
-    callee: str
-    args: list[Expr]
-
-
-@dataclass(eq=False, slots=True)
-class Unary(Expr):
-    op: str  # ! -
-    operand: Expr
-
-
-@dataclass(eq=False, slots=True)
-class Binary(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
-
+Expr = _node("Expr", Node)
+Literal = _node("Literal", Expr, "kind, text")  # kind: int | float | string | bool
+VarRef = _node("VarRef", Expr, "name")
+GlobalRef = _node("GlobalRef", Expr, "name")
+Member = _node("Member", Expr, "obj, member", "obj")
+Index = _node("Index", Expr, "base, index", "base, index")
+Call = _node("Call", Expr, "callee, args", "args[]")
+Unary = _node("Unary", Expr, "op, operand", "operand")  # op: ! -
+Binary = _node("Binary", Expr, "op, lhs, rhs", "lhs, rhs")
+Assign = _node("Assign", Expr, "target, value", "target, value")
+CompoundAssign = _node("CompoundAssign", Expr, "op, target, value", "target, value")  # op: += -= *= /= %=
+Increment = _node("Increment", Expr, "target", "target")
+Decrement = _node("Decrement", Expr, "target", "target")
 
 # Binding strength of each binary operator (higher binds tighter); every
 # level is left-associative. The parser climbs it and the printer
@@ -113,198 +91,46 @@ BINARY_PRECEDENCE = {
     "*": 6, "/": 6, "%": 6,
 }
 
-
-@dataclass(eq=False, slots=True)
-class Assign(Expr):
-    target: Expr
-    value: Expr
-
-
-@dataclass(eq=False, slots=True)
-class CompoundAssign(Expr):
-    op: str  # += -= *= /= %=
-    target: Expr
-    value: Expr
-
-
-@dataclass(eq=False, slots=True)
-class Increment(Expr):
-    target: Expr
-
-
-@dataclass(eq=False, slots=True)
-class Decrement(Expr):
-    target: Expr
-
-
 # ---------------------------------------------------------------- statements
-
-@dataclass(eq=False, slots=True)
-class Stmt(Node):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class DeclStmt(Stmt):
-    type: TypeRef
-    name: str
-    init: Optional[Expr] = None
-    init_list: Optional[list[Expr]] = None  # aggregate initializer {e, e, ...}
-
-
-@dataclass(eq=False, slots=True)
-class ExprStmt(Stmt):
-    expr: Expr
-
-
-@dataclass(eq=False, slots=True)
-class IfStmt(Stmt):
-    cond: Expr
-    then: Stmt
-    orelse: Optional[Stmt] = None
-
-
-@dataclass(eq=False, slots=True)
-class CaseArm(Node):
-    label: Optional[str]  # int literal text, None for `default`
-    body: list[Stmt] = field(default_factory=list)
-
-
-@dataclass(eq=False, slots=True)
-class SwitchStmt(Stmt):
-    scrutinee: Expr
-    arms: list[CaseArm] = field(default_factory=list)
-
-
-@dataclass(eq=False, slots=True)
-class WhileStmt(Stmt):
-    cond: Expr
-    body: Stmt = None  # type: ignore[assignment]
-
-
-@dataclass(eq=False, slots=True)
-class DoWhileStmt(Stmt):
-    body: Stmt
-    cond: Expr
-
-
-@dataclass(eq=False, slots=True)
-class ForStmt(Stmt):
-    init: Optional[Stmt]  # DeclStmt or ExprStmt
-    cond: Optional[Expr]
-    update: Optional[Expr]
-    body: Stmt
-
-
-@dataclass(eq=False, slots=True)
-class ReturnStmt(Stmt):
-    value: Optional[Expr] = None
-
-
-@dataclass(eq=False, slots=True)
-class BreakStmt(Stmt):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class ContinueStmt(Stmt):
-    pass
-
-
-@dataclass(eq=False, slots=True)
-class GotoStmt(Stmt):
-    label: str
-
-
-@dataclass(eq=False, slots=True)
-class LabeledStmt(Stmt):
-    label: str
-    stmt: Stmt
-
-
-@dataclass(eq=False, slots=True)
-class Block(Stmt):
-    stmts: list[Stmt] = field(default_factory=list)
-
-
-@dataclass(eq=False, slots=True)
-class EmptyStmt(Stmt):
-    pass
-
+Stmt = _node("Stmt", Node)
+# `init_list` is an aggregate initializer {e, e, ...}
+DeclStmt = _node("DeclStmt", Stmt, "type, name, init=None, init_list=None", "type, init, init_list[]")
+ExprStmt = _node("ExprStmt", Stmt, "expr", "expr")
+IfStmt = _node("IfStmt", Stmt, "cond, then, orelse", "cond, then, orelse")
+CaseArm = _node("CaseArm", Node, "label, body", "body[]")  # label: int literal text, None for `default`
+SwitchStmt = _node("SwitchStmt", Stmt, "scrutinee, arms", "scrutinee, arms[]")
+WhileStmt = _node("WhileStmt", Stmt, "cond, body", "cond, body")
+DoWhileStmt = _node("DoWhileStmt", Stmt, "body, cond", "body, cond")
+# `init` is a DeclStmt or an ExprStmt
+ForStmt = _node("ForStmt", Stmt, "init, cond, update, body", "init, cond, update, body")
+ReturnStmt = _node("ReturnStmt", Stmt, "value", "value")
+BreakStmt = _node("BreakStmt", Stmt)
+ContinueStmt = _node("ContinueStmt", Stmt)
+GotoStmt = _node("GotoStmt", Stmt, "label")
+LabeledStmt = _node("LabeledStmt", Stmt, "label, stmt", "stmt")
+Block = _node("Block", Stmt, "stmts", "stmts[]")
+EmptyStmt = _node("EmptyStmt", Stmt)
 
 # ---------------------------------------------------------------- items
+Param = _node("Param", Node, "type, name", "type")
+FuncDef = _node("FuncDef", Node, "ret_type, name, params, body", "ret_type, params[], body")
+RecordField = _node("RecordField", Node, "type, name", "type")
+RecordDef = _node("RecordDef", Node, "name, fields", "fields[]")
 
-@dataclass(eq=False, slots=True)
-class Param(Node):
-    type: TypeRef
-    name: str
-
-
-@dataclass(eq=False, slots=True)
-class FuncDef(Node):
-    ret_type: TypeRef
-    name: str
-    params: list[Param]
-    body: Block
-
-
-@dataclass(eq=False, slots=True)
-class RecordField(Node):
-    type: TypeRef
-    name: str
-
-
-@dataclass(eq=False, slots=True)
-class RecordDef(Node):
-    name: str
-    fields: list[RecordField]
-
-
-_BOOKKEEPING = frozenset(f.name for f in fields(Node))
-
-
-# Field names of every node class, without the bookkeeping fields of `Node`,
-# in declaration (source) order. With `CHILD_FIELDS`, the only reflection over
-# dataclass fields in the package.
-NODE_FIELDS: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls) if f.name not in _BOOKKEEPING)
-    for cls in globals().values()
-    if isinstance(cls, type) and issubclass(cls, Node)
-}
 _FIELDS_REVERSED = {cls: names[::-1] for cls, names in NODE_FIELDS.items()}
-_NODE_CLASSES = {cls.__name__ for cls in NODE_FIELDS}
-
-
-def _child_fields(cls: type) -> tuple[tuple[str, bool], ...]:
-    """The fields of ``cls`` that hold nodes, in source order, each with
-    whether it holds a list of them, read from the annotation strings (this
-    module's annotations are not evaluated): ``C``, ``list[C]``,
-    ``Optional[C]`` or ``Optional[list[C]]`` for a node class ``C``."""
-    out = []
-    for f in fields(cls):
-        annotation = f.type
-        if annotation.startswith("Optional["):
-            annotation = annotation[len("Optional["):-1]
-        is_list = annotation.startswith("list[")
-        if is_list:
-            annotation = annotation[len("list["):-1]
-        if f.name not in _BOOKKEEPING and annotation in _NODE_CLASSES:
-            out.append((f.name, is_list))
-    return tuple(out)
-
-
-# Each node class's node-holding fields (see `_child_fields`), in source order.
-CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {cls: _child_fields(cls) for cls in NODE_FIELDS}
 _CHILDREN_REVERSED = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
 
 
-@dataclass(eq=False)
 class SyntaxTree:
     """A file's top-level items, its source map (None for a tree the parser
     did not make) and, once finalized, its nodes listed by id."""
-    items: list
-    source_map: Optional[SourceMap] = field(default=None, repr=False)
-    nodes: list[Node] = field(default_factory=list, repr=False)  # indexed by node id
+
+    __slots__ = ("items", "source_map", "nodes", "__weakref__")
+
+    def __init__(self, items: list, source_map: SourceMap | None = None) -> None:
+        self.items = items
+        self.source_map = source_map
+        self.nodes: list[Node] = []  # indexed by node id
 
     def finalize(self) -> "SyntaxTree":
         """Assign depth-first node ids and list the nodes by id, by an explicit stack."""

@@ -18,13 +18,15 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .analysis import Analysis, analyze_source
 from .errors import AnalysisError
-from .generator import generate
 from .ledger import SiMode
 from .metrics import MetricsReport, WeightTable
-from .weyuker import MatrixResult, run_matrix
+
+if TYPE_CHECKING:  # `weyuker` and `generator` are imported by the one command that runs each
+    from .weyuker import MatrixResult
 
 EMIT_CHOICES = ("metrics", "erm", "ledger", "granules")
 
@@ -419,6 +421,8 @@ def _matrix_text(result: MatrixResult) -> list[str]:
 
 
 def run_weyuker(args) -> int:
+    from .weyuker import run_matrix
+
     corpus_dir = args.corpus
     if corpus_dir is None and Path("corpus").is_dir():
         corpus_dir = "corpus"
@@ -449,6 +453,8 @@ def run_weyuker(args) -> int:
 # ------------------------------------------------------------------ generate
 
 def run_generate(args) -> int:
+    from .generator import generate
+
     sys.stdout.write(generate(args.seed))
     return 0
 

@@ -34,7 +34,6 @@ table and the reports all hold the same string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from . import ast
@@ -71,14 +70,16 @@ _STRUCTURED_KIND = {
 }
 
 
-@dataclass(eq=False, slots=True)
 class Granule:
-    label: str
-    kind: str                             # a BcsKind
-    stmts: tuple[int, ...]                # leaf: covered statement ids; structured: (own id,)
-    # a leaf keeps the shared empty tuples: there are many leaves, and they are alive with the report
-    children: Sequence["Granule"] = ()
-    arm_starts: Sequence[int] = ()        # child index where each arm begins
+    __slots__ = ("label", "kind", "stmts", "children", "arm_starts")
+
+    def __init__(self, kind: str, stmts: tuple[int, ...]) -> None:
+        self.label = ""                   # set once the granule's place in the tree is known
+        self.kind = kind                  # a BcsKind
+        self.stmts = stmts                # leaf: covered statement ids; structured: (own id,)
+        # a leaf keeps the shared empty tuples: there are many leaves, and they are alive with the report
+        self.children: Sequence[Granule] = ()
+        self.arm_starts: Sequence[int] = ()  # child index where each arm begins
 
     def header_carrier(self) -> "Granule":
         """The child leaf that carries the header occurrences: the last for a
@@ -96,17 +97,21 @@ class Leaf(NamedTuple):
     gotos: int                       # goto statements among the leaf's statements
 
 
-@dataclass(eq=False)
 class GranuleTree:
     """Decomposition of one function: its top-level granule run, its leaves in
     pre-order and its ERM lines. It names statements by node id and keeps no
     reference to the syntax tree."""
-    function: str
-    recursive: bool
-    roots: list[Granule]
-    resolution: Resolution           # the resolution the leaf regions index
-    leaves: list[Leaf]
-    erm: list[str]
+
+    __slots__ = ("function", "recursive", "roots", "resolution", "leaves", "erm")
+
+    def __init__(self, function: str, recursive: bool, roots: list[Granule],
+                 resolution: Resolution, leaves: list[Leaf]) -> None:
+        self.function = function
+        self.recursive = recursive
+        self.roots = roots
+        self.resolution = resolution     # the resolution the leaf regions index
+        self.leaves = leaves
+        self.erm: list[str] = []         # set by `decompose`, which serializes the finished tree
 
     def walk(self) -> Iterator[Granule]:
         """Every granule, in pre-order, by an explicit stack."""
@@ -118,7 +123,7 @@ class GranuleTree:
 
 
 def _leaf(stmts: tuple[int, ...] = ()) -> Granule:
-    return Granule(label="", kind=BcsKind.LINEAR, stmts=stmts)
+    return Granule(BcsKind.LINEAR, stmts)
 
 
 def _level(stmts: list[ast.Stmt]) -> list[Granule]:
@@ -141,7 +146,7 @@ def _level(stmts: list[ast.Stmt]) -> list[Granule]:
             if run:
                 granules.append(_leaf(tuple(run)))
                 run = []
-            granules.append(Granule(label="", kind=_STRUCTURED_KIND[cls], stmts=(stmt.nid,)))
+            granules.append(Granule(_STRUCTURED_KIND[cls], (stmt.nid,)))
     if run:
         granules.append(_leaf(tuple(run)))
     return granules
@@ -260,7 +265,7 @@ def decompose(tree: SyntaxTree, resolution: Resolution) -> list[GranuleTree]:
             continue
         roots = _level(item.body.stmts)
         gt = GranuleTree(item.name, item.name in recursive, roots, resolution,
-                         _build(roots, tree.nodes, resolution), [])
+                         _build(roots, tree.nodes, resolution))
         gt.erm = serialize_erm(gt)
         out.append(gt)
     return out

@@ -26,8 +26,8 @@ before the region), and its last occurrence holds its highest value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .scopes import ROLE_TARGET, Resolution
 
@@ -38,8 +38,7 @@ class SiMode(str, Enum):
     ABSOLUTE = "absolute"
 
 
-@dataclass
-class OccurrenceLedger:
+class OccurrenceLedger(NamedTuple):
     resolution: Resolution
     delta: list[int]
     icn_after: list[int]

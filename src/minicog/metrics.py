@@ -22,7 +22,6 @@ ends a line, as in diagnostic spans) and is counted once per analysis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -78,22 +77,26 @@ class LeafRow(NamedTuple):
     term: int              # si * weight * ancestor_product
 
 
-@dataclass
-class FunctionMetrics:
+class FunctionMetrics(NamedTuple):
     name: str
     recursive: bool
     escim: int
-    leaves: list[LeafRow] = field(default_factory=list)
-    erm: list[str] = field(default_factory=list)
+    leaves: list[LeafRow]
+    erm: list[str]
 
 
-@dataclass
 class MetricsReport:
-    functions: list[FunctionMetrics]
-    escim: int
-    i_l: int
-    loc: int | None = None
-    efficiency: Fraction | None = None
+    """The scores of one (mode, weights) pair; ``loc`` and ``efficiency``
+    are set by ``Analysis.report``."""
+
+    __slots__ = ("functions", "escim", "i_l", "loc", "efficiency")
+
+    def __init__(self, functions: list[FunctionMetrics], escim: int, i_l: int) -> None:
+        self.functions = functions
+        self.escim = escim
+        self.i_l = i_l
+        self.loc: int | None = None
+        self.efficiency: Fraction | None = None
 
 
 def escim(

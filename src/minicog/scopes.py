@@ -41,7 +41,7 @@ do-while condition after it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ast
 from .ast import SyntaxTree
@@ -59,8 +59,7 @@ ROLE_READ = "read"
 _NAMES = (ast.GlobalRef, ast.Member, ast.Index)  # resolved by `_target_root`; a VarRef by `lookup`
 
 
-@dataclass(frozen=True)
-class ScopedVariable:
+class ScopedVariable(NamedTuple):
     vid: int
     name: str
     scope: int
@@ -84,8 +83,7 @@ class Occurrences:
         return len(self.variable)
 
 
-@dataclass
-class Resolution:
+class Resolution(NamedTuple):
     """What the later stages read of the resolved program. It names statements
     and occurrences by number and holds no reference to the syntax tree."""
     variables: dict[int, ScopedVariable]
@@ -256,6 +254,9 @@ class _Resolver:
                     if self.current_function is not None:
                         self.call_graph[self.current_function].add(expr.callee)
                     self.calls_by_anchor[anchor] = self.calls_by_anchor.get(anchor, 0) + 1
+                elif expr.callee == "read" and expr.args:  # `print` takes any number
+                    raise _NodeError(UnresolvedName, f"function 'read' takes 0 arguments, "
+                                     f"{len(expr.args)} given", expr)
                 stack += [(arg, ROLE_READ) for arg in reversed(expr.args)]
             elif cls is Increment or cls is Decrement:
                 ops += 1
@@ -366,6 +367,9 @@ class _Resolver:
                     field_names.add(rfield.name)
                 self.records[item.name] = item
             elif isinstance(item, ast.FuncDef):
+                if item.name in BUILTINS:
+                    raise _NodeError(DuplicateDeclaration,
+                                     f"'{item.name}' is a builtin function and cannot be defined", item)
                 if item.name in self.call_graph:
                     raise _NodeError(DuplicateDeclaration, f"function '{item.name}' already defined", item)
                 self.call_graph[item.name] = set()

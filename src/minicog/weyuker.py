@@ -28,8 +28,7 @@ test failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import ast
 from .analysis import Analysis, analyze_source
@@ -60,15 +59,13 @@ _NOTE_P6_BASELINE = (
 )
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(NamedTuple):
     status: str  # witnessed | no-witness-found | holds-on-sample | refuted
     witness: dict | None = None
     note: str | None = None
 
 
-@dataclass
-class MatrixResult:
+class MatrixResult(NamedTuple):
     seed: int
     generated: int
     corpus: list[str]
@@ -174,8 +171,7 @@ def rename(p: str, mapping: dict[str, str]) -> str:
 
 # =================================================================== permute
 
-@dataclass(frozen=True)
-class SlotInfo:
+class SlotInfo(NamedTuple):
     index: int
     in_loop: bool
     top_level: bool
@@ -263,8 +259,7 @@ def permute(p: str, order: list[int]) -> Analysis:
 
 # =================================================================== pool
 
-@dataclass
-class PoolEntry:
+class PoolEntry(NamedTuple):
     """A pool program's text and tree, and the scores the checks read."""
     name: str
     source: str

@@ -1,9 +1,9 @@
 """The table-driven, explicit-stack tree walks of ``minicog.ast``, and the
 resolver's operator counts, against recursive reference walks that reflect
-over ``dataclasses.fields``."""
+over each node class's ``__slots__`` and ``__init__`` signature."""
 
-import dataclasses
-import typing
+import functools
+import inspect
 
 import pytest
 
@@ -21,22 +21,25 @@ def _node_classes() -> set[type]:
     found, todo = set(), [ast.Node]
     while todo:
         cls = todo.pop()
-        # only the classes the module exports (not any class `slots=True` replaced)
+        # only the classes the module exports
         if getattr(ast, cls.__name__, None) is cls:
             found.add(cls)
             todo.extend(cls.__subclasses__())
     return found
 
 
+@functools.cache
 def _field_names(cls) -> tuple[str, ...]:
-    # without the bookkeeping fields: the node's source offsets and id
-    return tuple(f.name for f in dataclasses.fields(cls)
-                 if f.name not in ("start", "end", "nid"))
+    """The slots a node class declares itself, without ``Node``'s ``nid``,
+    which must be its ``__init__`` parameters in the same order."""
+    own = tuple(name for name in vars(cls)["__slots__"] if name != "nid")
+    assert own == tuple(inspect.signature(cls).parameters), cls.__name__
+    return own
 
 
 def _children(node) -> list:
     out = []
-    for name in _field_names(node):
+    for name in _field_names(type(node)):
         value = getattr(node, name)
         if isinstance(value, ast.Node):
             out.append(value)
@@ -69,7 +72,7 @@ def _fingerprint(node) -> tuple:
     if isinstance(node, ast.SyntaxTree):
         return ("program", len(node.items), *(p for i in node.items for p in _fingerprint(i)))
     parts = [type(node)]
-    for name in _field_names(node):
+    for name in _field_names(type(node)):
         value = getattr(node, name)
         if isinstance(value, list):
             parts.append(len(value))
@@ -187,26 +190,32 @@ def test_walks_match_reference_on_generated_programs():
 
 # ------------------------------------------------ the child tables
 
-def _holds_nodes(hint) -> bool:
-    """Whether a field's evaluated type hint can hold a node."""
-    if isinstance(hint, type):
-        return issubclass(hint, ast.Node)
-    return any(_holds_nodes(arg) for arg in typing.get_args(hint))
-
-
-def _holds_list(hint) -> bool:
-    return typing.get_origin(hint) is list or any(_holds_list(arg) for arg in typing.get_args(hint))
+def _value_kind(value) -> str:
+    if isinstance(value, ast.Node):
+        return "node"
+    if isinstance(value, list) and value and all(isinstance(v, ast.Node) for v in value):
+        return "nodes"
+    return "none" if value is None or value == [] else "scalar"
 
 
 def test_child_table_is_every_node_holding_field_of_the_annotations():
-    """Each class's child table lists exactly its fields whose evaluated type
-    hint can hold a node, in declaration order, flagging the lists: a node
-    field added later with an annotation the table does not read fails here."""
+    """Each class's child table lists exactly the fields that hold a node or
+    a list of nodes on some tree of the fixtures, the full grammar and
+    generated programs, in declaration order, flagging the lists; a child
+    field holds only what its flag says or nothing (None or an empty list):
+    a node field declared without its child entry fails here."""
+    kinds: dict[tuple[type, str], set[str]] = {}
+    sources = [fixture_source(name) for name in corpus_names()] + [FULL_GRAMMAR]
+    for source in sources + [generate(seed) for seed in range(100)]:
+        for node in parse_source(source).nodes:
+            for name in _field_names(type(node)):
+                kinds.setdefault((type(node), name), set()).add(_value_kind(getattr(node, name)))
     for cls in _node_classes():
-        hints = typing.get_type_hints(cls, vars(ast))
-        expected = tuple((name, _holds_list(hints[name])) for name in _field_names(cls)
-                         if _holds_nodes(hints[name]))
+        seen = {name: kinds.get((cls, name), set()) for name in _field_names(cls)}
+        expected = tuple((name, "nodes" in held) for name, held in seen.items() if held & {"node", "nodes"})
         assert ast.CHILD_FIELDS[cls] == expected, cls.__name__
+        for name, is_list in expected:
+            assert seen[name] <= {"nodes" if is_list else "node", "none"}, (cls.__name__, name)
     assert ast.CHILD_FIELDS[ast.DeclStmt] == (("type", False), ("init", False), ("init_list", True))
     assert ast.CHILD_FIELDS[ast.VarRef] == ()
 

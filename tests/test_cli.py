@@ -182,6 +182,30 @@ def test_call_with_the_wrong_argument_count_exits_1(tmp_path, call, message, col
     assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (2, col)
 
 
+@pytest.mark.parametrize("source, message, col", [
+    ("int main() { int x = read(x); return x; }", "function 'read' takes 0 arguments, 1 given", 22),
+    ("int read() { return 1; } int main() { return read(); }",
+     "'read' is a builtin function and cannot be defined", 1),
+    ("int main() { print(1); return 0; } int print(int a) { return a; }",
+     "'print' is a builtin function and cannot be defined", 36),
+], ids=["read-with-an-argument", "function-named-read", "function-named-print"])
+def test_builtins_are_called_as_declared_and_never_defined(tmp_path, source, message, col):
+    bad = tmp_path / "builtin.mc"
+    bad.write_text(source)
+    proc = run_cli("analyze", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    diag = json.loads(proc.stdout)["diagnostics"][0]
+    assert diag["message"] == message
+    assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
+
+
+def test_assignment_to_a_call_result_exits_1(tmp_path):
+    (tmp_path / "target.mc").write_text("int f() { return 1; } int main() { f()[0] = 2; return 0; }")
+    proc = run_cli("analyze", "target.mc", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == b"target.mc\n  error: target.mc:1:36: invalid assignment target\n"
+
+
 def test_nested_member_access_exits_1(tmp_path):
     (tmp_path / "nested.mc").write_text("struct P { int a; };\nint main() { P p; p.a.b = 1; }\n")
     proc = run_cli("analyze", "nested.mc", cwd=tmp_path)
@@ -418,6 +442,16 @@ def test_weights_flag(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"while": 0}))
     assert run_cli("analyze", "corpus/example6.mc", "--weights", str(bad)).returncode == 2
+
+
+def test_weight_table_that_is_a_json_array_is_a_usage_error(tmp_path):
+    table = tmp_path / "array.json"
+    table.write_text("[1]")
+    proc = run_cli("analyze", "corpus/example1.mc", "--weights", str(table))
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(b"minicog analyze: error: argument --weights: bad weight table: "
+                                b"weight table file must hold a JSON object\n")
+    assert proc.stdout == b""
 
 
 @pytest.mark.parametrize("command", [["analyze", "corpus/example1.mc"], ["weyuker", "--count", "2"]])
@@ -670,6 +704,23 @@ def test_weyuker_negative_count_is_a_usage_error():
     assert proc.returncode == 2
     assert b"--count" in proc.stderr
     assert proc.stdout == b""
+
+
+def test_weyuker_count_of_minus_one_names_the_bound():
+    proc = run_cli("weyuker", "--count", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(b"minicog weyuker: error: argument --count: must be >= 0, got -1\n")
+    assert proc.stdout == b""
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_the_weyuker_layer():
+    # in a fresh interpreter: pytest itself has imported all four modules
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    probe = ("import sys, minicog.cli; print(sorted({'dataclasses', 'inspect', 'minicog.weyuker', "
+             "'minicog.generator'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_weyuker_single_mode_flag():

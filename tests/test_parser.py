@@ -1,5 +1,5 @@
-import dataclasses
 import gc
+import inspect
 import tracemalloc
 
 import pytest
@@ -75,12 +75,19 @@ def test_a_tree_the_parser_did_not_make_has_no_spans():
 
 
 def test_nodes_store_only_their_id():
-    assert [f.name for f in dataclasses.fields(ast.Node)] == ["nid"]
+    # beyond the fields its `__init__` takes, a node has one slot, its id, and no `__dict__`
+    assert ast.Node.__slots__ == ("nid",)
+    for node in {type(node): node for node in parse_source(FULL_GRAMMAR).nodes}.values():
+        cls = type(node)
+        slots = [name for c in cls.__mro__ for name in vars(c).get("__slots__", ())]
+        assert sorted(slots) == sorted(["nid", *inspect.signature(cls).parameters]), cls.__name__
+        assert not hasattr(node, "__dict__"), cls.__name__
 
 
 def test_a_tree_keeps_only_its_items_source_map_and_nodes():
     # a span is built by re-parsing, so the tree holds no index for it
-    assert [f.name for f in dataclasses.fields(ast.SyntaxTree)] == ["items", "source_map", "nodes"]
+    assert ast.SyntaxTree.__slots__ == ("items", "source_map", "nodes", "__weakref__")
+    assert not hasattr(parse_source(FULL_GRAMMAR), "__dict__")
 
 
 def test_a_parsed_tree_holds_under_150_bytes_a_node():

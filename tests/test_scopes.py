@@ -315,9 +315,20 @@ def test_runs_match_the_tree_on_fixtures_generated_and_composed_programs():
 
 
 def test_resolution_keeps_only_what_a_later_stage_reads():
-    from dataclasses import fields
+    import inspect
 
     from minicog.scopes import Resolution
 
-    assert [f.name for f in fields(Resolution)] == [
+    assert Resolution.__slots__ == ()  # nothing beyond what its constructor takes
+    assert list(inspect.signature(Resolution).parameters) == [
         "variables", "occurrences", "call_graph", "calls_by_anchor", "runs"]
+
+
+@pytest.mark.parametrize("stmt, message", [
+    (ast.ExprStmt(ast.TypeRef("int")), "unexpected expression TypeRef"),
+    (ast.Param(ast.TypeRef("int"), "p"), "unexpected statement Param"),
+], ids=["expression", "statement"])
+def test_a_node_out_of_place_is_a_type_error(stmt, message):
+    main = ast.FuncDef(ast.TypeRef("int"), "main", [], ast.Block([stmt]))
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        resolve(ast.SyntaxTree([main]).finalize())

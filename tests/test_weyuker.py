@@ -336,7 +336,8 @@ def planted_matrix():
     pool = ValidatorPool(corpus, seed=0, n_generated=3)
     pool.entries[5].escim[SiMode.DELTA] = -1  # P2: gen-1 measures below zero
     pool.composed(1, 3)[1][SiMode.MINMAX] = 14  # P5: below example4.mc's 15
-    pool.entries[2].i_l += 1  # P8: example3.mc's I(L) no longer survives a renaming
+    entry = pool.entries[2]  # P8: example3.mc's I(L) no longer survives a renaming
+    pool.entries[2] = entry._replace(i_l=entry.i_l + 1)
     return weyuker.MatrixResult(seed=0, generated=3, corpus=[name for name, _ in corpus],
                                 modes=pool.modes,
                                 verdicts={prop: check_property(prop, pool) for prop in "258"})
