@@ -6,7 +6,8 @@ same token list during that one pass and stored on the analysis. So is all of
 the scoring work that does not depend on the SI mode or the weights: each
 function's leaf list and ERM lines (built by ``decompose``) and I(L) (set by
 ``build_ledger``). A report for one (mode, weights) pair is then one SI scan
-per leaf, computed on each call, so the property validator scores each
+per leaf: ``Analysis.report`` builds it whole, LOC and E included, by one
+``escim`` call on each request, so the property validator scores each
 program under all three scope-information modes cheaply.
 
 ``Analysis.tree`` is an analysis's only reference to the syntax tree, and no
@@ -20,7 +21,7 @@ from .ast import SyntaxTree
 from .granules import GranuleTree, decompose
 from .ledger import OccurrenceLedger, SiMode, build_ledger
 from .lexer import tokenize
-from .metrics import MetricsReport, WeightTable, coding_efficiency, escim, loc
+from .metrics import MetricsReport, WeightTable, escim, loc
 from .parser import parse
 from .scopes import Resolution, resolve
 
@@ -38,10 +39,7 @@ class Analysis:
         self.loc = loc
 
     def report(self, mode: SiMode = SiMode.DELTA, weights: WeightTable | None = None) -> MetricsReport:
-        rep = escim(self.granules, self.ledger, weights, mode)
-        rep.loc = self.loc
-        rep.efficiency = coding_efficiency(rep.escim, rep.loc)
-        return rep
+        return escim(self.granules, self.ledger, weights, mode, self.loc)
 
     def si_program(self, mode: SiMode = SiMode.DELTA) -> int:
         return self.ledger.si(self.ledger.entries, mode)

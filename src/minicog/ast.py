@@ -15,11 +15,12 @@ stage reads them (the parser checks string literals as it builds calls), and
 ``child_nodes`` gives them to whoever needs them.
 Structural equality (ignoring ids) goes through ``fingerprint``.
 
-Tree walks are table-driven, from the tables the declarations fill:
-``NODE_FIELDS`` holds each node class's field names (without ``nid``), which
-``fingerprint`` reads, and ``CHILD_FIELDS`` the node-holding ones, which
+Tree walks are table-driven. A node class's field names are its own
+``__slots__`` (``nid`` is ``Node``'s), which ``fingerprint`` reads, and the
+declarations fill ``CHILD_FIELDS`` with the node-holding ones, which
 ``child_nodes`` and ``finalize`` read, so they skip the fields that hold
-scalars. Every concrete node class subclasses ``Node``, ``Expr`` or ``Stmt``
+scalars. A ``Literal`` keeps only its text, from which its kind follows.
+Every concrete node class subclasses ``Node``, ``Expr`` or ``Stmt``
 directly, and those three are never instantiated, so a walk may dispatch on
 ``node.__class__``. ``finalize`` and ``fingerprint`` walk with an explicit
 stack, so they take trees of any depth, such as a long ``x + ... + x`` chain,
@@ -36,10 +37,9 @@ class Node:
     __slots__ = ("nid",)
 
 
-# Each node class's field names, in declaration (source) order, and its
-# node-holding fields in the same order, each with whether it holds a list of
-# nodes. `_node` fills both as it declares each class.
-NODE_FIELDS: dict[type, tuple[str, ...]] = {Node: ()}
+# Each node class's node-holding fields, in declaration (source) order, each
+# with whether it holds a list of nodes. `_node` fills it as it declares each
+# class; the class's field names are its own `__slots__`.
 CHILD_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {Node: ()}
 
 
@@ -54,7 +54,6 @@ def _node(name: str, base: type, params: str = "", children: str = "") -> type:
     exec(f"def __init__(self, {params}):\n    self.nid = -1\n"
          + "".join(f"    self.{f} = {f}\n" for f in fields), namespace)
     cls = type(name, (base,), {"__slots__": fields, "__init__": namespace["__init__"]})
-    NODE_FIELDS[cls] = fields
     CHILD_FIELDS[cls] = tuple((c.removesuffix("[]"), c.endswith("[]")) for c in children.split(", ") if c)
     return cls
 
@@ -67,7 +66,7 @@ TypeRef = _node("TypeRef", Node, "name, is_array=False, array_size=None")
 
 # ---------------------------------------------------------------- expressions
 Expr = _node("Expr", Node)
-Literal = _node("Literal", Expr, "kind, text")  # kind: int | float | string | bool
+Literal = _node("Literal", Expr, "text")  # an int, float, string or bool literal as written
 VarRef = _node("VarRef", Expr, "name")
 GlobalRef = _node("GlobalRef", Expr, "name")
 Member = _node("Member", Expr, "obj, member", "obj")
@@ -117,7 +116,7 @@ FuncDef = _node("FuncDef", Node, "ret_type, name, params, body", "ret_type, para
 RecordField = _node("RecordField", Node, "type, name", "type")
 RecordDef = _node("RecordDef", Node, "name, fields", "fields[]")
 
-_FIELDS_REVERSED = {cls: names[::-1] for cls, names in NODE_FIELDS.items()}
+_FIELDS_REVERSED = {cls: cls.__slots__[::-1] for cls in CHILD_FIELDS}
 _CHILDREN_REVERSED = {cls: names[::-1] for cls, names in CHILD_FIELDS.items()}
 
 
@@ -171,8 +170,8 @@ def fingerprint(node) -> tuple:
     """Structural identity of a node/tree, ignoring node ids.
 
     A flat tuple in pre-order: each node's class, then its fields in
-    ``NODE_FIELDS`` order, a list field as its length followed by its
-    elements. The field tables make it decodable, so equal fingerprints mean
+    ``__slots__`` order, a list field as its length followed by its
+    elements. The slots make it decodable, so equal fingerprints mean
     equal structure. It is built by an explicit stack and, being flat, is
     compared without recursion, so trees of any depth have one.
     """

@@ -180,7 +180,7 @@ def _report_json(file: str, mode: SiMode, rep: MetricsReport, sections: list[str
 # per granule: most of a report. They are written from the analysis's columns
 # and granule trees.
 
-def _row_name(variables: dict, vid: int, member: str | None) -> str:
+def _row_name(variables: list, vid: int, member: str | None) -> str:
     """What a ledger row shows as its variable: the name, or `name.member`."""
     name = variables[vid].name
     return name if member is None else f"{name}.{member}"

@@ -65,7 +65,7 @@ class _Gen:
     # ------------------------------------------------------------ expressions
 
     def literal(self) -> ast.Expr:
-        return ast.Literal("int", str(self.rng.randint(0, 9)))
+        return ast.Literal(str(self.rng.randint(0, 9)))
 
     def atom(self) -> ast.Expr:
         names = self.visible()
@@ -97,7 +97,7 @@ class _Gen:
     def condition(self) -> ast.Expr:
         roll = self.rng.random()
         if roll < 0.08:
-            return ast.Literal("bool", "true")
+            return ast.Literal("true")
         cond = ast.Binary(self.rng.choice(_CMP_OPS), self.atom(), self.atom())
         if roll < 0.2:
             return ast.Binary(self.rng.choice(("&&", "||")), cond,

@@ -79,7 +79,7 @@ def build_ledger(resolution: Resolution) -> OccurrenceLedger:
     """Run both counters over the occurrence columns in one loop over ints:
     names and variables are numbered, so each count is a list slot."""
     names: dict[str, int] = {}
-    name_of = [names.setdefault(var.name, len(names)) for var in resolution.variables.values()]
+    name_of = [names.setdefault(var.name, len(names)) for var in resolution.variables]
     name_count = [0] * len(names)
     var_count = [0] * len(name_of)
     delta: list[int] = []

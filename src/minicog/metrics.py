@@ -12,6 +12,7 @@ Only the SI scans depend on the SI mode. Decomposition builds each function's
 leaf list (regions, enclosing kinds, call and goto counts) and ERM lines once,
 and ``build_ledger`` sets I(L) once, so ``escim`` for one mode reads those,
 scans each leaf's region with ``OccurrenceLedger.si`` and multiplies weights.
+It returns the whole report, LOC and coding efficiency included.
 
 LOC is the number of lines that hold at least one token, so blank and
 comment-only lines do not count. It is read off the token list the lexer
@@ -85,27 +86,24 @@ class FunctionMetrics(NamedTuple):
     erm: list[str]
 
 
-class MetricsReport:
-    """The scores of one (mode, weights) pair; ``loc`` and ``efficiency``
-    are set by ``Analysis.report``."""
-
-    __slots__ = ("functions", "escim", "i_l", "loc", "efficiency")
-
-    def __init__(self, functions: list[FunctionMetrics], escim: int, i_l: int) -> None:
-        self.functions = functions
-        self.escim = escim
-        self.i_l = i_l
-        self.loc: int | None = None
-        self.efficiency: Fraction | None = None
+class MetricsReport(NamedTuple):
+    """The scores of one (mode, weights) pair."""
+    functions: list[FunctionMetrics]
+    escim: int
+    i_l: int
+    loc: int
+    efficiency: Fraction   # escim / loc
 
 
 def escim(
     granule_trees: list[GranuleTree],
     ledger: OccurrenceLedger,
-    weights: WeightTable | None = None,
-    mode: SiMode = SiMode.DELTA,
+    weights: WeightTable | None,
+    mode: SiMode,
+    loc: int,
 ) -> MetricsReport:
-    """Evaluate the weighted scope-information measure per function and program.
+    """Evaluate the weighted scope-information measure per function and
+    program, and the coding efficiency against the program's ``loc``.
 
     Reads the mode-independent data the analysis built once (each granule
     tree's leaves and ERM lines, the ledger's I(L)), never the syntax tree;
@@ -146,11 +144,8 @@ def escim(
             )
         )
 
-    return MetricsReport(
-        functions=functions,
-        escim=sum(f.escim for f in functions),
-        i_l=ledger.i_l,
-    )
+    program = sum(f.escim for f in functions)
+    return MetricsReport(functions, program, ledger.i_l, loc, coding_efficiency(program, loc))
 
 
 def loc(tokens: Tokens) -> int:

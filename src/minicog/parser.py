@@ -56,7 +56,7 @@ ASSIGNABLE = (VarRef, GlobalRef, Index, Member)
 # the texts that start a statement other than a declaration, an expression or a label
 STMT_KEYWORDS = frozenset({"{", ";", "if", "switch", "while", "do", "for",
                            "return", "break", "continue", "goto"})
-LITERAL_KINDS = {"int-literal": "int", "float-literal": "float", "string-literal": "string"}
+LITERAL_KINDS = frozenset({"int-literal", "float-literal", "string-literal"})
 END = "end"  # the kind of the sentinel after the last token; its text is ""
 # The most digits an array size may have: CPython's default limit on turning
 # a decimal string into an int. Any size within it converts quickly, and the
@@ -441,13 +441,13 @@ class _Parser:
         kind, text = self.kinds[start], self.texts[start]
         if kind in LITERAL_KINDS:
             self.pos = start + 1
-            literal = self._spanned(Literal(LITERAL_KINDS[kind], text), start)
+            literal = self._spanned(Literal(text), start)
             if kind == "string-literal":
                 self.strings[literal] = start
             return literal
         if text == "true" or text == "false":
             self.pos = start + 1
-            return self._spanned(Literal("bool", text), start)
+            return self._spanned(Literal(text), start)
         if text == "::":
             self.pos = start + 1
             name = self.expect_ident()

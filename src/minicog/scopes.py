@@ -20,6 +20,8 @@ re-parsing the file up to the top-level item that holds the node
 
 A scope only keeps same-named variables distinct, so no scope outlives the
 walk: ``ScopedVariable.scope`` numbers scopes in the order they are entered.
+``Resolution.variables`` lists the variables in declaration order, and a
+variable's number, which the occurrences and the ledger use, is its index.
 
 Each occurrence is anchored to a statement (header expressions of
 if/while/do/for/switch and a for init clause anchor to the structured
@@ -60,11 +62,9 @@ _NAMES = (ast.GlobalRef, ast.Member, ast.Index)  # resolved by `_target_root`; a
 
 
 class ScopedVariable(NamedTuple):
-    vid: int
     name: str
     scope: int
-    is_record: bool = False
-    members: tuple[str, ...] = ()
+    members: tuple[str, ...]  # a record variable's member names; () for a scalar or array
 
 
 class Occurrences:
@@ -86,7 +86,7 @@ class Occurrences:
 class Resolution(NamedTuple):
     """What the later stages read of the resolved program. It names statements
     and occurrences by number and holds no reference to the syntax tree."""
-    variables: dict[int, ScopedVariable]
+    variables: list[ScopedVariable]  # a variable's number is its index
     occurrences: Occurrences
     call_graph: dict[str, set[str]]
     calls_by_anchor: dict[int, int]
@@ -111,9 +111,9 @@ class _Resolver:
     def __init__(self) -> None:
         self.scope_vars: dict[int, dict[str, int]] = {}
         self.stack: list[int] = []
-        self.variables: dict[int, ScopedVariable] = {}
+        self.variables: list[ScopedVariable] = []
         self.occurrences = Occurrences()
-        self.records: dict[str, ast.RecordDef] = {}
+        self.records: dict[str, tuple[str, ...]] = {}  # each struct's member names
         self.call_graph: dict[str, set[str]] = {}
         self.arity: dict[str, int] = {}          # each function's parameter count
         self.calls_by_anchor: dict[int, int] = {}
@@ -133,10 +133,8 @@ class _Resolver:
         sid = self.stack[-1]
         if name in self.scope_vars[sid]:
             raise _NodeError(DuplicateDeclaration, f"'{name}' already declared in this scope", node)
-        is_record = type_name in self.records
-        members = tuple(f.name for f in self.records[type_name].fields) if is_record else ()
         vid = len(self.variables)
-        self.variables[vid] = ScopedVariable(vid, name, sid, is_record, members)
+        self.variables.append(ScopedVariable(name, sid, self.records.get(type_name, ())))
         self.scope_vars[sid][name] = vid
         return vid
 
@@ -206,7 +204,7 @@ class _Resolver:
                 raise _NodeError(UnresolvedName, "invalid assignment target", node)
         if member is not None:
             var = self.variables[vid]
-            if not var.is_record or member not in var.members:
+            if member not in var.members:
                 raise _NodeError(UnresolvedName, f"'{member}' is not a member of '{var.name}'", expr)
         return vid, member, reads
 
@@ -365,7 +363,7 @@ class _Resolver:
                             DuplicateDeclaration,
                             f"field '{rfield.name}' already declared in struct '{item.name}'", rfield)
                     field_names.add(rfield.name)
-                self.records[item.name] = item
+                self.records[item.name] = tuple(rfield.name for rfield in item.fields)
             elif isinstance(item, ast.FuncDef):
                 if item.name in BUILTINS:
                     raise _NodeError(DuplicateDeclaration,

@@ -172,7 +172,6 @@ def rename(p: str, mapping: dict[str, str]) -> str:
 # =================================================================== permute
 
 class SlotInfo(NamedTuple):
-    index: int
     in_loop: bool
     top_level: bool
     is_decl: bool
@@ -199,7 +198,8 @@ def _has_delta(stmt: ast.Stmt) -> bool:
 
 def _collect_slots(entry: ast.FuncDef):
     """Where each simple statement of the entry function sits (a list and an
-    index, or an owner and an attribute), and its SlotInfo, in source order.
+    index, or an owner and an attribute), and its SlotInfo, in source order:
+    a slot's number is its index in both lists.
     An explicit stack, not recursive closures, so the walk leaves no cycle."""
     slots: list[tuple] = []
     infos: list[SlotInfo] = []
@@ -209,8 +209,7 @@ def _collect_slots(entry: ast.FuncDef):
     while todo:
         stmt, ref, in_loop, top = todo.pop()
         if stmt.__class__ in SIMPLE_STMTS:
-            infos.append(SlotInfo(len(slots), in_loop, top, stmt.__class__ is ast.DeclStmt,
-                                  _has_delta(stmt)))
+            infos.append(SlotInfo(in_loop, top, stmt.__class__ is ast.DeclStmt, _has_delta(stmt)))
             slots.append(ref)
             continue
         inner: list[tuple] = []  # its sub-statements in source order; labeled ones stay anchored
@@ -288,7 +287,7 @@ class ValidatorPool:
             except EmptyProgram as exc:  # the one diagnostic without a span naming its file
                 raise EmptyProgram(f"{name}: {exc}") from None
             resolution = analysis.resolution
-            names = sorted({v.name for v in resolution.variables.values()} | set(resolution.call_graph))
+            names = sorted({v.name for v in resolution.variables} | set(resolution.call_graph))
             self.entries.append(PoolEntry(
                 name, source, analysis.tree, self._escim(analysis),
                 {mode: analysis.si_program(mode) for mode in self.modes},
@@ -482,8 +481,8 @@ def _permutations(pool: ValidatorPool):
             infos = permutable_slots(entry.source)
         except ComposeError:  # no entry function to permute
             continue
-        loop_slots = [s.index for s in infos if s.in_loop and s.has_delta and not s.is_decl][:3]
-        top_slots = [s.index for s in infos if s.top_level and not s.is_decl][:3]
+        loop_slots = [k for k, s in enumerate(infos) if s.in_loop and s.has_delta and not s.is_decl][:3]
+        top_slots = [k for k, s in enumerate(infos) if s.top_level and not s.is_decl][:3]
         if not loop_slots or not top_slots:
             continue
         examined += 1

@@ -295,7 +295,7 @@ def reference_finalize(tree) -> list:
     while stack:
         node = stack.pop()
         nodes.append(node)
-        for name in reversed(ast.NODE_FIELDS[type(node)]):
+        for name in reversed(type(node).__slots__):
             value = getattr(node, name)
             if isinstance(value, ast.Node):
                 stack.append(value)
@@ -382,7 +382,7 @@ def reference_string_literal_error(source: str, file: str = "<input>"):
         return str(exc), exc.span
     parents = parents_of(tree)
     for nid, node in enumerate(tree.nodes):
-        if isinstance(node, ast.Literal) and node.kind == "string":
+        if isinstance(node, ast.Literal) and node.text.startswith('"'):
             parent = tree.nodes[parents[nid]] if nid in parents else None
             if not (isinstance(parent, ast.Call) and parent.callee == "print"):
                 return "string literal only allowed as a print argument", node_span(tree, node)

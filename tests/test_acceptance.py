@@ -85,15 +85,15 @@ def test_criterion_4_example2_shadowing():
     analysis = analyzed("example2.mc")
     res = analysis.resolution
     led = analysis.ledger
-    amounts = [v for v in res.variables.values() if v.name == "amount"]
+    amounts = [v for v in res.variables if v.name == "amount"]
     assert len(amounts) == 3
     global_amount = next(v for v in amounts if scope_kinds(analysis.tree)[v.scope] == "global")
     occ = res.occurrences
     global_refs = [vid for vid, nid in zip(occ.variable, occurrence_nodes(analysis.tree, res))
                    if isinstance(analysis.tree.nodes[nid], ast.GlobalRef)]
-    assert global_refs and all(vid == global_amount.vid for vid in global_refs)
+    assert global_refs and all(vid == res.variables.index(global_amount) for vid in global_refs)
     icn_max = icn_max_by_name(led, whole(led))["amount"]
-    per_scope = [sicn_max(led, v.vid, whole(led)) for v in amounts]
+    per_scope = [sicn_max(led, res.variables.index(v), whole(led)) for v in amounts]
     assert all(icn_max > value for value in per_scope)
     assert sum(per_scope) <= icn_max  # scope dominance
     ok("4", f"3 scoped 'amount' variables, ::amount binds globally, ICN {icn_max} > SICN {per_scope}")
@@ -106,8 +106,8 @@ def test_criterion_5_example3_diagnostic():
     led = analysis.ledger
     fors = [g for g in analysis.granules[0].walk() if g.kind == BcsKind.FOR]
     l1, l2 = granule_region(analysis, fors[0]), granule_region(analysis, fors[1])
-    s_vars = [v for v in analysis.resolution.variables.values() if v.name == "s"]
-    scoped_max_l2 = max(sicn_max(led, v.vid, l2) for v in s_vars)
+    s_vars = [vid for vid, v in enumerate(analysis.resolution.variables) if v.name == "s"]
+    scoped_max_l2 = max(sicn_max(led, vid, l2) for vid in s_vars)
     name_max_l2 = icn_max_by_name(led, l2)["s"]
     assert scoped_max_l2 == 5 and name_max_l2 == 8
     assert scoped_max_l2 < name_max_l2
@@ -164,7 +164,7 @@ def _fresh(seed: int):
 def test_criterion_8a_rename_invariance_200():
     for seed in range(200):
         analysis = _fresh(seed)
-        names = sorted({v.name for v in analysis.resolution.variables.values()}
+        names = sorted({v.name for v in analysis.resolution.variables}
                        | set(analysis.resolution.call_graph))
         renamed = analyze_source(rename(analysis.source, {n: f"ren{i}" for i, n in enumerate(names)}))
         for mode in MODES:
@@ -238,7 +238,7 @@ def _wrap_leaf_in_loop(source: str, leaf_stmt_ids: set[int]):
     if not positions or len(positions) != len(leaf_stmt_ids):
         return None
     lo, hi = min(positions), max(positions)
-    wrapped = ast.WhileStmt(ast.Literal("bool", "true"), ast.Block(main.body.stmts[lo:hi + 1]))
+    wrapped = ast.WhileStmt(ast.Literal("true"), ast.Block(main.body.stmts[lo:hi + 1]))
     main.body.stmts[lo:hi + 1] = [wrapped]
     from minicog import pretty_print
 

@@ -7,7 +7,7 @@ import inspect
 
 import pytest
 
-from minicog import ast, parse_source
+from minicog import ast, parse_source, tokenize
 from minicog.errors import ComposeError
 from minicog.generator import generate
 from minicog.scopes import ROLE_TARGET, resolve
@@ -140,9 +140,9 @@ def _assert_op_units_match_reference(tree, order, ends) -> None:
 def test_node_fields_table_is_dataclass_fields_without_span_and_nid():
     classes = _node_classes()
     assert len(classes) > 30
-    assert set(ast.NODE_FIELDS) == classes
-    for cls in classes:
-        assert ast.NODE_FIELDS[cls] == _field_names(cls), cls.__name__
+    assert set(ast.CHILD_FIELDS) == classes
+    for cls in classes - {ast.Node}:  # `Node`'s one slot is `nid`, which no fingerprint reads
+        assert ast._FIELDS_REVERSED[cls] == _field_names(cls)[::-1], cls.__name__
 
 
 def _assert_walks_match_reference(source: str) -> None:
@@ -223,9 +223,10 @@ def test_child_table_is_every_node_holding_field_of_the_annotations():
 def test_full_grammar_program_holds_every_concrete_node_class():
     tree = parse_source(FULL_GRAMMAR)
     abstract = {ast.Node, ast.Expr, ast.Stmt}
-    assert {type(node) for node in tree.nodes} == set(ast.NODE_FIELDS) - abstract
-    assert {node.kind for node in tree.nodes if type(node) is ast.Literal} == \
-        {"int", "float", "string", "bool"}
+    assert {type(node) for node in tree.nodes} == set(ast.CHILD_FIELDS) - abstract
+    # a literal's kind is its token's kind; `true` and `false` are keywords
+    assert {tokenize(node.text).kinds[0] for node in tree.nodes if type(node) is ast.Literal} == \
+        {"int-literal", "float-literal", "string-literal", "keyword"}
     assert {node.name for node in tree.nodes if type(node) is ast.TypeRef} >= {"float", "bool", "Point"}
 
 

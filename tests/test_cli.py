@@ -214,6 +214,19 @@ def test_nested_member_access_exits_1(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("source, line", [
+    ("int main() { int a = 0; a.x = 1; return a; }", b"m.mc:1:25: 'x' is not a member of 'a'"),
+    ("struct P { int y; };\nint main() { P p; p.x = 1; return 0; }",
+     b"m.mc:2:19: 'x' is not a member of 'p'"),
+    ("struct E { };\nint main() { E e; e.x = 1; return 0; }", b"m.mc:2:19: 'x' is not a member of 'e'"),
+], ids=["scalar", "struct", "empty-struct"])
+def test_access_to_a_member_a_variable_lacks_exits_1(tmp_path, source, line):
+    (tmp_path / "m.mc").write_text(source)
+    proc = run_cli("analyze", "m.mc", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == b"m.mc\n  error: " + line + b"\n"
+
+
 _EMPTY_JSON = ('{\n  "file": "empty.mc",\n  "si_mode": "delta",\n  "diagnostics": [\n    {\n'
                '      "span": null,\n      "message": "no countable lines of code"\n    }\n  ]\n}\n')
 _EMPTY_IN_CORPUS_JSON = (

@@ -17,10 +17,11 @@ from conftest import (
 
 
 def var_named(analysis, name, scope_kind=None):
+    """The number of the variable ``name``."""
     res = analysis.resolution
-    for v in res.variables.values():
+    for vid, v in enumerate(res.variables):
         if v.name == name and (scope_kind is None or scope_kinds(analysis.tree)[v.scope] == scope_kind):
-            return v
+            return vid
     raise AssertionError(f"no variable {name}")
 
 
@@ -30,7 +31,7 @@ def test_example1_counts():
     assert icn_max_by_name(led, whole(led)) == {"userInput": 1, "square": 2}
     assert info_icn(led, whole(led)) == 3
     square = var_named(analysis, "square")
-    assert sicn_max(led, square.vid, whole(led)) == 2
+    assert sicn_max(led, square, whole(led)) == 2
 
 
 def test_unit_fixture_deltas():
@@ -38,15 +39,15 @@ def test_unit_fixture_deltas():
     led = analysis.ledger
     assert led.delta == [0, 1]
     a = var_named(analysis, "a")
-    assert sicn_max(led, a.vid, whole(led)) == 1
+    assert sicn_max(led, a, whole(led)) == 1
 
 
 def test_example2_hand_traced_values():
     analysis = analyzed("example2.mc")
     led = analysis.ledger
     res = analysis.resolution
-    amounts = [v for v in res.variables.values() if v.name == "amount"]
-    assert sorted(sicn_max(led, v.vid, whole(led)) for v in amounts) == [3, 3, 3]
+    amounts = [vid for vid, v in enumerate(res.variables) if v.name == "amount"]
+    assert sorted(sicn_max(led, vid, whole(led)) for vid in amounts) == [3, 3, 3]
     assert icn_max_by_name(led, whole(led)) == {"amount": 9}
 
 
@@ -54,7 +55,7 @@ def test_absent_variable_scores_zero():
     analysis = analyzed("example1.mc")
     led = analysis.ledger
     square = var_named(analysis, "square")
-    assert sicn_max(led, square.vid, range(0)) == 0
+    assert sicn_max(led, square, range(0)) == 0
     assert led.si(range(0), SiMode.DELTA) == 0
     assert info_icn(led, range(0)) == 0
 
@@ -66,11 +67,11 @@ def test_example3_second_loop_region():
     fors = [g for g in gt.walk() if g.kind == BcsKind.FOR]
     l1 = granule_region(analysis, fors[0])
     l2 = granule_region(analysis, fors[1])  # the shadowing summation loop inside the while
-    s_vars = [v for v in analysis.resolution.variables.values() if v.name == "s"]
-    assert sorted(sicn_max(led, v.vid, l1) for v in s_vars) == [0, 3]
+    s_vars = [vid for vid, v in enumerate(analysis.resolution.variables) if v.name == "s"]
+    assert sorted(sicn_max(led, vid, l1) for vid in s_vars) == [0, 3]
     assert icn_max_by_name(led, l1)["s"] == 3
     # scope-aware maximum stays below the name-blind one in the second loop
-    assert sorted(sicn_max(led, v.vid, l2) for v in s_vars) == [0, 5]
+    assert sorted(sicn_max(led, vid, l2) for vid in s_vars) == [0, 5]
     assert icn_max_by_name(led, l2)["s"] == 8
 
 
@@ -100,7 +101,7 @@ def test_regional_icn_exceeds_scoped_sum_under_shadowing():
     region = ordinals_of(analysis, {nid for nid in range(len(analysis.tree.nodes))
                                     if _inside(parents, nid, block.nid)})
     icn_total = info_icn(led, region)
-    scoped_total = sum(sicn_max(led, v.vid, region) for v in res.variables.values())
+    scoped_total = sum(sicn_max(led, vid, region) for vid in range(len(res.variables)))
     assert icn_total == 9
     assert scoped_total == 6
     assert icn_total > scoped_total
@@ -141,23 +142,23 @@ def test_record_variable_sums_members():
         "int main() { Point p; p.x = 1; p.y = 2; p.y = p.y + 1; print(p.x); }"
     )
     led = analysis.ledger
-    p = next(v for v in analysis.resolution.variables.values() if v.name == "p")
+    p = next(vid for vid, v in enumerate(analysis.resolution.variables) if v.name == "p")
     occ = analysis.resolution.occurrences
 
     def member_total(member: str) -> int:
         return sum(delta for delta, vid, m in zip(led.delta, occ.variable, occ.member)
-                   if vid == p.vid and m == member)
+                   if vid == p and m == member)
 
     assert member_total("x") == 1
     assert member_total("y") == 3
-    assert sicn_max(led, p.vid, whole(led)) == 4  # sum of member counts
+    assert sicn_max(led, p, whole(led)) == 4  # sum of member counts
 
 
 def test_array_element_assignment_counts_the_array():
     analysis = analyze_source("int main() { int k[3]; k[0] = 1; k[1] = k[0] + 1; }")
     led = analysis.ledger
-    k = next(v for v in analysis.resolution.variables.values() if v.name == "k")
-    assert sicn_max(led, k.vid, whole(led)) == 3  # 1 + (1 + one operator)
+    k = next(vid for vid, v in enumerate(analysis.resolution.variables) if v.name == "k")
+    assert sicn_max(led, k, whole(led)) == 3  # 1 + (1 + one operator)
 
 
 # ---------------------------------------------------------------- invariants
@@ -226,8 +227,8 @@ def test_scope_dominance(name):
     for region in _windows(analysis) + [whole(led)]:
         icn = icn_max_by_name(led, region)
         by_name: dict[str, int] = {}
-        for v in res.variables.values():
-            by_name[v.name] = by_name.get(v.name, 0) + sicn_max(led, v.vid, region)
+        for vid, v in enumerate(res.variables):
+            by_name[v.name] = by_name.get(v.name, 0) + sicn_max(led, vid, region)
         for vname, total in by_name.items():
             assert total <= icn.get(vname, 0) or total == 0
 

@@ -9,7 +9,7 @@ from minicog import (
 )
 from minicog.granules import BcsKind
 from minicog.ledger import SiMode
-from minicog.metrics import DEFAULT_WEIGHTS, WeightTable
+from minicog.metrics import DEFAULT_WEIGHTS, MetricsReport, WeightTable
 
 from conftest import analyzed, corpus_names, fixture_source, info_icn, ordinals_of, reference_si, whole
 
@@ -156,7 +156,17 @@ def test_inconsistent_input_rejected():
     a = analyzed("unit.mc")
     b = analyze_source("int main() { int z; z = 4; }")
     with pytest.raises(InconsistentInput):
-        escim(b.granules, a.ledger)
+        escim(b.granules, a.ledger, None, SiMode.DELTA, b.loc)
+
+
+def test_a_report_is_built_whole_and_immutable():
+    analysis = analyzed("recursion.mc")
+    rep = analysis.report(SiMode.MINMAX)
+    assert MetricsReport._fields == ("functions", "escim", "i_l", "loc", "efficiency")
+    assert rep == escim(analysis.granules, analysis.ledger, None, SiMode.MINMAX, analysis.loc)
+    assert rep.efficiency == Fraction(rep.escim, rep.loc) and None not in rep
+    with pytest.raises(AttributeError):
+        rep.loc = 1
 
 
 def test_program_escim_sums_functions():

@@ -84,6 +84,12 @@ def test_nodes_store_only_their_id():
         assert not hasattr(node, "__dict__"), cls.__name__
 
 
+def test_each_fact_of_a_node_is_stored_once():
+    # a class's field names are its slots, with no second table; a literal's kind follows from its text
+    assert not hasattr(ast, "NODE_FIELDS")
+    assert ast.Literal.__slots__ == ("text",)
+
+
 def test_a_tree_keeps_only_its_items_source_map_and_nodes():
     # a span is built by re-parsing, so the tree holds no index for it
     assert ast.SyntaxTree.__slots__ == ("items", "source_map", "nodes", "__weakref__")

@@ -151,7 +151,7 @@ def test_empty_program_prints_one_newline():
 def test_five_thousand_nested_statements_print_indented():
     # each `while` has a block body, so statements nest 5,000 deep
     depth = 2_500
-    stmt = ast.ExprStmt(ast.Assign(ast.VarRef("x"), ast.Literal("int", "1")))
+    stmt = ast.ExprStmt(ast.Assign(ast.VarRef("x"), ast.Literal("1")))
     for _ in range(depth):
         stmt = ast.WhileStmt(ast.VarRef("x"), ast.Block([stmt]))
     main = ast.FuncDef(ast.TypeRef("int"), "main", [], ast.Block([stmt]))

@@ -12,7 +12,7 @@ from conftest import (
 
 
 def vars_named(analysis, name):
-    return [v for v in analysis.resolution.variables.values() if v.name == name]
+    return [v for v in analysis.resolution.variables if v.name == name]
 
 
 def test_example2_has_three_amounts_in_distinct_scopes():
@@ -26,7 +26,7 @@ def test_example2_has_three_amounts_in_distinct_scopes():
 def test_example1_two_variables_in_function_scope():
     analysis = analyzed("example1.mc")
     kinds = scope_kinds(analysis.tree)
-    in_function = [v for v in analysis.resolution.variables.values()
+    in_function = [v for v in analysis.resolution.variables
                    if kinds[v.scope] == "function"]
     assert sorted(v.name for v in in_function) == ["square", "userInput"]
     assert len(analysis.resolution.variables) == 2
@@ -40,16 +40,16 @@ def test_global_ref_binds_global_despite_shadowing():
     analysis = analyzed("example2.mc")
     res, tree = analysis.resolution, analysis.tree
     kinds = scope_kinds(tree)
-    global_amount = next(v for v in res.variables.values() if kinds[v.scope] == "global")
+    global_amount = next(vid for vid, v in enumerate(res.variables) if kinds[v.scope] == "global")
     occ = res.occurrences
     global_refs = [vid for vid, nid in zip(occ.variable, occurrence_nodes(tree, res))
                    if isinstance(tree.nodes[nid], ast.GlobalRef)]
-    assert global_refs and all(vid == global_amount.vid for vid in global_refs)
+    assert global_refs and all(vid == global_amount for vid in global_refs)
     # the bare `print(amount)` in the block binds to the innermost amount
-    block_amount = next(v for v in res.variables.values() if kinds[v.scope] == "block")
+    block_amount = next(vid for vid, v in enumerate(res.variables) if kinds[v.scope] == "block")
     plain_reads = [vid for vid, nid, role in zip(occ.variable, occurrence_nodes(tree, res), occ.role)
                    if isinstance(tree.nodes[nid], ast.VarRef) and role == "read"]
-    assert plain_reads[-1] == block_amount.vid
+    assert plain_reads[-1] == block_amount
 
 
 def test_use_before_inner_declaration_binds_outer():
@@ -81,6 +81,19 @@ def test_undeclared_name_rejected():
 def _span(exc) -> tuple[int, int, int, int]:
     span = exc.span
     return span.line_start, span.col_start, span.line_end, span.col_end
+
+
+def test_nested_member_access_is_unresolved():
+    with pytest.raises(UnresolvedName, match="^nested member access is not supported$") as err:
+        resolve(parse_source("struct P { int a; };\nint main() { P p; p.a.b = 1; }"))
+    assert _span(err.value) == (2, 19, 2, 21)  # the inner member access, `p.a`
+
+
+def test_a_global_named_like_a_function_is_a_duplicate_declaration():
+    with pytest.raises(DuplicateDeclaration,
+                       match="^'f' is declared as both a global variable and a function$") as err:
+        resolve(parse_source("int f() { return 1; }\nint main() { return f(); }\nint f = 2;"))
+    assert _span(err.value) == (3, 1, 3, 10)  # the global's declaration
 
 
 def test_repeated_label_is_a_duplicate_declaration():
@@ -168,7 +181,7 @@ def test_each_construct_gives_its_variables_a_scope_of_its_kind():
     kinds = scope_kinds(tree)
     assert sorted(kinds) == ["block", "block", "for-init", "function", "global", "switch-body"]
     assert kinds[0] == "global"
-    variables = resolve(tree).variables.values()
+    variables = resolve(tree).variables
     assert {v.name: kinds[v.scope] for v in variables} == {
         "g": "global", "p": "function", "f": "function", "b": "block",
         "i": "for-init", "c": "block", "s": "switch-body",
@@ -193,10 +206,10 @@ def test_record_members_resolved_per_member():
     )
     res = analysis.resolution
     p = vars_named(analysis, "p")[0]
-    assert p.is_record and p.members == ("x", "y")
+    assert p.members == ("x", "y")
     occ = res.occurrences
     members = [member for vid, member in zip(occ.variable, occ.member)
-               if vid == p.vid and member]
+               if vid == res.variables.index(p) and member]
     assert members == ["x", "y", "x"]
     with pytest.raises(UnresolvedName):
         analyze_source("struct Point { int x; };\nint main() { Point p; p.z = 1; }")
@@ -322,6 +335,14 @@ def test_resolution_keeps_only_what_a_later_stage_reads():
     assert Resolution.__slots__ == ()  # nothing beyond what its constructor takes
     assert list(inspect.signature(Resolution).parameters) == [
         "variables", "occurrences", "call_graph", "calls_by_anchor", "runs"]
+
+
+def test_a_variable_is_numbered_by_its_place_in_the_list():
+    from minicog.scopes import ScopedVariable
+
+    assert ScopedVariable._fields == ("name", "scope", "members")
+    res = resolve(parse_source("struct P { int a; int b; };\nint g; int main(int n) { P p; int g; }"))
+    assert res.variables == [("g", 0, ()), ("n", 1, ()), ("p", 1, ("a", "b")), ("g", 1, ())]
 
 
 @pytest.mark.parametrize("stmt, message", [

@@ -65,6 +65,6 @@ def test_every_public_definition_is_named_by_the_package():
     seen = {f"{module}.{qualified}" for module, lines in sources.items()
             for qualified, _ in _definitions(pyast.parse("\n".join(lines)))}
     # the view takes in the declared node classes, module constants and methods
-    assert {"ast.Member", "ast.TypeRef", "ast.NODE_FIELDS", "ledger.OccurrenceLedger.si",
+    assert {"ast.Member", "ast.TypeRef", "ast.CHILD_FIELDS", "ledger.OccurrenceLedger.si",
             "granules.GranuleTree.walk", "analysis.Analysis.report"} <= seen
     assert _unused(sources) == []

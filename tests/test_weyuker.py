@@ -178,11 +178,17 @@ def test_swapping_independent_assignments_keeps_delta_si():
     assert a.si_program(SiMode.DELTA) == b.si_program(SiMode.DELTA)
 
 
+def test_a_slot_is_numbered_by_its_place_in_the_list():
+    assert weyuker.SlotInfo._fields == ("in_loop", "top_level", "is_decl", "has_delta")
+    infos = permutable_slots("int main() { int a = 1; while (a < 3) { a++; } return a; }")
+    assert infos == [(False, True, True, True), (True, False, False, True), (False, True, False, False)]
+
+
 def test_moving_assignment_between_nesting_levels_changes_value():
     src = fixture_source("sum_loop.mc")
     infos = permutable_slots(src)
-    loop_slot = next(s.index for s in infos if s.in_loop and s.has_delta)
-    top_slot = max(s.index for s in infos if s.top_level and not s.is_decl)
+    loop_slot = next(k for k, s in enumerate(infos) if s.in_loop and s.has_delta)
+    top_slot = max(k for k, s in enumerate(infos) if s.top_level and not s.is_decl)
     order = list(range(len(infos)))
     order[loop_slot], order[top_slot] = order[top_slot], order[loop_slot]
     moved = permute(src, order)
