@@ -11,7 +11,11 @@ label is defined once in it, and a ``goto`` names a label of its own function
 declared once in its struct (6.7.2.3p1 and 6.7p3). A global variable and a
 function do not share a name (6.7p4). No two case labels of one switch have
 the same value, and a switch has at most one default (6.8.4.2p3). A call
-passes its function as many arguments as it has parameters (6.5.2.2p2).
+passes its function as many arguments as it has parameters (6.5.2.2p2). No
+variable takes a builtin's name (6.7p4 at file scope). A ``break`` is inside
+a loop or switch, and a ``continue`` inside a loop (6.8.6.3p1 and
+6.8.6.2p1). No struct contains itself, through any chain of fields
+(6.7.2.1p3).
 
 A diagnostic is raised with the node it is about. Nodes store no source
 offsets, so ``resolve`` builds its span only once the walk has unwound, by
@@ -102,6 +106,22 @@ def _case_value(label: str | None) -> str | None:
     return "".join(str(int(digit)) for digit in label).lstrip("0") or "0"
 
 
+def _holds(field_types: dict[str, list[str]], type_name: str, record: str) -> bool:
+    """Whether a value of ``type_name`` holds one of struct ``record``, as
+    itself or through the fields of structs, arrays or not. Each struct is
+    searched once, so a cycle that avoids ``record`` ends the search too."""
+    seen: set[str] = set()
+    todo = [type_name]
+    while todo:
+        name = todo.pop()
+        if name == record:
+            return True
+        if name not in seen:
+            seen.add(name)
+            todo += field_types.get(name, ())
+    return False
+
+
 class _NodeError(Exception):
     """A diagnostic the walk found, before it has a span: its error class,
     its message and the node it is about."""
@@ -121,6 +141,8 @@ class _Resolver:
         self.current_function: str | None = None
         self.labels: set[str] = set()            # of the current function
         self.gotos: list[ast.GotoStmt] = []      # of the current function
+        self.loops = 0                           # loops and switches around the statement walked,
+        self.switches = 0                        # both back to 0 at the end of each function
 
     # ------------------------------------------------------------ scopes
 
@@ -131,6 +153,9 @@ class _Resolver:
 
     def declare(self, name: str, type_name: str, node: ast.Node) -> int:
         sid = self.stack[-1]
+        if name in BUILTINS:
+            raise _NodeError(DuplicateDeclaration,
+                             f"'{name}' is a builtin function and cannot be declared as a variable", node)
         if name in self.scope_vars[sid]:
             raise _NodeError(DuplicateDeclaration, f"'{name}' already declared in this scope", node)
         vid = len(self.variables)
@@ -310,14 +335,19 @@ class _Resolver:
                 self.walk_unit([init.expr], stmt.nid)
             self.walk_unit([stmt.cond], stmt.nid)
             self.walk_unit([stmt.update], stmt.nid)
+            self.loops += 1
             self.walk_stmt(stmt.body)
+            self.loops -= 1
             self.stack.pop()
         elif cls is ast.WhileStmt:
             self.walk_unit([stmt.cond], stmt.nid)
+            self.loops += 1
             self.walk_stmt(stmt.body)
+            self.loops -= 1
         elif cls is ast.SwitchStmt:
             self.walk_unit([stmt.scrutinee], stmt.nid)
             self.push_scope()
+            self.switches += 1
             labels: set[str | None] = set()  # the arms' `_case_value`s so far; None is `default`
             for arm in stmt.arms:
                 value = _case_value(arm.label)
@@ -328,9 +358,12 @@ class _Resolver:
                 labels.add(value)
                 for inner in arm.body:
                     self.walk_stmt(inner)
+            self.switches -= 1
             self.stack.pop()
         elif cls is ast.DoWhileStmt:
+            self.loops += 1
             self.walk_stmt(stmt.body)
+            self.loops -= 1
             self.walk_unit([stmt.cond], stmt.nid)
         elif cls is ast.ReturnStmt:
             self.walk_unit([stmt.value], stmt.nid)
@@ -342,7 +375,13 @@ class _Resolver:
             self.walk_stmt(stmt.stmt)
         elif cls is ast.GotoStmt:
             self.gotos.append(stmt)  # checked once the whole body is walked
-        elif cls is ast.BreakStmt or cls is ast.ContinueStmt or cls is ast.EmptyStmt:
+        elif cls is ast.BreakStmt:
+            if not (self.loops or self.switches):
+                raise _NodeError(UnresolvedName, "'break' is not inside a loop or switch", stmt)
+        elif cls is ast.ContinueStmt:
+            if not self.loops:
+                raise _NodeError(UnresolvedName, "'continue' is not inside a loop", stmt)
+        elif cls is ast.EmptyStmt:
             pass
         else:
             raise TypeError(f"unexpected statement {cls.__name__}")
@@ -351,6 +390,7 @@ class _Resolver:
 
     def run(self, tree: SyntaxTree) -> Resolution:
         self.push_scope()
+        field_types: dict[str, list[str]] = {}  # each struct's field type names, in text order
 
         for item in tree.items:
             if isinstance(item, ast.RecordDef):
@@ -364,6 +404,7 @@ class _Resolver:
                             f"field '{rfield.name}' already declared in struct '{item.name}'", rfield)
                     field_names.add(rfield.name)
                 self.records[item.name] = tuple(rfield.name for rfield in item.fields)
+                field_types[item.name] = [rfield.type.name for rfield in item.fields]
             elif isinstance(item, ast.FuncDef):
                 if item.name in BUILTINS:
                     raise _NodeError(DuplicateDeclaration,
@@ -377,6 +418,8 @@ class _Resolver:
             if isinstance(item, ast.RecordDef):
                 for rfield in item.fields:
                     self.check_type(rfield.type)
+                    if _holds(field_types, rfield.type.name, item.name):
+                        raise _NodeError(UnresolvedName, f"struct '{item.name}' contains itself", rfield)
             elif isinstance(item, ast.DeclStmt):
                 if item.name in self.call_graph:
                     raise _NodeError(DuplicateDeclaration, f"'{item.name}' is declared as both a global "

@@ -199,6 +199,42 @@ def test_builtins_are_called_as_declared_and_never_defined(tmp_path, source, mes
     assert (diag["span"]["line_start"], diag["span"]["col_start"]) == (1, col)
 
 
+def _first_text_diagnostic(tmp_path, source: str) -> bytes:
+    (tmp_path / "m.mc").write_text(source)
+    proc = run_cli("analyze", "m.mc", cwd=tmp_path)
+    assert proc.returncode == 1
+    return proc.stdout
+
+
+def test_variables_named_like_a_builtin_exit_1(tmp_path):
+    # C11 6.7p4 at file scope; stricter than C for a local that is never called
+    out = _first_text_diagnostic(
+        tmp_path, "int read = 1; int main() { int print = read(); print(print); return read; }")
+    assert out == b"m.mc\n  error: m.mc:1:1: 'read' is a builtin function and cannot be declared as a variable\n"
+
+
+@pytest.mark.parametrize("source, line", [
+    # C11 6.8.6.3p1: a break only in a loop or switch body
+    ("int main() { break; return 0; }", b"m.mc:1:14: 'break' is not inside a loop or switch"),
+    # C11 6.8.6.2p1: a continue only in a loop body, a switch is not enough
+    ("int main() { int x = 1; switch (x) { case 1: continue; } return 0; }",
+     b"m.mc:1:46: 'continue' is not inside a loop"),
+], ids=["break", "continue"])
+def test_break_or_continue_outside_what_it_leaves_exits_1(tmp_path, source, line):
+    assert _first_text_diagnostic(tmp_path, source) == b"m.mc\n  error: " + line + b"\n"
+
+
+@pytest.mark.parametrize("structs, line", [
+    ("struct P { int a; P q; };", b"m.mc:1:19: struct 'P' contains itself"),
+    ("struct A { B b; }; struct B { A a; };", b"m.mc:1:12: struct 'A' contains itself"),
+    ("struct P { int a; P[] q; };", b"m.mc:1:19: struct 'P' contains itself"),
+], ids=["direct", "mutual", "array"])
+def test_struct_that_contains_itself_exits_1(tmp_path, structs, line):
+    # C11 6.7.2.1p3: no member of a struct has the struct's own type, directly or not
+    out = _first_text_diagnostic(tmp_path, structs + " int main() { return 0; }")
+    assert out == b"m.mc\n  error: " + line + b"\n"
+
+
 def test_assignment_to_a_call_result_exits_1(tmp_path):
     (tmp_path / "target.mc").write_text("int f() { return 1; } int main() { f()[0] = 2; return 0; }")
     proc = run_cli("analyze", "target.mc", cwd=tmp_path)
@@ -221,10 +257,7 @@ def test_nested_member_access_exits_1(tmp_path):
     ("struct E { };\nint main() { E e; e.x = 1; return 0; }", b"m.mc:2:19: 'x' is not a member of 'e'"),
 ], ids=["scalar", "struct", "empty-struct"])
 def test_access_to_a_member_a_variable_lacks_exits_1(tmp_path, source, line):
-    (tmp_path / "m.mc").write_text(source)
-    proc = run_cli("analyze", "m.mc", cwd=tmp_path)
-    assert proc.returncode == 1
-    assert proc.stdout == b"m.mc\n  error: " + line + b"\n"
+    assert _first_text_diagnostic(tmp_path, source) == b"m.mc\n  error: " + line + b"\n"
 
 
 _EMPTY_JSON = ('{\n  "file": "empty.mc",\n  "si_mode": "delta",\n  "diagnostics": [\n    {\n'

@@ -7,7 +7,8 @@ from minicog import ast
 from minicog.scopes import ROLE_DECL, ROLE_TARGET, resolve
 
 from conftest import (
-    analyzed, corpus_pairs, corpus_names, occurrence_nodes, reference_occurrences, scope_kinds,
+    analyzed, corpus_pairs, corpus_names, occurrence_nodes, parents_of, reference_occurrences,
+    scope_kinds,
 )
 
 
@@ -94,6 +95,87 @@ def test_a_global_named_like_a_function_is_a_duplicate_declaration():
                        match="^'f' is declared as both a global variable and a function$") as err:
         resolve(parse_source("int f() { return 1; }\nint main() { return f(); }\nint f = 2;"))
     assert _span(err.value) == (3, 1, 3, 10)  # the global's declaration
+
+
+@pytest.mark.parametrize("source, name, where", [
+    ("int read = 1;\nint main() { return 0; }", "read", (1, 1, 1, 13)),
+    ("int main() {\n int print = 1;\n return print;\n}", "print", (2, 2, 2, 15)),
+    ("int f(int read) { return read; }\nint main() { return f(1); }", "read", (1, 7, 1, 14)),
+    ("int main() {\n for (int print = 0; print < 2; print++) { }\n return 0;\n}", "print", (2, 7, 2, 20)),
+], ids=["global", "local", "parameter", "for-declaration"])
+def test_a_variable_named_like_a_builtin_is_a_duplicate_declaration(source, name, where):
+    with pytest.raises(DuplicateDeclaration) as err:
+        resolve(parse_source(source))
+    assert str(err.value) == f"'{name}' is a builtin function and cannot be declared as a variable"
+    assert _span(err.value) == where  # the declaration
+    # a struct field may keep such a name
+    resolve(parse_source("struct P { int read; int print; };\nint main() { P p; p.read = 1; return 0; }"))
+
+
+@pytest.mark.parametrize("source, message, where", [
+    ("int main() {\n int x = 1;\n break;\n}", "'break' is not inside a loop or switch", (3, 2, 3, 7)),
+    ("int main() {\n while (true) { }\n continue;\n}", "'continue' is not inside a loop", (3, 2, 3, 10)),
+    # the loop of one function does not reach into the next
+    ("int f() { while (true) { break; } return 0; }\nint main() { break; }",
+     "'break' is not inside a loop or switch", (2, 14, 2, 19)),
+    ("int main() {\n int x = 1;\n switch (x) { case 1: continue; }\n}",
+     "'continue' is not inside a loop", (3, 23, 3, 31)),
+], ids=["break-in-a-body", "continue-after-a-loop", "break-in-the-next-function", "continue-in-a-switch"])
+def test_a_jump_outside_what_it_leaves_is_unresolved(source, message, where):
+    with pytest.raises(UnresolvedName) as err:
+        resolve(parse_source(source))
+    assert str(err.value) == message
+    assert _span(err.value) == where  # the break or continue statement
+
+
+def test_break_and_continue_inside_what_they_leave_resolve():
+    resolve(parse_source(
+        "int main() { int x = 1; switch (x) { case 1: break; default: break; }\n"
+        " while (x < 3) { switch (x) { case 1: continue; } x++; if (x) { break; } }\n"
+        " do { break; } while (x); for (int i = 0; i < 2; i++) { { continue; } } return x; }"))
+
+
+@pytest.mark.parametrize("structs, record, where", [
+    ("struct P {\n int a;\n P q;\n};", "P", (3, 2, 3, 5)),
+    ("struct A { B b; };\nstruct B { A a; };", "A", (1, 12, 1, 15)),
+    ("struct P { int a; P[] q; };", "P", (1, 19, 1, 24)),
+    # a cycle that X only leads into is reported at the first struct on it
+    ("struct X { A a; };\nstruct A { B b; };\nstruct B { A a; };", "A", (2, 12, 2, 15)),
+], ids=["direct", "mutual", "array", "into-a-cycle"])
+def test_a_struct_that_contains_itself_is_unresolved(structs, record, where):
+    with pytest.raises(UnresolvedName) as err:
+        resolve(parse_source(structs + "\nint main() { return 0; }"))
+    assert str(err.value) == f"struct '{record}' contains itself"
+    assert _span(err.value) == where  # the first field, in text order, that leads back
+
+
+def test_structs_that_hold_other_structs_resolve():
+    resolve(parse_source("struct A { int x; };\nstruct B { A a; A[] b; };\nstruct C { B b; A a; };\n"
+                         "int main() { C c; c.a = 1; return 0; }"))
+
+
+def test_no_generated_program_names_a_builtin_misplaces_a_jump_or_defines_a_struct():
+    from minicog.generator import generate
+
+    jumps = 0
+    for seed in range(500):
+        tree = parse_source(generate(seed))
+        assert not any(isinstance(item, ast.RecordDef) for item in tree.items), seed
+        declared = {node.name for node in tree.nodes if isinstance(node, (ast.DeclStmt, ast.Param))}
+        assert not declared & {"print", "read"}, seed
+        parents = parents_of(tree)
+        for node in tree.nodes:
+            if isinstance(node, (ast.BreakStmt, ast.ContinueStmt)):
+                enclosing, nid = set(), node.nid
+                while nid in parents:
+                    nid = parents[nid]
+                    enclosing.add(type(tree.nodes[nid]))
+                leaves = {ast.WhileStmt, ast.DoWhileStmt, ast.ForStmt}
+                if isinstance(node, ast.BreakStmt):
+                    leaves.add(ast.SwitchStmt)
+                assert enclosing & leaves, (seed, node.nid)
+                jumps += 1
+    assert jumps > 100
 
 
 def test_repeated_label_is_a_duplicate_declaration():
