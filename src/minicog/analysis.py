@@ -1,8 +1,8 @@
 """End-to-end pipeline: source text to a metrics report.
 
 Lexing, parsing, resolution, ledger construction and decomposition run once
-per program. LOC, the number of lines holding a token, is counted from the
-same token list during that one pass and stored on the analysis. So is all of
+per program. LOC, the number of lines holding a token, is counted by the
+lexer in its one pass over the text and stored on the analysis. So is all of
 the scoring work that does not depend on the SI mode or the weights: each
 function's leaf list and ERM lines (built by ``decompose``) and I(L) (set by
 ``build_ledger``). A report for one (mode, weights) pair is then one SI scan

@@ -1,21 +1,23 @@
 """Tokenizer for MiniC source text.
 
 Comments (``//`` and ``/* */``) and whitespace produce no tokens; everything
-else becomes exactly one token. One master regular expression, matched at each
-position in turn, picks the token together with the spaces before it.
+else becomes exactly one token. One ``findall`` of a master regular
+expression splits the text into items, and C iterators turn them into tokens.
 
-``tokenize`` returns a ``Tokens``: parallel lists of each token's kind, text,
-start offset and start line, and no object per token. A word's text is
-interned, so a name repeated across a file is stored once. Tokens carry
-source offsets (tree nodes do not); a ``SourceMap`` turns offsets into a
-1-based ``SourceSpan`` only when a diagnostic (or a test) reads one. This
-module is the only place that builds a ``SourceSpan``.
+``tokenize`` returns a ``Tokens``: parallel lists of each token's kind and
+text, and no object per token; a token's offset and line are found only when
+read. A token's text is interned, so a name repeated across a file is stored
+once. A ``SourceMap`` turns offsets into a 1-based ``SourceSpan`` only when a
+diagnostic (or a test) reads one. This module is the only place that builds a
+``SourceSpan``.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from itertools import chain, compress, islice, repeat
+from operator import contains
 from typing import NamedTuple
 
 from .errors import LexError
@@ -41,28 +43,39 @@ OPERATORS = (
 # `::` must precede `:`.
 PUNCTUATION = ("::", ";", ",", "(", ")", "{", "}", "[", "]", ":", ".")
 
-# Each match is the spaces, tabs and CRs before a token on its line, then one
-# alternative, tried in order, the most frequent first. `skip` yields no
-# token: a newline and the blank space after it, a comment, or the end of the
-# input (empty, so that trailing spaces need no token). Two orders matter, as
-# the other alternatives start on disjoint characters: `string` before
-# `unclosed`, and `unclosed` before `operator` (an unclosed comment is not
-# `/`). `\w` is `str.isalnum()` or `_`, and `\d` is `str.isdecimal()`: a
-# `word` starts on a `\w` that is not a `\d`, so `²` starts a word (which
-# `tokenize` rejects) and `٣` a number.
+# A closed string literal. `\` escapes any character, a newline too.
+_STRING = r'"(?:[^"\\\n]|\\[\s\S])*"'
+
+# Each match is an uncaptured run of blank space and comments that end on their
+# line, then one captured item: a token; a line break (a newline and the blank
+# space after it); a block comment over lines; or, at `\Z`, the empty end of
+# the input. The alternatives are tried in order, the most frequent first. Two
+# orders matter, as the others start on disjoint characters: a string before
+# an unclosed one, and a block comment before an unclosed one and both before
+# the operators (neither is `/`). `\w` is `str.isalnum()` or `_`, and `\d` is
+# `str.isdecimal()`: a word starts on a `\w` that is not a `\d`, so `²`
+# starts a word (which `tokenize` rejects) and `٣` a number. No item holds a
+# newline but a line break, a block comment and a string with a
+# backslash-newline, so a token opens a line when the item before it holds one.
 _TOKEN = re.compile(
-    r"""[ \t\r]*(?:
-      (?P<skip>\n[ \t\r\n]* | //[^\n]* | /\*[\s\S]*?\*/ | \Z)
-    | (?P<word>[^\W\d]\w*)
-    | (?P<punctuation>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
-    | (?P<number>\d+(?:\.\d+)?)
-    | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
-    | (?P<unclosed>/\*[\s\S]* | "(?:[^"\\\n]|\\[\s\S])*\\?)
-    | (?P<operator>""" + "|".join(map(re.escape, OPERATORS)) + r""")
-    | (?P<illegal>[\s\S])
+    r"""[ \t\r]*(?:(?://[^\n]* | /\*[^\n]*?\*/)[ \t\r]*)*(
+        [^\W\d]\w*
+      | """ + "|".join(map(re.escape, PUNCTUATION)) + r"""
+      | \n[ \t\r\n]*
+      | \d+(?:\.\d+)?
+      | """ + _STRING + r"""
+      | /\*[\s\S]*?\*/
+      | /\*[\s\S]* | "(?:[^"\\\n]|\\[\s\S])*\\?
+      | """ + "|".join(map(re.escape, OPERATORS)) + r"""
+      | [\s\S] | \Z
     )""",
     re.VERBOSE,
 )
+_CLOSED_STRING = re.compile(_STRING)
+
+# The kind of each fixed token text, and None for the end of the input.
+_FIXED_KINDS = {"": None, **dict.fromkeys(KEYWORDS, "keyword"),
+                **dict.fromkeys(PUNCTUATION, "punctuation"), **dict.fromkeys(OPERATORS, "operator")}
 
 
 class SourceSpan(NamedTuple):
@@ -104,67 +117,79 @@ class SourceMap:
 class Tokens:
     """The tokens of one file as parallel lists, indexed by token number:
     ``kinds``, ``texts``, ``starts`` (source offsets) and ``lines`` (the
-    1-based line each token starts on)."""
+    1-based line each token starts on); and ``line_count``, the number of
+    lines that hold a token. ``starts`` and ``lines`` are found by a second
+    scan of the text when one of them is first read, which only a
+    diagnostic's span, a renaming and tests do."""
 
-    __slots__ = ("kinds", "texts", "starts", "lines", "source_map")
+    __slots__ = ("kinds", "texts", "line_count", "source_map", "starts", "lines")
 
-    def __init__(self, source_map: SourceMap):
+    def __init__(self, kinds: list[str], texts: list[str], line_count: int, source_map: SourceMap):
         # identifier | int-literal | float-literal | string-literal | keyword | operator | punctuation
-        self.kinds: list[str] = []
-        self.texts: list[str] = []
-        self.starts: list[int] = []
-        self.lines: list[int] = []
+        self.kinds = kinds
+        self.texts = texts
+        self.line_count = line_count
         self.source_map = source_map
 
+    def __getattr__(self, name: str) -> list[int]:  # called only for a slot not yet set
+        if name not in ("starts", "lines"):
+            raise AttributeError(name)
+        self.starts, self.lines, line = [], [], 1
+        for match in _TOKEN.finditer(self.source_map.source):
+            text = match[1]
+            if text and text[0] != "\n" and not text.startswith("/*"):
+                self.starts.append(match.start(1))
+                self.lines.append(line)
+            line += text.count("\n")
+        return getattr(self, name)
+
     def __len__(self) -> int:
-        return len(self.starts)  # not `kinds`: the parser appends a sentinel to it
+        return len(self.texts)  # while the parser runs, its end sentinel counts too
 
     def span(self, i: int) -> SourceSpan:
         """The span of token ``i``; past the last token, the end of input:
         the point where the last token ends, or 1:1 when there is none."""
-        if i < len(self):
-            start = self.starts[i]
-            return self.source_map.span(start, start + len(self.texts[i]))
-        point = self.span(len(self) - 1)[3:] if self.starts else (1, 1)
+        starts = self.starts
+        if i < len(starts):
+            return self.source_map.span(starts[i], starts[i] + len(self.texts[i]))
+        point = self.span(len(starts) - 1)[3:] if starts else (1, 1)
         return SourceSpan(self.source_map.file, *point, *point)
+
+
+class _Kinds(dict):
+    """The kind of each item text of one file, None for an item that is no
+    token: the fixed texts preset, the others found on their first miss."""
+
+    def __missing__(self, text: str) -> str | None:
+        head = text[0]
+        if head == "\n" or (head == "/" and len(text) > 3 and text.endswith("*/")):
+            kind = None  # a line break or a block comment over lines
+        elif head == '"' and _CLOSED_STRING.fullmatch(text):
+            kind = "string-literal"
+        elif head.isalpha() or head == "_":
+            kind = "identifier"
+        elif head.isdecimal():
+            kind = "float-literal" if "." in text else "int-literal"
+        else:  # an unclosed comment or string, or an illegal character (`²` may start a word)
+            raise KeyError(text)
+        self[text] = kind
+        return kind
 
 
 def tokenize(source: str, file: str = "<input>") -> Tokens:
     """Convert source text to its tokens; raises LexError with a span."""
-    tokens = Tokens(SourceMap(file, source))
-    kinds, texts, starts, lines = tokens.kinds, tokens.texts, tokens.starts, tokens.lines
-    line = 1
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        text = match.group(kind)
-        if kind == "skip":
-            # a new int only on a new line: the tokens of one line share theirs
-            if "\n" in text:
-                line += text.count("\n")
-            continue
-        start = match.start(kind)
-        if kind == "word":
-            text = sys.intern(text)
-            if text in KEYWORDS:
-                kind = "keyword"
-            # a word may start with a non-decimal digit such as `²` or `½`
-            elif text[0].isalpha() or text[0] == "_":
-                kind = "identifier"
-            else:
-                kind = "illegal"
-        elif kind == "number":
-            kind = "float-literal" if "." in text else "int-literal"
-        elif kind == "string":
-            kind = "string-literal"
-        if kind == "unclosed":
-            what = "block comment" if text.startswith("/*") else "string literal"
-            raise LexError(f"unterminated {what}", tokens.source_map.span(start, match.end()))
-        if kind == "illegal":
-            raise LexError(f"illegal character {text[0]!r}", tokens.source_map.span(start, start + 1))
-        kinds.append(kind)
-        texts.append(text)
-        starts.append(start)
-        lines.append(line)
-        if kind == "string-literal" and "\n" in text:  # a backslash-newline continues a string
-            line += text.count("\n")
-    return tokens
+    source_map = SourceMap(file, source)
+    items = _TOKEN.findall(source)
+    try:
+        kinds = list(map(_Kinds(_FIXED_KINDS).__getitem__, items))
+    except KeyError as exc:  # the first item that is no token, so the first with its text
+        text = exc.args[0]
+        start = next(islice(_TOKEN.finditer(source), items.index(text), None)).start(1)
+        if text[0] in '/"':
+            what = "block comment" if text[0] == "/" else "string literal"
+            raise LexError(f"unterminated {what}", source_map.span(start, start + len(text))) from None
+        raise LexError(f"illegal character {text[0]!r}", source_map.span(start, start + 1)) from None
+    # a token opens a line when the item before it holds a newline
+    line_count = sum(map(contains, compress(chain(("\n",), items), kinds), repeat("\n")))
+    texts = list(map(sys.intern, compress(items, kinds)))
+    return Tokens(list(filter(None, kinds)), texts, line_count, source_map)

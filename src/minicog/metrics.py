@@ -149,11 +149,11 @@ def escim(
 
 
 def loc(tokens: Tokens) -> int:
-    """Lines that hold at least one token; raises EmptyProgram on zero."""
-    count = len(set(tokens.lines))
-    if count == 0:
+    """Lines that hold at least one token, as counted by ``tokenize``;
+    raises EmptyProgram on zero."""
+    if tokens.line_count == 0:
         raise EmptyProgram("no countable lines of code")
-    return count
+    return tokens.line_count
 
 
 def coding_efficiency(escim_value: int, loc_value: int) -> Fraction:

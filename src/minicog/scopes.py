@@ -15,7 +15,8 @@ passes its function as many arguments as it has parameters (6.5.2.2p2). No
 variable takes a builtin's name (6.7p4 at file scope). A ``break`` is inside
 a loop or switch, and a ``continue`` inside a loop (6.8.6.3p1 and
 6.8.6.2p1). No struct contains itself, through any chain of fields
-(6.7.2.1p3).
+(6.7.2.1p3). An array declared in a block has a size or an initializer
+(6.7p7).
 
 A diagnostic is raised with the node it is about. Nodes store no source
 offsets, so ``resolve`` builds its span only once the walk has unwound, by
@@ -302,9 +303,13 @@ class _Resolver:
 
     def walk_decl(self, decl: ast.DeclStmt, anchor: int) -> None:
         self.check_type(decl.type)
+        exprs = decl.init_list if decl.init is None else [decl.init]
+        # at file scope, `int g[];` is a tentative definition (C11 6.9.2p2)
+        if (exprs is None and decl.type.is_array and decl.type.array_size is None
+                and self.current_function is not None):
+            raise _NodeError(UnresolvedName, f"array '{decl.name}' has no size and no initializer", decl)
         vid = self.declare(decl.name, decl.type.name, decl)
         self.record(vid, (ROLE_DECL,), anchor)
-        exprs = decl.init_list if decl.init is None else [decl.init]
         if exprs is not None:
             self.walk_unit(exprs, anchor, vid)
 

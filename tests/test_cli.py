@@ -235,6 +235,22 @@ def test_struct_that_contains_itself_exits_1(tmp_path, structs, line):
     assert out == b"m.mc\n  error: " + line + b"\n"
 
 
+@pytest.mark.parametrize("source, line", [
+    ("int main() { int n[]; n[0] = 1; return n[0]; }", b"m.mc:1:14: array 'n' has no size and no initializer"),
+    ("struct P { int x; }; int main() { P qs[]; return 0; }",
+     b"m.mc:1:35: array 'qs' has no size and no initializer"),
+], ids=["int", "struct"])
+def test_block_scope_array_without_size_or_initializer_exits_1(tmp_path, source, line):
+    # C11 6.7p7: the array's type must be complete by the end of its declarator
+    assert _first_text_diagnostic(tmp_path, source) == b"m.mc\n  error: " + line + b"\n"
+
+
+def test_file_scope_array_without_size_is_a_tentative_definition(tmp_path):
+    # C11 6.9.2p2: at file scope `int g[];` is completed to one element
+    (tmp_path / "g.mc").write_text("int g[]; int main() { return 0; }")
+    assert run_cli("analyze", "g.mc", cwd=tmp_path).returncode == 0
+
+
 def test_assignment_to_a_call_result_exits_1(tmp_path):
     (tmp_path / "target.mc").write_text("int f() { return 1; } int main() { f()[0] = 2; return 0; }")
     proc = run_cli("analyze", "target.mc", cwd=tmp_path)

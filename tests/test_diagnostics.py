@@ -65,6 +65,19 @@ def test_diagnostics_on_mutated_sources_are_pinned():
     assert digest == "9fb9a4fff0c9b74d81cd38da85ffe522956ea87a152bd221fad3781371e12efe"
 
 
+def _analyze_and_report_everything() -> None:
+    """Analyze the fixtures and 50 generated programs, and build every report
+    and section the CLI can write for each."""
+    for name, source in corpus_pairs() + [(f"generate-{s}.mc", generate(s)) for s in range(50)]:
+        analysis = analyze_source(source, name)
+        for mode in SiMode:
+            report_obj(analysis, mode, None)
+        reference_ledger_rows(analysis)
+        [reference_granule_obj(root) for gt in analysis.granules for root in gt.roots]
+        for as_json in (True, False):  # and what `--emit ledger,granules` writes
+            cli._sections(analysis, {"ledger", "granules"}, as_json, 0)
+
+
 def test_successful_analysis_builds_no_source_span(monkeypatch):
     built = []
     real = lexer.SourceSpan
@@ -74,15 +87,34 @@ def test_successful_analysis_builds_no_source_span(monkeypatch):
         return real(*fields)
 
     monkeypatch.setattr(lexer, "SourceSpan", counting)
-    for name, source in corpus_pairs() + [(f"generate-{s}.mc", generate(s)) for s in range(50)]:
-        analysis = analyze_source(source, name)
-        for mode in SiMode:
-            report_obj(analysis, mode, None)
-        reference_ledger_rows(analysis)
-        [reference_granule_obj(root) for gt in analysis.granules for root in gt.roots]
-        for as_json in (True, False):  # and what `--emit ledger,granules` writes
-            cli._sections(analysis, {"ledger", "granules"}, as_json, 0)
+    _analyze_and_report_everything()
     assert built == []
     # the counter sees the spans a diagnostic builds
     assert _outcome("int main() { x = 1; }", "bad.mc")[2:] == ["bad.mc", 1, 14, 1, 14]
     assert built == [("bad.mc", 1, 14, 1, 14)]
+
+
+class _ScanCounter:
+    """Stands in for the lexer's token pattern and counts the scans that find
+    token offsets, which only its ``finditer`` makes."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.scans = 0
+
+    def findall(self, source):
+        return self.pattern.findall(source)
+
+    def finditer(self, source):
+        self.scans += 1
+        return self.pattern.finditer(source)
+
+
+def test_successful_analysis_never_scans_for_token_offsets(monkeypatch):
+    counter = _ScanCounter(lexer._TOKEN)
+    monkeypatch.setattr(lexer, "_TOKEN", counter)
+    _analyze_and_report_everything()
+    assert counter.scans == 0
+    # the counter sees the scan that a diagnostic's span makes
+    assert _outcome("int main() { x = 1; }", "bad.mc")[2:] == ["bad.mc", 1, 14, 1, 14]
+    assert counter.scans == 1

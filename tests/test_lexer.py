@@ -199,7 +199,8 @@ _ONE_PER_MATCH = re.compile(
 
 
 def _reference_tokenize(source: str):
-    """(kinds, texts, starts, lines) of ``source``, or the LexError's (message, span)."""
+    """(kinds, texts, starts, lines, the number of lines that hold a token) of
+    ``source``, or the LexError's (message, span)."""
     source_map = SourceMap("<input>", source)
     kinds, texts, starts, lines = [], [], [], []
     line, end = 1, 0
@@ -230,7 +231,7 @@ def _reference_tokenize(source: str):
         starts.append(start)
         lines.append(line)
         line += text.count("\n") if kind == "string-literal" else 0
-    return kinds, texts, starts, lines
+    return kinds, texts, starts, lines, len(set(lines))
 
 
 def _lexed(source: str):
@@ -238,16 +239,20 @@ def _lexed(source: str):
         toks = tokenize(source)
     except LexError as err:
         return str(err), err.span
-    return toks.kinds, toks.texts, toks.starts, toks.lines
+    return toks.kinds, toks.texts, toks.starts, toks.lines, toks.line_count
 
 
 # MiniC's characters; keywords, names, numbers and digits followed by letters;
-# comments, strings and backslash-newlines, closed and unclosed; and
+# comments, strings and backslash-newlines, closed and unclosed; the shapes
+# that the token pattern tells apart (an empty comment, a `/*/` that does not
+# close, a comment over lines between tokens, a string that ends in an
+# escaped quote or backslash, a token on the last line of a string); and
 # non-ASCII letters, digits and numerics.
 _DIFFERENTIAL_PIECES = [
     *"azAZ_09+-*/%<>=!&|;,(){}[]:.\"\\ \t\r\n@$",
     "int", "while", "x1", "_y", "12", "12.5", "3.", "7abc", "0x1F", "1e5",
     "//", "// c\n", "/*", "*/", "/* c */", "/* a\nb */", "\"s\"", "\"a\\\"b\"", "\"a\\\nb\"",
+    "/**/", "/*/", "x /* a\nb */ y", "\"a\\\"", "\"a\\\\\"", "\"a\\\nb\" c",
     "\\\n", "  ", "\t\t", "\r\n", "\n\n",
     "é", "²", "½", "٣", "x²", "٣x", "\xa0", " ", "\f",
 ]
@@ -263,6 +268,7 @@ def test_tokenize_matches_the_one_token_per_match_lexer(source):
     *(pytest.param(fixture_source(name), id=name) for name in corpus_names()),
     *(pytest.param(generate(seed), id=f"generate-{seed}") for seed in range(20)),
     "", " ", "x ", "x  \t\r", "\n", "a\n", "  /* open", "x ²", "  @", "\"a\\\n  b\"  c",
+    "/**/", "/*/", "x /* a\nb */ y", "x //", "x \"a\\\"", "x \"a\\\\\"", "x\n\"a\\\nb\" c\nd",
 ])
 def test_tokenize_matches_the_one_token_per_match_lexer_on_programs(source):
     assert _lexed(source) == _reference_tokenize(source)
