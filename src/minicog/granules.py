@@ -25,8 +25,9 @@ another; a head-tested header is walked just before the structure's first
 child leaf, and a do-while condition just after its last one.
 
 Decomposition also prepares what ESCIM reads of each function, none of which
-depends on the SI mode or the weights: the leaf list (``Leaf``: label,
-region, enclosing structured kinds, call and goto counts) and the ERM lines.
+depends on the SI mode or the weights: on each leaf granule, its region,
+enclosing structured kinds and call and goto counts; the leaves in pre-order
+(``GranuleTree.leaves``); and the ERM lines.
 Scoring a mode is then one SI scan per leaf (``minicog.metrics.escim``). A
 kind is a plain string, a ``BcsKind`` constant: granules, leaves, the weight
 table and the reports all hold the same string.
@@ -34,7 +35,7 @@ table and the reports all hold the same string.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from . import ast
 from .ast import SyntaxTree
@@ -71,7 +72,12 @@ _STRUCTURED_KIND = {
 
 
 class Granule:
-    __slots__ = ("label", "kind", "stmts", "children", "arm_starts")
+    # The last four are set by `_build`, on leaves only, for ESCIM: `region`, the
+    # occurrence ordinals, carried header included; `enclosing`, the kinds of
+    # the structured granules around it, outermost first; `calls`, the calls of
+    # user functions anchored in it or its header; `gotos`, its goto statements.
+    __slots__ = ("label", "kind", "stmts", "children", "arm_starts",
+                 "region", "enclosing", "calls", "gotos")
 
     def __init__(self, kind: str, stmts: tuple[int, ...]) -> None:
         self.label = ""                   # set once the granule's place in the tree is known
@@ -87,16 +93,6 @@ class Granule:
         return self.children[-1] if self.kind == BcsKind.DO_WHILE else self.children[0]
 
 
-class Leaf(NamedTuple):
-    """What ESCIM reads of one leaf granule."""
-    label: str
-    kind: str                        # a BcsKind
-    region: range                    # ordinals of its occurrences, carried header included
-    enclosing: tuple[str, ...]       # kinds of the structured granules around it, outermost first
-    calls: int                       # user-function calls anchored in the leaf or its header
-    gotos: int                       # goto statements among the leaf's statements
-
-
 class GranuleTree:
     """Decomposition of one function: its top-level granule run, its leaves in
     pre-order and its ERM lines. It names statements by node id and keeps no
@@ -105,7 +101,7 @@ class GranuleTree:
     __slots__ = ("function", "recursive", "roots", "resolution", "leaves", "erm")
 
     def __init__(self, function: str, recursive: bool, roots: list[Granule],
-                 resolution: Resolution, leaves: list[Leaf]) -> None:
+                 resolution: Resolution, leaves: list[Granule]) -> None:
         self.function = function
         self.recursive = recursive
         self.roots = roots
@@ -152,13 +148,14 @@ def _level(stmts: list[ast.Stmt]) -> list[Granule]:
     return granules
 
 
-def _build(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) -> list[Leaf]:
+def _build(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) -> list[Granule]:
     """Complete the granules under ``roots`` in one pre-order walk, by an
     explicit stack of (granule, its path, enclosing kinds, parent): build each
     structured granule's children, label each granule by its path of 1-based
-    sibling positions, and return the leaves in pre-order."""
+    sibling positions, set what ESCIM reads on each leaf, and return the
+    leaves in pre-order."""
     runs, calls_by_anchor = resolution.runs, resolution.calls_by_anchor
-    out: list[Leaf] = []
+    out: list[Granule] = []
     stack: list[tuple[Granule, str, tuple[str, ...], Granule | None]] = [
         (root, str(i), (), None) for i, root in reversed(list(enumerate(roots, start=1)))
     ]
@@ -202,7 +199,8 @@ def _build(roots: list[Granule], nodes: list[ast.Node], resolution: Resolution) 
         gotos = 0
         for nid in g.stmts:
             gotos += nodes[nid].__class__ is ast.GotoStmt
-        out.append(Leaf(g.label, g.kind, region, enclosing, calls, gotos))
+        g.region, g.enclosing, g.calls, g.gotos = region, enclosing, calls, gotos
+        out.append(g)
     return out
 
 

@@ -52,7 +52,7 @@ class OccurrenceLedger(NamedTuple):
 
     def si(self, anchors: range, mode: SiMode = SiMode.DELTA) -> int:
         """Scope information of a region: ``anchors`` is the region's range
-        of occurrence ordinals (a leaf's ``Leaf.region``).
+        of occurrence ordinals (a leaf granule's ``region``).
 
         One scan of the region keeps each variable's highest value (from its
         last occurrence) and, but in absolute mode, its first occurrence,

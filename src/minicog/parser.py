@@ -234,6 +234,14 @@ class _Parser:
                 return True
         return False
 
+    def _no_decl_body(self, keyword: str) -> None:
+        """The body of ``keyword`` is a statement (C11 6.8.4, 6.8.5), which a
+        declaration is not (6.8). Returns before the body is parsed, so the
+        body's nesting costs no extra frame."""
+        if self._starts_decl():
+            raise ParseError(f"a declaration cannot be the body of {keyword!r}",
+                             self.tokens.span(self.pos))
+
     def parse_stmt(self) -> Stmt:
         start = self.pos
         text = self.texts[start]
@@ -256,10 +264,12 @@ class _Parser:
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
+            self._no_decl_body("if")
             then = self.parse_stmt()
             orelse = None
             if self.texts[self.pos] == "else":
                 self.pos += 1
+                self._no_decl_body("else")
                 orelse = self.parse_stmt()
             return self._spanned(IfStmt(cond, then, orelse), start)
         if text == "switch":
@@ -269,10 +279,12 @@ class _Parser:
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
+            self._no_decl_body("while")
             body = self.parse_stmt()
             return self._spanned(WhileStmt(cond, body), start)
         if text == "do":
             self.pos += 1
+            self._no_decl_body("do")
             body = self.parse_stmt()
             self.expect("while")
             self.expect("(")
@@ -350,6 +362,7 @@ class _Parser:
         self.expect(";")
         update = None if self.texts[self.pos] == ")" else self.parse_expr()
         self.expect(")")
+        self._no_decl_body("for")
         body = self.parse_stmt()
         return self._spanned(ForStmt(init, cond, update, body), start)
 

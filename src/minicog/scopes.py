@@ -128,6 +128,22 @@ class _NodeError(Exception):
     its message and the node it is about."""
 
 
+def _check_constant(decl: ast.DeclStmt) -> None:
+    """A global's initializer is a constant expression (C11 6.7.9p4): in
+    MiniC a literal, or ``-``, ``!`` or a binary operator applied to
+    constants. Reports the first other expression in pre-order."""
+    todo = [decl.init] if decl.init is not None else (decl.init_list or [])[::-1]
+    while todo:
+        expr = todo.pop()
+        cls = expr.__class__
+        if cls is ast.Binary:
+            todo += (expr.rhs, expr.lhs)
+        elif cls is ast.Unary:
+            todo.append(expr.operand)
+        elif cls is not ast.Literal:
+            raise _NodeError(UnresolvedName, f"initializer of global '{decl.name}' is not a constant", expr)
+
+
 class _Resolver:
     def __init__(self) -> None:
         self.scope_vars: dict[int, dict[str, int]] = {}
@@ -430,6 +446,7 @@ class _Resolver:
                     raise _NodeError(DuplicateDeclaration, f"'{item.name}' is declared as both a global "
                                      "variable and a function", item)
                 self.walk_decl(item, item.nid)
+                _check_constant(item)
             elif isinstance(item, ast.FuncDef):
                 self.current_function = item.name
                 self.push_scope()

@@ -251,6 +251,46 @@ def test_file_scope_array_without_size_is_a_tentative_definition(tmp_path):
     assert run_cli("analyze", "g.mc", cwd=tmp_path).returncode == 0
 
 
+@pytest.mark.parametrize("source, line", [
+    ("int main() { int x = 0; if (x) int y = 1; return x; }", b"m.mc:1:32: a declaration cannot be the body of 'if'"),
+    ("int main() { int x = 0; if (x) x = 1; else int z; return x; }",
+     b"m.mc:1:44: a declaration cannot be the body of 'else'"),
+    ("int main() { int x = 0; while (x) float f; return x; }",
+     b"m.mc:1:35: a declaration cannot be the body of 'while'"),
+    ("int main() { int x = 0; do bool b; while (x); return x; }",
+     b"m.mc:1:28: a declaration cannot be the body of 'do'"),
+    ("struct P { int a; }; int main() { for (;;) P p; }", b"m.mc:1:44: a declaration cannot be the body of 'for'"),
+], ids=["if", "else", "while", "do", "for"])
+def test_declaration_as_a_selection_or_iteration_body_exits_1(tmp_path, source, line):
+    # C11 6.8.4, 6.8.5: each body is a statement, and a declaration is not one (6.8)
+    assert _first_text_diagnostic(tmp_path, source) == b"m.mc\n  error: " + line + b"\n"
+
+
+def test_declaration_after_a_label_or_case_analyzes(tmp_path):
+    # C23 (WG14 N2508) lets a label and a case arm precede a declaration
+    (tmp_path / "d.mc").write_text("int main() { int x = 0; l: int y = 1; "
+                                   "switch (x) { case 0: int z = 2; } return x; }")
+    assert run_cli("analyze", "d.mc", cwd=tmp_path).returncode == 0
+
+
+@pytest.mark.parametrize("source, line", [
+    ("int a = 1; int b = a;", b"m.mc:1:20: initializer of global 'b' is not a constant"),
+    ("int c = read();", b"m.mc:1:9: initializer of global 'c' is not a constant"),
+    ("int a = 1; int d[2] = {1, ::a};", b"m.mc:1:27: initializer of global 'd' is not a constant"),
+    ("int b = 1 + -(2 * q);", b"m.mc:1:19: undeclared name 'q'"),
+], ids=["variable", "call", "initializer-list", "undeclared-name"])
+def test_global_initializer_that_is_not_a_constant_exits_1(tmp_path, source, line):
+    # C11 6.7.9p4: an initializer of an object with static storage is a constant expression
+    src = source + " int main() { return 0; }"
+    assert _first_text_diagnostic(tmp_path, src) == b"m.mc\n  error: " + line + b"\n"
+
+
+def test_constant_global_initializers_analyze(tmp_path):
+    (tmp_path / "c.mc").write_text("int e = -(1 + 2) * 3; bool t = !true; int a[2] = {1, -2}; "
+                                   "int main() { return e; }")
+    assert run_cli("analyze", "c.mc", cwd=tmp_path).returncode == 0
+
+
 def test_assignment_to_a_call_result_exits_1(tmp_path):
     (tmp_path / "target.mc").write_text("int f() { return 1; } int main() { f()[0] = 2; return 0; }")
     proc = run_cli("analyze", "target.mc", cwd=tmp_path)
@@ -368,6 +408,8 @@ NESTING_LIMITS = {
     "braceless-ifs": (_MAIN, "if (x) " * 979 + "y = 1;", "2:6854"),
     "else-if-ladder": (_MAIN, "if (x) x = 0; " + "else if (x) x = 0; " * 977 + "else if (x) y = 1;",
                        "2:18590"),
+    "prefix-operators": (_MAIN, "x = " + "!" * 980 + "y;", "2:985"),
+    "assignment-chain": (_MAIN, "x = " * 981 + "y;", "2:3925"),
 }
 
 

@@ -8,7 +8,7 @@ from minicog import analyze_source, detect_recursion, parse_source, resolve
 from minicog import ast
 from minicog.granules import BcsKind
 
-from conftest import analyzed, corpus_names, ordinals_of, subtree
+from conftest import FULL_GRAMMAR, analyzed, corpus_names, fixture_source, ordinals_of, subtree
 
 
 def shape(granule):
@@ -188,6 +188,20 @@ def test_generated_decomposition_invariants(seed):
 
 
 # ------------------------------------------------------------- leaf regions
+
+def test_the_leaf_list_is_the_tree_s_own_leaf_granules():
+    # a leaf is scored in place: no separate per-leaf record copies it
+    import minicog.granules
+    from minicog.generator import generate
+
+    assert not hasattr(minicog.granules, "Leaf")
+    sources = [fixture_source(name) for name in corpus_names()] + [FULL_GRAMMAR]
+    for source in sources + [generate(seed) for seed in range(100)]:
+        for gt in analyze_source(source).granules:
+            linear = [g for g in gt.walk() if g.kind == BcsKind.LINEAR]
+            assert len(gt.leaves) == len(linear)
+            assert all(leaf is g for leaf, g in zip(gt.leaves, linear))
+
 
 def _assert_leaf_regions_are_their_anchors(analysis):
     """Each leaf's ordinal range is exactly the occurrences of its statements

@@ -28,7 +28,7 @@ EDGE_PROGRAMS = {
     # a header-carrying empty leaf is inserted, with `"stmts": []`
     "empty_leaf.mc": "int main() { int x = 1; while (x) { if (x) { } } return x; }\n",
     # no function at all: `"functions": []` and `"granule_trees": []`
-    "globals_only.mc": "int x = 1; int y = x;\n",
+    "globals_only.mc": "int x = 1; int y = 2;\n",
     # JSON escapes a non-ASCII function name in the head and the granule trees
     "non_ascii_function.mc": "int fé() { return 1; } int main() { return fé(); }\n",
 }
