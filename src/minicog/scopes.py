@@ -448,6 +448,10 @@ class _Resolver:
                 self.walk_decl(item, item.nid)
                 _check_constant(item)
             elif isinstance(item, ast.FuncDef):
+                self.check_type(item.ret_type)
+                if item.ret_type.is_array:
+                    raise _NodeError(UnresolvedName, f"function '{item.name}' cannot return an array",
+                                     item.ret_type)
                 self.current_function = item.name
                 self.push_scope()
                 for param in item.params:

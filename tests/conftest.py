@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from minicog import ParseError, analyze_source, ast, cli, tokenize
-from minicog.errors import AnalysisError
+from minicog import ast, cli
+from minicog.analysis import analyze_source
+from minicog.errors import AnalysisError, ParseError
+from minicog.lexer import tokenize
 from minicog.parser import _Parser, node_span
 
 REPO = Path(__file__).resolve().parents[1]

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from minicog import analyze_source, serialize_erm
 from minicog import ast
+from minicog.analysis import analyze_source
+from minicog.erm import serialize_erm
 from minicog.generator import generate
 from minicog.granules import BcsKind
 from minicog.ledger import SiMode
@@ -240,7 +241,7 @@ def _wrap_leaf_in_loop(source: str, leaf_stmt_ids: set[int]):
     lo, hi = min(positions), max(positions)
     wrapped = ast.WhileStmt(ast.Literal("true"), ast.Block(main.body.stmts[lo:hi + 1]))
     main.body.stmts[lo:hi + 1] = [wrapped]
-    from minicog import pretty_print
+    from minicog.printer import pretty_print
 
     return pretty_print(tree)
 

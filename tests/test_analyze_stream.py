@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, corpus_names, fixture_source, reference_analyze_output
-from minicog import analyze_source, cli
+from minicog import cli
+from minicog.analysis import analyze_source
 from minicog.generator import generate
 from minicog.ledger import SiMode
 

@@ -7,9 +7,11 @@ import inspect
 
 import pytest
 
-from minicog import ast, parse_source, tokenize
+from minicog import ast
 from minicog.errors import ComposeError
 from minicog.generator import generate
+from minicog.lexer import tokenize
+from minicog.parser import parse_source
 from minicog.scopes import ROLE_TARGET, resolve
 from minicog.weyuker import ValidatorPool, _permutations, compose
 

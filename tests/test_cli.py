@@ -13,7 +13,9 @@ from collections import Counter
 import pytest
 
 from conftest import CORPUS, FULL_GRAMMAR, REPO, corpus_names, fixture_source, run_cli
-from minicog import ComposeError, analyze_source, cli
+from minicog import cli
+from minicog.analysis import analyze_source
+from minicog.errors import ComposeError
 from minicog.generator import generate
 from minicog.ledger import SiMode
 
@@ -289,6 +291,24 @@ def test_constant_global_initializers_analyze(tmp_path):
     (tmp_path / "c.mc").write_text("int e = -(1 + 2) * 3; bool t = !true; int a[2] = {1, -2}; "
                                    "int main() { return e; }")
     assert run_cli("analyze", "c.mc", cwd=tmp_path).returncode == 0
+
+
+@pytest.mark.parametrize("source, line", [
+    ("Foo f() { return 1; }", b"m.mc:1:1: unknown type 'Foo'"),
+    ("void f() { }", b"m.mc:1:1: unknown type 'void'"),
+    ("int[] f() { int a[2]; return a; }", b"m.mc:1:1: function 'f' cannot return an array"),
+    ("Foo f(Bar b) { return 1; }", b"m.mc:1:1: unknown type 'Foo'"),
+], ids=["unknown", "void", "array", "before-the-parameters"])
+def test_return_type_that_is_unknown_or_an_array_exits_1(tmp_path, source, line):
+    # C11 6.7.2p2: a return type names a type, and MiniC has no `void`;
+    # 6.7.6.3p1: a function does not return an array
+    src = source + " int main() { return 0; }"
+    assert _first_text_diagnostic(tmp_path, src) == b"m.mc\n  error: " + line + b"\n"
+
+
+def test_function_returning_a_struct_analyzes(tmp_path):
+    (tmp_path / "s.mc").write_text("struct P { int a; }; P g() { P p; return p; } int main() { return 0; }")
+    assert run_cli("analyze", "s.mc", cwd=tmp_path).returncode == 0
 
 
 def test_assignment_to_a_call_result_exits_1(tmp_path):
@@ -821,10 +841,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_the_weyuker_layer():
     # in a fresh interpreter: pytest itself has imported all four modules
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    probe = ("import sys, minicog.cli; print(sorted({'dataclasses', 'inspect', 'minicog.weyuker', "
-             "'minicog.generator'} & set(sys.modules)))")
+    # and, since `minicog` re-exports nothing, not the printer either
+    probe = ("import sys, types, minicog.cli; print(sorted({'dataclasses', 'inspect', 'minicog.weyuker', "
+             "'minicog.generator', 'minicog.printer'} & set(sys.modules))); "
+             "print(sorted(k for k, v in vars(minicog).items() "
+             "if not k.startswith('_') and not isinstance(v, types.ModuleType)))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
 
 
 def test_weyuker_single_mode_flag():

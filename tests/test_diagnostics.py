@@ -5,8 +5,10 @@ import hashlib
 import json
 import random
 
-from minicog import AnalysisError, analyze_source, cli, lexer
+from minicog import cli, lexer
+from minicog.analysis import analyze_source
 from minicog.cli import report_obj
+from minicog.errors import AnalysisError
 from minicog.generator import generate
 from minicog.ledger import SiMode
 
@@ -48,7 +50,7 @@ def test_diagnostics_on_mutated_sources_are_pinned():
     outcomes = [_outcome(text, name) for name, source in _sources()
                 for text in _mutations(name, source)]
     diagnostics = [o for o in outcomes if o is not None]
-    assert len(outcomes) == 3690 and len(diagnostics) == 3636
+    assert len(outcomes) == 3690 and len(diagnostics) == 3637
 
     # the edge cases of the offset-to-span rule that the pin must cover
     def some(message: str, where) -> bool:
@@ -60,9 +62,11 @@ def test_diagnostics_on_mutated_sources_are_pinned():
     assert some("unterminated string literal", lambda ls, cs, le, ce: le > ls and ce > 1)
     assert any(o[0] == "EmptyProgram" for o in diagnostics)
 
-    # measured before node spans became offsets, with the switch crash mended
+    # measured before node spans became offsets, with the switch crash mended;
+    # `int²` in unit.mc lexes as one name, so that outcome is the return-type
+    # diagnostic "unknown type 'int²'" at 1:1-1:4
     digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
-    assert digest == "9fb9a4fff0c9b74d81cd38da85ffe522956ea87a152bd221fad3781371e12efe"
+    assert digest == "80e545227f99d2813b01591941de891ac194cc7e7515c711c3ca0a0dbecf7257"
 
 
 def _analyze_and_report_everything() -> None:

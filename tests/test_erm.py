@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import analyze_source, serialize_erm
+from minicog.analysis import analyze_source
+from minicog.erm import serialize_erm
 
 from conftest import analyzed, corpus_names, granule_shape, shape_from_erm
 

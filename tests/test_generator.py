@@ -1,7 +1,7 @@
 import pytest
 
-from minicog import analyze_source
 from minicog import ast
+from minicog.analysis import analyze_source
 from minicog.generator import MAX_DEPTH, MAX_STATEMENTS, generate
 from minicog.scopes import ROLE_TARGET
 

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import analyze_source, detect_recursion, parse_source, resolve
 from minicog import ast
-from minicog.granules import BcsKind
+from minicog.analysis import analyze_source
+from minicog.granules import BcsKind, detect_recursion
+from minicog.parser import parse_source
+from minicog.scopes import resolve
 
 from conftest import FULL_GRAMMAR, analyzed, corpus_names, fixture_source, ordinals_of, subtree
 
@@ -228,7 +230,7 @@ def test_leaf_regions_are_contiguous_on_generated_programs():
 
 
 def test_leaf_regions_are_contiguous_on_composed_and_permuted_programs():
-    from minicog import ComposeError
+    from minicog.errors import ComposeError
     from minicog.weyuker import ValidatorPool, _permutations, compose
 
     pool = ValidatorPool([], seed=0, n_generated=20)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import (CORPUS, FULL_GRAMMAR, analyzed, corpus_names, corpus_pairs, fixture_source,
                       reference_analyze_output, reference_diagnostic_obj, reference_report_obj)
-from minicog import analyze_source, cli
+from minicog import cli
+from minicog.analysis import analyze_source
 from minicog.errors import AnalysisError, EmptyProgram
 from minicog.generator import generate
 from minicog.ledger import SiMode

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import analyze_source, cli
+from minicog import cli
+from minicog.analysis import analyze_source
 from minicog.granules import BcsKind
 from minicog.ledger import SiMode
 from minicog.scopes import ROLE_TARGET, Occurrences

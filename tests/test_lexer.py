@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import LexError, tokenize
-from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION, SourceMap
+from minicog.errors import LexError
+from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION, SourceMap, tokenize
 from minicog.generator import generate
 
 from conftest import corpus_names, fixture_source

@@ -7,8 +7,12 @@ drawn by hypothesis."""
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from minicog import SiMode, analyze_source, ast, parse_source, pretty_print
+from minicog import ast
+from minicog.analysis import analyze_source
 from minicog.generator import generate
+from minicog.ledger import SiMode
+from minicog.parser import parse_source
+from minicog.printer import pretty_print
 
 SEEDS = st.integers(0, 10 ** 6)
 

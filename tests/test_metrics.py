@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from minicog import (
-    AnalysisError, EmptyProgram, InconsistentInput, analyze_source, coding_efficiency, escim, loc,
-    tokenize,
-)
+from minicog.analysis import analyze_source
+from minicog.errors import AnalysisError, EmptyProgram, InconsistentInput
 from minicog.granules import BcsKind
 from minicog.ledger import SiMode
-from minicog.metrics import DEFAULT_WEIGHTS, MetricsReport, WeightTable
+from minicog.lexer import tokenize
+from minicog.metrics import (
+    DEFAULT_WEIGHTS, MetricsReport, WeightTable, coding_efficiency, escim, loc,
+)
 
 from conftest import analyzed, corpus_names, fixture_source, info_icn, ordinals_of, reference_si, whole
 
@@ -184,7 +185,7 @@ def test_nonnegative_everywhere(name):
 def test_delta_additivity_for_disjoint_programs():
     p = analyze_source(fixture_source("p6_p.mc"))
     q = analyze_source(fixture_source("p6_q.mc"))
-    from minicog import parse_source
+    from minicog.parser import parse_source
     from minicog.weyuker import compose
 
     combined = compose(parse_source(fixture_source("p6_p.mc")), parse_source(fixture_source("p6_q.mc")))

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from minicog import AnalysisError, ParseError, analyze_source, parse_source, tokenize
-from minicog import ast, parse
+from minicog import ast
+from minicog.analysis import analyze_source
+from minicog.errors import AnalysisError, ParseError
 from minicog.generator import generate
-from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION
-from minicog.parser import node_span
+from minicog.lexer import KEYWORDS, OPERATORS, PUNCTUATION, tokenize
+from minicog.parser import node_span, parse, parse_source
 
 from conftest import (
     FULL_GRAMMAR, analyzed, corpus_names, fixture_source, parents_of, reference_string_literal_error,

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import ast, parse_source, pretty_print
+from minicog import ast
 from minicog.ast import fingerprint
 from minicog.generator import generate
+from minicog.parser import parse_source
+from minicog.printer import pretty_print
 
 from conftest import CORPUS, FULL_GRAMMAR, corpus_names, fixture_source
 

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minicog import DuplicateDeclaration, UnresolvedName, analyze_source, parse_source
 from minicog import ast
+from minicog.analysis import analyze_source
+from minicog.errors import DuplicateDeclaration, UnresolvedName
+from minicog.parser import parse_source
 from minicog.scopes import ROLE_DECL, ROLE_TARGET, resolve
 
 from conftest import (
@@ -389,7 +391,7 @@ def _assert_runs_match_reference(tree, res):
 
 
 def test_runs_match_the_tree_on_fixtures_generated_and_composed_programs():
-    from minicog import ComposeError
+    from minicog.errors import ComposeError
     from minicog.generator import generate
     from minicog.weyuker import compose
 

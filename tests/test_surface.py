@@ -4,9 +4,8 @@ that only tests read.
 Every public module-level ``def``, ``class`` and assigned name in
 ``src/minicog/`` (the node classes of ``minicog.ast`` are assigned, one a
 line), and every public method of a class, is named on some line of the
-package outside its own definition and outside ``__init__.py``, which only
-re-exports. The one exception is ``cli.main``, the entry point that the
-command line calls from outside.
+package outside its own definition. The one exception is ``cli.main``, the
+entry point that the command line calls from outside.
 """
 
 import ast as pyast
@@ -40,7 +39,7 @@ def _definitions(tree: pyast.Module):
 
 def _sources() -> dict[str, list[str]]:
     return {path.stem: path.read_text(encoding="utf-8").splitlines()
-            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _unused(sources: dict[str, list[str]]) -> list[str]:

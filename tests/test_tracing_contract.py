@@ -58,8 +58,12 @@ def test_traced_arguments_keep_their_positions(tracing):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_layer_counts_measure_real_results(tracing, name, capsys):
-    from minicog import build_ledger, decompose, parse, resolve, tokenize
     from minicog.cli import main
+    from minicog.granules import decompose
+    from minicog.ledger import build_ledger
+    from minicog.lexer import tokenize
+    from minicog.parser import parse
+    from minicog.scopes import resolve
 
     measure = {layer.count: layer.measure for layer in tracing.LAYERS if layer.count}
     tree = parse(tokenize(fixture_source(name), name))

@@ -5,13 +5,12 @@ from collections import Counter
 
 import pytest
 
-from minicog import (
-    Analysis, ComposeError, EmptyProgram, InvalidPermutation, RenameCollision, analyze_source, cli,
-    parse_source,
-)
+from minicog import cli, weyuker
+from minicog.analysis import Analysis, analyze_source
 from minicog.ast import fingerprint
-from minicog import weyuker
+from minicog.errors import ComposeError, EmptyProgram, InvalidPermutation, RenameCollision
 from minicog.ledger import SiMode
+from minicog.parser import parse_source
 from minicog.weyuker import (
     ValidatorPool, check_property, compose, permutable_slots, permute,
     rename, run_matrix,
@@ -251,7 +250,7 @@ def test_permute_preserves_statement_multiset():
 
 
 def pretty_printed(src):
-    from minicog import pretty_print
+    from minicog.printer import pretty_print
 
     return pretty_print(parse_source(src))
 
